@@ -101,9 +101,8 @@ impl ChocoQ {
         let mut quantum_s = 0.0f64;
         let mut eval_counter = 0u64;
 
-        let layers = cfg.layers;
         let run = |params: &[f64], rng: &mut StdRng| -> BTreeMap<Label, f64> {
-            run_chocoq(problem, &hams, seed_label, layers, params, cfg, rng)
+            run_chocoq(problem, &hams, seed_label, params, cfg, rng)
         };
 
         let mut objective = |params: &[f64]| -> f64 {
@@ -152,9 +151,9 @@ impl ChocoQ {
 /// per-layer mixing constants evaluated once, and memo caches reusing
 /// objective evaluations and `cis` phases across all trajectories of
 /// the evaluation. Every floating-point value it feeds the state is
-/// identical to what the gate-by-gate path computes, so fused and
-/// unfused runs are bit-identical per shot.
-struct FusedEval<'a> {
+/// identical to what a gate-by-gate replay of the circuit computes, so
+/// the two agree bit for bit per shot (the `reference_*` tests below).
+struct CompiledEval<'a> {
     problem: &'a Problem,
     n: usize,
     program: SegmentProgram,
@@ -168,7 +167,7 @@ struct FusedEval<'a> {
     phase_cache: Vec<HashMap<Label, Complex>>,
 }
 
-impl<'a> FusedEval<'a> {
+impl<'a> CompiledEval<'a> {
     fn new(
         problem: &'a Problem,
         hams: &[TransitionHamiltonian],
@@ -187,7 +186,7 @@ impl<'a> FusedEval<'a> {
                 )
             })
             .collect();
-        FusedEval {
+        CompiledEval {
             problem,
             n,
             program: SegmentProgram::compile(hams),
@@ -252,16 +251,12 @@ impl<'a> FusedEval<'a> {
     }
 }
 
-/// Executes the Choco-Q circuit once (exact or trajectory-sampled).
-///
-/// Public as the fusion benchmark's sparse-arm hook: it is the hot loop
-/// whose compiled path (`cfg.fuse`) the `BENCH_fusion.json` numbers
-/// compare against the legacy gate-by-gate path.
-pub fn run_chocoq(
+/// Executes the Choco-Q circuit once (exact or trajectory-sampled)
+/// through one evaluation's [`CompiledEval`].
+fn run_chocoq(
     problem: &Problem,
     hams: &[TransitionHamiltonian],
     seed_label: Label,
-    _layers: usize,
     params: &[f64],
     cfg: &BaselineConfig,
     rng: &mut StdRng,
@@ -273,83 +268,22 @@ pub fn run_chocoq(
         (None, true) => Some(1024),
         (None, false) => None,
     };
-
-    let mut fused = cfg
-        .fuse
-        .then(|| FusedEval::new(problem, hams, seed_label, params));
-
-    let evolve_exact = |state: &mut SparseState| {
-        for layer in params.chunks(2) {
-            let (gamma, beta) = (layer[0], layer[1]);
-            state.apply_diagonal_phase(|l| {
-                let bits = bits_from_label(l, n);
-                -gamma * problem.evaluate(&bits)
-            });
-            for h in hams {
-                h.apply(state, beta);
-            }
-        }
-    };
+    let mut eval = CompiledEval::new(problem, hams, seed_label, params);
 
     match shots {
         None => {
             let mut state = SparseState::basis_state(n, seed_label);
-            match &mut fused {
-                Some(ctx) => ctx.evolve_exact(&mut state),
-                None => evolve_exact(&mut state),
-            }
+            eval.evolve_exact(&mut state);
             state.distribution()
         }
         Some(budget) => {
             let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
             for _ in 0..budget {
                 let mut state = SparseState::basis_state(n, seed_label);
-                match (&mut fused, noisy) {
-                    (Some(ctx), true) => ctx.evolve_noisy(&mut state, &cfg.noise, rng),
-                    (Some(ctx), false) => ctx.evolve_exact(&mut state),
-                    (None, true) => {
-                        let prep: Vec<usize> =
-                            (0..n).filter(|&q| seed_label >> q & 1 == 1).collect();
-                        apply_gate_noise_sparse(&mut state, &prep, cfg.noise.p1, &cfg.noise, rng);
-                        for layer in params.chunks(2) {
-                            let (gamma, beta) = (layer[0], layer[1]);
-                            state.apply_diagonal_phase(|l| {
-                                let bits = bits_from_label(l, n);
-                                -gamma * problem.evaluate(&bits)
-                            });
-                            // Objective Rzz noise: 2 CX per quadratic term.
-                            for &(a, b, _) in &problem.objective().quadratic {
-                                for q in [a, b] {
-                                    if rng.gen::<f64>() < cfg.noise.p2 {
-                                        apply_gate_noise_sparse(
-                                            &mut state,
-                                            &[q],
-                                            1.0,
-                                            &NoiseModel::noise_free(),
-                                            rng,
-                                        );
-                                    }
-                                }
-                            }
-                            for h in hams {
-                                h.apply(&mut state, beta);
-                                let support = h.support();
-                                for _ in 0..h.cx_cost() {
-                                    if rng.gen::<f64>() < cfg.noise.p2 {
-                                        let q = support[rng.gen_range(0..support.len())];
-                                        apply_gate_noise_sparse(
-                                            &mut state,
-                                            &[q],
-                                            1.0,
-                                            &NoiseModel::noise_free(),
-                                            rng,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (None, false) => evolve_exact(&mut state),
+                if noisy {
+                    eval.evolve_noisy(&mut state, &cfg.noise, rng);
+                } else {
+                    eval.evolve_exact(&mut state);
                 }
                 let label = state.sample_one(rng);
                 let label = apply_readout_error(label, n, cfg.noise.readout, rng);
@@ -427,21 +361,160 @@ mod tests {
         assert!(out.in_constraints_rate < 1.0, "noise had no effect");
     }
 
+    // Gate-by-gate reference oracle: one Choco-Q shot replayed from the
+    // `TransitionHamiltonian`s, re-deriving every transition, support,
+    // mixing constant and objective phase per shot. `noise: None` is
+    // the noise-free circuit.
+    fn reference_shot(
+        problem: &Problem,
+        hams: &[TransitionHamiltonian],
+        seed_label: Label,
+        params: &[f64],
+        noise: Option<&NoiseModel>,
+        rng: &mut StdRng,
+    ) -> SparseState {
+        let n = problem.n_vars();
+        let mut state = SparseState::basis_state(n, seed_label);
+        if let Some(noise) = noise {
+            let prep: Vec<usize> = (0..n).filter(|&q| seed_label >> q & 1 == 1).collect();
+            apply_gate_noise_sparse(&mut state, &prep, noise.p1, noise, rng);
+        }
+        let noise_free = NoiseModel::noise_free();
+        for layer in params.chunks(2) {
+            let (gamma, beta) = (layer[0], layer[1]);
+            state.apply_diagonal_phase(|l| -gamma * problem.evaluate(&bits_from_label(l, n)));
+            if let Some(noise) = noise {
+                // Objective Rzz noise: 2 CX per quadratic term.
+                for &(a, b, _) in &problem.objective().quadratic {
+                    for q in [a, b] {
+                        if rng.gen::<f64>() < noise.p2 {
+                            apply_gate_noise_sparse(&mut state, &[q], 1.0, &noise_free, rng);
+                        }
+                    }
+                }
+            }
+            for h in hams {
+                h.apply(&mut state, beta);
+                let Some(noise) = noise else { continue };
+                let support = h.support();
+                for _ in 0..h.cx_cost() {
+                    if rng.gen::<f64>() < noise.p2 {
+                        let q = support[rng.gen_range(0..support.len())];
+                        apply_gate_noise_sparse(&mut state, &[q], 1.0, &noise_free, rng);
+                    }
+                }
+            }
+        }
+        state
+    }
+
+    /// Registry instances with their mixers, seeds and fixed random
+    /// two-layer parameters.
+    fn reference_cases() -> Vec<(Problem, Vec<TransitionHamiltonian>, Label, Vec<f64>)> {
+        ["J1", "F1", "K1"]
+            .iter()
+            .enumerate()
+            .map(|(i, id)| {
+                let problem = benchmark(BenchmarkId::parse(id).unwrap());
+                let hams = problem_basis(&problem)
+                    .unwrap()
+                    .into_iter()
+                    .map(TransitionHamiltonian::new)
+                    .collect();
+                let seed_label = label_from_bits(problem.initial_feasible().unwrap());
+                let mut rng = StdRng::seed_from_u64(0xC0C0 + i as u64);
+                let params = (0..4).map(|_| rng.gen_range(-1.5..1.5)).collect();
+                (problem, hams, seed_label, params)
+            })
+            .collect()
+    }
+
+    fn noisy_regimes() -> [(&'static str, NoiseModel); 2] {
+        [
+            ("noisy", NoiseModel::ibm_like(2e-3, 1e-2, 0.02)),
+            (
+                "noisy-damped",
+                NoiseModel::ibm_like(2e-3, 1e-2, 0.02)
+                    .with_amplitude_damping(5e-3)
+                    .with_phase_damping(3e-3),
+            ),
+        ]
+    }
+
     #[test]
-    fn fused_solve_matches_unfused_bitwise() {
-        // The compiled path (SegmentProgram + memoized phases) must not
-        // perturb a single RNG draw or amplitude: noisy solves agree
-        // byte for byte with the legacy gate-by-gate path.
-        let base = BaselineConfig::default()
-            .with_shots(96)
-            .with_noise(NoiseModel::ibm_like(1e-3, 5e-3, 0.01))
-            .with_max_iterations(6)
-            .with_layers(2)
-            .with_seed(13);
-        let fused = ChocoQ::new(base.clone()).solve(&j1()).unwrap();
-        let unfused = ChocoQ::new(base.without_fusion()).solve(&j1()).unwrap();
-        assert_eq!(fused.distribution, unfused.distribution);
-        assert_eq!(fused.expectation, unfused.expectation);
+    fn reference_exact_matches_compiled() {
+        for (problem, hams, seed_label, params) in reference_cases() {
+            let mut rng = StdRng::seed_from_u64(0);
+            let want = reference_shot(&problem, &hams, seed_label, &params, None, &mut rng);
+            let got = run_chocoq(
+                &problem,
+                &hams,
+                seed_label,
+                &params,
+                &BaselineConfig::default(),
+                &mut rng,
+            );
+            assert_eq!(got, want.distribution(), "{}", problem.name());
+        }
+    }
+
+    #[test]
+    fn reference_shots_match_compiled_shot_by_shot() {
+        let regimes = std::iter::once(("noise-free sampled", NoiseModel::noise_free()))
+            .chain(noisy_regimes());
+        for (regime, noise) in regimes {
+            for (problem, hams, seed_label, params) in reference_cases() {
+                let n = problem.n_vars();
+                let mut eval = CompiledEval::new(&problem, &hams, seed_label, &params);
+                for shot in 0..48u64 {
+                    let mut rng = StdRng::seed_from_u64(0x5407 ^ shot);
+                    let mut state = SparseState::basis_state(n, seed_label);
+                    if noise.is_noisy() {
+                        eval.evolve_noisy(&mut state, &noise, &mut rng);
+                    } else {
+                        eval.evolve_exact(&mut state);
+                    }
+                    let got = state.sample_one(&mut rng);
+                    let mut rng = StdRng::seed_from_u64(0x5407 ^ shot);
+                    let noise = noise.is_noisy().then_some(&noise);
+                    let want =
+                        reference_shot(&problem, &hams, seed_label, &params, noise, &mut rng)
+                            .sample_one(&mut rng);
+                    assert_eq!(got, want, "[{regime}] {}, shot {shot}", problem.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reference_sampled_runs_match_compiled() {
+        // `run_chocoq` threads one RNG through all its shots; replaying
+        // the oracle over the same RNG must give the same counts.
+        let regimes = std::iter::once(("noise-free sampled", NoiseModel::noise_free()))
+            .chain(noisy_regimes());
+        for (regime, noise) in regimes {
+            for (problem, hams, seed_label, params) in reference_cases() {
+                let n = problem.n_vars();
+                let cfg = BaselineConfig::default().with_shots(96).with_noise(noise);
+                let mut rng = StdRng::seed_from_u64(0xD1CE);
+                let got = run_chocoq(&problem, &hams, seed_label, &params, &cfg, &mut rng);
+                let mut rng = StdRng::seed_from_u64(0xD1CE);
+                let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
+                for _ in 0..96 {
+                    let noisy = noise.is_noisy().then_some(&noise);
+                    let state =
+                        reference_shot(&problem, &hams, seed_label, &params, noisy, &mut rng);
+                    let label = state.sample_one(&mut rng);
+                    let label = apply_readout_error(label, n, noise.readout, &mut rng);
+                    *counts.entry(label).or_insert(0) += 1;
+                }
+                let want: BTreeMap<Label, f64> = counts
+                    .into_iter()
+                    .map(|(l, c)| (l, c as f64 / 96.0))
+                    .collect();
+                assert_eq!(got, want, "[{regime}] {}", problem.name());
+            }
+        }
     }
 
     #[test]

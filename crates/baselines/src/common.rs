@@ -9,7 +9,7 @@ use rasengan_core::metrics::{
 };
 use rasengan_problems::{optimum, Problem, Sense};
 use rasengan_qsim::exec::{DenseTrajectoryRunner, Program};
-use rasengan_qsim::noise::{apply_readout_error, run_dense_trajectory};
+use rasengan_qsim::noise::apply_readout_error;
 use rasengan_qsim::{Circuit, DenseState, Device, Label, NoiseModel};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -43,12 +43,6 @@ pub struct BaselineConfig {
     pub device: Device,
     /// Parameter-training optimizer.
     pub optimizer: BaselineOptimizer,
-    /// Execute noisy trajectories through a compiled
-    /// [`rasengan_qsim::exec::Program`] (one compile per evaluation,
-    /// reused state buffer across trajectories) instead of re-walking
-    /// the gate list per shot. Bit-identical either way; `false` keeps
-    /// the legacy path for differential testing.
-    pub fuse: bool,
 }
 
 impl Default for BaselineConfig {
@@ -61,7 +55,6 @@ impl Default for BaselineConfig {
             noise: NoiseModel::noise_free(),
             device: Device::ibm_quebec(),
             optimizer: BaselineOptimizer::Cobyla,
-            fuse: true,
         }
     }
 }
@@ -109,13 +102,6 @@ impl BaselineConfig {
         self.device = device;
         self
     }
-
-    /// Disables compiled-program execution (builder style); results are
-    /// bit-identical, only slower.
-    pub fn without_fusion(mut self) -> Self {
-        self.fuse = false;
-        self
-    }
 }
 
 /// Result of a baseline solve — mirrors [`rasengan_core::Outcome`]'s
@@ -149,7 +135,9 @@ pub struct BaselineOutcome {
 /// Executes a dense circuit and returns the measured distribution.
 ///
 /// Noise-free without shots: exact probabilities. With shots: sampled
-/// counts. With noise: one trajectory per shot plus readout errors.
+/// counts. With noise: one trajectory per shot plus readout errors,
+/// each through a [`Program`] compiled once per call and a
+/// [`DenseTrajectoryRunner`] that reuses its state buffer.
 pub fn run_dense(
     circuit: &Circuit,
     cfg: &BaselineConfig,
@@ -174,29 +162,12 @@ pub fn run_dense(
         }
         Some(budget) => {
             let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-            if noisy && cfg.fuse {
-                // Compile once, execute every trajectory through the
-                // fused per-gate ops with a reused state buffer and an
-                // allocation-free single-shot sampler. Bit-identical to
-                // the unfused branch below (same RNG consumption).
+            if noisy {
                 let program = Program::compile(circuit);
                 let mut runner = DenseTrajectoryRunner::new(&program);
                 for _ in 0..budget {
                     let state = runner.run(&cfg.noise, rng);
                     let label = state.sample_one(rng);
-                    let label = apply_readout_error(
-                        label as Label,
-                        circuit.n_qubits(),
-                        cfg.noise.readout,
-                        rng,
-                    );
-                    *counts.entry(label).or_insert(0) += 1;
-                }
-            } else if noisy {
-                for _ in 0..budget {
-                    let state = run_dense_trajectory(circuit, &cfg.noise, rng);
-                    let sample = state.sample(1, rng);
-                    let (&label, _) = sample.iter().next().expect("one sample");
                     let label = apply_readout_error(
                         label as Label,
                         circuit.n_qubits(),
@@ -290,6 +261,8 @@ pub fn train_and_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+    use rasengan_qsim::noise::run_dense_trajectory;
 
     #[test]
     fn run_dense_exact_matches_statevector() {
@@ -327,25 +300,67 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn run_dense_fused_matches_unfused_bitwise() {
-        // HEA-shaped noisy circuit: the fused trajectory runner must
-        // reproduce the unfused path exactly, label for label.
-        let mut c = Circuit::new(4);
+    /// HEA- and QAOA-shaped noisy test circuits on 4 and 5 qubits.
+    fn reference_circuits() -> Vec<Circuit> {
+        let mut hea = Circuit::new(4);
         for q in 0..4 {
-            c.ry(q, 0.4 + 0.1 * q as f64).rz(q, -0.3);
+            hea.ry(q, 0.4 + 0.1 * q as f64).rz(q, -0.3);
         }
         for q in 0..3 {
-            c.cx(q, q + 1);
+            hea.cx(q, q + 1);
         }
-        let noise = NoiseModel::ibm_like(0.02, 0.05, 0.02).with_amplitude_damping(0.01);
-        let fused_cfg = BaselineConfig::default().with_shots(200).with_noise(noise);
-        let unfused_cfg = fused_cfg.clone().without_fusion();
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        let fused = run_dense(&c, &fused_cfg, &mut rng_a);
-        let unfused = run_dense(&c, &unfused_cfg, &mut rng_b);
-        assert_eq!(fused, unfused);
+        let mut qaoa = Circuit::new(5);
+        for q in 0..5 {
+            qaoa.h(q);
+        }
+        for q in 0..4 {
+            qaoa.cx(q, q + 1).rz(q + 1, 0.7).cx(q, q + 1);
+        }
+        for q in 0..5 {
+            qaoa.rx(q, 0.35);
+        }
+        vec![hea, qaoa]
+    }
+
+    #[test]
+    fn reference_noisy_dense_matches_compiled_shot_by_shot() {
+        // Gate-by-gate reference oracle: every trajectory re-walks the
+        // gate list on a fresh state. `run_dense` must produce the same
+        // label for every shot, which over one shared RNG means the
+        // same counts and the same RNG position afterwards.
+        let regimes = [
+            NoiseModel::ibm_like(0.02, 0.05, 0.02),
+            NoiseModel::ibm_like(0.02, 0.05, 0.02)
+                .with_amplitude_damping(0.01)
+                .with_phase_damping(0.01),
+        ];
+        for noise in regimes {
+            for c in reference_circuits() {
+                let cfg = BaselineConfig::default().with_shots(200).with_noise(noise);
+                let mut rng = StdRng::seed_from_u64(7);
+                let got = run_dense(&c, &cfg, &mut rng);
+                let mut oracle_rng = StdRng::seed_from_u64(7);
+                let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
+                for _ in 0..200 {
+                    let state = run_dense_trajectory(&c, &noise, &mut oracle_rng);
+                    let sample = state.sample(1, &mut oracle_rng);
+                    let (&label, _) = sample.iter().next().expect("one sample");
+                    let label = apply_readout_error(
+                        label as Label,
+                        c.n_qubits(),
+                        noise.readout,
+                        &mut oracle_rng,
+                    );
+                    *counts.entry(label).or_insert(0) += 1;
+                }
+                let want: BTreeMap<Label, f64> = counts
+                    .into_iter()
+                    .map(|(l, c)| (l, c as f64 / 200.0))
+                    .collect();
+                assert_eq!(got, want, "{noise:?}");
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "{noise:?}");
+            }
+        }
     }
 
     #[test]

@@ -94,10 +94,9 @@ mod tests {
         let _ = crate::apportion_shots as fn(&[f64], usize) -> Vec<usize>;
 
         // Config defaults stay consistent with the documented behavior:
-        // tracing off, fusion on.
+        // tracing off.
         let cfg = crate::RasenganConfig::default();
         assert!(!cfg.trace);
-        assert!(cfg.fuse);
         assert!(crate::RasenganConfig::default().with_trace(true).trace);
     }
 }

@@ -52,6 +52,11 @@ impl SegmentProgram {
         }
     }
 
+    /// CX depth of the whole segment: the sum of its operators' costs.
+    pub fn cx_depth(&self) -> usize {
+        self.ops.iter().map(|op| op.cx_cost).sum()
+    }
+
     /// Applies the whole segment noise-free with a shared angle `t`,
     /// precomputing the mixing constants once for all operators.
     pub fn apply_all(&self, state: &mut SparseState, t: f64) {

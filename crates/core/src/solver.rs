@@ -23,7 +23,7 @@ use crate::resilience::{
 use crate::segment::{apportion_shots, plan_segments, single_segment, SegmentPlan, SegmentProgram};
 use crate::simplify::simplify_basis;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rasengan_math::basis::TernaryBasisError;
 use rasengan_obs::span::{TraceTree, Tracer};
 use rasengan_optim::{Cobyla, NelderMead, Optimizer, Spsa};
@@ -31,8 +31,7 @@ use rasengan_problems::{optimum, Problem};
 use rasengan_qsim::fault::{FaultKind, FaultPlan};
 use rasengan_qsim::mitigation::{mitigate_readout, ReadoutModel};
 use rasengan_qsim::noise::{
-    apply_gate_noise_sparse, apply_gate_noise_sparse_fused, apply_readout_error,
-    run_noise_slots_sparse,
+    apply_gate_noise_sparse_fused, apply_readout_error, run_noise_slots_sparse,
 };
 use rasengan_qsim::parallel::{derive_seed, par_map, resolve_threads};
 use rasengan_qsim::sparse::label_from_bits;
@@ -104,26 +103,11 @@ pub struct RasenganConfig {
     /// fixed seed at *any* thread count: every shot draws from its own
     /// RNG stream derived from the seed and its global shot index.
     pub threads: Option<usize>,
-    /// Lockstep batch width for the dense trajectory engine
-    /// (`qsim::batch`): how many Monte-Carlo trajectories one kernel
-    /// sweep updates. `None` defers to the `RASENGAN_BATCH` environment
-    /// variable and then to auto (`min(8, shots)`). Like `threads`,
-    /// this is a throughput knob only: every shot draws from its own
-    /// seed-derived RNG stream, so results are bit-identical at any
-    /// batch width — including on the solve path itself, which runs
-    /// sparse segment states and never batches.
-    pub batch: Option<usize>,
     /// Recovery ladder: segment retry budget with shot escalation,
     /// graceful chain degradation, stage budgets, and (for testing) a
     /// deterministic fault-injection plan. All defaults are off, which
     /// reproduces the pre-resilience solver byte-for-byte.
     pub resilience: ResilienceConfig,
-    /// Execute compiled segment programs (precomputed transitions,
-    /// supports, mixing constants) instead of re-deriving them per shot.
-    /// The fused path is bit-identical to the gate-by-gate path; `false`
-    /// (CLI `--no-fuse`) keeps the legacy path alive for differential
-    /// testing.
-    pub fuse: bool,
     /// Record a structured span tree for the solve (one span per
     /// stage, segment, and retry attempt) into [`Outcome::trace`].
     /// Span IDs are derived from structure alone, so the tree is
@@ -155,9 +139,7 @@ impl Default for RasenganConfig {
             initial_times: None,
             final_segment_shot_boost: 1,
             threads: None,
-            batch: None,
             resilience: ResilienceConfig::default(),
-            fuse: true,
             trace: false,
         }
     }
@@ -258,20 +240,6 @@ impl RasenganConfig {
         self
     }
 
-    /// Pins the dense trajectory engine's lockstep batch width (builder
-    /// style). The default (`None`) uses `RASENGAN_BATCH` or auto;
-    /// like [`with_threads`](Self::with_threads), any width yields
-    /// bit-identical results — only the wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_batch(mut self, lanes: usize) -> Self {
-        assert!(lanes > 0, "batch width must be positive");
-        self.batch = Some(lanes);
-        self
-    }
-
     /// Replaces the whole resilience configuration (builder style).
     pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = resilience;
@@ -297,15 +265,6 @@ impl RasenganConfig {
     /// Arms a deterministic fault-injection plan (builder style).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.resilience.fault_plan = Some(plan);
-        self
-    }
-
-    /// Disables compiled-program execution, running the legacy
-    /// gate-by-gate/per-shot-recompute path (builder style). Results are
-    /// bit-identical either way; this exists for differential testing
-    /// and perf comparison.
-    pub fn without_fusion(mut self) -> Self {
-        self.fuse = false;
         self
     }
 
@@ -506,8 +465,9 @@ pub struct Prepared {
     /// One compiled program per plan segment (precomputed transitions,
     /// supports, CX costs), reused across every shot, evaluation, and —
     /// through the serve layer's compile cache — every request sharing
-    /// this compile. Empty only for hand-built `Prepared` values; the
-    /// executor falls back to the gate-by-gate path in that case.
+    /// this compile. Solves execute these programs and nothing else, so
+    /// a hand-built `Prepared` must compile one per segment, in plan
+    /// order.
     pub programs: Vec<SegmentProgram>,
     /// Seed feasible basis state.
     pub seed_label: Label,
@@ -831,22 +791,13 @@ impl Rasengan {
                 _ => params,
             };
 
-            let budget = ExecBudget {
+            let ctx = ExecContext {
                 stage: Stage::Train,
+                stream_seed,
                 deadline: train_deadline,
                 shots_before: total_shots,
             };
-            match execute(
-                problem,
-                prepared,
-                exec_params,
-                cfg,
-                lambda,
-                stream_seed,
-                &budget,
-                &mut events,
-                None,
-            ) {
+            match execute(problem, prepared, exec_params, cfg, &ctx, &mut events, None) {
                 Ok(exec) => {
                     quantum_s += exec.quantum_s;
                     retry_s += exec.retry_s;
@@ -905,8 +856,9 @@ impl Rasengan {
         let exec_deadline = resil
             .max_stage_seconds
             .map(|s| Instant::now() + Duration::from_secs_f64(s));
-        let budget = ExecBudget {
+        let ctx = ExecContext {
             stage: Stage::Execute,
+            stream_seed: derive_seed(cfg.seed, u64::MAX),
             deadline: exec_deadline,
             shots_before: total_shots,
         };
@@ -915,9 +867,7 @@ impl Rasengan {
             prepared,
             &result.best_params,
             cfg,
-            lambda,
-            derive_seed(cfg.seed, u64::MAX),
-            &budget,
+            &ctx,
             &mut events,
             Some(&mut tracer),
         ) {
@@ -1024,11 +974,13 @@ struct Execution {
     shots: usize,
 }
 
-/// Budget context of one [`execute`] call: which stage it runs in, the
-/// stage's wall-clock deadline, and how many shots the solve had
-/// already spent when the call started.
-struct ExecBudget {
+/// Context of one [`execute`] call: which stage it runs in, the RNG
+/// seed every stream of the call derives from, the stage's wall-clock
+/// deadline, and how many shots the solve had already spent when the
+/// call started.
+struct ExecContext {
     stage: Stage,
+    stream_seed: u64,
     deadline: Option<Instant>,
     shots_before: usize,
 }
@@ -1069,9 +1021,10 @@ fn sanitize_param(t: f64) -> f64 {
     }
 }
 
-/// Executes the chain segment-by-segment from the seed state.
+/// Executes the chain segment-by-segment from the seed state, running
+/// each segment's compiled [`SegmentProgram`].
 ///
-/// All sampling draws from RNG streams derived from `stream_seed`
+/// All sampling draws from RNG streams derived from `ctx.stream_seed`
 /// through the SplitMix64 finalizer: noisy trajectories get one stream
 /// per *global shot index*, exact sampling one stream per input label.
 /// Work is split over the configured threads by index, and results are
@@ -1091,18 +1044,20 @@ fn sanitize_param(t: f64) -> f64 {
 /// one `attempt` span per sampled execution attempt. Spans live on the
 /// control-plane thread only and carry deterministic attributes, so
 /// they never perturb RNG streams or result bytes.
-#[allow(clippy::too_many_arguments)]
 fn execute(
     problem: &Problem,
     prepared: &Prepared,
     params: &[f64],
     cfg: &RasenganConfig,
-    _lambda: f64,
-    stream_seed: u64,
-    budget: &ExecBudget,
+    ctx: &ExecContext,
     events: &mut Vec<ResilienceEvent>,
     tracer: Option<&mut Tracer>,
 ) -> Result<Execution, RasenganError> {
+    assert_eq!(
+        prepared.programs.len(),
+        prepared.plan.len(),
+        "Prepared::programs must hold one compiled program per plan segment"
+    );
     // Detail spans only exist for a recording tracer; a `None` (or
     // disabled) tracer keeps this function on its legacy cost profile.
     let mut tracer = tracer.filter(|t| t.enabled());
@@ -1124,9 +1079,7 @@ fn execute(
         &sanitized
     };
 
-    let noisy = cfg.noise.is_noisy();
-    let threads = resolve_threads(cfg.threads);
-    let shots = match (cfg.shots, noisy) {
+    let shots = match (cfg.shots, cfg.noise.is_noisy()) {
         (Some(s), _) => Some(s),
         (None, true) => Some(1024), // noise forces sampling
         (None, false) => None,
@@ -1144,40 +1097,34 @@ fn execute(
     let mut next_stream = 0u64;
 
     let n_segments = prepared.plan.segments.len();
-    'segments: for (seg_idx, range) in prepared.plan.segments.iter().enumerate() {
+    let segments = prepared.plan.segments.iter().zip(&prepared.programs);
+    'segments: for (seg_idx, (range, program)) in segments.enumerate() {
         // Budget gate between segments. Degradation truncates the
         // chain: every segment's input is a feasible distribution, so
         // stopping early costs quality, never validity.
-        if let Some(kind) = budget_tripped(budget.deadline, resil, budget.shots_before + shots_used)
-        {
+        if let Some(kind) = budget_tripped(ctx.deadline, resil, ctx.shots_before + shots_used) {
             events.push(ResilienceEvent::BudgetExhausted {
-                stage: budget.stage,
+                stage: ctx.stage,
                 kind,
             });
             if resil.degrade {
                 break 'segments;
             }
             return Err(RasenganError::BudgetExceeded {
-                stage: budget.stage,
+                stage: ctx.stage,
                 kind,
                 partial: None,
             });
         }
 
-        let ops = &prepared.chain.ops[range.clone()];
         let times = &params[range.clone()];
+        let cx_depth = program.cx_depth();
         let seg_span = tracer.as_mut().map(|t| {
             let tok = t.open("segment");
             t.attr_int("index", seg_idx as i128);
-            t.attr_int("ops", ops.len() as i128);
+            t.attr_int("ops", program.ops.len() as i128);
             tok
         });
-        // Compiled program for this segment, when fusion is on and the
-        // `Prepared` carries one per segment (always true for values
-        // from `prepare()`; hand-built ones may omit them).
-        let program = (cfg.fuse && prepared.programs.len() == n_segments)
-            .then(|| &prepared.programs[seg_idx]);
-        let cx_depth: usize = ops.iter().map(|o| o.cx_cost()).sum();
         let shots = shots.map(|s| {
             if seg_idx + 1 == n_segments {
                 s * cfg.final_segment_shot_boost
@@ -1198,38 +1145,10 @@ fn execute(
                 // Quantum latency is still charged at the notional 1024
                 // shots a hardware run would use, so latency reports stay
                 // comparable with the shot-based baselines.
-                quantum_s += segment_execution_seconds(&cfg.device, cx_depth, 4 * ops.len(), 1024);
-                // Each input label propagates independently; the merge
-                // runs sequentially in input order so the floating-point
-                // accumulation order is fixed.
-                let inputs: Vec<(Label, f64)> = dist.iter().map(|(&l, &p)| (l, p)).collect();
-                // With a compiled program the mixing constants are
-                // evaluated once per segment instead of once per input
-                // label per operator; the products are bit-identical.
-                let consts = program.map(|prog| mixing_constants(prog, times));
-                let locals = par_map(&inputs, threads, |_, &(label, _)| {
-                    let mut state = SparseState::basis_state(problem.n_vars(), label);
-                    match (program, &consts) {
-                        (Some(prog), Some(consts)) => {
-                            for (ct, &(cos, misin)) in prog.ops.iter().zip(consts) {
-                                state.apply_transition_with(&ct.transition, cos, misin);
-                            }
-                        }
-                        _ => {
-                            for (op, &t) in ops.iter().zip(times) {
-                                op.apply(&mut state, t);
-                            }
-                        }
-                    }
-                    state.distribution()
-                });
-                let mut next: BTreeMap<Label, f64> = BTreeMap::new();
-                for ((_, p), local) in inputs.iter().zip(locals) {
-                    for (l, q) in local {
-                        *next.entry(l).or_insert(0.0) += p * q;
-                    }
-                }
-                dist = next;
+                quantum_s +=
+                    segment_execution_seconds(&cfg.device, cx_depth, 4 * program.ops.len(), 1024);
+                let threads = resolve_threads(cfg.threads);
+                dist = propagate_exact(problem.n_vars(), program, times, &dist, threads);
             }
             Some(seg_shots) => {
                 let inputs: Vec<Label> = dist.keys().copied().collect();
@@ -1240,17 +1159,17 @@ fn execute(
                         // Retries re-check the budgets: escalated shots
                         // must not blow through a hard ceiling.
                         if let Some(kind) =
-                            budget_tripped(budget.deadline, resil, budget.shots_before + shots_used)
+                            budget_tripped(ctx.deadline, resil, ctx.shots_before + shots_used)
                         {
                             events.push(ResilienceEvent::BudgetExhausted {
-                                stage: budget.stage,
+                                stage: ctx.stage,
                                 kind,
                             });
                             if resil.degrade {
                                 break 'segments;
                             }
                             return Err(RasenganError::BudgetExceeded {
-                                stage: budget.stage,
+                                stage: ctx.stage,
                                 kind,
                                 partial: None,
                             });
@@ -1262,10 +1181,16 @@ fn execute(
                     // retries draw from a sub-seed derived from the
                     // segment and attempt, with a fresh local counter,
                     // so they can never collide with legacy streams.
-                    let (seed, start_stream) = if attempt == 0 {
-                        (stream_seed, next_stream)
+                    let (seed, first_stream) = if attempt == 0 {
+                        (ctx.stream_seed, next_stream)
                     } else {
-                        (retry_stream_seed(stream_seed, seg_idx, attempt), 0)
+                        (retry_stream_seed(ctx.stream_seed, seg_idx, attempt), 0)
+                    };
+                    let key = AttemptKey {
+                        seed,
+                        first_stream,
+                        segment: seg_idx,
+                        attempt,
                     };
                     let shares = apportion_shots(&probs, attempt_shots);
                     let attempt_span = tracer.as_mut().map(|t| {
@@ -1275,26 +1200,11 @@ fn execute(
                         t.attr_int("inputs", inputs.len() as i128);
                         tok
                     });
-                    let run = run_segment_shots(
-                        problem,
-                        ops,
-                        times,
-                        program,
-                        cfg,
-                        threads,
-                        plan,
-                        &inputs,
-                        &shares,
-                        cx_depth,
-                        seed,
-                        start_stream,
-                        seg_idx,
-                        attempt,
-                        noisy,
-                        &mut quantum_s,
-                        &mut shots_used,
-                        events,
-                    );
+                    let run =
+                        run_segment_shots(problem, program, times, cfg, &inputs, &shares, key);
+                    quantum_s += run.quantum_s;
+                    shots_used += run.shots;
+                    events.extend(run.events);
                     if attempt == 0 {
                         next_stream = run.next_stream;
                     }
@@ -1400,6 +1310,33 @@ fn execute(
     })
 }
 
+/// Exact mixture propagation of `dist` through one segment. Each input
+/// label evolves independently on the worker threads; the merge runs
+/// sequentially in input order so the floating-point accumulation order
+/// is fixed.
+fn propagate_exact(
+    n_vars: usize,
+    program: &SegmentProgram,
+    times: &[f64],
+    dist: &BTreeMap<Label, f64>,
+    threads: usize,
+) -> BTreeMap<Label, f64> {
+    let consts = mixing_constants(program, times);
+    let inputs: Vec<(Label, f64)> = dist.iter().map(|(&l, &p)| (l, p)).collect();
+    let locals = par_map(&inputs, threads, |_, &(label, _)| {
+        let mut state = SparseState::basis_state(n_vars, label);
+        evolve(&mut state, program, &consts);
+        state.distribution()
+    });
+    let mut next: BTreeMap<Label, f64> = BTreeMap::new();
+    for ((_, p), local) in inputs.iter().zip(locals) {
+        for (l, q) in local {
+            *next.entry(l).or_insert(0.0) += p * q;
+        }
+    }
+    next
+}
+
 /// Domain tag separating retry RNG sub-seeds from every other stream
 /// family derived from the solve seed.
 const RETRY_STREAM_TAG: u64 = 0x5E11_1E57_0000_0001;
@@ -1414,163 +1351,138 @@ fn retry_stream_seed(stream_seed: u64, seg_idx: usize, attempt: usize) -> u64 {
     )
 }
 
-/// Counts from one sampled pass over a segment, plus the advanced
-/// legacy stream counter (meaningful only for attempt 0).
-struct SegmentRun {
-    counts: BTreeMap<Label, usize>,
-    next_stream: u64,
+/// One sampled attempt of one segment: the RNG seed it draws from, its
+/// first stream, and the `(segment, attempt)` pair that — with the seed
+/// — keys every [`FaultPlan`] roll.
+#[derive(Clone, Copy, Debug)]
+struct AttemptKey {
+    seed: u64,
+    first_stream: u64,
+    segment: usize,
+    attempt: usize,
 }
 
-/// Runs one sampled attempt of a segment: apportions nothing (shares
-/// are precomputed), charges latency and shots per batch, applies the
-/// fault plan (calibration drift, batch loss, readout bursts), and
-/// folds counts in input order so results are thread-count invariant.
-#[allow(clippy::too_many_arguments)]
+/// What one sampled attempt of a segment produced and cost.
+struct SegmentRun {
+    counts: BTreeMap<Label, usize>,
+    /// The advanced stream counter (meaningful only for attempt 0).
+    next_stream: u64,
+    shots: usize,
+    quantum_s: f64,
+    /// Faults injected into the attempt, in roll order.
+    events: Vec<ResilienceEvent>,
+}
+
+/// Runs one sampled attempt of a segment: charges shots and latency per
+/// input batch (shares are precomputed), applies the fault plan
+/// (calibration drift, batch loss, readout bursts), and folds counts in
+/// input order so results are thread-count invariant.
 fn run_segment_shots(
     problem: &Problem,
-    ops: &[crate::hamiltonian::TransitionHamiltonian],
+    program: &SegmentProgram,
     times: &[f64],
-    program: Option<&SegmentProgram>,
     cfg: &RasenganConfig,
-    threads: usize,
-    plan: Option<&FaultPlan>,
     inputs: &[Label],
     shares: &[usize],
-    cx_depth: usize,
-    seed: u64,
-    mut next_stream: u64,
-    seg_idx: usize,
-    attempt: usize,
-    noisy: bool,
-    quantum_s: &mut f64,
-    shots_used: &mut usize,
-    events: &mut Vec<ResilienceEvent>,
+    key: AttemptKey,
 ) -> SegmentRun {
     let n_vars = problem.n_vars();
+    let noisy = cfg.noise.is_noisy();
+    let plan = cfg.resilience.fault_plan.as_ref().filter(|p| p.is_active());
+    let AttemptKey {
+        seed,
+        segment,
+        attempt,
+        ..
+    } = key;
+    let mut run = SegmentRun {
+        counts: BTreeMap::new(),
+        next_stream: key.first_stream,
+        shots: 0,
+        quantum_s: 0.0,
+        events: Vec::new(),
+    };
+    let fault = |kind| ResilienceEvent::FaultInjected {
+        segment,
+        attempt,
+        kind,
+    };
     // Per-(segment, attempt) fault rolls, decided up front: a drifted
     // calibration applies to every trajectory of the attempt, a readout
     // burst to every measured label.
     let noise = match plan {
         Some(p) if p.calibration_drift > 0.0 => {
-            let drifted = p.drifted(&cfg.noise, seed, seg_idx, attempt);
+            let drifted = p.drifted(&cfg.noise, seed, segment, attempt);
             if drifted != cfg.noise {
-                events.push(ResilienceEvent::FaultInjected {
-                    segment: seg_idx,
-                    attempt,
-                    kind: FaultKind::CalibrationDrift,
-                });
+                run.events.push(fault(FaultKind::CalibrationDrift));
             }
             drifted
         }
         _ => cfg.noise,
     };
-    let burst = plan.and_then(|p| p.burst_flip_rate(seed, seg_idx, attempt));
+    let burst = plan.and_then(|p| p.burst_flip_rate(seed, segment, attempt));
     if burst.is_some() {
-        events.push(ResilienceEvent::FaultInjected {
-            segment: seg_idx,
-            attempt,
-            kind: FaultKind::ReadoutBurst,
-        });
+        run.events.push(fault(FaultKind::ReadoutBurst));
     }
 
-    let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-    if noisy {
-        // One job per shot, tagged with its RNG stream; the per-shot
-        // labels depend only on (input, stream), so any thread count
-        // yields the same counts.
-        let mut jobs: Vec<(Label, u64)> = Vec::new();
-        for (batch, (&input, &share)) in inputs.iter().zip(shares).enumerate() {
-            if share == 0 {
-                continue;
-            }
-            *shots_used += share;
-            *quantum_s += segment_execution_seconds(
-                &cfg.device,
-                cx_depth,
-                // 1Q layers: X-preparation plus the H/X shells of each
-                // τ (≈ 4 per operator).
-                input.count_ones() as usize + 4 * ops.len(),
-                share,
-            );
-            if plan.is_some_and(|p| p.batch_lost(seed, seg_idx, attempt, batch as u64)) {
-                // The batch executed — shots and latency are charged —
-                // but its results never came back. Its streams stay
-                // reserved so surviving batches keep their streams.
-                events.push(ResilienceEvent::FaultInjected {
-                    segment: seg_idx,
-                    attempt,
-                    kind: FaultKind::ShotBatchLoss,
-                });
-                next_stream += share as u64;
-                continue;
-            }
-            for _ in 0..share {
-                jobs.push((input, next_stream));
-                next_stream += 1;
-            }
+    // One batch per input label with a nonzero share, tagged with its
+    // first RNG stream. A noisy batch runs one trajectory per shot on
+    // a stream of its own; a noise-free batch propagates its state once
+    // and samples every shot from a single stream.
+    let cx_depth = program.cx_depth();
+    let mut batches: Vec<(Label, usize, u64)> = Vec::new();
+    for (batch, (&input, &share)) in inputs.iter().zip(shares).enumerate() {
+        if share == 0 {
+            continue;
         }
-        // Mixing constants shared by every trajectory of the attempt
-        // (the unfused path recomputes them per shot per operator).
-        let consts = program.map(|prog| mixing_constants(prog, times));
+        run.shots += share;
+        run.quantum_s += segment_execution_seconds(
+            &cfg.device,
+            cx_depth,
+            // 1Q layers: X-preparation plus the H/X shells of each τ
+            // (≈ 4 per operator).
+            input.count_ones() as usize + 4 * program.ops.len(),
+            share,
+        );
+        // A lost batch executed — shots and latency are charged — but
+        // its results never came back. Its streams stay reserved so
+        // surviving batches keep their streams.
+        if plan.is_some_and(|p| p.batch_lost(seed, segment, attempt, batch as u64)) {
+            run.events.push(fault(FaultKind::ShotBatchLoss));
+        } else {
+            batches.push((input, share, run.next_stream));
+        }
+        run.next_stream += if noisy { share as u64 } else { 1 };
+    }
+
+    // Mixing constants shared by every trajectory of the attempt.
+    let consts = mixing_constants(program, times);
+    let threads = resolve_threads(cfg.threads);
+    if noisy {
+        // One job per shot; the per-shot labels depend only on (input,
+        // stream), so any thread count yields the same counts.
+        let jobs: Vec<(Label, u64)> = batches
+            .iter()
+            .flat_map(|&(input, share, first)| {
+                (first..first + share as u64).map(move |s| (input, s))
+            })
+            .collect();
         let labels = par_map(&jobs, threads, |_, &(input, stream)| {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
-            let label = match (program, &consts) {
-                (Some(prog), Some(consts)) => {
-                    run_noisy_trajectory_fused(n_vars, input, prog, consts, &noise, &mut rng)
-                }
-                _ => run_noisy_trajectory(n_vars, input, ops, times, &noise, &mut rng),
-            };
+            let label = run_compiled_trajectory(n_vars, input, program, &consts, &noise, &mut rng);
             match burst {
                 Some(rate) => apply_readout_error(label, n_vars, rate, &mut rng),
                 None => label,
             }
         });
         for label in labels {
-            *counts.entry(label).or_insert(0) += 1;
+            *run.counts.entry(label).or_insert(0) += 1;
         }
     } else {
-        // Noise-free sampling: one job per input label; each propagates
-        // its state and samples its share from a dedicated stream.
-        let mut jobs: Vec<(Label, usize, u64)> = Vec::new();
-        for (batch, (&input, &share)) in inputs.iter().zip(shares).enumerate() {
-            if share == 0 {
-                continue;
-            }
-            *shots_used += share;
-            *quantum_s += segment_execution_seconds(
-                &cfg.device,
-                cx_depth,
-                input.count_ones() as usize + 4 * ops.len(),
-                share,
-            );
-            if plan.is_some_and(|p| p.batch_lost(seed, seg_idx, attempt, batch as u64)) {
-                events.push(ResilienceEvent::FaultInjected {
-                    segment: seg_idx,
-                    attempt,
-                    kind: FaultKind::ShotBatchLoss,
-                });
-                next_stream += 1;
-                continue;
-            }
-            jobs.push((input, share, next_stream));
-            next_stream += 1;
-        }
-        let consts = program.map(|prog| mixing_constants(prog, times));
-        let sampled = par_map(&jobs, threads, |_, &(input, share, stream)| {
+        let sampled = par_map(&batches, threads, |_, &(input, share, stream)| {
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
             let mut state = SparseState::basis_state(n_vars, input);
-            match (program, &consts) {
-                (Some(prog), Some(consts)) => {
-                    for (ct, &(cos, misin)) in prog.ops.iter().zip(consts) {
-                        state.apply_transition_with(&ct.transition, cos, misin);
-                    }
-                }
-                _ => {
-                    for (op, &t) in ops.iter().zip(times) {
-                        op.apply(&mut state, t);
-                    }
-                }
-            }
+            evolve(&mut state, program, &consts);
             let batch = state.sample(share, &mut rng);
             match burst {
                 Some(rate) => {
@@ -1591,68 +1503,15 @@ fn run_segment_shots(
         });
         for batch in sampled {
             for (label, c) in batch {
-                *counts.entry(label).or_insert(0) += c;
+                *run.counts.entry(label).or_insert(0) += c;
             }
         }
     }
-
-    SegmentRun {
-        counts,
-        next_stream,
-    }
-}
-
-/// One noisy shot: prepares `input` with X gates, applies the segment's
-/// transition operators with per-CX Pauli trajectories and damping, then
-/// measures with readout error.
-fn run_noisy_trajectory(
-    n: usize,
-    input: Label,
-    ops: &[crate::hamiltonian::TransitionHamiltonian],
-    times: &[f64],
-    noise: &NoiseModel,
-    rng: &mut StdRng,
-) -> Label {
-    let mut state = SparseState::basis_state(n, input);
-    // State-preparation X column.
-    let prep_qubits: Vec<usize> = (0..n).filter(|&q| input >> q & 1 == 1).collect();
-    apply_gate_noise_sparse(&mut state, &prep_qubits, noise.p1, noise, rng);
-
-    let damping_only = NoiseModel {
-        p1: 0.0,
-        p2: 0.0,
-        readout: 0.0,
-        ..*noise
-    };
-    for (op, &t) in ops.iter().zip(times) {
-        op.apply(&mut state, t);
-        // Each τ compiles to 34k CX gates; every CX slot is an error
-        // opportunity: a depolarizing event with probability p₂ on a
-        // random support qubit, plus amplitude/phase damping on the
-        // slot's two operands (damping accrues with *circuit duration*,
-        // which is why deep unsegmented chains collapse — Fig. 14b).
-        let support = op.support();
-        for _ in 0..op.cx_cost() {
-            if noise.p2 > 0.0 && rng.gen::<f64>() < noise.p2 {
-                let q = support[rng.gen_range(0..support.len())];
-                apply_gate_noise_sparse(&mut state, &[q], 1.0, &NoiseModel::noise_free(), rng);
-            }
-            if damping_only.is_noisy() {
-                let a = support[rng.gen_range(0..support.len())];
-                let b = support[rng.gen_range(0..support.len())];
-                let slot = if a == b { vec![a] } else { vec![a, b] };
-                apply_gate_noise_sparse(&mut state, &slot, 0.0, &damping_only, rng);
-            }
-        }
-    }
-
-    let label = state.sample_one(rng);
-    apply_readout_error(label, n, noise.readout, rng)
+    run
 }
 
 /// Evaluates each operator's Eq. 6 mixing constants `(cos t, −i·sin t)`
-/// once per segment attempt; the unfused path re-evaluates them inside
-/// every shot. Same inputs, same operations — bit-identical values.
+/// once per segment attempt, shared by every shot of the attempt.
 fn mixing_constants(prog: &SegmentProgram, times: &[f64]) -> Vec<(Complex, Complex)> {
     prog.ops
         .iter()
@@ -1661,19 +1520,31 @@ fn mixing_constants(prog: &SegmentProgram, times: &[f64]) -> Vec<(Complex, Compl
         .collect()
 }
 
-/// [`run_noisy_trajectory`] over a compiled [`SegmentProgram`]: the
-/// transition masks, supports, and CX costs are precomputed at prepare
-/// time and the mixing constants come in from the caller, so the
-/// per-shot loop allocates almost nothing. Every RNG draw happens at
-/// the same point with the same distribution as the unfused path,
-/// `apply_transition_with` receives identical constants, and each
-/// operator's noise-slot loop runs over a flat support snapshot with
-/// folded damping ([`run_noise_slots_sparse`]: two contiguous passes
-/// per slot instead of four hash-map passes per channel) — equal to the
-/// unfused channels up to the same last-ulp reassociation the two
-/// paths' distinct hash maps already exhibit, which the bitwise
-/// fused-vs-unfused solve tests bound at the measured-counts level.
-fn run_noisy_trajectory_fused(
+/// Applies a segment's transition operators noise-free, with mixing
+/// constants from [`mixing_constants`].
+fn evolve(state: &mut SparseState, program: &SegmentProgram, consts: &[(Complex, Complex)]) {
+    for (ct, &(cos, misin)) in program.ops.iter().zip(consts) {
+        state.apply_transition_with(&ct.transition, cos, misin);
+    }
+}
+
+/// One noisy shot: prepares `input` with X gates, applies the segment's
+/// transition operators with per-CX Pauli trajectories and damping, then
+/// measures with readout error.
+///
+/// The transition masks, supports, and CX costs come precompiled and
+/// the mixing constants from the caller, so the per-shot loop allocates
+/// almost nothing. Each τ compiles to 34k CX gates, and every CX slot is
+/// an error opportunity: a depolarizing event with probability p₂ on a
+/// random support qubit, plus amplitude/phase damping on the slot's two
+/// operands (damping accrues with *circuit duration*, which is why deep
+/// unsegmented chains collapse — Fig. 14b). [`run_noise_slots_sparse`]
+/// runs each operator's slots over a flat support snapshot with folded
+/// damping: two contiguous passes per slot instead of four hash-map
+/// passes per channel, drawing every random number at the same point
+/// and from the same distribution as the gate-by-gate reference oracle
+/// in this module's tests.
+fn run_compiled_trajectory(
     n: usize,
     input: Label,
     prog: &SegmentProgram,
@@ -1684,7 +1555,7 @@ fn run_noisy_trajectory_fused(
     let mut state = SparseState::basis_state(n, input);
     // State-preparation X column. The per-qubit noise channel treats
     // each qubit independently, so feeding set bits one at a time
-    // consumes the RNG exactly like the old collected-Vec call.
+    // consumes the RNG exactly like one call over the collected qubits.
     for q in 0..n {
         if input >> q & 1 == 1 {
             apply_gate_noise_sparse_fused(&mut state, &[q], noise.p1, noise, rng);
@@ -1703,11 +1574,257 @@ fn run_noisy_trajectory_fused(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamiltonian::TransitionHamiltonian;
+    use rand::Rng;
     use rasengan_problems::registry::{benchmark, BenchmarkId};
     use rasengan_problems::{enumerate_feasible, optimum};
+    use rasengan_qsim::noise::apply_gate_noise_sparse;
 
     fn j1() -> Problem {
         benchmark(BenchmarkId::parse("J1").unwrap())
+    }
+
+    // Gate-by-gate reference oracle. The production runners execute
+    // compiled `SegmentProgram`s with hoisted mixing constants; the
+    // oracle re-derives every transition, support, CX cost and constant
+    // per shot from the chain's `TransitionHamiltonian`s, and the
+    // `reference_*` tests hold each runner to it bit for bit.
+
+    /// One input label propagated noise-free, operator by operator.
+    fn reference_exact(
+        n: usize,
+        input: Label,
+        ops: &[TransitionHamiltonian],
+        times: &[f64],
+    ) -> SparseState {
+        let mut state = SparseState::basis_state(n, input);
+        for (op, &t) in ops.iter().zip(times) {
+            op.apply(&mut state, t);
+        }
+        state
+    }
+
+    /// Exact mixture propagation of `dist` through one segment, operator
+    /// by operator: the oracle for [`propagate_exact`].
+    fn reference_propagate(
+        n: usize,
+        ops: &[TransitionHamiltonian],
+        times: &[f64],
+        dist: &BTreeMap<Label, f64>,
+    ) -> BTreeMap<Label, f64> {
+        let mut next: BTreeMap<Label, f64> = BTreeMap::new();
+        for (&input, p) in dist {
+            for (l, q) in reference_exact(n, input, ops, times).distribution() {
+                *next.entry(l).or_insert(0.0) += p * q;
+            }
+        }
+        next
+    }
+
+    /// One noisy shot, gate by gate: the oracle for
+    /// [`run_compiled_trajectory`].
+    fn reference_noisy_trajectory(
+        n: usize,
+        input: Label,
+        ops: &[TransitionHamiltonian],
+        times: &[f64],
+        noise: &NoiseModel,
+        rng: &mut StdRng,
+    ) -> Label {
+        let mut state = SparseState::basis_state(n, input);
+        // State-preparation X column.
+        let prep_qubits: Vec<usize> = (0..n).filter(|&q| input >> q & 1 == 1).collect();
+        apply_gate_noise_sparse(&mut state, &prep_qubits, noise.p1, noise, rng);
+
+        let damping_only = NoiseModel {
+            p1: 0.0,
+            p2: 0.0,
+            readout: 0.0,
+            ..*noise
+        };
+        for (op, &t) in ops.iter().zip(times) {
+            op.apply(&mut state, t);
+            let support = op.support();
+            for _ in 0..op.cx_cost() {
+                if noise.p2 > 0.0 && rng.gen::<f64>() < noise.p2 {
+                    let q = support[rng.gen_range(0..support.len())];
+                    apply_gate_noise_sparse(&mut state, &[q], 1.0, &NoiseModel::noise_free(), rng);
+                }
+                if damping_only.is_noisy() {
+                    let a = support[rng.gen_range(0..support.len())];
+                    let b = support[rng.gen_range(0..support.len())];
+                    let slot = if a == b { vec![a] } else { vec![a, b] };
+                    apply_gate_noise_sparse(&mut state, &slot, 0.0, &damping_only, rng);
+                }
+            }
+        }
+
+        let label = state.sample_one(rng);
+        apply_readout_error(label, n, noise.readout, rng)
+    }
+
+    /// One fault-free sampled attempt of a segment on one thread, gate
+    /// by gate: the oracle for [`run_segment_shots`]' counts and stream
+    /// numbering (`share` streams per noisy batch, one per noise-free
+    /// batch). Returns the counts and the advanced stream counter.
+    fn reference_segment_counts(
+        n: usize,
+        ops: &[TransitionHamiltonian],
+        times: &[f64],
+        noise: &NoiseModel,
+        batches: &[(Label, usize)],
+        key: AttemptKey,
+    ) -> (BTreeMap<Label, usize>, u64) {
+        let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
+        let mut stream = key.first_stream;
+        for &(input, share) in batches.iter().filter(|(_, share)| *share > 0) {
+            if noise.is_noisy() {
+                for _ in 0..share {
+                    let mut rng = StdRng::seed_from_u64(derive_seed(key.seed, stream));
+                    let label = reference_noisy_trajectory(n, input, ops, times, noise, &mut rng);
+                    *counts.entry(label).or_insert(0) += 1;
+                    stream += 1;
+                }
+            } else {
+                let mut rng = StdRng::seed_from_u64(derive_seed(key.seed, stream));
+                let state = reference_exact(n, input, ops, times);
+                for (label, c) in state.sample(share, &mut rng) {
+                    *counts.entry(label).or_insert(0) += c;
+                }
+                stream += 1;
+            }
+        }
+        (counts, stream)
+    }
+
+    /// Registry instances the reference tests compile, each with fixed
+    /// random evolution times over its whole chain.
+    fn reference_cases() -> Vec<(Problem, Prepared, Vec<f64>)> {
+        ["J1", "F1", "K1", "G1"]
+            .iter()
+            .enumerate()
+            .map(|(i, id)| {
+                let problem = benchmark(BenchmarkId::parse(id).unwrap());
+                let prepared = Rasengan::new(RasenganConfig::default())
+                    .prepare(&problem)
+                    .unwrap();
+                let mut rng = StdRng::seed_from_u64(0x7E57 + i as u64);
+                let times = (0..prepared.stats.n_params)
+                    .map(|_| rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI))
+                    .collect();
+                (problem, prepared, times)
+            })
+            .collect()
+    }
+
+    /// The noisy regimes: gate and readout noise, then the same with
+    /// both damping channels folded into every CX slot.
+    fn noisy_regimes() -> [(&'static str, NoiseModel); 2] {
+        [
+            ("noisy", NoiseModel::ibm_like(2e-3, 1e-2, 0.02)),
+            (
+                "noisy-damped",
+                NoiseModel::ibm_like(2e-3, 1e-2, 0.02)
+                    .with_amplitude_damping(5e-3)
+                    .with_phase_damping(3e-3),
+            ),
+        ]
+    }
+
+    /// Walks every segment of every reference case, handing `check` the
+    /// segment's compiled program, operators, times, and the exact
+    /// (oracle-propagated) input distribution it starts from.
+    fn for_each_reference_segment(
+        mut check: impl FnMut(
+            &str,
+            &Problem,
+            &SegmentProgram,
+            &[TransitionHamiltonian],
+            &[f64],
+            &BTreeMap<Label, f64>,
+        ),
+    ) {
+        for (problem, prepared, times) in reference_cases() {
+            let n = problem.n_vars();
+            let mut dist: BTreeMap<Label, f64> = BTreeMap::from([(prepared.seed_label, 1.0)]);
+            for (seg, range) in prepared.plan.segments.iter().enumerate() {
+                let ops = &prepared.chain.ops[range.clone()];
+                let times = &times[range.clone()];
+                let label = format!("{} segment {seg}", problem.name());
+                check(&label, &problem, &prepared.programs[seg], ops, times, &dist);
+                dist = reference_propagate(n, ops, times, &dist);
+            }
+        }
+    }
+
+    #[test]
+    fn reference_exact_propagation_matches_compiled() {
+        for_each_reference_segment(|label, problem, program, ops, times, dist| {
+            let n = problem.n_vars();
+            let want = reference_propagate(n, ops, times, dist);
+            for threads in [1, 4] {
+                let got = propagate_exact(n, program, times, dist, threads);
+                assert_eq!(got, want, "{label}, {threads} threads");
+            }
+        });
+    }
+
+    #[test]
+    fn reference_noisy_trajectories_match_compiled_shot_by_shot() {
+        for (regime, noise) in noisy_regimes() {
+            for_each_reference_segment(|label, problem, program, ops, times, dist| {
+                let n = problem.n_vars();
+                let consts = mixing_constants(program, times);
+                for &input in dist.keys() {
+                    for stream in 0..48u64 {
+                        let seed = derive_seed(0x5407, stream);
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let got =
+                            run_compiled_trajectory(n, input, program, &consts, &noise, &mut rng);
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let want =
+                            reference_noisy_trajectory(n, input, ops, times, &noise, &mut rng);
+                        assert_eq!(
+                            got, want,
+                            "[{regime}] {label}, input {input}, stream {stream}"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn reference_segment_runs_match_compiled() {
+        let regimes = std::iter::once(("noise-free sampled", NoiseModel::noise_free()))
+            .chain(noisy_regimes());
+        for (regime, noise) in regimes {
+            for_each_reference_segment(|label, problem, program, ops, times, dist| {
+                let inputs: Vec<Label> = dist.keys().copied().collect();
+                let probs: Vec<f64> = dist.values().copied().collect();
+                let shares = apportion_shots(&probs, 160);
+                let batches: Vec<(Label, usize)> =
+                    inputs.iter().copied().zip(shares.iter().copied()).collect();
+                let key = AttemptKey {
+                    seed: 0xBA7C,
+                    first_stream: 17,
+                    segment: 0,
+                    attempt: 0,
+                };
+                let (want, want_next) =
+                    reference_segment_counts(problem.n_vars(), ops, times, &noise, &batches, key);
+                for threads in [1, 4] {
+                    let cfg = RasenganConfig::default()
+                        .with_noise(noise)
+                        .with_threads(threads);
+                    let run =
+                        run_segment_shots(problem, program, times, &cfg, &inputs, &shares, key);
+                    assert_eq!(run.counts, want, "[{regime}] {label}, {threads} threads");
+                    assert_eq!(run.next_stream, want_next, "[{regime}] {label}");
+                    assert_eq!(run.shots, 160, "[{regime}] {label}");
+                }
+            });
+        }
     }
 
     #[test]
@@ -1990,24 +2107,6 @@ mod tests {
         assert_eq!(a.total_shots, b.total_shots);
         // The reused compile pays no prepare time on this run.
         assert_eq!(b.latency.stages.prepare_s, 0.0);
-    }
-
-    #[test]
-    fn fused_solve_matches_unfused_bitwise() {
-        // The compiled-program executor must leave every RNG stream and
-        // every floating-point operation sequence untouched: a noisy
-        // solve with fusion on is byte-identical to `--no-fuse`.
-        let base = RasenganConfig::default()
-            .with_seed(9)
-            .with_noise(NoiseModel::ibm_like(1e-3, 5e-3, 0.01).with_amplitude_damping(2e-3))
-            .with_shots(96)
-            .with_max_iterations(8);
-        let fused = Rasengan::new(base.clone()).solve(&j1()).unwrap();
-        let unfused = Rasengan::new(base.without_fusion()).solve(&j1()).unwrap();
-        assert_eq!(fused.distribution, unfused.distribution);
-        assert_eq!(fused.expectation, unfused.expectation);
-        assert_eq!(fused.trained_times, unfused.trained_times);
-        assert_eq!(fused.total_shots, unfused.total_shots);
     }
 
     #[test]

@@ -324,20 +324,15 @@ pub struct SolveRequest {
     /// Per-request deadline (`deadline-ms`), mapped onto the solver's
     /// per-stage wall-clock budget: train and execute each get half.
     pub deadline_ms: Option<u64>,
-    /// Lockstep trajectory batch width (`batch`; default: solver's).
-    /// A throughput knob like the server's thread count: it cannot
-    /// change solve results, so it is deliberately absent from the
-    /// result-cache key.
-    pub batch: Option<usize>,
     /// Request a structured trace (`trace` bare flag): the response
     /// gains a `trace` section carrying the solve's deterministic span
     /// tree.
     pub trace: bool,
     /// Fabric hop marker (`via` header): the node id of the peer that
     /// forwarded this request. A request carrying `via` is never
-    /// forwarded again, bounding fabric routing to a single hop. Like
-    /// `batch`, it cannot change solve results and is absent from the
-    /// result-cache key.
+    /// forwarded again, bounding fabric routing to a single hop. It
+    /// cannot change solve results and is absent from the result-cache
+    /// key.
     pub via: Option<String>,
     /// Input format of the problem body (`format` header; default
     /// `native`). The server lowers every format into the same
@@ -357,7 +352,6 @@ pub const MAX_PROBLEM_BYTES: usize = 1 << 20;
 const MAX_SHOTS: usize = 10_000_000;
 const MAX_ITERATIONS: usize = 1_000_000;
 const MAX_RETRIES: usize = 64;
-const MAX_BATCH: usize = 64;
 
 impl SolveRequest {
     /// A request with default knobs for the given problem text.
@@ -370,7 +364,6 @@ impl SolveRequest {
             retries: 0,
             degrade: false,
             deadline_ms: None,
-            batch: None,
             trace: false,
             via: None,
             format: Format::Native,
@@ -413,12 +406,6 @@ impl SolveRequest {
         self
     }
 
-    /// Pins the lockstep trajectory batch width.
-    pub fn with_batch(mut self, lanes: usize) -> Self {
-        self.batch = Some(lanes);
-        self
-    }
-
     /// Requests a structured trace of the solve.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -450,9 +437,6 @@ impl SolveRequest {
         }
         if let Some(iters) = self.iterations {
             cfg = cfg.with_max_iterations(iters);
-        }
-        if let Some(lanes) = self.batch {
-            cfg = cfg.with_batch(lanes);
         }
         let mut resilience = ResilienceConfig::default();
         if self.retries > 0 {
@@ -498,9 +482,6 @@ impl SolveRequest {
         }
         if let Some(ms) = self.deadline_ms {
             out.push_str(&format!("deadline-ms {ms}\n"));
-        }
-        if let Some(lanes) = self.batch {
-            out.push_str(&format!("batch {lanes}\n"));
         }
         out.push_str("BEGIN PROBLEM\n");
         out.push_str(&self.problem_text);
@@ -619,15 +600,6 @@ fn apply_header_line(
         }
         "deadline-ms" => {
             request.deadline_ms = Some(parse_header(key, value).map_err(RequestError::Malformed)?)
-        }
-        "batch" => {
-            let lanes = parse_bounded(key, value, MAX_BATCH).map_err(RequestError::Malformed)?;
-            if lanes == 0 {
-                return Err(RequestError::Malformed(
-                    "header `batch` must be positive".to_string(),
-                ));
-            }
-            request.batch = Some(lanes);
         }
         other => return Err(RequestError::Malformed(format!("unknown header `{other}`"))),
     }
@@ -1130,7 +1102,6 @@ mod tests {
             .with_degrade()
             .with_trace()
             .with_deadline_ms(5000)
-            .with_batch(4)
             .with_format(Format::Qubo);
         let text = request.render();
         let mut lines = text.lines();
@@ -1238,25 +1209,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_header_round_trips_and_reaches_config() {
-        let request = SolveRequest::new("vars 1\n").with_batch(4);
-        assert!(request.render().lines().any(|l| l == "batch 4"));
-        let rest = request.render();
-        let rest = rest.split_once('\n').unwrap().1;
-        let parsed = SolveRequest::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-        assert_eq!(parsed.batch, Some(4));
-        assert_eq!(parsed.config().batch, Some(4));
-        // Absent the header, the rendered request matches the pre-batch
-        // protocol and the config defers to env/auto resolution.
-        let plain = SolveRequest::new("vars 1\n");
-        assert!(!plain.render().contains("batch"));
-        assert_eq!(plain.config().batch, None);
-        // Zero and oversized widths are protocol errors, not panics.
-        for bad in ["batch 0\n", "batch 65\n"] {
-            let text = format!("{bad}BEGIN PROBLEM\nEND PROBLEM\n");
-            let mut reader = BufReader::new(text.as_bytes());
-            assert!(SolveRequest::parse_body(&mut reader).is_err(), "{bad}");
-        }
+    fn removed_batch_header_is_an_unknown_header() {
+        // `batch` once pinned a trajectory lane width that no solve path
+        // read; it is gone from the protocol, and both parsers reject it
+        // like any other unknown header.
+        let body = "batch 4\nBEGIN PROBLEM\nvars 1\nEND PROBLEM\n";
+        let err = SolveRequest::parse_body(&mut BufReader::new(body.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), "bad-request");
+        assert_eq!(err.message(), "unknown header `batch`");
+        let err = drip(&format!("RASENGAN/1 SOLVE\n{body}")).unwrap_err();
+        assert_eq!(err.kind(), "bad-request");
+        assert_eq!(err.message(), "unknown header `batch`");
     }
 
     #[test]
@@ -1330,7 +1293,6 @@ mod tests {
             .with_degrade()
             .with_trace()
             .with_deadline_ms(5000)
-            .with_batch(4)
             .with_format(Format::Qubo);
         let text = request.render();
         // One-byte-at-a-time (worst-case fragmentation) and one-shot

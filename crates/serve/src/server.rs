@@ -39,9 +39,8 @@
 //!
 //! * **Result cache** — finished [`Outcome`]s keyed on the problem
 //!   [`fingerprint`](rasengan_problems::fingerprint) plus every
-//!   training knob the request can set. Worker-thread count and the
-//!   trajectory batch width are *not* part of the key: results are
-//!   invariant under both.
+//!   training knob the request can set. Worker-thread count is *not*
+//!   part of the key: results are invariant under it.
 //! * **Compile cache** — [`Prepared`] artifacts (reduced basis,
 //!   transition chain, segment plan) keyed on fingerprint alone. That
 //!   key is sound because [`Rasengan::prepare`] reads only
@@ -247,10 +246,9 @@ pub(crate) fn apply_send_buffer(config: &ServeConfig, stream: &TcpStream) {
 }
 
 /// Everything a request needs beyond the problem itself — the result
-/// cache key. Worker and engine thread counts are deliberately absent,
-/// and so is the trajectory batch width (`batch` header): outcomes are
-/// bit-identical at any parallelism or lane count, so a result computed
-/// under one thread/batch configuration serves every other.
+/// cache key. Worker and engine thread counts are deliberately absent:
+/// outcomes are bit-identical at any parallelism, so a result computed
+/// under one thread configuration serves every other.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct ResultKey {
     fingerprint: u128,
@@ -340,7 +338,6 @@ pub(crate) struct Shared {
     pub(crate) shed: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    compiled_program_hits: AtomicU64,
     /// Reactor gauges/counters: connections currently open, readable
     /// events dispatched, writes that hit a full socket buffer, and
     /// event-loop iterations. All zero on the legacy front end.
@@ -395,11 +392,6 @@ pub struct ServeStats {
     pub compile_hits: u64,
     /// Compile-cache misses.
     pub compile_misses: u64,
-    /// Compile-cache hits whose [`Prepared`] carried compiled segment
-    /// programs — the warm path that skips both `prepare` *and* the
-    /// per-segment [`SegmentProgram`](rasengan_core::segment::SegmentProgram)
-    /// compile.
-    pub compiled_program_hits: u64,
     /// Requests currently waiting in the admission queue.
     pub queue_depth: usize,
     /// Connections currently open on the reactor front end (zero on
@@ -431,7 +423,6 @@ impl Shared {
             result_misses: self.results.misses(),
             compile_hits: self.compiles.hits(),
             compile_misses: self.compiles.misses(),
-            compiled_program_hits: self.compiled_program_hits.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
             conns_open: self.conns_open.load(Ordering::Relaxed),
             readable_events: self.readable_events.load(Ordering::Relaxed),
@@ -465,10 +456,6 @@ impl Shared {
             ("result_misses", Json::Int(s.result_misses as i128)),
             ("compile_hits", Json::Int(s.compile_hits as i128)),
             ("compile_misses", Json::Int(s.compile_misses as i128)),
-            (
-                "compiled_program_hits",
-                Json::Int(s.compiled_program_hits as i128),
-            ),
             ("queue_depth", Json::Int(s.queue_depth as i128)),
             ("queue_capacity", Json::Int(self.queue.capacity() as i128)),
             ("workers", Json::Int(self.config.workers as i128)),
@@ -587,7 +574,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shed: AtomicU64::new(0),
         bad_requests: AtomicU64::new(0),
         timeouts: AtomicU64::new(0),
-        compiled_program_hits: AtomicU64::new(0),
         conns_open: AtomicU64::new(0),
         readable_events: AtomicU64::new(0),
         writable_stalls: AtomicU64::new(0),
@@ -1039,15 +1025,9 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
     let solver = Rasengan::new(config);
 
     let (prepared, cache_note, prepare_s) = match shared.compiles.get(&fingerprint) {
-        Some(prepared) => {
-            // A hit on a [`Prepared`] with compiled segment programs
-            // means the solve reuses them directly — no recompilation
-            // on the warm path.
-            if !prepared.programs.is_empty() {
-                shared.compiled_program_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            (prepared, "compile-hit", 0.0)
-        }
+        // A hit reuses the compiled segment programs directly: no
+        // recompilation on the warm path.
+        Some(prepared) => (prepared, "compile-hit", 0.0),
         None => {
             let started = Instant::now();
             let from_disk = shared
@@ -1059,9 +1039,6 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
                     // Decoded artifacts carry recompiled segment
                     // programs, so the disk warm path skips `prepare`
                     // just like the in-memory one.
-                    if !prepared.programs.is_empty() {
-                        shared.compiled_program_hits.fetch_add(1, Ordering::Relaxed);
-                    }
                     let prepared = Arc::new(prepared);
                     shared.compiles.insert(fingerprint, Arc::clone(&prepared));
                     (

@@ -93,8 +93,6 @@ struct Options {
     layers: usize,
     retries: usize,
     degrade: bool,
-    fuse: bool,
-    batch: Option<usize>,
     out: Option<String>,
     addr: String,
     workers: usize,
@@ -128,8 +126,6 @@ impl Options {
             layers: 5,
             retries: 0,
             degrade: false,
-            fuse: true,
-            batch: None,
             out: None,
             addr: "127.0.0.1:7878".to_string(),
             workers: 4,
@@ -189,16 +185,6 @@ impl Options {
                         .map_err(|_| "retries must be an integer".to_string())?
                 }
                 "--degrade" => opts.degrade = true,
-                "--no-fuse" => opts.fuse = false,
-                "--batch" => {
-                    let lanes: usize = value("--batch")?
-                        .parse()
-                        .map_err(|_| "batch must be an integer".to_string())?;
-                    if lanes == 0 {
-                        return Err("batch must be positive".to_string());
-                    }
-                    opts.batch = Some(lanes);
-                }
                 "--trace" => {
                     // Optionally valued: `--trace out.jsonl` exports the
                     // span tree; a bare `--trace` (e.g. for `serve`)
@@ -369,9 +355,6 @@ FLAGS:
       --layers <N>         baseline layer count (default 5)
       --retries <N>        re-run a failed segment up to N times (rasengan)
       --degrade            continue past a dead segment instead of aborting
-      --no-fuse            disable compiled-program execution (gate-by-gate)
-      --batch <N>          lockstep trajectory batch width (default: auto;
-                           env RASENGAN_BATCH; results are batch-invariant)
       --trace [PATH]       record a span tree; solve writes JSONL to PATH,
                            serve traces every request, submit asks the server
       --addr <HOST:PORT>   service address (serve bind / submit target)
@@ -534,12 +517,6 @@ fn cmd_solve(opts: &Options) -> ExitCode {
             if opts.degrade {
                 cfg = cfg.with_degradation();
             }
-            if !opts.fuse {
-                cfg = cfg.without_fusion();
-            }
-            if let Some(lanes) = opts.batch {
-                cfg = cfg.with_batch(lanes);
-            }
             if opts.trace {
                 cfg = cfg.with_trace(true);
             }
@@ -592,9 +569,6 @@ fn cmd_solve(opts: &Options) -> ExitCode {
             }
             if let Some(s) = opts.shots {
                 cfg = cfg.with_shots(s);
-            }
-            if !opts.fuse {
-                cfg = cfg.without_fusion();
             }
             let out = match alg {
                 "chocoq" => match ChocoQ::new(cfg).solve(&problem) {
@@ -737,9 +711,6 @@ fn cmd_submit(opts: &Options) -> ExitCode {
     }
     if opts.degrade {
         request = request.with_degrade();
-    }
-    if let Some(lanes) = opts.batch {
-        request = request.with_batch(lanes);
     }
     if opts.trace {
         request = request.with_trace();

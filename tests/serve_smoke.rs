@@ -108,40 +108,6 @@ fn concurrent_submissions_parse_and_hit_the_cache() {
 }
 
 #[test]
-fn batch_width_is_invisible_to_the_result_cache() {
-    // The `batch` header is a throughput knob, deliberately absent from
-    // the result-cache key: requests differing only in batch width must
-    // share one cache slot and return byte-identical `result` bytes.
-    let server = serve(ServeConfig::default().with_workers(1)).unwrap();
-    let addr = server.addr();
-    let (_, text) = instance_texts().into_iter().next().unwrap();
-    let base = SolveRequest::new(text)
-        .with_seed(9)
-        .with_shots(128)
-        .with_iterations(8);
-
-    let first = submit(addr, &base.clone().with_batch(1)).expect("submit");
-    assert_eq!(first.status, ReplyStatus::Ok);
-    let second = submit(addr, &base.with_batch(4)).expect("submit");
-    assert_eq!(second.status, ReplyStatus::Ok);
-    assert_eq!(
-        second
-            .json("service")
-            .unwrap()
-            .get("cache")
-            .and_then(|c| c.as_str()),
-        Some("hit"),
-        "a different batch width must still hit the cache"
-    );
-    assert_eq!(
-        first.section("result").unwrap(),
-        second.section("result").unwrap(),
-        "batch width must not change result bytes"
-    );
-    server.shutdown();
-}
-
-#[test]
 fn saturated_queue_sheds_with_structured_busy() {
     // One worker, queue of one: most of a concurrent flood must be
     // shed, and every shed response must carry queue metadata.
