@@ -47,7 +47,7 @@ pub fn expectation(problem: &Problem, dist: &BTreeMap<Label, f64>, lambda: f64) 
     dist.iter()
         .map(|(&label, &p)| {
             let bits = bits_from_label(label, n);
-            let v = if problem.is_feasible(&bits) {
+            let v = if problem.is_feasible_label(label) {
                 problem.evaluate(&bits)
             } else {
                 problem.evaluate_penalized(&bits, lambda)
@@ -59,14 +59,13 @@ pub fn expectation(problem: &Problem, dist: &BTreeMap<Label, f64>, lambda: f64) 
 
 /// Fraction of probability mass on feasible outcomes.
 pub fn in_constraints_rate(problem: &Problem, dist: &BTreeMap<Label, f64>) -> f64 {
-    let n = problem.n_vars();
     let total: f64 = dist.values().sum();
     if total == 0.0 {
         return 0.0;
     }
     let feasible: f64 = dist
         .iter()
-        .filter(|(&l, _)| problem.is_feasible(&bits_from_label(l, n)))
+        .filter(|(&l, _)| problem.is_feasible_label(l))
         .map(|(_, &p)| p)
         .sum();
     feasible / total
@@ -97,7 +96,7 @@ pub fn best_solution(problem: &Problem, dist: &BTreeMap<Label, f64>) -> Solution
     let mut best: Option<(Solution, f64)> = None;
     for &label in dist.keys() {
         let bits = bits_from_label(label, n);
-        let feasible = problem.is_feasible(&bits);
+        let feasible = problem.is_feasible_label(label);
         let rank_value = if feasible {
             problem.evaluate(&bits)
         } else {

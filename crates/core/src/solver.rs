@@ -33,9 +33,9 @@ use rasengan_qsim::mitigation::{mitigate_readout, ReadoutModel};
 use rasengan_qsim::noise::{
     apply_gate_noise_sparse_fused, apply_readout_error, run_noise_slots_sparse,
 };
-use rasengan_qsim::parallel::{derive_seed, par_map, resolve_threads};
+use rasengan_qsim::parallel::{derive_seed, par_map, resolve_threads, split_ranges};
 use rasengan_qsim::sparse::label_from_bits;
-use rasengan_qsim::{Complex, Device, Label, NoiseModel, SparseState};
+use rasengan_qsim::{Complex, Device, Label, NoiseModel, PreparedSampler, SparseState};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -1475,39 +1475,54 @@ fn run_segment_shots(
                 None => label,
             }
         });
-        for label in labels {
-            *run.counts.entry(label).or_insert(0) += 1;
-        }
+        run.counts = fold_counts(labels.into_iter().map(|label| (label, 1)).collect());
     } else {
-        let sampled = par_map(&batches, threads, |_, &(input, share, stream)| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
-            let mut state = SparseState::basis_state(n_vars, input);
-            evolve(&mut state, program, &consts);
-            let batch = state.sample(share, &mut rng);
-            match burst {
-                Some(rate) => {
-                    // Re-measure every sampled shot through the burst
-                    // channel on the batch's own stream.
-                    let mut corrupted: BTreeMap<Label, usize> = BTreeMap::new();
-                    for (label, c) in batch {
-                        for _ in 0..c {
-                            *corrupted
-                                .entry(apply_readout_error(label, n_vars, rate, &mut rng))
-                                .or_insert(0) += 1;
+        // Each worker runs a contiguous slab of batches through one
+        // reused state and one reused sampler, so a batch allocates
+        // nothing once the buffers have grown.
+        let slabs = split_ranges(batches.len(), threads);
+        let sampled = par_map(&slabs, threads, |_, slab| {
+            let mut state = SparseState::basis_state(n_vars, 0);
+            let mut sampler = PreparedSampler::default();
+            let mut pairs: Vec<(Label, usize)> = Vec::new();
+            for &(input, share, stream) in &batches[slab.clone()] {
+                let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
+                state.reset(input);
+                evolve(&mut state, program, &consts);
+                sampler.prepare(&state);
+                match burst {
+                    Some(rate) => {
+                        // Re-measure every sampled shot through the
+                        // burst channel on the batch's own stream.
+                        for (label, c) in sampler.count(share, &mut rng) {
+                            for _ in 0..c {
+                                pairs.push((apply_readout_error(label, n_vars, rate, &mut rng), 1));
+                            }
                         }
                     }
-                    corrupted
+                    None => pairs.extend(sampler.count(share, &mut rng)),
                 }
-                None => batch,
             }
+            pairs
         });
-        for batch in sampled {
-            for (label, c) in batch {
-                *run.counts.entry(label).or_insert(0) += c;
-            }
-        }
+        run.counts = fold_counts(sampled.concat());
     }
     run
+}
+
+/// Sums `(label, count)` pairs into one count per label. Sorting a flat
+/// vector once replaces a map insert per pair; the sums are integers,
+/// so the order of equal labels cannot matter.
+fn fold_counts(mut pairs: Vec<(Label, usize)>) -> BTreeMap<Label, usize> {
+    pairs.sort_unstable_by_key(|&(label, _)| label);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    pairs.into_iter().collect()
 }
 
 /// Evaluates each operator's Eq. 6 mixing constants `(cos t, −i·sin t)`

@@ -113,6 +113,8 @@ pub struct Problem {
     name: String,
     constraints: IntMatrix,
     rhs: Vec<i64>,
+    /// `C x = b` compiled for [`Problem::is_feasible_label`].
+    label_rows: LabelRows,
     objective: Objective,
     sense: Sense,
     initial_feasible: Option<Vec<i64>>,
@@ -162,6 +164,52 @@ impl fmt::Display for ProblemError {
 
 impl std::error::Error for ProblemError {}
 
+/// `C x = b` in row-mask form: each row's nonzero columns grouped by
+/// coefficient into one `u128` column mask per distinct coefficient, so
+/// a packed assignment checks a row as `Σ coef · popcount(x & mask)`.
+#[derive(Clone, Debug)]
+struct LabelRows {
+    /// Every row's `(coefficient, column mask)` groups, rows back to back.
+    groups: Vec<(i64, u128)>,
+    /// Per row: the end of its groups in `groups`, and its rhs.
+    rows: Vec<(usize, i64)>,
+}
+
+impl LabelRows {
+    /// Groups the columns below 128 (the width of a label); wider
+    /// columns read as 0 in every label.
+    fn compile(constraints: &IntMatrix, rhs: &[i64]) -> Self {
+        let mut groups: Vec<(i64, u128)> = Vec::new();
+        let mut rows = Vec::with_capacity(rhs.len());
+        for (r, &b) in rhs.iter().enumerate() {
+            let start = groups.len();
+            for (col, &coef) in constraints.row(r).iter().enumerate().take(128) {
+                if coef == 0 {
+                    continue;
+                }
+                match groups[start..].iter_mut().find(|(c, _)| *c == coef) {
+                    Some((_, mask)) => *mask |= 1 << col,
+                    None => groups.push((coef, 1 << col)),
+                }
+            }
+            rows.push((groups.len(), b));
+        }
+        LabelRows { groups, rows }
+    }
+
+    fn satisfied_by(&self, label: u128) -> bool {
+        let mut start = 0;
+        self.rows.iter().all(|&(end, b)| {
+            let lhs: i128 = self.groups[start..end]
+                .iter()
+                .map(|&(coef, mask)| coef as i128 * (label & mask).count_ones() as i128)
+                .sum();
+            start = end;
+            lhs == b as i128
+        })
+    }
+}
+
 impl Problem {
     /// Creates a problem, validating shapes.
     ///
@@ -189,6 +237,7 @@ impl Problem {
         }
         Ok(Problem {
             name: name.into(),
+            label_rows: LabelRows::compile(&constraints, &rhs),
             constraints,
             rhs,
             objective,
@@ -279,6 +328,15 @@ impl Problem {
         x.len() == self.n_vars()
             && x.iter().all(|&v| v == 0 || v == 1)
             && self.constraints.mul_vec(x) == self.rhs
+    }
+
+    /// Whether the packed assignment `label` (bit `i` is `x_i`)
+    /// satisfies `C x = b`: the same answer as [`Problem::is_feasible`]
+    /// on the unpacked bits, without unpacking. Bits at or above
+    /// `n_vars` are ignored. Each row is a few popcounts over masks
+    /// compiled once per problem, summed exactly in `i128`.
+    pub fn is_feasible_label(&self, label: u128) -> bool {
+        self.label_rows.satisfied_by(label)
     }
 
     /// Total constraint violation `‖C x − b‖₁`.

@@ -171,6 +171,23 @@ impl SparseState {
         }
     }
 
+    /// Returns to the basis state `|label⟩` on the same qubits, keeping
+    /// the buffers' capacity: a loop over many inputs reuses one state
+    /// instead of allocating per input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the label uses bits at or above `n_qubits`.
+    pub fn reset(&mut self, label: Label) {
+        assert!(
+            self.n_qubits == 128 || label < (1u128 << self.n_qubits),
+            "basis label out of range for {} qubits",
+            self.n_qubits
+        );
+        self.amps.clear();
+        self.amps.insert(label, Complex::ONE);
+    }
+
     /// Creates a basis state from a binary solution vector.
     ///
     /// # Panics
@@ -430,61 +447,30 @@ impl SparseState {
         }
     }
 
-    /// Builds a reusable measurement sampler for the state's current
-    /// distribution: the support is sorted once (label order, so the
-    /// backing `HashMap`'s per-process randomized order never leaks into
-    /// results) and a cumulative-probability table is built once. Each
-    /// subsequent [`PreparedSampler::draw`] is a binary search.
+    /// Builds a measurement sampler for the state's current
+    /// distribution (see [`PreparedSampler::prepare`]). Each
+    /// [`PreparedSampler::draw`] is then a binary search.
     ///
     /// # Panics
     ///
     /// Panics if the state is empty.
     pub fn prepared_sampler(&self) -> PreparedSampler {
         assert!(!self.amps.is_empty(), "cannot sample an empty state");
-        let mut support: Vec<(Label, f64)> =
-            self.amps.iter().map(|(&l, a)| (l, a.norm_sqr())).collect();
-        support.sort_unstable_by_key(|&(l, _)| l);
-        let mut labels = Vec::with_capacity(support.len());
-        let mut cdf = Vec::with_capacity(support.len());
-        let mut acc = 0.0f64;
-        let mut last_support = 0usize;
-        for (i, (l, p)) in support.into_iter().enumerate() {
-            if p > 0.0 {
-                last_support = i;
-            }
-            acc += p;
-            labels.push(l);
-            cdf.push(acc);
-        }
-        PreparedSampler {
-            labels,
-            cdf,
-            total: acc,
-            last_support,
-        }
+        let mut sampler = PreparedSampler::default();
+        sampler.prepare(self);
+        sampler
     }
 
     /// Draws `shots` measurement outcomes, returning label → count.
     ///
     /// The support is prepared once (`O(s log s)`), then each shot is a
-    /// binary search (`O(log s)`) — the earlier implementation rescanned
-    /// the support linearly per shot.
+    /// binary search (`O(log s)`). An empty state measures every shot
+    /// as label 0 without drawing. Callers sampling many states should
+    /// hold one [`PreparedSampler`] and call [`PreparedSampler::count`].
     pub fn sample(&self, shots: usize, rng: &mut impl Rng) -> BTreeMap<Label, usize> {
-        if self.amps.is_empty() {
-            // Preserved behavior of the old scan: an empty support maps
-            // every shot to label 0.
-            return if shots == 0 {
-                BTreeMap::new()
-            } else {
-                BTreeMap::from([(0, shots)])
-            };
-        }
-        let sampler = self.prepared_sampler();
-        let mut counts = BTreeMap::new();
-        for _ in 0..shots {
-            *counts.entry(sampler.draw(rng)).or_insert(0) += 1;
-        }
-        counts
+        let mut sampler = PreparedSampler::default();
+        sampler.prepare(self);
+        sampler.count(shots, rng).collect()
     }
 
     /// Draws a single measurement outcome via a one-off
@@ -522,45 +508,104 @@ impl SparseState {
     }
 }
 
-/// A frozen measurement distribution of a [`SparseState`]: sorted
-/// support labels plus a cumulative-probability table.
+/// A measurement sampler over a [`SparseState`]'s distribution: the
+/// support sorted by label with each entry's cumulative probability.
 ///
-/// Built once by [`SparseState::prepared_sampler`]; every [`draw`]
-/// (binary search) is `O(log s)` where `s` is the support size. The
-/// sorted-label construction makes draws deterministic for a fixed RNG
-/// across processes and thread counts.
+/// [`prepare`] (re)builds it for a state in place, reusing its buffers,
+/// so one sampler serves any number of states. [`draw`] is a binary
+/// search, `O(log s)` for a support of `s` labels, and [`count`] tallies
+/// a batch of draws per support index, so its outcomes come out in
+/// ascending label order without a map. Label order makes draws
+/// deterministic for a fixed RNG across processes and thread counts.
 ///
+/// [`prepare`]: PreparedSampler::prepare
 /// [`draw`]: PreparedSampler::draw
-#[derive(Clone, Debug)]
+/// [`count`]: PreparedSampler::count
+#[derive(Clone, Debug, Default)]
 pub struct PreparedSampler {
-    labels: Vec<Label>,
-    cdf: Vec<f64>,
+    /// `(label, cumulative mass up to and including it)`, by label.
+    entries: Vec<(Label, f64)>,
     total: f64,
     /// Index of the last entry with nonzero mass. A support entry can
     /// carry zero probability (an amplitude damped to exactly 0 that
     /// still occupies its map slot), so the rounding fallback clamps
-    /// here rather than to `labels.len() - 1` — otherwise a degenerate
+    /// here rather than to the last entry — otherwise a degenerate
     /// norm would let the draw return a zero-probability label.
     last_support: usize,
+    /// Hits per entry of the last [`PreparedSampler::count`].
+    hits: Vec<usize>,
 }
 
 impl PreparedSampler {
+    /// Rebuilds the sampler for `state`'s current distribution.
+    pub fn prepare(&mut self, state: &SparseState) {
+        self.entries.clear();
+        self.entries
+            .extend(state.amps.iter().map(|(&l, a)| (l, a.norm_sqr())));
+        self.entries.sort_unstable_by_key(|&(l, _)| l);
+        let mut acc = 0.0f64;
+        self.last_support = 0;
+        for (i, (_, p)) in self.entries.iter_mut().enumerate() {
+            if *p > 0.0 {
+                self.last_support = i;
+            }
+            acc += *p;
+            *p = acc;
+        }
+        self.total = acc;
+    }
+
     /// Draws one measurement outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the prepared state was empty.
     pub fn draw(&self, rng: &mut impl Rng) -> Label {
+        self.entries[self.index(rng)].0
+    }
+
+    /// Draws `shots` outcomes and returns the nonzero counts in
+    /// ascending label order. An empty support counts every shot as
+    /// label 0 without drawing.
+    pub fn count(
+        &mut self,
+        shots: usize,
+        rng: &mut impl Rng,
+    ) -> impl Iterator<Item = (Label, usize)> + '_ {
+        self.hits.clear();
+        self.hits.resize(self.entries.len(), 0);
+        let empty = self.entries.is_empty();
+        if !empty {
+            for _ in 0..shots {
+                let i = self.index(rng);
+                self.hits[i] += 1;
+            }
+        }
+        self.entries
+            .iter()
+            .zip(&self.hits)
+            .filter(|&(_, &h)| h > 0)
+            .map(|(&(l, _), &h)| (l, h))
+            .chain((empty && shots > 0).then_some((0, shots)))
+    }
+
+    /// The support index of one draw.
+    fn index(&self, rng: &mut impl Rng) -> usize {
         let r: f64 = rng.gen::<f64>() * self.total;
         // First entry whose cumulative mass exceeds r; accumulated
         // rounding can push r past the last supported entry (and a
         // 0/NaN total sends the search to the ends), so the fallback
         // clamps into the support. The binary search cannot select an
-        // interior zero-mass entry itself (its cdf value equals its
-        // predecessor's), so healthy states draw exactly as before.
-        let idx = self.cdf.partition_point(|&c| c <= r).min(self.last_support);
-        self.labels[idx]
+        // interior zero-mass entry itself (its cumulative mass equals
+        // its predecessor's), so healthy states draw exactly as before.
+        self.entries
+            .partition_point(|&(_, c)| c <= r)
+            .min(self.last_support)
     }
 
     /// Number of labels in the support.
     pub fn support_size(&self) -> usize {
-        self.labels.len()
+        self.entries.len()
     }
 
     /// Total probability mass of the support (≈ 1 for normalized states).
@@ -679,6 +724,130 @@ mod tests {
         let sampler = z.prepared_sampler();
         for _ in 0..20 {
             assert_eq!(sampler.draw(&mut rng), 0b00);
+        }
+    }
+
+    /// A basis state on `n` qubits spread by random ternary transitions.
+    fn random_state(n: usize, rng: &mut StdRng) -> SparseState {
+        let mut s = SparseState::basis_state(n, rng.gen_range(0..1u64 << n) as Label);
+        for _ in 0..3 * n {
+            let mut u = vec![0i64; n];
+            for _ in 0..3 {
+                u[rng.gen_range(0..n as u64) as usize] = rng.gen_range(-1i64..=1);
+            }
+            if u.iter().any(|&v| v != 0) {
+                s.apply_transition(&Transition::from_u(&u), rng.gen_range(-3.0..3.0));
+            }
+        }
+        s
+    }
+
+    /// A map-based sampler: a fresh sorted CDF per call and one map
+    /// insert per shot. The oracle for [`PreparedSampler::count`] and
+    /// [`SparseState::sample`].
+    fn reference_sample(
+        state: &SparseState,
+        shots: usize,
+        rng: &mut StdRng,
+    ) -> BTreeMap<Label, usize> {
+        if state.amps.is_empty() {
+            return if shots == 0 {
+                BTreeMap::new()
+            } else {
+                BTreeMap::from([(0, shots)])
+            };
+        }
+        let mut support: Vec<(Label, f64)> =
+            state.amps.iter().map(|(&l, a)| (l, a.norm_sqr())).collect();
+        support.sort_unstable_by_key(|&(l, _)| l);
+        let mut cdf = Vec::new();
+        let mut acc = 0.0f64;
+        let mut last_support = 0usize;
+        for (i, &(_, p)) in support.iter().enumerate() {
+            if p > 0.0 {
+                last_support = i;
+            }
+            acc += p;
+            cdf.push(acc);
+        }
+        let mut counts = BTreeMap::new();
+        for _ in 0..shots {
+            let r: f64 = rng.gen::<f64>() * acc;
+            let idx = cdf.partition_point(|&c| c <= r).min(last_support);
+            *counts.entry(support[idx].0).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn reference_sampler_counts_match_map_oracle() {
+        let mut gen = StdRng::seed_from_u64(0x5A3);
+        let mut states: Vec<SparseState> = (0..24).map(|_| random_state(10, &mut gen)).collect();
+        // Zero-mass support entries below, inside and above the support.
+        let mut zero_mass = random_state(10, &mut gen);
+        let support = zero_mass.support();
+        assert!(support.len() > 2, "want a multi-label support");
+        for l in [0, support[0] + 1, (1 << 10) - 1] {
+            zero_mass.amps.entry(l).or_insert(Complex::ZERO);
+        }
+        states.push(zero_mass);
+        // The empty state: every shot is label 0, and nothing is drawn.
+        let mut empty = SparseState::basis_state(4, 0b0110);
+        empty.amps.clear();
+        states.push(empty);
+
+        // One sampler, reused across every state and shot count.
+        let mut sampler = PreparedSampler::default();
+        for (i, state) in states.iter().enumerate() {
+            for shots in [0, 1, 7, 300] {
+                let seed = (i * 1000 + shots) as u64;
+                let mut want_rng = StdRng::seed_from_u64(seed);
+                let want: Vec<(Label, usize)> = reference_sample(state, shots, &mut want_rng)
+                    .into_iter()
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                sampler.prepare(state);
+                let got: Vec<(Label, usize)> = sampler.count(shots, &mut rng).collect();
+                assert_eq!(got, want, "state {i}, {shots} shots");
+                assert_eq!(rng.gen::<u64>(), want_rng.gen::<u64>(), "state {i} RNG");
+
+                let mut rng = StdRng::seed_from_u64(seed);
+                let sampled: Vec<(Label, usize)> =
+                    state.sample(shots, &mut rng).into_iter().collect();
+                assert_eq!(sampled, want, "state {i}, {shots} shots via sample");
+                let mut want_rng = StdRng::seed_from_u64(seed);
+                reference_sample(state, shots, &mut want_rng);
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    want_rng.gen::<u64>(),
+                    "state {i} RNG via sample"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reset_state_equals_fresh_basis_state() {
+        let mut gen = StdRng::seed_from_u64(0x2E5E7);
+        // Grown buffers from a spread-out state, then reset repeatedly.
+        let mut reused = random_state(12, &mut gen);
+        for round in 0..16 {
+            let label = gen.gen_range(0..1u64 << 12) as Label;
+            reused.reset(label);
+            let mut fresh = SparseState::basis_state(12, label);
+            assert_eq!(reused.n_qubits(), fresh.n_qubits());
+            assert_eq!(reused.amps, fresh.amps, "round {round}");
+            assert!(reused.scratch.is_empty());
+            // Both evolve to the same amplitudes, bit for bit.
+            for _ in 0..24 {
+                let mut u = vec![0i64; 12];
+                u[gen.gen_range(0..12u64) as usize] = 1;
+                u[gen.gen_range(0..12u64) as usize] = -1;
+                let (tr, t) = (Transition::from_u(&u), gen.gen_range(-3.0..3.0));
+                reused.apply_transition(&tr, t);
+                fresh.apply_transition(&tr, t);
+            }
+            assert_eq!(reused.amps, fresh.amps, "round {round} evolved");
         }
     }
 

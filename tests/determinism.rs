@@ -124,10 +124,25 @@ fn golden_sampled_result_digests() {
         .with_max_iterations(8)
         .with_resilience(ResilienceConfig::recommended().with_fault_plan(plan));
 
-    let outcomes: Vec<_> = [(&j1, noise_free), (&f1(), noisy), (&f1(), faulted)]
-        .into_iter()
-        .map(|(problem, cfg)| Rasengan::new(cfg).solve(problem).unwrap())
-        .collect();
+    // A wide-label case: Fig. 10 FLP (4,4) has 36 variables, so its
+    // sampled segment step runs with labels far past one machine word
+    // of basis states and many distinct outcomes per batch.
+    let flp = rasengan::problems::flp::FacilityLocation::generate(4, 4, 2025).into_problem();
+    assert_eq!(flp.n_vars(), 36);
+    let wide = RasenganConfig::default()
+        .with_seed(24)
+        .with_shots(2048)
+        .with_max_iterations(2);
+
+    let outcomes: Vec<_> = [
+        (&j1, noise_free),
+        (&f1(), noisy),
+        (&f1(), faulted),
+        (&flp, wide),
+    ]
+    .into_iter()
+    .map(|(problem, cfg)| Rasengan::new(cfg).solve(problem).unwrap())
+    .collect();
     // Every armed fault kind must actually fire, or the third digest
     // would not cover the fault-plan rolls.
     let kinds: Vec<String> = outcomes[2]
@@ -153,7 +168,8 @@ fn golden_sampled_result_digests() {
         [
             "0x2d45a621c2a50278",
             "0x585a42325ab4f511",
-            "0x9e41c0be83fae458"
+            "0x9e41c0be83fae458",
+            "0xae934ef491081e7e"
         ]
     );
 }
