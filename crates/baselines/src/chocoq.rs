@@ -27,6 +27,7 @@ use rasengan_optim::{Cobyla, Optimizer};
 use rasengan_problems::{optimum, Problem, Sense};
 use rasengan_qsim::noise::{
     apply_gate_noise_sparse, apply_gate_noise_sparse_fused, apply_readout_error,
+    run_noise_slots_sparse,
 };
 use rasengan_qsim::sparse::{bits_from_label, label_from_bits};
 use rasengan_qsim::{Complex, Label, NoiseModel, SparseState};
@@ -227,6 +228,11 @@ impl<'a> CompiledEval<'a> {
     fn evolve_noisy(&mut self, state: &mut SparseState, noise: &NoiseModel, rng: &mut StdRng) {
         apply_gate_noise_sparse_fused(state, &self.prep, noise.p1, noise, rng);
         let noise_free = NoiseModel::noise_free();
+        let pauli_only = NoiseModel {
+            amplitude_damping: 0.0,
+            phase_damping: 0.0,
+            ..*noise
+        };
         for layer in 0..self.layers.len() {
             self.apply_objective_layer(state, layer);
             // Objective Rzz noise: 2 CX per quadratic term.
@@ -237,15 +243,12 @@ impl<'a> CompiledEval<'a> {
                     }
                 }
             }
+            // Mixer CX noise: Choco-Q's transition noise has no damping
+            // channel, so each operator's slots run as depolarizing rolls.
             let (_, cos, misin) = self.layers[layer];
             for ct in &self.program.ops {
                 state.apply_transition_with(&ct.transition, cos, misin);
-                for _ in 0..ct.cx_cost {
-                    if rng.gen::<f64>() < noise.p2 {
-                        let q = ct.support[rng.gen_range(0..ct.support.len())];
-                        apply_gate_noise_sparse(state, &[q], 1.0, &noise_free, rng);
-                    }
-                }
+                run_noise_slots_sparse(state, &ct.support, ct.cx_cost, noise.p2, &pauli_only, rng);
             }
         }
     }

@@ -1459,23 +1459,32 @@ fn run_segment_shots(
     let consts = mixing_constants(program, times);
     let threads = resolve_threads(cfg.threads);
     if noisy {
-        // One job per shot; the per-shot labels depend only on (input,
-        // stream), so any thread count yields the same counts.
+        // One job per shot, and each worker runs a contiguous slab of
+        // jobs through one reused state. A shot's label depends only on
+        // (input, stream), so any thread count yields the same counts.
         let jobs: Vec<(Label, u64)> = batches
             .iter()
             .flat_map(|&(input, share, first)| {
                 (first..first + share as u64).map(move |s| (input, s))
             })
             .collect();
-        let labels = par_map(&jobs, threads, |_, &(input, stream)| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
-            let label = run_compiled_trajectory(n_vars, input, program, &consts, &noise, &mut rng);
-            match burst {
-                Some(rate) => apply_readout_error(label, n_vars, rate, &mut rng),
-                None => label,
+        let slabs = split_ranges(jobs.len(), threads);
+        let labels = par_map(&slabs, threads, |_, slab| {
+            let mut state = SparseState::basis_state(n_vars, 0);
+            let mut pairs: Vec<(Label, usize)> = Vec::with_capacity(slab.len());
+            for &(input, stream) in &jobs[slab.clone()] {
+                let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
+                let label =
+                    run_compiled_trajectory(&mut state, input, program, &consts, &noise, &mut rng);
+                let label = match burst {
+                    Some(rate) => apply_readout_error(label, n_vars, rate, &mut rng),
+                    None => label,
+                };
+                pairs.push((label, 1));
             }
+            pairs
         });
-        run.counts = fold_counts(labels.into_iter().map(|label| (label, 1)).collect());
+        run.counts = fold_counts(labels.concat());
     } else {
         // Each worker runs a contiguous slab of batches through one
         // reused state and one reused sampler, so a batch allocates
@@ -1543,43 +1552,40 @@ fn evolve(state: &mut SparseState, program: &SegmentProgram, consts: &[(Complex,
     }
 }
 
-/// One noisy shot: prepares `input` with X gates, applies the segment's
-/// transition operators with per-CX Pauli trajectories and damping, then
-/// measures with readout error.
+/// One noisy shot: resets `state` to `input` (prepared with X gates),
+/// applies the segment's transition operators with per-CX Pauli
+/// trajectories and damping, then measures with readout error.
 ///
-/// The transition masks, supports, and CX costs come precompiled and
-/// the mixing constants from the caller, so the per-shot loop allocates
-/// almost nothing. Each τ compiles to 34k CX gates, and every CX slot is
-/// an error opportunity: a depolarizing event with probability p₂ on a
-/// random support qubit, plus amplitude/phase damping on the slot's two
-/// operands (damping accrues with *circuit duration*, which is why deep
-/// unsegmented chains collapse — Fig. 14b). [`run_noise_slots_sparse`]
-/// runs each operator's slots over a flat support snapshot with folded
-/// damping: two contiguous passes per slot instead of four hash-map
-/// passes per channel, drawing every random number at the same point
-/// and from the same distribution as the gate-by-gate reference oracle
-/// in this module's tests.
+/// The transition masks, supports, and CX costs come precompiled, the
+/// mixing constants and the reused state from the caller, so the
+/// per-shot loop allocates almost nothing. Each τ compiles to 34k CX
+/// gates, and every CX slot is an error opportunity: a depolarizing
+/// event with probability p₂ on a random support qubit, plus
+/// amplitude/phase damping on the slot's two operands (damping accrues
+/// with *circuit duration*, which is why deep unsegmented chains
+/// collapse — Fig. 14b). [`run_noise_slots_sparse`] runs each
+/// operator's slots in mass space over a flat support snapshot: no
+/// renormalizing division per channel, no square root per slot, and one
+/// amplitude rescale per operator or jump. It draws every random number
+/// at the same point and from the same distribution as the gate-by-gate
+/// reference oracle in this module's tests.
 fn run_compiled_trajectory(
-    n: usize,
+    state: &mut SparseState,
     input: Label,
     prog: &SegmentProgram,
     consts: &[(Complex, Complex)],
     noise: &NoiseModel,
     rng: &mut StdRng,
 ) -> Label {
-    let mut state = SparseState::basis_state(n, input);
-    // State-preparation X column. The per-qubit noise channel treats
-    // each qubit independently, so feeding set bits one at a time
-    // consumes the RNG exactly like one call over the collected qubits.
-    for q in 0..n {
-        if input >> q & 1 == 1 {
-            apply_gate_noise_sparse_fused(&mut state, &[q], noise.p1, noise, rng);
-        }
-    }
+    let n = state.n_qubits();
+    state.reset(input);
+    // State-preparation X column.
+    let prep: Vec<usize> = (0..n).filter(|&q| input >> q & 1 == 1).collect();
+    apply_gate_noise_sparse_fused(state, &prep, noise.p1, noise, rng);
 
     for (ct, &(cos, misin)) in prog.ops.iter().zip(consts) {
         state.apply_transition_with(&ct.transition, cos, misin);
-        run_noise_slots_sparse(&mut state, &ct.support, ct.cx_cost, noise.p2, noise, rng);
+        run_noise_slots_sparse(state, &ct.support, ct.cx_cost, noise.p2, noise, rng);
     }
 
     let label = state.sample_one(rng);
@@ -1715,7 +1721,7 @@ mod tests {
     /// Registry instances the reference tests compile, each with fixed
     /// random evolution times over its whole chain.
     fn reference_cases() -> Vec<(Problem, Prepared, Vec<f64>)> {
-        ["J1", "F1", "K1", "G1"]
+        ["J1", "F1", "F2", "K1", "G1"]
             .iter()
             .enumerate()
             .map(|(i, id)| {
@@ -1733,8 +1739,9 @@ mod tests {
     }
 
     /// The noisy regimes: gate and readout noise, then the same with
-    /// both damping channels folded into every CX slot.
-    fn noisy_regimes() -> [(&'static str, NoiseModel); 2] {
+    /// both damping channels folded into every CX slot, then IBM Kyiv's
+    /// calibrated rates.
+    fn noisy_regimes() -> [(&'static str, NoiseModel); 3] {
         [
             ("noisy", NoiseModel::ibm_like(2e-3, 1e-2, 0.02)),
             (
@@ -1743,6 +1750,7 @@ mod tests {
                     .with_amplitude_damping(5e-3)
                     .with_phase_damping(3e-3),
             ),
+            ("kyiv", Device::ibm_kyiv().noise),
         ]
     }
 
@@ -1790,12 +1798,15 @@ mod tests {
             for_each_reference_segment(|label, problem, program, ops, times, dist| {
                 let n = problem.n_vars();
                 let consts = mixing_constants(program, times);
+                // One state through every shot, as a worker slab runs.
+                let mut state = SparseState::basis_state(n, 0);
                 for &input in dist.keys() {
                     for stream in 0..48u64 {
                         let seed = derive_seed(0x5407, stream);
                         let mut rng = StdRng::seed_from_u64(seed);
-                        let got =
-                            run_compiled_trajectory(n, input, program, &consts, &noise, &mut rng);
+                        let got = run_compiled_trajectory(
+                            &mut state, input, program, &consts, &noise, &mut rng,
+                        );
                         let mut rng = StdRng::seed_from_u64(seed);
                         let want =
                             reference_noisy_trajectory(n, input, ops, times, &noise, &mut rng);

@@ -425,9 +425,10 @@ fn population_sparse(state: &SparseState, q: usize) -> f64 {
     state.population(q)
 }
 
-/// [`apply_gate_noise_sparse`] for the compiled (fused) trajectory
-/// paths: identical channels at identical RNG draw points, with each
-/// qubit's damping folded through [`apply_damping_slot_sparse`].
+/// [`apply_gate_noise_sparse`] for the compiled trajectory paths:
+/// identical channels at identical RNG draw points, run as one
+/// single-qubit slot of [`run_noise_slots_sparse`]'s mass-space loop
+/// per qubit, over one flat snapshot of the support for the whole call.
 pub fn apply_gate_noise_sparse_fused(
     state: &mut SparseState,
     qubits: &[usize],
@@ -435,126 +436,24 @@ pub fn apply_gate_noise_sparse_fused(
     noise: &NoiseModel,
     rng: &mut impl Rng,
 ) {
-    for &q in qubits {
-        if p > 0.0 && rng.gen::<f64>() < p {
-            let g = match sample_pauli(rng) {
-                Pauli::X => Gate::X(q),
-                Pauli::Y => Gate::Y(q),
-                Pauli::Z => Gate::Z(q),
-            };
-            state.apply(&g).expect("Pauli gates are always sparse-safe");
-        }
-        apply_damping_slot_sparse(state, &[q], noise, rng);
-    }
-}
-
-/// Folded damping channels for one noise slot (one or two qubits) on
-/// the compiled trajectory path.
-///
-/// Equivalent to [`amplitude_damping_sparse`] then
-/// [`phase_damping_sparse`] per qubit in slot order — the sequence
-/// [`apply_gate_noise_sparse`] runs with `p = 0` — with the same RNG
-/// draw points: each channel rolls iff its jump probability is nonzero.
-/// The no-jump branches (overwhelmingly likely at calibrated rates) are
-/// plain rescalings of the four `(qubit_a, qubit_b)` population
-/// classes, so the fold computes the class masses in one read pass,
-/// walks every channel's threshold in that 4-element mass space, and
-/// applies the accumulated per-class factors in one write pass — versus
-/// the unfused path's four support passes per channel. Thresholds match
-/// the unfused path's population sums to rounding (the same last-ulp
-/// order the two paths' distinct hash maps already exhibit); a channel
-/// that does jump materializes the no-jump prefix and falls back to the
-/// exact per-channel sequence from that point.
-pub fn apply_damping_slot_sparse(
-    state: &mut SparseState,
-    qubits: &[usize],
-    noise: &NoiseModel,
-    rng: &mut impl Rng,
-) {
-    debug_assert!(matches!(qubits.len(), 1 | 2), "a slot has 1 or 2 qubits");
     let gamma = noise.amplitude_damping;
     let lambda = noise.phase_damping;
-    if gamma <= 0.0 && lambda <= 0.0 {
-        return;
-    }
-    let ma: Label = 1 << qubits[0];
-    let mb: Label = if qubits.len() == 2 { 1 << qubits[1] } else { 0 };
-    let class_of = |l: Label| ((l & ma != 0) as usize) | (((l & mb != 0) as usize) << 1);
-
-    // Class masses in one pass over the support.
-    let mut m = [0.0f64; 4];
-    for (l, a) in state.amps.iter() {
-        m[class_of(*l)] += a.norm_sqr();
-    }
-
-    let mut factors = [1.0f64; 4];
-    for (ci, &q) in qubits.iter().enumerate() {
-        let sel = 1usize << ci;
-        for is_amp in [true, false] {
-            let rate = if is_amp { gamma } else { lambda };
-            if rate <= 0.0 {
-                continue;
-            }
-            let pop = if sel == 1 { m[1] + m[3] } else { m[2] + m[3] };
-            let p_jump = rate * pop;
-            if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
-                // Jump: materialize the prefix, take the exact branch,
-                // then run the remaining channels unfolded.
-                apply_class_factors(state, class_of, &factors);
-                state.project_qubit(q, true);
-                if is_amp {
-                    state.apply(&Gate::X(q)).expect("X is always sparse-safe");
-                    if lambda > 0.0 {
-                        phase_damping_sparse(state, q, lambda, rng);
-                    }
-                }
-                for &q2 in &qubits[ci + 1..] {
-                    if gamma > 0.0 {
-                        amplitude_damping_sparse(state, q2, gamma, rng);
-                    }
-                    if lambda > 0.0 {
-                        phase_damping_sparse(state, q2, lambda, rng);
-                    }
-                }
-                return;
-            }
-            // No jump: scale the qubit's |1⟩ classes, renormalize (by
-            // reciprocal multiply, the same form `normalize` uses).
-            let keep = 1.0 - rate;
-            for i in 0..4 {
-                if i & sel != 0 {
-                    m[i] *= keep;
-                    factors[i] *= keep;
-                }
-            }
-            let inv = 1.0 / (m[0] + m[1] + m[2] + m[3]);
-            for i in 0..4 {
-                m[i] *= inv;
-                factors[i] *= inv;
-            }
+    let damping = gamma > 0.0 || lambda > 0.0;
+    // Flattened on the first event, so a call that draws no Pauli and
+    // has no damping leaves the map untouched.
+    let mut ms: Option<MassSlots> = None;
+    for &q in qubits {
+        if p > 0.0 && rng.gen::<f64>() < p {
+            let ms = ms.get_or_insert_with(|| MassSlots::load(state));
+            ms.pauli(sample_pauli(rng), 1 << q);
+        }
+        if damping {
+            let ms = ms.get_or_insert_with(|| MassSlots::load(state));
+            ms.damping_slot(1 << q, 0, gamma, lambda, rng);
         }
     }
-    apply_class_factors(state, class_of, &factors);
-}
-
-/// Applies accumulated mass-space class factors as amplitude scalings
-/// (one write pass; amplitude factor = √mass factor).
-fn apply_class_factors(
-    state: &mut SparseState,
-    class_of: impl Fn(Label) -> usize,
-    factors: &[f64; 4],
-) {
-    if *factors == [1.0; 4] {
-        return;
-    }
-    let f = [
-        factors[0].sqrt(),
-        factors[1].sqrt(),
-        factors[2].sqrt(),
-        factors[3].sqrt(),
-    ];
-    for (l, a) in state.amps.iter_mut() {
-        *a = a.scale(f[class_of(*l)]);
+    if let Some(ms) = ms {
+        ms.store(state);
     }
 }
 
@@ -564,16 +463,24 @@ fn apply_class_factors(
 ///
 /// Per slot this is equivalent to the unfused sequence (a `p2` roll
 /// applying a uniform Pauli on a random support qubit via
-/// [`apply_gate_noise_sparse`] with `p = 1`, then
-/// [`apply_damping_slot_sparse`] on a random operand pair) with RNG
-/// draws at identical points. The win is memory traffic: none of the
-/// slot channels grow the support (Pauli events permute labels, damping
-/// branches rescale or project), so the hash map is flattened into a
-/// contiguous `Vec` once per call and rebuilt once at the end, and the
-/// hundreds of per-slot passes walk the `Vec` instead of re-iterating
-/// hash buckets. Population sums reassociate relative to map order —
-/// the same last-ulp class of drift the fused path's distinct hash maps
-/// already exhibit.
+/// [`apply_gate_noise_sparse`] with `p = 1`, then its damping channels
+/// with `p = 0` on a random operand pair) with RNG draws at identical
+/// points. None of the slot channels grow the support (Pauli events
+/// permute labels, damping branches rescale or project), so the hash
+/// map is flattened into a contiguous `Vec` on the first event and
+/// rebuilt once at the end.
+///
+/// The loop runs in mass space. Each label keeps its amplitude as
+/// loaded and an unnormalized mass `w`; a damping channel's no-jump
+/// branch multiplies the selected class masses by `1 − rate` and rolls
+/// against `u·T < rate·pop` (`T` the running total), so there is no
+/// renormalizing division per channel and no square root per slot. A
+/// slot's class factors are deferred into the next slot's mass pass.
+/// Amplitudes are rescaled once, as `a·√(w/(|a|²·T))`, when the loop
+/// ends or when a channel jumps; a jump then runs the exact per-channel
+/// sequence for the rest of its slot. Thresholds equal the normalized
+/// ones up to rounding — the same last-ulp class of drift that summing
+/// populations in hash-map order already carries.
 pub fn run_noise_slots_sparse(
     state: &mut SparseState,
     support: &[usize],
@@ -588,154 +495,214 @@ pub fn run_noise_slots_sparse(
     if slots == 0 || support.is_empty() || (p2 <= 0.0 && !damping) {
         return;
     }
-    let mut flat: Vec<(Label, Complex)> = state.amps.iter().map(|(&l, &a)| (l, a)).collect();
-    // A slot's accumulated class factors are applied lazily: the next
-    // slot's mass pass scales each amplitude as it reads it, so the
-    // steady state is one pass per slot instead of read + write. The
-    // arithmetic per amplitude is identical (scale, then norm), so the
-    // deferral is bit-exact versus eager application.
-    let mut pend: Option<(Label, Label, [f64; 4])> = None;
+    let pick = IndexDraw::new(support.len());
+    // Flattened on the first event, so a depolarizing-only loop that
+    // never fires leaves the map untouched.
+    let mut ms: Option<MassSlots> = None;
     for _ in 0..slots {
         if p2 > 0.0 && rng.gen::<f64>() < p2 {
-            let q = support[rng.gen_range(0..support.len())];
+            let q = support[pick.sample(rng)];
             // `apply_gate_noise_sparse` with `p = 1` draws its roll
-            // (always below 1) and applies the sampled Pauli. Pending
-            // class factors key off current labels, so flush before
-            // the labels move.
+            // (always below 1) and applies the sampled Pauli.
             let _roll: f64 = rng.gen();
-            flush_pending(&mut flat, &mut pend);
-            flat_pauli(&mut flat, sample_pauli(rng), 1 << q);
+            let ms = ms.get_or_insert_with(|| MassSlots::load(state));
+            ms.pauli(sample_pauli(rng), 1 << q);
         }
         if damping {
-            let a = support[rng.gen_range(0..support.len())];
-            let b = support[rng.gen_range(0..support.len())];
+            let a = support[pick.sample(rng)];
+            let b = support[pick.sample(rng)];
             let mb = if b == a { 0 } else { 1 << b };
-            flat_damping_slot(&mut flat, 1 << a, mb, noise, rng, &mut pend);
+            let ms = ms.get_or_insert_with(|| MassSlots::load(state));
+            ms.damping_slot(1 << a, mb, gamma, lambda, rng);
         }
     }
-    flush_pending(&mut flat, &mut pend);
-    state.amps.clear();
-    state.amps.extend(flat);
-}
-
-/// Applies deferred per-class amplitude factors from the previous
-/// damping slot (`(ma, mb, √mass-factors)`).
-fn flush_pending(flat: &mut [(Label, Complex)], pend: &mut Option<(Label, Label, [f64; 4])>) {
-    if let Some((ma, mb, f)) = pend.take() {
-        let class_of = |l: Label| ((l & ma != 0) as usize) | (((l & mb != 0) as usize) << 1);
-        for (l, a) in flat.iter_mut() {
-            *a = a.scale(f[class_of(*l)]);
-        }
+    if let Some(ms) = ms {
+        ms.store(state);
     }
 }
 
-/// [`apply_damping_slot_sparse`]'s mass-space fold on a flat support
-/// snapshot (`mb == 0` for a single-qubit slot). Consumes any deferred
-/// factors from the previous slot during its mass pass and defers its
-/// own factors into `pend` instead of writing them eagerly.
-fn flat_damping_slot(
-    flat: &mut Vec<(Label, Complex)>,
-    ma: Label,
-    mb: Label,
-    noise: &NoiseModel,
-    rng: &mut impl Rng,
-    pend: &mut Option<(Label, Label, [f64; 4])>,
-) {
-    let gamma = noise.amplitude_damping;
-    let lambda = noise.phase_damping;
-    let class_of = |l: Label| ((l & ma != 0) as usize) | (((l & mb != 0) as usize) << 1);
-    let mut m = [0.0f64; 4];
-    if let Some((pa, pb, pf)) = pend.take() {
-        let pclass = |l: Label| ((l & pa != 0) as usize) | (((l & pb != 0) as usize) << 1);
-        for (l, a) in flat.iter_mut() {
-            *a = a.scale(pf[pclass(*l)]);
-            m[class_of(*l)] += a.norm_sqr();
-        }
-    } else {
-        for (l, a) in flat.iter() {
-            m[class_of(*l)] += a.norm_sqr();
+/// `rng.gen_range(0..len)` for one fixed `len`, with the rejection zone
+/// computed once instead of per draw. Consumes the same RNG words and
+/// returns the same values as `gen_range`.
+#[derive(Clone, Copy, Debug)]
+struct IndexDraw {
+    len: u64,
+    /// Largest accepted word; `u64::MAX` (accept all) for powers of two.
+    zone: u64,
+}
+
+impl IndexDraw {
+    fn new(len: usize) -> Self {
+        let len = len as u64;
+        debug_assert!(len > 0);
+        IndexDraw {
+            len,
+            zone: u64::MAX - (u64::MAX - len + 1) % len,
         }
     }
-    let mut factors = [1.0f64; 4];
-    let masks = [ma, mb];
-    let n_ch = if mb != 0 { 2 } else { 1 };
-    for (ci, &mask) in masks[..n_ch].iter().enumerate() {
-        let sel = 1usize << ci;
-        for is_amp in [true, false] {
-            let rate = if is_amp { gamma } else { lambda };
-            if rate <= 0.0 {
-                continue;
-            }
-            let pop = if sel == 1 { m[1] + m[3] } else { m[2] + m[3] };
-            let p_jump = rate * pop;
-            if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
-                // Jump: materialize the prefix, take the exact branch,
-                // then run the remaining channels unfolded.
-                flat_class_factors(flat, class_of, &factors);
-                flat_project_one(flat, mask);
-                if is_amp {
-                    for (l, _) in flat.iter_mut() {
-                        *l ^= mask;
-                    }
-                    if lambda > 0.0 {
-                        flat_phase_damping(flat, mask, lambda, rng);
-                    }
-                }
-                for &m2 in &masks[ci + 1..n_ch] {
-                    if gamma > 0.0 {
-                        flat_amp_damping(flat, m2, gamma, rng);
-                    }
-                    if lambda > 0.0 {
-                        flat_phase_damping(flat, m2, lambda, rng);
-                    }
-                }
-                return;
-            }
-            let keep = 1.0 - rate;
-            for i in 0..4 {
-                if i & sel != 0 {
-                    m[i] *= keep;
-                    factors[i] *= keep;
-                }
-            }
-            let inv = 1.0 / (m[0] + m[1] + m[2] + m[3]);
-            for i in 0..4 {
-                m[i] *= inv;
-                factors[i] *= inv;
+
+    #[inline]
+    fn sample(&self, rng: &mut impl Rng) -> usize {
+        if self.len.is_power_of_two() {
+            return (rng.next_u64() & (self.len - 1)) as usize;
+        }
+        loop {
+            let v = rng.next_u64();
+            if v <= self.zone {
+                return (v % self.len) as usize;
             }
         }
-    }
-    if factors != [1.0; 4] {
-        *pend = Some((
-            ma,
-            mb,
-            [
-                factors[0].sqrt(),
-                factors[1].sqrt(),
-                factors[2].sqrt(),
-                factors[3].sqrt(),
-            ],
-        ));
     }
 }
 
-/// [`apply_class_factors`] on a flat snapshot.
-fn flat_class_factors(
-    flat: &mut [(Label, Complex)],
-    class_of: impl Fn(Label) -> usize,
-    factors: &[f64; 4],
-) {
-    if *factors == [1.0; 4] {
-        return;
+/// The `(qubit_a, qubit_b)` population class of `l`: bit 0 is `l & ma`,
+/// bit 1 is `l & mb` (always 0 for a single-qubit slot, `mb == 0`).
+#[inline]
+fn class_of(l: Label, ma: Label, mb: Label) -> usize {
+    ((l & ma != 0) as usize) | (((l & mb != 0) as usize) << 1)
+}
+
+/// The mass-space state of [`run_noise_slots_sparse`] and
+/// [`apply_gate_noise_sparse_fused`]: the support snapshot with one
+/// unnormalized mass per label.
+struct MassSlots {
+    /// Labels with their amplitudes as of the last load or rescale.
+    flat: Vec<(Label, Complex)>,
+    /// `|a|²` times every no-jump factor applied since then.
+    w: Vec<f64>,
+    /// The previous slot's operand masks and class mass factors, not
+    /// yet multiplied into `w`.
+    pend: (Label, Label, [f64; 4]),
+    /// Whether a no-jump factor has scaled a populated class since the
+    /// last load or rescale (otherwise the amplitudes are current).
+    scaled: bool,
+}
+
+impl MassSlots {
+    fn load(state: &SparseState) -> Self {
+        let mut ms = MassSlots {
+            flat: state.amps.iter().map(|(&l, &a)| (l, a)).collect(),
+            w: Vec::new(),
+            pend: (0, 0, [1.0; 4]),
+            scaled: false,
+        };
+        ms.reload();
+        ms
     }
-    let f = [
-        factors[0].sqrt(),
-        factors[1].sqrt(),
-        factors[2].sqrt(),
-        factors[3].sqrt(),
-    ];
-    for (l, a) in flat.iter_mut() {
-        *a = a.scale(f[class_of(*l)]);
+
+    /// Multiplies the deferred class factors into `w`.
+    fn fold_pending(&mut self) {
+        let (pa, pb, pf) = std::mem::replace(&mut self.pend, (0, 0, [1.0; 4]));
+        for ((l, _), w) in self.flat.iter().zip(&mut self.w) {
+            *w *= pf[class_of(*l, pa, pb)];
+        }
+    }
+
+    /// Brings the amplitudes up to date with the masses: each becomes
+    /// `a·√(w/(|a|²·t))`, normalized against the total mass `t`.
+    fn rescale(&mut self, t: f64) {
+        for ((_, a), &w) in self.flat.iter_mut().zip(&self.w) {
+            let n2 = a.norm_sqr();
+            if n2 > 0.0 {
+                *a = a.scale((w / (n2 * t)).sqrt());
+            }
+        }
+        self.scaled = false;
+    }
+
+    /// Restarts mass tracking from the current amplitudes.
+    fn reload(&mut self) {
+        self.w.clear();
+        self.w.extend(self.flat.iter().map(|(_, a)| a.norm_sqr()));
+        self.pend = (0, 0, [1.0; 4]);
+        self.scaled = false;
+    }
+
+    /// A uniform Pauli on qubit `mask`. The deferred factors key off
+    /// the current labels, so they are folded before the labels move;
+    /// `|a|²` is unchanged, so the masses stay valid.
+    fn pauli(&mut self, pauli: Pauli, mask: Label) {
+        self.fold_pending();
+        flat_pauli(&mut self.flat, pauli, mask);
+    }
+
+    /// One damping slot on operands `ma` and `mb` (`mb == 0` for a
+    /// single-qubit slot): the amplitude- then phase-damping channel of
+    /// each operand in turn, each rolling iff its jump mass is nonzero.
+    fn damping_slot(&mut self, ma: Label, mb: Label, gamma: f64, lambda: f64, rng: &mut impl Rng) {
+        // Class masses, folding in the previous slot's factors.
+        let (pa, pb, pf) = self.pend;
+        let mut m = [0.0f64; 4];
+        for ((l, _), w) in self.flat.iter().zip(&mut self.w) {
+            *w *= pf[class_of(*l, pa, pb)];
+            m[class_of(*l, ma, mb)] += *w;
+        }
+        let mut factors = [1.0f64; 4];
+        let masks = [ma, mb];
+        let n_ch = if mb != 0 { 2 } else { 1 };
+        for (ci, &mask) in masks[..n_ch].iter().enumerate() {
+            let sel = 1usize << ci;
+            for is_amp in [true, false] {
+                let rate = if is_amp { gamma } else { lambda };
+                if rate <= 0.0 {
+                    continue;
+                }
+                let pop = if sel == 1 { m[1] + m[3] } else { m[2] + m[3] };
+                let jump_mass = rate * pop;
+                if jump_mass > 0.0 {
+                    let t = m[0] + m[1] + m[2] + m[3];
+                    if rng.gen::<f64>() * t < jump_mass {
+                        // Jump: materialize the prefix, take the exact
+                        // branch, then run the slot's remaining
+                        // channels unfolded.
+                        for ((l, _), w) in self.flat.iter().zip(&mut self.w) {
+                            *w *= factors[class_of(*l, ma, mb)];
+                        }
+                        self.rescale(t);
+                        let flat = &mut self.flat;
+                        flat_project_one(flat, mask);
+                        if is_amp {
+                            for (l, _) in flat.iter_mut() {
+                                *l ^= mask;
+                            }
+                            if lambda > 0.0 {
+                                flat_phase_damping(flat, mask, lambda, rng);
+                            }
+                        }
+                        for &m2 in &masks[ci + 1..n_ch] {
+                            if gamma > 0.0 {
+                                flat_amp_damping(flat, m2, gamma, rng);
+                            }
+                            if lambda > 0.0 {
+                                flat_phase_damping(flat, m2, lambda, rng);
+                            }
+                        }
+                        self.reload();
+                        return;
+                    }
+                    self.scaled = true;
+                }
+                let keep = 1.0 - rate;
+                for i in 0..4 {
+                    if i & sel != 0 {
+                        m[i] *= keep;
+                        factors[i] *= keep;
+                    }
+                }
+            }
+        }
+        self.pend = (ma, mb, factors);
+    }
+
+    /// Rescales if needed and writes the support back into `state`.
+    fn store(mut self, state: &mut SparseState) {
+        if self.scaled {
+            self.fold_pending();
+            let t: f64 = self.w.iter().sum();
+            self.rescale(t);
+        }
+        state.amps.clear();
+        state.amps.extend(self.flat);
     }
 }
 
@@ -1075,7 +1042,7 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                apply_damping_slot_sparse(&mut fused, qubits, &noise, &mut rng_a);
+                apply_gate_noise_sparse_fused(&mut fused, qubits, 0.0, &noise, &mut rng_a);
                 apply_gate_noise_sparse(&mut unfused, qubits, 0.0, &damping_only, &mut rng_b);
                 assert_eq!(
                     rng_a.gen::<u64>(),
@@ -1103,7 +1070,7 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                apply_damping_slot_sparse(&mut fused, &[0, 1], &noise, &mut rng_a);
+                apply_gate_noise_sparse_fused(&mut fused, &[0, 1], 0.0, &noise, &mut rng_a);
                 apply_gate_noise_sparse(&mut unfused, &[0, 1], 0.0, &noise, &mut rng_b);
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
                 for l in 0..8u128 {
@@ -1143,54 +1110,170 @@ mod tests {
             let mut probe = StdRng::seed_from_u64(7);
             probe.gen::<u64>()
         };
-        apply_damping_slot_sparse(&mut s, &[0, 1], &noise, &mut rng);
+        apply_gate_noise_sparse_fused(&mut s, &[0, 1], 0.0, &noise, &mut rng);
         assert_eq!(rng.gen::<u64>(), before, "rolls consumed on |00⟩");
         assert!((s.probability(0b00) - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn flat_slot_loop_matches_unfused_slot_loop() {
-        // The flat-snapshot slot runner must consume the RNG at the
-        // same points and leave the same state (to rounding) as the
-        // per-slot unfused sequence: a p₂ roll applying a uniform Pauli
-        // on a random support qubit, then the damping slot on a random
-        // operand pair. Rates are large so jumps and Pauli events both
-        // fire across the seed sweep.
-        let noise = NoiseModel::ibm_like(0.0, 0.3, 0.0)
-            .with_amplitude_damping(0.05)
-            .with_phase_damping(0.04);
-        let support = [0usize, 1, 2];
-        let slots = 12;
-        let noise_free = NoiseModel::noise_free();
-        for seed in 0..300 {
-            let mut fused = spread_state();
-            let mut unfused = spread_state();
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            run_noise_slots_sparse(&mut fused, &support, slots, noise.p2, &noise, &mut rng_a);
-            for _ in 0..slots {
-                if noise.p2 > 0.0 && rng_b.gen::<f64>() < noise.p2 {
-                    let q = support[rng_b.gen_range(0..support.len())];
-                    apply_gate_noise_sparse(&mut unfused, &[q], 1.0, &noise_free, &mut rng_b);
-                }
-                let a = support[rng_b.gen_range(0..support.len())];
-                let b = support[rng_b.gen_range(0..support.len())];
+    /// The unfused per-slot sequence [`run_noise_slots_sparse`] folds:
+    /// a p₂ roll applying a uniform Pauli on a random support qubit,
+    /// then every damping channel of a random operand pair, channel by
+    /// channel with a renormalization each.
+    fn unfused_slot_loop(
+        state: &mut SparseState,
+        support: &[usize],
+        slots: usize,
+        p2: f64,
+        noise: &NoiseModel,
+        rng: &mut StdRng,
+    ) {
+        let damping_only = NoiseModel {
+            p1: 0.0,
+            p2: 0.0,
+            readout: 0.0,
+            ..*noise
+        };
+        for _ in 0..slots {
+            if p2 > 0.0 && rng.gen::<f64>() < p2 {
+                let q = support[rng.gen_range(0..support.len())];
+                apply_gate_noise_sparse(state, &[q], 1.0, &NoiseModel::noise_free(), rng);
+            }
+            if damping_only.is_noisy() {
+                let a = support[rng.gen_range(0..support.len())];
+                let b = support[rng.gen_range(0..support.len())];
                 let pair = [a, b];
                 let slot: &[usize] = if a == b { &pair[..1] } else { &pair[..] };
-                apply_damping_slot_sparse(&mut unfused, slot, &noise, &mut rng_b);
-            }
-            assert_eq!(
-                rng_a.gen::<u64>(),
-                rng_b.gen::<u64>(),
-                "RNG streams diverged (seed {seed})"
-            );
-            for l in 0..8u128 {
-                assert!(
-                    fused.amplitude(l).approx_eq(unfused.amplitude(l), 1e-9),
-                    "amplitude {l:#b} diverged (seed {seed})"
-                );
+                apply_gate_noise_sparse(state, slot, 0.0, &damping_only, rng);
             }
         }
+    }
+
+    /// A 5-qubit state over `labels`, with amplitudes drawn from `seed`
+    /// (a `0.0` weight pins an explicit zero-mass entry).
+    fn state_over(labels: &[(Label, f64)], seed: u64) -> SparseState {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = SparseState::basis_state(5, 0);
+        s.amps.clear();
+        for &(l, weight) in labels {
+            let a = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+            s.amps.insert(l, a.scale(weight));
+        }
+        s.normalize();
+        s
+    }
+
+    #[test]
+    fn index_draw_matches_gen_range() {
+        for len in 1..=9usize {
+            let pick = IndexDraw::new(len);
+            let mut a = StdRng::seed_from_u64(len as u64);
+            let mut b = StdRng::seed_from_u64(len as u64);
+            for _ in 0..10_000 {
+                assert_eq!(pick.sample(&mut a), b.gen_range(0..len), "len {len}");
+            }
+            assert_eq!(a, b, "RNG position diverged (len {len})");
+        }
+        // Words at the top of the range exercise the rejection zone's
+        // boundary, which seeded streams practically never reach.
+        struct Words(std::vec::IntoIter<u64>);
+        impl rand::RngCore for Words {
+            fn next_u64(&mut self) -> u64 {
+                self.0.next().expect("script exhausted")
+            }
+        }
+        let script: Vec<u64> = (0..64).map(|k| u64::MAX - k).chain(0..8).collect();
+        for len in 1..=9usize {
+            let pick = IndexDraw::new(len);
+            let mut a = Words(script.clone().into_iter());
+            let mut b = Words(script.clone().into_iter());
+            for _ in 0..40 {
+                assert_eq!(pick.sample(&mut a), b.gen_range(0..len), "len {len}");
+                assert_eq!(a.0.len(), b.0.len(), "words consumed (len {len})");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_slot_loop_matches_unfused_slot_loop() {
+        // The mass-space slot runner must consume the RNG at the same
+        // points and leave the same state (to rounding) as the per-slot
+        // unfused sequence, over every support length up to 5 (odd
+        // lengths draw by rejection), states of 1, 2 and 8 labels plus
+        // one with a zero-mass entry, and each channel alone and all
+        // together. Rates are large so jumps fire on both operands of
+        // a slot.
+        let states: [&[(Label, f64)]; 4] = [
+            &[(0b10110, 1.0)],
+            &[(0b00111, 1.0), (0b11010, 1.0)],
+            &[
+                (0b00000, 1.0),
+                (0b00011, 1.0),
+                (0b00101, 1.0),
+                (0b01110, 1.0),
+                (0b10001, 1.0),
+                (0b10110, 1.0),
+                (0b11011, 1.0),
+                (0b11111, 1.0),
+            ],
+            &[(0b01011, 1.0), (0b10101, 0.0), (0b11110, 1.0)],
+        ];
+        let models = [
+            (
+                "gamma",
+                NoiseModel::noise_free().with_amplitude_damping(0.3),
+            ),
+            ("lambda", NoiseModel::noise_free().with_phase_damping(0.3)),
+            ("p2", NoiseModel::ibm_like(0.0, 0.3, 0.0)),
+            // Every populated operand jumps, so a slot whose operands
+            // are both set jumps twice.
+            (
+                "gamma=1",
+                NoiseModel::noise_free().with_amplitude_damping(1.0),
+            ),
+            (
+                "all",
+                NoiseModel::ibm_like(0.0, 0.3, 0.0)
+                    .with_amplitude_damping(0.2)
+                    .with_phase_damping(0.2),
+            ),
+        ];
+        let operands = [3usize, 0, 4, 1, 2];
+        let mut projected = 0;
+        for len in 1..=5 {
+            let support = &operands[..len];
+            for (si, labels) in states.iter().enumerate() {
+                for (name, noise) in models {
+                    for seed in 0..60u64 {
+                        let start = state_over(labels, si as u64);
+                        let mut fused = start.clone();
+                        let mut unfused = start.clone();
+                        let mut rng_a = StdRng::seed_from_u64(seed);
+                        let mut rng_b = StdRng::seed_from_u64(seed);
+                        run_noise_slots_sparse(
+                            &mut fused, support, 12, noise.p2, &noise, &mut rng_a,
+                        );
+                        unfused_slot_loop(&mut unfused, support, 12, noise.p2, &noise, &mut rng_b);
+                        let case = format!("len {len}, state {si}, {name}, seed {seed}");
+                        assert_eq!(rng_a, rng_b, "RNG streams diverged ({case})");
+                        let mut got = fused.support();
+                        let mut want = unfused.support();
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "support diverged ({case})");
+                        for l in 0..32u128 {
+                            assert!(
+                                fused.amplitude(l).approx_eq(unfused.amplitude(l), 1e-9),
+                                "amplitude {l:#b} diverged ({case})"
+                            );
+                        }
+                        if fused.support_size() < start.support_size() {
+                            projected += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(projected > 0, "no seed ended on a projected support");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rasengan::baselines::{BaselineConfig, ChocoQ, GroverAdaptiveSearch, Hea, PQaoa};
 use rasengan::core::{Rasengan, RasenganConfig, ResilienceConfig};
 use rasengan::problems::registry::{benchmark, BenchmarkId};
-use rasengan::qsim::{FaultPlan, NoiseModel};
+use rasengan::qsim::{Device, FaultPlan, NoiseModel};
 
 fn f1() -> rasengan::problems::Problem {
     benchmark(BenchmarkId::parse("F1").unwrap())
@@ -134,11 +134,24 @@ fn golden_sampled_result_digests() {
         .with_shots(2048)
         .with_max_iterations(2);
 
+    // Device-rate noise on a 3-qubit-operator instance: IBM Kyiv's
+    // damping builds up over F2's 68-slot operators, so trajectories
+    // jump mid-operator and the support draws span a non-power-of-two
+    // operand set.
+    let f2 = benchmark(BenchmarkId::parse("F2").unwrap());
+    let kyiv = RasenganConfig::default()
+        .on_device(Device::ibm_kyiv())
+        .with_seed(25)
+        .with_shots(256)
+        .with_max_iterations(6)
+        .with_resilience(ResilienceConfig::recommended());
+
     let outcomes: Vec<_> = [
         (&j1, noise_free),
         (&f1(), noisy),
         (&f1(), faulted),
         (&flp, wide),
+        (&f2, kyiv),
     ]
     .into_iter()
     .map(|(problem, cfg)| Rasengan::new(cfg).solve(problem).unwrap())
@@ -169,7 +182,8 @@ fn golden_sampled_result_digests() {
             "0x2d45a621c2a50278",
             "0x585a42325ab4f511",
             "0x9e41c0be83fae458",
-            "0xae934ef491081e7e"
+            "0xae934ef491081e7e",
+            "0xabd2d7ed4b3c2828"
         ]
     );
 }
