@@ -144,7 +144,7 @@ pub fn submit_with_retry(
 
 /// [`submit`], but dribbling the request onto the wire `chunk` bytes
 /// at a time with a `pace` sleep between writes — a cooperative
-/// slowloris. On the threaded front end each such client pins a worker
+/// slowloris. On the blocking driver each such client pins a worker
 /// for the whole trickle; the reactor just keeps a parser buffering.
 ///
 /// # Errors
@@ -173,7 +173,7 @@ pub fn submit_trickled(
 
 /// A connection held deliberately mid-request: opened, fed a prefix of
 /// a request, then parked. What it costs the server is the point — a
-/// pinned worker thread on the legacy front end versus one idle
+/// pinned worker thread on the blocking driver versus one idle
 /// reactor connection — so the loadgen concurrency arm and the
 /// adversarial tests park many of these while measuring a fast stream.
 pub struct HeldConnection {

@@ -1,30 +1,44 @@
-//! Per-connection state machine for the event-driven front end.
+//! The per-connection request/reply state machine — the only one: both
+//! front ends drive it.
 //!
 //! A connection moves through three states:
 //!
 //! ```text
-//! Reading --(PING/STATS or parse error)--> Writing --> closed
-//! Reading --(complete SOLVE request)----> Solving --> Writing --> closed
+//! Reading --(PING/STATS/GOSSIP or parse error)--> Writing --> closed
+//! Reading --(complete SOLVE request)-----------> Solving --> Writing --> closed
 //! ```
 //!
-//! * **Reading** — the reactor feeds whatever the socket yields into an
+//! * **Reading** — the driver feeds whatever the socket yields into an
 //!   [`IncrementalParser`]; partial reads simply leave the parser
 //!   mid-request until more bytes arrive.
-//! * **Solving** — the parsed request is on the worker queue. The
-//!   socket is deregistered from epoll: nothing the client sends can
-//!   advance the request, and solver threads never touch the socket.
-//! * **Writing** — the rendered reply drains through non-blocking
-//!   writes with partial-write resumption; when the last byte is out
-//!   the connection closes (the protocol is one request per
-//!   connection; clients read to EOF).
+//! * **Solving** — the parsed request is on the worker queue; nothing
+//!   the client sends can advance it.
+//! * **Writing** — the rendered reply drains with partial-write
+//!   resumption; when the last byte is out the connection closes (the
+//!   protocol is one request per connection; clients read to EOF).
 //!
-//! Methods here only move bytes and state; epoll registration, timers,
-//! and counters belong to the reactor.
+//! Two drivers move the bytes. The reactor ([`crate::reactor`]) uses
+//! non-blocking sockets, where `WouldBlock` means "drained, wait for
+//! readiness" and deadlines come from its timer wheel. The blocking
+//! driver ([`crate::server`]) sets `SO_RCVTIMEO`/`SO_SNDTIMEO`, so a
+//! read or write that returns `WouldBlock` or `TimedOut` means the
+//! deadline fired. Both surface as [`ReadOutcome::NeedMore`] /
+//! [`WriteOutcome::Blocked`]; the driver knows which it means.
+//!
+//! What a request resolves to is decided here, once, for both drivers:
+//! [`resolve`] answers PING/STATS/GOSSIP inline and counts malformed
+//! requests, and [`Conn::expire`] attributes a fired deadline. The
+//! `BUSY` shed is [`Shared::admit`].
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 
-use crate::protocol::{IncrementalParser, ParseProgress, Reply, RequestError};
+use crate::json::Json;
+use crate::protocol::{
+    IncrementalParser, ParseProgress, Reply, ReplyStatus, RequestError, SolveRequest, Verb,
+};
+use crate::server::{gossip_reply, Shared};
 
 /// Where a connection is in its request/response lifecycle.
 pub(crate) enum ConnState {
@@ -32,7 +46,7 @@ pub(crate) enum ConnState {
     /// the parser carries per-verb accumulators (solve body, gossip
     /// member table) that dwarf the payload-free states.
     Reading(Box<IncrementalParser>),
-    /// Request handed to the worker pool; socket quiescent.
+    /// Request handed to the worker pool.
     Solving,
     /// Draining the rendered reply.
     Writing,
@@ -50,14 +64,17 @@ pub(crate) enum Phase {
     Writing,
 }
 
-/// What a readable-event drive produced.
+/// What a read drive produced.
 pub(crate) enum ReadOutcome {
-    /// The socket is drained and the request is still incomplete.
-    /// `progressed` is true when any bytes arrived (the reactor resets
-    /// the idle deadline on progress, mirroring the per-read semantics
-    /// of the blocking path's `SO_RCVTIMEO`).
+    /// The request is still incomplete and the socket has nothing more
+    /// for now: drained (reactor), the read deadline fired (blocking
+    /// driver), or the verb line is in and the caller asked to stop
+    /// there. `progressed` is true when any bytes arrived (the reactor
+    /// resets the idle deadline on progress, the per-read semantics of
+    /// `SO_RCVTIMEO`).
     NeedMore { progressed: bool },
-    /// The parser completed: a bare verb or a full `SOLVE` request.
+    /// The parser completed: a bare verb, a gossip exchange, or a full
+    /// `SOLVE` request.
     Parsed(ParseProgress),
     /// The request is invalid (or truncated by EOF); reply and close.
     Invalid(RequestError),
@@ -65,37 +82,60 @@ pub(crate) enum ReadOutcome {
     Peer,
 }
 
-/// What a writable-event drive produced.
+/// What a write drive produced.
 pub(crate) enum WriteOutcome {
     /// Every reply byte is out; close the connection.
     Done,
-    /// The kernel buffer filled mid-reply; wait for writability.
+    /// The socket stopped taking bytes mid-reply: the kernel buffer is
+    /// full (reactor) or the write deadline fired (blocking driver).
     /// `progressed` is true when any bytes moved this drive.
     Blocked { progressed: bool },
     /// The peer is gone; close without finishing.
     Peer,
 }
 
-/// One client connection owned by the reactor.
-pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
+/// What a driver does next with a connection — the request rules'
+/// verdict.
+pub(crate) enum Step {
+    /// Nothing to do yet: more bytes are due, or a solve is in flight.
+    Wait,
+    /// Stage this reply, drain it, and close.
+    Reply(Reply),
+    /// Offer the parsed request to the worker pool.
+    Solve(Box<SolveRequest>),
+    /// Close without a reply.
+    Close,
+}
+
+/// One client connection. The stream type is generic only so tests can
+/// script socket errors; both drivers use a [`TcpStream`].
+pub(crate) struct Conn<S = TcpStream> {
+    pub(crate) stream: S,
     pub(crate) state: ConnState,
     /// Rendered reply bytes being drained in `Writing`.
     out: Vec<u8>,
     /// How much of `out` has been written.
     written: usize,
     /// The epoll interest mask currently registered for this socket
-    /// (`None` when deregistered, as in `Solving`). Maintained by the
-    /// reactor; stored here so re-arming knows whether to ADD or MOD.
+    /// (`None` when deregistered, as in `Solving`). Reactor bookkeeping,
+    /// stored here so re-arming knows whether to ADD or MOD.
     pub(crate) interest: Option<u32>,
-    /// Wheel-validated absolute deadline for the current phase; `None`
-    /// while solving (a long solve is not an IO stall).
+    /// The reactor's wheel-validated absolute deadline for the current
+    /// phase; `None` while solving (a long solve is not an IO stall).
     pub(crate) deadline: Option<std::time::Instant>,
 }
 
-impl Conn {
-    /// Wraps a freshly-accepted non-blocking stream.
-    pub(crate) fn new(stream: TcpStream) -> Conn {
+/// Whether a socket error means "no bytes moved before the deadline or
+/// readiness ran out" rather than a failed peer. `SO_RCVTIMEO` and
+/// `SO_SNDTIMEO` surface as `WouldBlock` on Unix and `TimedOut`
+/// elsewhere; a non-blocking socket reports `WouldBlock`.
+fn stalled(err: &std::io::Error) -> bool {
+    matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+impl<S: Read + Write> Conn<S> {
+    /// Wraps a freshly-accepted stream.
+    pub(crate) fn new(stream: S) -> Conn<S> {
         Conn {
             stream,
             state: ConnState::Reading(Box::default()),
@@ -115,32 +155,35 @@ impl Conn {
         }
     }
 
+    /// The verb of a request still being read, once its line is
+    /// parsed.
+    pub(crate) fn verb(&self) -> Option<Verb> {
+        match &self.state {
+            ConnState::Reading(parser) => parser.verb(),
+            _ => None,
+        }
+    }
+
     /// Marks the request as handed to the worker pool and clears the
-    /// IO deadline (a long solve is not an IO stall).
+    /// reactor deadline (a long solve is not an IO stall).
     pub(crate) fn solving(&mut self) {
         self.state = ConnState::Solving;
         self.deadline = None;
     }
 
-    /// Whether the request's verb line was parsed — decides how a
-    /// timeout is attributed (stalled request vs anonymous bad
-    /// connection), matching the threaded front end's counters.
-    pub(crate) fn verb_seen(&self) -> bool {
-        match &self.state {
-            ConnState::Reading(parser) => parser.verb_seen(),
-            _ => true,
-        }
-    }
-
-    /// Drives reads until the socket would block, EOF, or the parser
-    /// resolves. Call only in `Reading`.
-    pub(crate) fn handle_readable(&mut self, scratch: &mut [u8]) -> ReadOutcome {
+    /// Drives reads until the socket has nothing more, EOF, or the
+    /// parser resolves — or, with `until_verb`, until the verb line is
+    /// in. Call only in `Reading`.
+    pub(crate) fn handle_readable(&mut self, scratch: &mut [u8], until_verb: bool) -> ReadOutcome {
         let mut progressed = false;
         loop {
             let parser = match &mut self.state {
                 ConnState::Reading(parser) => parser,
                 _ => return ReadOutcome::NeedMore { progressed },
             };
+            if until_verb && parser.verb().is_some() {
+                return ReadOutcome::NeedMore { progressed };
+            }
             match self.stream.read(scratch) {
                 Ok(0) => {
                     return match parser.eof() {
@@ -156,10 +199,8 @@ impl Conn {
                         Err(err) => return ReadOutcome::Invalid(err),
                     }
                 }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    return ReadOutcome::NeedMore { progressed }
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) if stalled(&err) => return ReadOutcome::NeedMore { progressed },
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return ReadOutcome::Peer,
             }
         }
@@ -167,15 +208,15 @@ impl Conn {
 
     /// Stages a reply and switches to `Writing`. The caller follows up
     /// with [`handle_writable`](Conn::handle_writable) to start the
-    /// drain immediately rather than waiting for an epoll event.
+    /// drain.
     pub(crate) fn begin_reply(&mut self, reply: &Reply) {
         self.out = reply.render().into_bytes();
         self.written = 0;
         self.state = ConnState::Writing;
     }
 
-    /// Drives writes until done or the socket would block. Call only
-    /// in `Writing`.
+    /// Drives writes until done or the socket stops taking bytes. Call
+    /// only in `Writing`.
     pub(crate) fn handle_writable(&mut self) -> WriteOutcome {
         let mut progressed = false;
         while self.written < self.out.len() {
@@ -185,14 +226,175 @@ impl Conn {
                     self.written += n;
                     progressed = true;
                 }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    return WriteOutcome::Blocked { progressed }
-                }
-                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) if stalled(&err) => return WriteOutcome::Blocked { progressed },
+                Err(err) if err.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return WriteOutcome::Peer,
             }
         }
         let _ = self.stream.flush();
         WriteOutcome::Done
+    }
+
+    /// The timeout attribution rule: the IO deadline fired. A stall
+    /// after the verb line is a stalled request — a `timeouts` tick and
+    /// a structured `timeout` reply. A connection that never produced a
+    /// verb is an anonymous bad connection — a `bad_requests` tick and
+    /// a silent close. A client that stopped draining its reply is a
+    /// `timeouts` tick and a close.
+    pub(crate) fn expire(&self, shared: &Shared) -> Step {
+        match self.phase() {
+            Phase::Reading if self.verb().is_some() => Step::Reply(reject(
+                shared,
+                RequestError::Timeout("connection idle past the io timeout".to_string()),
+            )),
+            Phase::Reading => {
+                shared.bad_requests.fetch_add(1, Ordering::Relaxed);
+                Step::Close
+            }
+            Phase::Solving => Step::Wait,
+            Phase::Writing => {
+                shared.timeouts.fetch_add(1, Ordering::Relaxed);
+                Step::Close
+            }
+        }
+    }
+}
+
+/// Counts a failed request read under its kind and builds its
+/// structured error reply, tagged with the error's own `kind`
+/// (`timeout` or `bad-request`).
+fn reject(shared: &Shared, err: RequestError) -> Reply {
+    let counter = match err {
+        RequestError::Timeout(_) => &shared.timeouts,
+        RequestError::Malformed(_) => &shared.bad_requests,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    Reply::new(
+        ReplyStatus::Error,
+        vec![(
+            "error",
+            Json::obj(vec![
+                ("kind", Json::Str(err.kind().to_string())),
+                ("message", Json::Str(err.message().to_string())),
+            ]),
+        )],
+    )
+}
+
+/// The request rules for a read that resolved (anything but
+/// [`ReadOutcome::NeedMore`], which each driver reads as it must):
+/// `PING`, `STATS` and `GOSSIP` are answered inline — membership
+/// exchanges never queue behind solves, so a saturated node still
+/// heartbeats — a complete `SOLVE` goes to the pool, a malformed or
+/// truncated request is counted and answered, and a transport failure
+/// mid-request is counted as a bad request and closed.
+pub(crate) fn resolve(shared: &Shared, outcome: ReadOutcome) -> Step {
+    match outcome {
+        ReadOutcome::NeedMore { .. } => Step::Wait,
+        ReadOutcome::Parsed(ParseProgress::Verb(Verb::Ping)) => Step::Reply(Reply::new(
+            ReplyStatus::Ok,
+            vec![("pong", Json::obj(vec![]))],
+        )),
+        ReadOutcome::Parsed(ParseProgress::Verb(Verb::Stats)) => Step::Reply(Reply::new(
+            ReplyStatus::Ok,
+            vec![("stats", shared.stats_json())],
+        )),
+        ReadOutcome::Parsed(ParseProgress::Gossip(message)) => {
+            Step::Reply(gossip_reply(shared, &message))
+        }
+        ReadOutcome::Parsed(ParseProgress::Request(request)) => Step::Solve(request),
+        // The parser rolls a SOLVE or GOSSIP verb on into its body, and
+        // a read only reports a parser that resolved.
+        ReadOutcome::Parsed(progress) => unreachable!("parser resolved to {progress:?}"),
+        ReadOutcome::Invalid(err) => Step::Reply(reject(shared, err)),
+        ReadOutcome::Peer => {
+            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
+            Step::Close
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// A socket that replays scripted read results and fails every
+    /// write with one error kind.
+    struct Scripted {
+        reads: VecDeque<std::io::Result<Vec<u8>>>,
+        write_error: ErrorKind,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.reads.pop_front() {
+                Some(Ok(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Err(err)) => Err(err),
+                None => Ok(0),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::from(self.write_error))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn conn(kind: ErrorKind) -> Conn<Scripted> {
+        Conn::new(Scripted {
+            reads: VecDeque::from([
+                Ok(b"RASENGAN/1 SOLVE\n".to_vec()),
+                Err(std::io::Error::from(kind)),
+            ]),
+            write_error: kind,
+        })
+    }
+
+    #[test]
+    fn deadline_errors_are_stalls_not_peer_failures() {
+        // `SO_RCVTIMEO`/`SO_SNDTIMEO` firing surfaces as WouldBlock on
+        // Unix and TimedOut elsewhere: both must read as a stall (the
+        // timeout rule applies), never as a failed peer.
+        for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            let mut conn = conn(kind);
+            let mut scratch = [0u8; 64];
+            assert!(matches!(
+                conn.handle_readable(&mut scratch, false),
+                ReadOutcome::NeedMore { progressed: true }
+            ));
+            assert_eq!(conn.verb(), Some(Verb::Solve), "{kind:?}");
+            conn.begin_reply(&Reply::new(ReplyStatus::Ok, vec![]));
+            assert!(matches!(
+                conn.handle_writable(),
+                WriteOutcome::Blocked { progressed: false }
+            ));
+        }
+        // Any other error is the peer failing.
+        let mut conn = conn(ErrorKind::ConnectionReset);
+        assert!(matches!(
+            conn.handle_readable(&mut [0u8; 64], false),
+            ReadOutcome::Peer
+        ));
+        conn.begin_reply(&Reply::new(ReplyStatus::Ok, vec![]));
+        assert!(matches!(conn.handle_writable(), WriteOutcome::Peer));
+    }
+
+    #[test]
+    fn until_verb_stops_after_the_verb_line() {
+        let mut conn = conn(ErrorKind::WouldBlock);
+        assert!(matches!(
+            conn.handle_readable(&mut [0u8; 64], true),
+            ReadOutcome::NeedMore { progressed: true }
+        ));
+        // The scripted stall after the verb line was never read.
+        assert_eq!(conn.stream.reads.len(), 1);
     }
 }

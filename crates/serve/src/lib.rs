@@ -3,11 +3,11 @@
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`protocol`] | wire format: line-oriented requests (blocking + incremental parsers), sectioned JSON responses |
-//! | [`server`] | front-end dispatch, worker pool, admission control, graceful drain |
-//! | `reactor` | epoll event loop: non-blocking sockets, timer wheel, completion wakeups (Linux x86_64/aarch64) |
-//! | `conn` | per-connection read/solve/write state machine for the reactor |
-//! | [`sys`] | raw epoll/eventfd syscalls — the no-dependency platform shim (Linux x86_64/aarch64) |
+//! | [`protocol`] | wire format: line-oriented requests (one incremental parser), sectioned JSON responses |
+//! | [`server`] | blocking driver, worker pool, admission control, graceful drain |
+//! | `reactor` | epoll driver: non-blocking sockets, timer wheel, completion wakeups (Linux x86_64/aarch64) |
+//! | `conn` | the per-connection read/solve/write state machine and request rules, driven by both front ends |
+//! | [`sys`] | the platform shim: raw epoll/eventfd syscalls (Linux x86_64/aarch64), portable socket options |
 //! | [`cache`] | sharded LRU for finished outcomes and compiled artifacts |
 //! | [`persist`] | crash-safe on-disk warm-state tier: versioned records, quarantine, recovery |
 //! | [`client`] | blocking submit/stats/ping helpers |
@@ -41,10 +41,6 @@
 
 pub mod cache;
 pub mod client;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub(crate) mod conn;
 pub mod fabric;
 pub mod json;
@@ -56,10 +52,6 @@ pub mod protocol;
 ))]
 pub(crate) mod reactor;
 pub mod server;
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
 pub mod sys;
 
 pub use client::{

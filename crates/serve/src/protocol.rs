@@ -41,8 +41,6 @@
 //! [`Outcome`] serialized with [`render_outcome`]. Wall-clock and
 //! service-side metadata live in `timing` and `service`.
 
-use std::io::BufRead;
-
 use rasengan_core::resilience::ResilienceConfig;
 use rasengan_core::solver::{Outcome, RasenganConfig, RasenganError};
 use rasengan_problems::ingest::Format;
@@ -63,7 +61,7 @@ pub enum RequestError {
     /// The socket read deadline expired before the request completed.
     Timeout(String),
     /// The request was malformed (bad header, missing bracket,
-    /// oversized field, non-UTF-8 body, or a non-timeout IO failure).
+    /// oversized field, non-UTF-8 body).
     Malformed(String),
 }
 
@@ -80,17 +78,6 @@ impl RequestError {
     pub fn message(&self) -> &str {
         match self {
             RequestError::Timeout(m) | RequestError::Malformed(m) => m,
-        }
-    }
-
-    fn from_io(err: std::io::Error) -> RequestError {
-        match err.kind() {
-            // SO_RCVTIMEO surfaces as WouldBlock on Unix sockets and
-            // TimedOut elsewhere; both mean the deadline fired.
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                RequestError::Timeout("connection idle past the io timeout".to_string())
-            }
-            _ => RequestError::Malformed(format!("io: {err}")),
         }
     }
 }
@@ -219,29 +206,9 @@ impl GossipMessage {
         out.push_str("END GOSSIP\n");
         out
     }
-
-    /// Parses the remainder of a `GOSSIP` request (everything after the
-    /// verb line) from a buffered reader.
-    pub fn parse_body<R: BufRead>(reader: &mut R) -> Result<GossipMessage, RequestError> {
-        let mut accum = GossipAccum::default();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(RequestError::from_io)?;
-            if n == 0 {
-                return Err(RequestError::Malformed(
-                    "gossip ended before END GOSSIP".to_string(),
-                ));
-            }
-            if apply_gossip_line(&mut accum, line.trim())? == GossipLine::End {
-                return accum.finish();
-            }
-        }
-    }
 }
 
-/// Accumulates gossip lines; shared by the blocking reader and the
-/// incremental parser so both front ends accept identical messages.
+/// Accumulates the member table of a `GOSSIP` request.
 #[derive(Debug, Default)]
 struct GossipAccum {
     from: Option<(String, String)>,
@@ -491,40 +458,6 @@ impl SolveRequest {
         out.push_str("END PROBLEM\n");
         out
     }
-
-    /// Parses the remainder of a `SOLVE` request (everything after the
-    /// verb line) from a buffered reader. An expired socket deadline
-    /// surfaces as [`RequestError::Timeout`]; everything else is
-    /// [`RequestError::Malformed`].
-    pub fn parse_body<R: BufRead>(reader: &mut R) -> Result<SolveRequest, RequestError> {
-        let malformed = |m: &str| RequestError::Malformed(m.to_string());
-        let mut request = SolveRequest::new(String::new());
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(RequestError::from_io)?;
-            if n == 0 {
-                return Err(malformed("request ended before BEGIN PROBLEM"));
-            }
-            match apply_header_line(&mut request, line.trim())? {
-                HeaderLine::Header => {}
-                HeaderLine::BeginProblem => break,
-            }
-        }
-        let mut problem = String::new();
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(RequestError::from_io)?;
-            if n == 0 {
-                return Err(malformed("request ended before END PROBLEM"));
-            }
-            if apply_body_line(&mut problem, &line)? == BodyLine::EndProblem {
-                break;
-            }
-        }
-        request.problem_text = problem;
-        Ok(request)
-    }
 }
 
 /// What a line in the header section turned out to be.
@@ -545,9 +478,7 @@ enum BodyLine {
     EndProblem,
 }
 
-/// Applies one trimmed header-section line to `request`. Shared by the
-/// blocking reader path and the incremental (reactor) parser so both
-/// front ends accept byte-for-byte the same requests.
+/// Applies one trimmed header-section line to `request`.
 fn apply_header_line(
     request: &mut SolveRequest,
     trimmed: &str,
@@ -606,9 +537,8 @@ fn apply_header_line(
     Ok(HeaderLine::Header)
 }
 
-/// Applies one raw body line (terminator included, as `read_line`
-/// yields it) to the accumulating problem text, enforcing
-/// [`MAX_PROBLEM_BYTES`].
+/// Applies one raw body line (terminator included) to the
+/// accumulating problem text, enforcing [`MAX_PROBLEM_BYTES`].
 fn apply_body_line(problem: &mut String, line: &str) -> Result<BodyLine, RequestError> {
     if line.trim() == "END PROBLEM" {
         return Ok(BodyLine::EndProblem);
@@ -627,7 +557,9 @@ fn apply_body_line(problem: &mut String, line: &str) -> Result<BodyLine, Request
 pub enum ParseProgress {
     /// The request is incomplete; feed more bytes (or signal EOF).
     More,
-    /// The verb line named `STATS` or `PING` — no body follows.
+    /// The verb line named `STATS` or `PING` — no body follows. (A
+    /// `SOLVE` or `GOSSIP` verb rolls on into its body and never
+    /// surfaces bare.)
     Verb(Verb),
     /// A complete `SOLVE` request.
     Request(Box<SolveRequest>),
@@ -636,8 +568,8 @@ pub enum ParseProgress {
 }
 
 /// Ceiling on bytes buffered for one request. The body cap is enforced
-/// line by line as in the blocking path; this outer bound additionally
-/// stops a client that streams forever without ever sending a newline.
+/// line by line; this outer bound additionally stops a client that
+/// streams forever without ever sending a newline.
 const MAX_REQUEST_BYTES: usize = MAX_PROBLEM_BYTES + (64 << 10);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -649,15 +581,15 @@ enum ParseState {
     Done,
 }
 
-/// An incremental request parser over a growable buffer — the
-/// non-blocking twin of [`parse_verb`] + [`SolveRequest::parse_body`].
+/// The request parser: an incremental state machine over a growable
+/// buffer, and the only parser of the request grammar.
 ///
-/// The reactor owns one per connection and feeds it whatever bytes the
-/// socket yields; the parser consumes complete lines as they form and
-/// drives the same line-level state machine as the blocking reader
-/// (verb → headers → bracketed body), via the same shared helpers, so
-/// the two front ends accept exactly the same requests and reject with
-/// exactly the same errors.
+/// Every connection owns one, whichever front end drives it, and feeds
+/// it whatever bytes the socket yields; the parser consumes complete
+/// lines as they form and walks verb → headers → bracketed body (or
+/// the gossip member table). The result does not depend on how the
+/// bytes were split across feeds, so a trickled request parses exactly
+/// like one sent in a single write.
 #[derive(Debug)]
 pub struct IncrementalParser {
     buf: Vec<u8>,
@@ -690,11 +622,12 @@ impl IncrementalParser {
         }
     }
 
-    /// Whether the verb line has been parsed yet. The server uses this
-    /// to attribute a timeout: before the verb it is an anonymous bad
-    /// connection, after it a stalled request.
-    pub fn verb_seen(&self) -> bool {
-        self.verb.is_some()
+    /// The request's verb, once the verb line has been parsed. The
+    /// server uses this to attribute a timeout (before the verb it is
+    /// an anonymous bad connection, after it a stalled request) and to
+    /// hand a `SOLVE` to a worker straight after its verb line.
+    pub fn verb(&self) -> Option<Verb> {
+        self.verb
     }
 
     /// Bytes currently buffered (diagnostics / tests).
@@ -715,9 +648,8 @@ impl IncrementalParser {
     }
 
     /// Signals end-of-stream. Any buffered partial line is treated as
-    /// a final unterminated line — exactly what `read_line` yields at
-    /// EOF — and an incomplete request becomes the same error the
-    /// blocking path reports.
+    /// a final unterminated line, and an incomplete request becomes an
+    /// error naming the bracket it never reached.
     pub fn eof(&mut self) -> Result<ParseProgress, RequestError> {
         match self.advance(true)? {
             ParseProgress::More => Err(match self.state {
@@ -756,8 +688,6 @@ impl IncrementalParser {
                 }
             };
             let line = std::str::from_utf8(&self.buf[start..end]).map_err(|_| {
-                // The message the blocking path produces when
-                // `read_line` hits invalid UTF-8.
                 RequestError::Malformed("io: stream did not contain valid UTF-8".to_string())
             })?;
             match self.state {
@@ -1090,25 +1020,98 @@ pub fn error_sections(err: &RasenganError) -> Vec<(&'static str, Json)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    #[test]
-    fn request_render_parse_round_trip() {
-        let request = SolveRequest::new("vars 2\nconstraint 1 : 1 1\n")
+    /// Feeds `text` in one piece, then signals EOF if the parser still
+    /// wants more.
+    fn one_shot(text: &[u8]) -> Result<ParseProgress, RequestError> {
+        let mut parser = IncrementalParser::new();
+        match parser.feed(text)? {
+            ParseProgress::More => parser.eof(),
+            progress => Ok(progress),
+        }
+    }
+
+    /// Feeds `text` one byte at a time (worst-case fragmentation) and
+    /// returns the first non-`More` progress, or the EOF verdict.
+    fn drip(text: &[u8]) -> Result<ParseProgress, RequestError> {
+        let mut parser = IncrementalParser::new();
+        for byte in text {
+            match parser.feed(std::slice::from_ref(byte))? {
+                ParseProgress::More => {}
+                progress => return Ok(progress),
+            }
+        }
+        parser.eof()
+    }
+
+    /// Parses a full request (verb line included) both one-shot and one
+    /// byte at a time, and checks the two agree.
+    fn parse(text: impl AsRef<[u8]>) -> Result<ParseProgress, RequestError> {
+        let text = text.as_ref();
+        let whole = one_shot(text);
+        assert_eq!(whole, drip(text), "{:?}", String::from_utf8_lossy(text));
+        whole
+    }
+
+    /// [`parse`] for a `SOLVE` request that must succeed.
+    fn parse_solve(text: impl AsRef<[u8]>) -> SolveRequest {
+        match parse(text).unwrap() {
+            ParseProgress::Request(request) => *request,
+            other => panic!("unexpected progress {other:?}"),
+        }
+    }
+
+    /// [`parse`] for a request that must fail.
+    fn parse_err(text: impl AsRef<[u8]>) -> RequestError {
+        parse(text).unwrap_err()
+    }
+
+    fn every_header() -> SolveRequest {
+        SolveRequest::new("vars 2\nconstraint 1 : 1 1\n")
             .with_seed(7)
             .with_shots(256)
             .with_iterations(40)
             .with_retries(2)
             .with_degrade()
             .with_trace()
+            .with_via("node-a")
             .with_deadline_ms(5000)
-            .with_format(Format::Qubo);
+            .with_format(Format::Qubo)
+    }
+
+    fn three_member_gossip() -> GossipMessage {
+        GossipMessage {
+            from_id: "n0".to_string(),
+            from_addr: "127.0.0.1:4100".to_string(),
+            members: vec![
+                GossipMember {
+                    id: "n0".to_string(),
+                    addr: "127.0.0.1:4100".to_string(),
+                    state: GossipState::Alive,
+                },
+                GossipMember {
+                    id: "n1".to_string(),
+                    addr: "127.0.0.1:4101".to_string(),
+                    state: GossipState::Suspect,
+                },
+                GossipMember {
+                    id: "n2".to_string(),
+                    addr: "127.0.0.1:4102".to_string(),
+                    state: GossipState::Dead,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn request_render_parse_round_trip() {
+        let request = every_header();
         let text = request.render();
-        let mut lines = text.lines();
-        assert_eq!(parse_verb(lines.next().unwrap()).unwrap(), Verb::Solve);
-        let rest = text.split_once('\n').unwrap().1;
-        let parsed = SolveRequest::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-        assert_eq!(parsed, request);
+        assert_eq!(
+            parse_verb(text.lines().next().unwrap()).unwrap(),
+            Verb::Solve
+        );
+        assert_eq!(parse_solve(&text), request);
     }
 
     #[test]
@@ -1131,29 +1134,56 @@ mod tests {
     fn bad_requests_are_rejected() {
         assert!(parse_verb("HTTP/1.1 GET").is_err());
         assert!(parse_verb("RASENGAN/1 DANCE").is_err());
-        let mut truncated = BufReader::new("seed 3\n".as_bytes());
-        assert!(SolveRequest::parse_body(&mut truncated).is_err());
-        let mut unknown = BufReader::new("volume 11\nBEGIN PROBLEM\nEND PROBLEM\n".as_bytes());
-        assert!(SolveRequest::parse_body(&mut unknown).is_err());
+        assert!(parse("HTTP/1.1 GET /\r\n").is_err());
+        assert_eq!(parse_err("").message(), "empty request");
+        parse_err("RASENGAN/1 SOLVE\nseed 3\n");
+        let err = parse_err("RASENGAN/1 SOLVE\nvolume 11\nBEGIN PROBLEM\nEND PROBLEM\n");
+        assert_eq!(err.message(), "unknown header `volume`");
+    }
+
+    #[test]
+    fn verb_line_edge_cases() {
+        // The parser trusts `parse_verb` with the first line;
+        // exercise the shapes a real socket produces: CRLF line
+        // endings, leading/trailing whitespace, extra tokens.
+        assert_eq!(parse_verb("RASENGAN/1 PING\r\n").unwrap(), Verb::Ping);
+        assert_eq!(parse_verb("  RASENGAN/1   STATS  ").unwrap(), Verb::Stats);
+        assert_eq!(parse_verb("RASENGAN/1 SOLVE extra").unwrap(), Verb::Solve);
+        assert!(parse_verb("").is_err());
+        assert!(parse_verb("\n").is_err());
+        assert!(parse_verb("RASENGAN/2 SOLVE").is_err());
+        assert!(parse_verb("RASENGAN/1").is_err());
+        assert!(parse_verb("rasengan/1 solve").is_err());
+    }
+
+    #[test]
+    fn bare_verbs_parse_with_or_without_a_newline() {
+        assert_eq!(
+            parse("RASENGAN/1 PING\n").unwrap(),
+            ParseProgress::Verb(Verb::Ping)
+        );
+        // A verb line terminated by EOF instead of a newline still
+        // parses as the final line.
+        assert_eq!(
+            parse("RASENGAN/1 STATS").unwrap(),
+            ParseProgress::Verb(Verb::Stats)
+        );
     }
 
     #[test]
     fn truncated_header_line_is_an_error_not_a_panic() {
         // EOF mid-header (no trailing newline, no BEGIN PROBLEM).
-        let mut eof_mid_header = BufReader::new("shots 25".as_bytes());
-        let err = SolveRequest::parse_body(&mut eof_mid_header).unwrap_err();
+        let err = parse_err("RASENGAN/1 SOLVE\nshots 25");
         assert!(
             err.message().contains("BEGIN PROBLEM"),
             "unexpected error: {err}"
         );
         assert_eq!(err.kind(), "bad-request");
         // A header with a garbage value is rejected with the key named.
-        let mut garbage = BufReader::new("shots lots\nBEGIN PROBLEM\nEND PROBLEM\n".as_bytes());
-        let err = SolveRequest::parse_body(&mut garbage).unwrap_err();
+        let err = parse_err("RASENGAN/1 SOLVE\nshots lots\nBEGIN PROBLEM\nEND PROBLEM\n");
         assert!(err.message().contains("shots"), "unexpected error: {err}");
         // EOF inside the body (END PROBLEM never arrives).
-        let mut eof_in_body = BufReader::new("BEGIN PROBLEM\nvars 2\n".as_bytes());
-        let err = SolveRequest::parse_body(&mut eof_in_body).unwrap_err();
+        let err = parse_err("RASENGAN/1 SOLVE\nBEGIN PROBLEM\nvars 2\n");
         assert!(
             err.message().contains("END PROBLEM"),
             "unexpected error: {err}"
@@ -1162,185 +1192,49 @@ mod tests {
 
     #[test]
     fn non_utf8_body_is_an_error_not_a_panic() {
-        let mut bytes = b"seed 1\nBEGIN PROBLEM\n".to_vec();
+        let mut bytes = b"RASENGAN/1 SOLVE\nseed 1\nBEGIN PROBLEM\n".to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe, 0xfd, b'\n']);
         bytes.extend_from_slice(b"END PROBLEM\n");
-        let mut reader = BufReader::new(bytes.as_slice());
-        assert!(SolveRequest::parse_body(&mut reader).is_err());
-    }
-
-    #[test]
-    fn oversized_fields_are_rejected() {
-        // A length-like field too large for u64 fails cleanly…
-        let text = "shots 99999999999999999999999999\nBEGIN PROBLEM\nEND PROBLEM\n";
-        let mut reader = BufReader::new(text.as_bytes());
-        assert!(SolveRequest::parse_body(&mut reader).is_err());
-        // …and one that parses but exceeds the protocol cap is also
-        // rejected, with the limit named.
-        let text = "iterations 999999999\nBEGIN PROBLEM\nEND PROBLEM\n";
-        let mut reader = BufReader::new(text.as_bytes());
-        let err = SolveRequest::parse_body(&mut reader).unwrap_err();
-        assert!(err.message().contains("limit"), "unexpected error: {err}");
-        // An oversized problem body is cut off at MAX_PROBLEM_BYTES.
-        let mut text = String::from("BEGIN PROBLEM\n");
-        for _ in 0..=MAX_PROBLEM_BYTES / 16 {
-            text.push_str("vars 2 vars 2 vs\n");
-        }
-        text.push_str("END PROBLEM\n");
-        let mut reader = BufReader::new(text.as_bytes());
-        let err = SolveRequest::parse_body(&mut reader).unwrap_err();
-        assert!(err.message().contains("exceeds"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn trace_flag_round_trips_and_reaches_config() {
-        let request = SolveRequest::new("vars 1\n").with_trace();
-        assert!(request.render().lines().any(|l| l == "trace"));
-        let rest = request.render();
-        let rest = rest.split_once('\n').unwrap().1;
-        let parsed = SolveRequest::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-        assert!(parsed.trace);
-        assert!(parsed.config().trace);
-        // Absent the flag, the rendered request is unchanged from the
-        // pre-trace protocol and the config keeps tracing off.
-        let plain = SolveRequest::new("vars 1\n");
-        assert!(!plain.render().contains("trace"));
-        assert!(!plain.config().trace);
-    }
-
-    #[test]
-    fn removed_batch_header_is_an_unknown_header() {
-        // `batch` once pinned a trajectory lane width that no solve path
-        // read; it is gone from the protocol, and both parsers reject it
-        // like any other unknown header.
-        let body = "batch 4\nBEGIN PROBLEM\nvars 1\nEND PROBLEM\n";
-        let err = SolveRequest::parse_body(&mut BufReader::new(body.as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), "bad-request");
-        assert_eq!(err.message(), "unknown header `batch`");
-        let err = drip(&format!("RASENGAN/1 SOLVE\n{body}")).unwrap_err();
-        assert_eq!(err.kind(), "bad-request");
-        assert_eq!(err.message(), "unknown header `batch`");
-    }
-
-    #[test]
-    fn format_header_round_trips_for_every_format() {
-        for format in Format::all() {
-            let request = SolveRequest::new("p qubo 0 1 1 0\n0 0 -1\n").with_format(format);
-            let rest = request.render();
-            let rest = rest.split_once('\n').unwrap().1;
-            let parsed = SolveRequest::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-            assert_eq!(parsed.format, format, "{format}");
-        }
-        // Absent the header, the rendered request matches the
-        // pre-format protocol and parses as native.
-        let plain = SolveRequest::new("vars 1\n");
-        assert!(!plain.render().contains("format"));
-        assert_eq!(plain.format, Format::Native);
-        // An unknown format is a protocol error naming the options.
-        let text = "format dimacs\nBEGIN PROBLEM\nEND PROBLEM\n";
-        let err = SolveRequest::parse_body(&mut BufReader::new(text.as_bytes())).unwrap_err();
-        assert!(err.message().contains("dimacs"), "unexpected: {err}");
-        assert!(err.message().contains("qubo-recover"), "unexpected: {err}");
-    }
-
-    #[test]
-    fn expired_read_deadline_maps_to_structured_timeout() {
-        // A reader whose underlying socket deadline fired: every read
-        // fails with WouldBlock (Unix) or TimedOut (elsewhere).
-        struct Stalled(std::io::ErrorKind);
-        impl std::io::Read for Stalled {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::from(self.0))
-            }
-        }
-        impl BufRead for Stalled {
-            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-                Err(std::io::Error::from(self.0))
-            }
-            fn consume(&mut self, _: usize) {}
-        }
-        for kind in [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut] {
-            let err = SolveRequest::parse_body(&mut Stalled(kind)).unwrap_err();
-            assert_eq!(err.kind(), "timeout", "{kind:?}");
-            assert!(matches!(err, RequestError::Timeout(_)));
-        }
-        // Any other IO failure is still a bad request, not a timeout.
-        let err = SolveRequest::parse_body(&mut Stalled(std::io::ErrorKind::ConnectionReset))
-            .unwrap_err();
-        assert_eq!(err.kind(), "bad-request");
-    }
-
-    /// Feeds `text` to an incremental parser one byte at a time and
-    /// returns the first non-`More` progress.
-    fn drip(text: &str) -> Result<ParseProgress, RequestError> {
-        let mut parser = IncrementalParser::new();
-        for byte in text.as_bytes() {
-            match parser.feed(std::slice::from_ref(byte))? {
-                ParseProgress::More => {}
-                progress => return Ok(progress),
-            }
-        }
-        parser.eof()
-    }
-
-    #[test]
-    fn incremental_parser_matches_blocking_parse_byte_for_byte() {
-        let request = SolveRequest::new("vars 2\nconstraint 1 : 1 1\n")
-            .with_seed(7)
-            .with_shots(256)
-            .with_iterations(40)
-            .with_retries(2)
-            .with_degrade()
-            .with_trace()
-            .with_deadline_ms(5000)
-            .with_format(Format::Qubo);
-        let text = request.render();
-        // One-byte-at-a-time (worst-case fragmentation) and one-shot
-        // feeds both reproduce what the blocking reader parses.
-        match drip(&text).unwrap() {
-            ParseProgress::Request(parsed) => assert_eq!(*parsed, request),
-            other => panic!("unexpected progress {other:?}"),
-        }
-        let mut parser = IncrementalParser::new();
-        match parser.feed(text.as_bytes()).unwrap() {
-            ParseProgress::Request(parsed) => assert_eq!(*parsed, request),
-            other => panic!("unexpected progress {other:?}"),
-        }
-    }
-
-    #[test]
-    fn incremental_parser_handles_bare_verbs_and_errors() {
-        assert_eq!(
-            drip("RASENGAN/1 PING\n").unwrap(),
-            ParseProgress::Verb(Verb::Ping)
-        );
-        // A verb line terminated by EOF instead of a newline still
-        // parses — `read_line` yields the same final partial line.
-        assert_eq!(
-            drip("RASENGAN/1 STATS").unwrap(),
-            ParseProgress::Verb(Verb::Stats)
-        );
-        assert!(drip("HTTP/1.1 GET /\r\n").is_err());
-        assert_eq!(drip("").unwrap_err().message(), "empty request");
-        // Truncation errors match the blocking reader's wording.
-        let err = drip("RASENGAN/1 SOLVE\nseed 3\n").unwrap_err();
-        assert!(err.message().contains("BEGIN PROBLEM"), "{err}");
-        let err = drip("RASENGAN/1 SOLVE\nBEGIN PROBLEM\nvars 2\n").unwrap_err();
-        assert!(err.message().contains("END PROBLEM"), "{err}");
-        // Unknown headers and invalid UTF-8 are rejected mid-stream.
-        let err = drip("RASENGAN/1 SOLVE\nvolume 11\n").unwrap_err();
-        assert!(err.message().contains("volume"), "{err}");
+        let err = parse_err(&bytes);
+        assert_eq!(err.message(), "io: stream did not contain valid UTF-8");
+        // Rejected mid-stream, without waiting for the rest.
         let mut parser = IncrementalParser::new();
         parser.feed(b"RASENGAN/1 SOLVE\nBEGIN PROBLEM\n").unwrap();
         assert!(parser.feed(&[0xff, 0xfe, b'\n']).is_err());
     }
 
     #[test]
+    fn oversized_fields_are_rejected() {
+        // A length-like field too large for u64 fails cleanly…
+        parse_err(
+            "RASENGAN/1 SOLVE\nshots 99999999999999999999999999\nBEGIN PROBLEM\nEND PROBLEM\n",
+        );
+        // …and one that parses but exceeds the protocol cap is also
+        // rejected, with the limit named.
+        let err = parse_err("RASENGAN/1 SOLVE\niterations 999999999\nBEGIN PROBLEM\nEND PROBLEM\n");
+        assert!(err.message().contains("limit"), "unexpected error: {err}");
+        // An oversized problem body is cut off: fed line by line it hits
+        // MAX_PROBLEM_BYTES, fed in one piece the outer request cap.
+        let mut text = String::from("RASENGAN/1 SOLVE\nBEGIN PROBLEM\n");
+        for _ in 0..=MAX_PROBLEM_BYTES / 16 {
+            text.push_str("vars 2 vars 2 vs\n");
+        }
+        text.push_str("END PROBLEM\n");
+        let err = drip(text.as_bytes()).unwrap_err();
+        assert!(
+            err.message().contains("problem body exceeds"),
+            "unexpected error: {err}"
+        );
+        let err = one_shot(text.as_bytes()).unwrap_err();
+        assert!(err.message().contains("exceeds"), "unexpected error: {err}");
+    }
+
+    #[test]
     fn incremental_parser_tracks_verb_and_bounds_buffering() {
         let mut parser = IncrementalParser::new();
-        assert!(!parser.verb_seen());
+        assert_eq!(parser.verb(), None);
         parser.feed(b"RASENGAN/1 SOLVE\n").unwrap();
-        assert!(parser.verb_seen());
+        assert_eq!(parser.verb(), Some(Verb::Solve));
         // A stream with no newline at all cannot buffer unboundedly.
         let mut hog = IncrementalParser::new();
         let chunk = vec![b'a'; 1 << 16];
@@ -1352,8 +1246,8 @@ mod tests {
             }
         }
         assert!(result.unwrap_err().message().contains("exceeds"));
-        // An oversized body hits the same MAX_PROBLEM_BYTES cap as the
-        // blocking path, even when the headers were tiny.
+        // An oversized body hits MAX_PROBLEM_BYTES even when the headers
+        // were tiny and every line is short.
         let mut body = IncrementalParser::new();
         body.feed(b"RASENGAN/1 SOLVE\nBEGIN PROBLEM\n").unwrap();
         let line = vec![b'v'; 4095]
@@ -1371,56 +1265,72 @@ mod tests {
     }
 
     #[test]
+    fn trace_flag_round_trips_and_reaches_config() {
+        let request = SolveRequest::new("vars 1\n").with_trace();
+        assert!(request.render().lines().any(|l| l == "trace"));
+        let parsed = parse_solve(request.render());
+        assert!(parsed.trace);
+        assert!(parsed.config().trace);
+        // Absent the flag, the rendered request is unchanged from the
+        // pre-trace protocol and the config keeps tracing off.
+        let plain = SolveRequest::new("vars 1\n");
+        assert!(!plain.render().contains("trace"));
+        assert!(!plain.config().trace);
+    }
+
+    #[test]
+    fn removed_batch_header_is_an_unknown_header() {
+        // `batch` once pinned a trajectory lane width that no solve path
+        // read; it is gone from the protocol, and the parser rejects it
+        // like any other unknown header.
+        let err = parse_err("RASENGAN/1 SOLVE\nbatch 4\nBEGIN PROBLEM\nvars 1\nEND PROBLEM\n");
+        assert_eq!(err.kind(), "bad-request");
+        assert_eq!(err.message(), "unknown header `batch`");
+    }
+
+    #[test]
+    fn format_header_round_trips_for_every_format() {
+        for format in Format::all() {
+            let request = SolveRequest::new("p qubo 0 1 1 0\n0 0 -1\n").with_format(format);
+            assert_eq!(parse_solve(request.render()).format, format, "{format}");
+        }
+        // Absent the header, the rendered request matches the
+        // pre-format protocol and parses as native.
+        let plain = SolveRequest::new("vars 1\n");
+        assert!(!plain.render().contains("format"));
+        assert_eq!(parse_solve(plain.render()).format, Format::Native);
+        // An unknown format is a protocol error naming the options.
+        let err = parse_err("RASENGAN/1 SOLVE\nformat dimacs\nBEGIN PROBLEM\nEND PROBLEM\n");
+        assert!(err.message().contains("dimacs"), "unexpected: {err}");
+        assert!(err.message().contains("qubo-recover"), "unexpected: {err}");
+    }
+
+    #[test]
     fn via_header_round_trips_and_is_single_token() {
         let request = SolveRequest::new("vars 1\n").with_via("node-a");
         assert!(request.render().lines().any(|l| l == "via node-a"));
-        let rest = request.render();
-        let rest = rest.split_once('\n').unwrap().1;
-        let parsed = SolveRequest::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-        assert_eq!(parsed.via.as_deref(), Some("node-a"));
+        assert_eq!(parse_solve(request.render()).via.as_deref(), Some("node-a"));
         // Absent the header, the rendered request is unchanged from the
         // pre-fabric protocol.
         let plain = SolveRequest::new("vars 1\n");
         assert!(!plain.render().contains("via"));
         // A multi-token or empty via is a protocol error.
         for bad in ["via two words\n", "via\n"] {
-            let text = format!("{bad}BEGIN PROBLEM\nEND PROBLEM\n");
-            let mut reader = BufReader::new(text.as_bytes());
-            assert!(SolveRequest::parse_body(&mut reader).is_err(), "{bad}");
+            parse_err(format!(
+                "RASENGAN/1 SOLVE\n{bad}BEGIN PROBLEM\nEND PROBLEM\n"
+            ));
         }
     }
 
     #[test]
-    fn gossip_round_trips_blocking_and_incremental() {
-        let message = GossipMessage {
-            from_id: "n0".to_string(),
-            from_addr: "127.0.0.1:4100".to_string(),
-            members: vec![
-                GossipMember {
-                    id: "n0".to_string(),
-                    addr: "127.0.0.1:4100".to_string(),
-                    state: GossipState::Alive,
-                },
-                GossipMember {
-                    id: "n1".to_string(),
-                    addr: "127.0.0.1:4101".to_string(),
-                    state: GossipState::Suspect,
-                },
-                GossipMember {
-                    id: "n2".to_string(),
-                    addr: "127.0.0.1:4102".to_string(),
-                    state: GossipState::Dead,
-                },
-            ],
-        };
+    fn gossip_round_trips() {
+        let message = three_member_gossip();
         let text = message.render();
-        let mut lines = text.lines();
-        assert_eq!(parse_verb(lines.next().unwrap()).unwrap(), Verb::Gossip);
-        let rest = text.split_once('\n').unwrap().1;
-        let parsed = GossipMessage::parse_body(&mut BufReader::new(rest.as_bytes())).unwrap();
-        assert_eq!(parsed, message);
-        // The incremental parser yields the same message byte-for-byte.
-        match drip(&text).unwrap() {
+        assert_eq!(
+            parse_verb(text.lines().next().unwrap()).unwrap(),
+            Verb::Gossip
+        );
+        match parse(&text).unwrap() {
             ParseProgress::Gossip(parsed) => assert_eq!(*parsed, message),
             other => panic!("unexpected progress {other:?}"),
         }
@@ -1429,22 +1339,54 @@ mod tests {
     #[test]
     fn malformed_gossip_is_rejected() {
         // Missing `from` line.
-        let mut reader = BufReader::new("member a b alive\nEND GOSSIP\n".as_bytes());
-        let err = GossipMessage::parse_body(&mut reader).unwrap_err();
+        let err = parse_err("RASENGAN/1 GOSSIP\nmember a b alive\nEND GOSSIP\n");
         assert!(err.message().contains("from"), "{err}");
         // Unknown state token.
-        let mut reader = BufReader::new("from a b\nmember a b zombie\nEND GOSSIP\n".as_bytes());
-        assert!(GossipMessage::parse_body(&mut reader).is_err());
-        // Truncated stream (both paths agree on the wording).
-        let mut reader = BufReader::new("from a b\n".as_bytes());
-        let err = GossipMessage::parse_body(&mut reader).unwrap_err();
-        assert!(err.message().contains("END GOSSIP"), "{err}");
-        let err = drip("RASENGAN/1 GOSSIP\nfrom a b\n").unwrap_err();
+        parse_err("RASENGAN/1 GOSSIP\nfrom a b\nmember a b zombie\nEND GOSSIP\n");
+        // Truncated stream.
+        let err = parse_err("RASENGAN/1 GOSSIP\nfrom a b\n");
         assert!(err.message().contains("END GOSSIP"), "{err}");
         // A junk line is named in the error.
-        let mut reader = BufReader::new("from a b\npeers everywhere\n".as_bytes());
-        let err = GossipMessage::parse_body(&mut reader).unwrap_err();
+        let err = parse_err("RASENGAN/1 GOSSIP\nfrom a b\npeers everywhere\n");
         assert!(err.message().contains("peers"), "{err}");
+    }
+
+    #[test]
+    fn any_split_point_parses_like_one_shot() {
+        let mut invalid_utf8 = b"RASENGAN/1 SOLVE\nBEGIN PROBLEM\n".to_vec();
+        invalid_utf8.extend_from_slice(&[0xff, 0xfe, b'\n']);
+        invalid_utf8.extend_from_slice(b"END PROBLEM\n");
+        let cases: Vec<Vec<u8>> = vec![
+            every_header().render().into_bytes(),
+            three_member_gossip().render().into_bytes(),
+            b"RASENGAN/1 PING\n".to_vec(),
+            b"RASENGAN/1 PING".to_vec(),
+            b"RASENGAN/1 STATS\n".to_vec(),
+            b"RASENGAN/1 STATS".to_vec(),
+            b"RASENGAN/1 SOLVE\nvolume 11\nBEGIN PROBLEM\nEND PROBLEM\n".to_vec(),
+            invalid_utf8,
+            b"RASENGAN/1 SOLVE\nseed 3\nBEGIN PROBLEM\nvars 2\n".to_vec(),
+            b"RASENGAN/1 GOSSIP\nfrom a b\nmember a b alive\n".to_vec(),
+        ];
+        for text in &cases {
+            let expected = one_shot(text);
+            for k in 0..=text.len() {
+                let mut parser = IncrementalParser::new();
+                let split = parser.feed(&text[..k]).and_then(|progress| match progress {
+                    ParseProgress::More => match parser.feed(&text[k..])? {
+                        ParseProgress::More => parser.eof(),
+                        progress => Ok(progress),
+                    },
+                    progress => Ok(progress),
+                });
+                assert_eq!(
+                    split,
+                    expected,
+                    "split at {k} of {:?}",
+                    String::from_utf8_lossy(text)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The epoll reactor: the event-driven replacement for the blocking
-//! accept thread.
+//! The epoll reactor: the event-driven driver of the connection state
+//! machine ([`crate::conn`]).
 //!
 //! One thread owns every socket. The listener, a wakeup eventfd, and
 //! each connection are registered with a single epoll instance
 //! ([`crate::sys`]); the loop waits, dispatches readiness to the
-//! per-connection state machines ([`crate::conn`]), and never blocks
-//! on any individual socket. Parsed `SOLVE` requests go to the same
-//! worker pool as the threaded front end over the shared
-//! `BoundedQueue`; workers compute a [`Reply`] and hand it back
+//! per-connection state machines, and never blocks on any individual
+//! socket. Parsed `SOLVE` requests go to the worker pool over the
+//! shared `BoundedQueue`; workers compute a [`Reply`] and hand it back
 //! through [`ReactorLink::complete`], which is a vec push plus an
 //! eventfd write — solver threads never touch a socket.
 //!
@@ -21,10 +20,8 @@
 //! connection's own deadline decides whether to time out or to re-arm
 //! at the refreshed deadline — so progress never has to delete a wheel
 //! entry, and stale entries for closed connections simply miss the
-//! connection table. Timeout attribution matches the threaded front
-//! end: a stall after the verb line is a `timeouts` increment plus a
-//! structured `timeout` error reply; a connection that never produced
-//! a verb counts as a bad request, like a failed verb-line read.
+//! connection table. What a fired deadline means — a `timeout` reply,
+//! or a silent close — is the shared rule [`Conn::expire`].
 //!
 //! # Shutdown
 //!
@@ -44,10 +41,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::conn::{Conn, Phase, ReadOutcome, WriteOutcome};
-use crate::json::Json;
-use crate::protocol::{ParseProgress, Reply, ReplyStatus, RequestError, SolveRequest, Verb};
-use crate::server::{bad_request_reply, busy_reply, request_error_reply, ParsedJob, Shared, Work};
+use crate::conn::{resolve, Conn, Phase, ReadOutcome, Step, WriteOutcome};
+use crate::protocol::{Reply, SolveRequest};
+use crate::server::{Shared, Wake, Work};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Timer wheel granularity. Deadlines fire at most one tick late.
@@ -62,27 +58,15 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 /// The workers' channel back into the reactor: completed replies plus
 /// the eventfd that interrupts `epoll_wait`.
-pub(crate) struct ReactorLink {
+struct ReactorLink {
     completions: Mutex<Vec<(u64, Reply)>>,
     wake: EventFd,
 }
 
 impl ReactorLink {
-    pub(crate) fn new() -> std::io::Result<ReactorLink> {
-        Ok(ReactorLink {
-            completions: Mutex::new(Vec::new()),
-            wake: EventFd::new()?,
-        })
-    }
-
     /// Queues a finished reply for `token` and wakes the reactor.
-    pub(crate) fn complete(&self, token: u64, reply: Reply) {
+    fn complete(&self, token: u64, reply: Reply) {
         self.completions.lock().unwrap().push((token, reply));
-        self.wake.wake();
-    }
-
-    /// Wakes the reactor without a completion (shutdown signal).
-    pub(crate) fn notify(&self) {
         self.wake.wake();
     }
 
@@ -154,13 +138,18 @@ impl TimerWheel {
 }
 
 /// Creates the epoll instance, registers the listener and wakeup fd,
-/// and spawns the reactor thread. Fails only on resource exhaustion
-/// (fd limits), surfaced from [`crate::server::serve`] at startup.
+/// and spawns the reactor thread; the returned [`Wake`] (an eventfd
+/// write) interrupts it for shutdown. Fails only on resource
+/// exhaustion (fd limits), surfaced from [`crate::server::serve`] at
+/// startup.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
-    link: Arc<ReactorLink>,
-) -> std::io::Result<JoinHandle<()>> {
+) -> std::io::Result<(JoinHandle<()>, Wake)> {
+    let link = Arc::new(ReactorLink {
+        completions: Mutex::new(Vec::new()),
+        wake: EventFd::new()?,
+    });
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;
     epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
@@ -169,16 +158,17 @@ pub(crate) fn spawn(
         epoll,
         listener,
         shared,
-        link,
+        link: Arc::clone(&link),
         conns: HashMap::new(),
         wheel: TimerWheel::new(),
         next_token: FIRST_CONN_TOKEN,
         start: Instant::now(),
         accepting: true,
     };
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("rasengan-serve-reactor".to_string())
-        .spawn(move || reactor.run())
+        .spawn(move || reactor.run())?;
+    Ok((thread, Box::new(move || link.wake.wake())))
 }
 
 struct Reactor {
@@ -258,7 +248,7 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    crate::server::apply_send_buffer(&self.shared.config, &stream);
+                    crate::sys::apply_send_buffer(&stream, self.shared.config.send_buffer_bytes);
                     self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                     let token = self.next_token;
                     self.next_token += 1;
@@ -318,7 +308,7 @@ impl Reactor {
     fn drive_read(&mut self, token: u64, scratch: &mut [u8]) {
         let fresh = self.fresh_deadline();
         let outcome = match self.conns.get_mut(&token) {
-            Some(conn) => conn.handle_readable(scratch),
+            Some(conn) => conn.handle_readable(scratch, false),
             None => return,
         };
         match outcome {
@@ -329,70 +319,33 @@ impl Reactor {
                     }
                 }
             }
-            ReadOutcome::Parsed(progress) => self.request_ready(token, progress),
-            ReadOutcome::Invalid(err) => {
-                let counter = match err {
-                    RequestError::Timeout(_) => &self.shared.timeouts,
-                    RequestError::Malformed(_) => &self.shared.bad_requests,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                self.start_write(token, &request_error_reply(&err));
-            }
-            // Transport failure mid-request: the threaded front end
-            // counts a failed read as a bad request; match it.
-            ReadOutcome::Peer => {
-                self.shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                self.close(token);
+            outcome => {
+                let step = resolve(&self.shared, outcome);
+                self.apply(token, step);
             }
         }
     }
 
-    fn request_ready(&mut self, token: u64, progress: ParseProgress) {
-        match progress {
-            ParseProgress::More => {}
-            ParseProgress::Verb(Verb::Ping) => {
-                let reply = Reply::new(ReplyStatus::Ok, vec![("pong", Json::obj(vec![]))]);
-                self.start_write(token, &reply);
-            }
-            ParseProgress::Verb(Verb::Stats) => {
-                let reply = Reply::new(ReplyStatus::Ok, vec![("stats", self.shared.stats_json())]);
-                self.start_write(token, &reply);
-            }
-            // `SOLVE`/`GOSSIP` never surface as bare verbs — the
-            // parser rolls on into their bodies — but the arms must
-            // exist; treat them as requests that ended early, like the
-            // blocking reader would.
-            ParseProgress::Verb(Verb::Solve) => {
-                self.shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                self.start_write(
-                    token,
-                    &bad_request_reply("request ended before BEGIN PROBLEM"),
-                );
-            }
-            ParseProgress::Verb(Verb::Gossip) => {
-                self.shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                self.start_write(token, &bad_request_reply("gossip ended before END GOSSIP"));
-            }
-            // Membership exchanges are answered inline like STATS, so
-            // a node whose solve queue is saturated still heartbeats.
-            ParseProgress::Gossip(message) => {
-                let reply = crate::server::gossip_reply(&self.shared, &message);
-                self.start_write(token, &reply);
-            }
-            ParseProgress::Request(request) => self.submit(token, request),
+    /// Carries out the request rules' verdict for a connection.
+    fn apply(&mut self, token: u64, step: Step) {
+        match step {
+            Step::Wait => {}
+            Step::Reply(reply) => self.start_write(token, &reply),
+            Step::Solve(request) => self.submit(token, request),
+            Step::Close => self.close(token),
         }
     }
 
-    /// Hands a parsed request to the worker pool, or sheds it with the
-    /// same structured `BUSY` reply the threaded front end sends.
+    /// Hands a parsed request to the worker pool, or sheds it.
     fn submit(&mut self, token: u64, request: Box<SolveRequest>) {
-        let work = Work::Parsed(ParsedJob {
-            token,
+        let link = Arc::clone(&self.link);
+        let work = Work::Parsed {
             request,
+            reply_to: Box::new(move |reply| link.complete(token, reply)),
             enqueued: Instant::now(),
-        });
-        match self.shared.queue.try_push(work) {
-            Ok(()) => {
+        };
+        match self.shared.admit(work) {
+            None => {
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
@@ -404,10 +357,7 @@ impl Reactor {
                 let _ = self.epoll.del(conn.stream.as_raw_fd());
                 conn.interest = None;
             }
-            Err(_) => {
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.start_write(token, &busy_reply(&self.shared));
-            }
+            Some((_, busy)) => self.start_write(token, &busy),
         }
     }
 
@@ -474,41 +424,19 @@ impl Reactor {
     /// Enforces a fired deadline, or re-arms if the connection made
     /// progress since the entry was inserted.
     fn timer_fired(&mut self, token: u64, now_ms: u64) {
-        let (phase, verb_seen, deadline_ms) = {
-            let Some(conn) = self.conns.get(&token) else {
-                return;
-            };
-            let Some(deadline) = conn.deadline else {
-                return;
-            };
-            (conn.phase(), conn.verb_seen(), self.ms(deadline))
+        let Some(conn) = self.conns.get(&token) else {
+            return;
         };
+        let Some(deadline) = conn.deadline else {
+            return;
+        };
+        let deadline_ms = self.ms(deadline);
         if deadline_ms > now_ms {
             self.wheel.arm(token, deadline_ms);
             return;
         }
-        match phase {
-            Phase::Reading if verb_seen => {
-                // Same attribution and bytes as the blocking path's
-                // expired body read.
-                self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                let err = RequestError::Timeout("connection idle past the io timeout".to_string());
-                self.start_write(token, &request_error_reply(&err));
-            }
-            Phase::Reading => {
-                // No verb ever arrived: the threaded front end's
-                // verb-line read would have failed — a bad request,
-                // closed without a reply.
-                self.shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                self.close(token);
-            }
-            Phase::Solving => {}
-            Phase::Writing => {
-                // The client stopped draining its response.
-                self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.close(token);
-            }
-        }
+        let step = conn.expire(&self.shared);
+        self.apply(token, step);
     }
 
     fn close(&mut self, token: u64) {

@@ -1,29 +1,32 @@
 //! The solve service: TCP front end, worker pool, caches, admission
 //! control.
 //!
-//! Two front ends share one worker pool and one set of semantics:
+//! Every connection runs the one request/reply state machine,
+//! [`crate::conn::Conn`] over the one parser,
+//! [`IncrementalParser`](crate::protocol::IncrementalParser). Two
+//! drivers move its bytes, selected by [`ServeConfig::event_loop`]:
 //!
-//! * **Reactor** (default on Linux x86_64/aarch64): a single epoll
+//! * **Reactor** (the default on Linux x86_64/aarch64): a single epoll
 //!   event loop ([`crate::reactor`]) owns every socket in non-blocking
-//!   mode, parses requests incrementally, and enforces IO deadlines
-//!   with a timer wheel. Concurrent-connection capacity is bounded by
-//!   file descriptors, not threads.
-//! * **Threaded** (`--legacy-threads`, and every other platform): one
-//!   accept thread reads each connection's verb line with blocking IO
-//!   and `SO_RCVTIMEO`/`SO_SNDTIMEO` deadlines; a worker holds the
-//!   socket for the whole request. Capacity is bounded by the worker
-//!   count.
+//!   mode and enforces IO deadlines with a timer wheel.
+//!   Concurrent-connection capacity is bounded by file descriptors,
+//!   not threads.
+//! * **Blocking** (`event_loop: false`, and every other platform): one
+//!   accept thread reads each connection through its verb line with
+//!   `SO_RCVTIMEO`/`SO_SNDTIMEO` deadlines; a `SOLVE` goes onto the
+//!   queue carrying its connection, and the worker reads the body,
+//!   solves, and writes the reply. Capacity is bounded by the worker
+//!   count plus the queue.
 //!
-//! Either way, `STATS`/`PING` are answered inline by the front end and
-//! `SOLVE` work is pushed onto a bounded queue
+//! Either way, `STATS`/`PING`/`GOSSIP` are answered inline by the front
+//! end and `SOLVE` work is pushed onto a bounded queue
 //! ([`rasengan_qsim::parallel::BoundedQueue`]) drained by a fixed
 //! worker pool. When the queue is full the request is shed immediately
-//! with a structured `BUSY` response — the front end never blocks on
-//! solver work, so load-shedding stays responsive under saturation.
-//! Both front ends produce byte-identical replies: they share the
-//! verb/header/body grammar (one incremental, one blocking, over the
-//! same line-level helpers) and [`solve_reply`], which holds all
-//! solve-side semantics (caches, persist tier, counters).
+//! with a structured `BUSY` response ([`Shared::admit`]) — the front
+//! end never blocks on solver work, so load-shedding stays responsive
+//! under saturation. The two drivers produce byte-identical replies:
+//! the request rules live in [`crate::conn`], and [`solve_reply`] holds
+//! all solve-side semantics (caches, persist tier, counters).
 //!
 //! # Determinism
 //!
@@ -50,11 +53,10 @@
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] (also run on drop) sets the stop flag,
-//! nudges the listener awake, joins the accept thread, closes the
-//! queue, and joins the workers — which first drain every request
-//! already admitted. Nothing already queued is dropped.
+//! wakes the front end, joins it, closes the queue, and joins the
+//! workers — which first drain every request already admitted.
+//! Nothing already queued is dropped.
 
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,12 +70,13 @@ use rasengan_problems::ingest::parse_as;
 use rasengan_qsim::parallel::BoundedQueue;
 
 use crate::cache::ShardedLru;
+use crate::conn::{resolve, Conn, ReadOutcome, Step, WriteOutcome};
 use crate::fabric::{Fabric, FabricConfig, FabricStats};
 use crate::json::Json;
 use crate::persist::{OutcomeKey, Persist, PersistStats, StorageFaultPlan};
 use crate::protocol::{
-    error_sections, outcome_json, parse_verb, timing_json, GossipMessage, Reply, ReplyStatus,
-    RequestError, SolveRequest, Verb,
+    error_sections, outcome_json, timing_json, GossipMessage, Reply, ReplyStatus, SolveRequest,
+    Verb,
 };
 
 /// Service tuning knobs.
@@ -91,8 +94,9 @@ pub struct ServeConfig {
     pub compile_cache_capacity: usize,
     /// Engine threads per solve; `None` defers to `RASENGAN_THREADS`.
     pub solver_threads: Option<usize>,
-    /// Socket read/write timeout, bounding how long a slow client can
-    /// hold a thread.
+    /// Per-connection IO deadline, refreshed by every read or write
+    /// that moves bytes: bounds how long a stalled client can hold a
+    /// connection slot (and, on the blocking driver, a thread).
     pub io_timeout: Duration,
     /// Trace every solve, even when the request omits the `trace`
     /// flag. Responses gain a `trace` section; `result` bytes are
@@ -107,10 +111,10 @@ pub struct ServeConfig {
     /// write — test scaffolding for the corruption matrix, never armed
     /// in production configs.
     pub storage_faults: Option<StorageFaultPlan>,
-    /// Use the epoll reactor front end instead of the blocking accept
-    /// thread. Defaults to `true` where the reactor is supported
-    /// (Linux x86_64/aarch64) and is ignored — falling back to the
-    /// threaded front end — everywhere else.
+    /// Drive connections with the epoll reactor instead of the
+    /// blocking driver. Defaults to `true` where the reactor is
+    /// supported (Linux x86_64/aarch64) and is ignored — falling back
+    /// to the blocking driver — everywhere else.
     pub event_loop: bool,
     /// Pins each accepted socket's kernel send buffer (`SO_SNDBUF`),
     /// bounding per-connection kernel memory. `None` leaves the
@@ -206,8 +210,8 @@ impl ServeConfig {
         self
     }
 
-    /// Selects the front end: `true` for the epoll reactor (where
-    /// supported), `false` for the legacy thread-per-connection path.
+    /// Selects the driver: `true` for the epoll reactor (where
+    /// supported), `false` for the blocking driver.
     pub fn with_event_loop(mut self, enabled: bool) -> Self {
         self.event_loop = enabled;
         self
@@ -224,25 +228,6 @@ impl ServeConfig {
         self.fabric = Some(fabric);
         self
     }
-}
-
-/// Applies the configured `SO_SNDBUF` pin to a freshly-accepted
-/// socket. A no-op when unconfigured or on targets without the raw
-/// syscall shim.
-pub(crate) fn apply_send_buffer(config: &ServeConfig, stream: &TcpStream) {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    if let Some(bytes) = config.send_buffer_bytes {
-        use std::os::fd::AsRawFd;
-        let _ = crate::sys::set_send_buffer(stream.as_raw_fd(), bytes);
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    let _ = (config, stream);
 }
 
 /// Everything a request needs beyond the problem itself — the result
@@ -295,38 +280,28 @@ impl ResultKey {
     }
 }
 
-/// An admitted connection on the legacy path: the buffered stream
-/// (verb line already consumed) and its admission timestamp. The
-/// worker owns the socket for the whole request.
-pub(crate) struct Job {
-    reader: std::io::BufReader<TcpStream>,
-    enqueued: Instant,
-}
-
-/// A reactor-parsed request: the worker computes a [`Reply`] and hands
-/// it back over the [`ReactorLink`](crate::reactor::ReactorLink);
-/// sockets stay with the reactor.
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-pub(crate) struct ParsedJob {
-    pub(crate) token: u64,
-    pub(crate) request: Box<SolveRequest>,
-    pub(crate) enqueued: Instant,
-}
-
-/// What travels over the admission queue — which front end admitted
-/// the request decides whether the worker writes the socket itself or
-/// routes the reply back through the reactor.
+/// What travels over the admission queue.
 pub(crate) enum Work {
-    Legacy(Job),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Parsed(ParsedJob),
+    /// A request the reactor parsed. The reactor keeps the socket; the
+    /// worker hands its reply back through `reply_to`.
+    Parsed {
+        request: Box<SolveRequest>,
+        reply_to: Box<dyn FnOnce(Reply) + Send>,
+        enqueued: Instant,
+    },
+    /// A blocking-driver connection, read through at least its verb
+    /// line (`request` is set when the whole request came with it).
+    /// The worker reads the rest, solves, and writes the reply.
+    Conn {
+        conn: Conn,
+        request: Option<Box<SolveRequest>>,
+        enqueued: Instant,
+    },
 }
+
+/// Wakes a front end blocked in `accept`/`epoll_wait` so it sees the
+/// shutdown flag.
+pub(crate) type Wake = Box<dyn Fn() + Send + Sync>;
 
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
@@ -338,9 +313,10 @@ pub(crate) struct Shared {
     pub(crate) shed: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    /// Reactor gauges/counters: connections currently open, readable
-    /// events dispatched, writes that hit a full socket buffer, and
-    /// event-loop iterations. All zero on the legacy front end.
+    /// Connections currently held (either driver), then reactor
+    /// counters: readable events dispatched, writes that hit a full
+    /// socket buffer, and event-loop iterations (zero on the blocking
+    /// driver).
     pub(crate) conns_open: AtomicU64,
     pub(crate) readable_events: AtomicU64,
     pub(crate) writable_stalls: AtomicU64,
@@ -355,13 +331,6 @@ pub(crate) struct Shared {
     pub(crate) fabric: Option<Arc<Fabric>>,
     /// The on-disk warm-state tier, when `--state-dir` is set.
     persist: Option<Persist>,
-    /// The workers' route back to the reactor; `None` on the legacy
-    /// front end.
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    reactor: Option<Arc<crate::reactor::ReactorLink>>,
     /// The process-wide metrics registry (`obs`). The engine's own
     /// hooks (fusion counters, queue depth) land here too, so a
     /// `STATS` snapshot covers the whole stack.
@@ -394,8 +363,9 @@ pub struct ServeStats {
     pub compile_misses: u64,
     /// Requests currently waiting in the admission queue.
     pub queue_depth: usize,
-    /// Connections currently open on the reactor front end (zero on
-    /// the legacy path, which has no connection table).
+    /// Connections currently held: the reactor's connection table, or
+    /// the blocking driver's accepted connections not yet closed (on
+    /// the accept thread, queued, or with a worker).
     pub conns_open: u64,
     /// Readable events dispatched by the reactor.
     pub readable_events: u64,
@@ -411,6 +381,16 @@ pub struct ServeStats {
 }
 
 impl Shared {
+    /// Offers work to the pool; `None` once admitted. A full queue
+    /// sheds it — the one copy of the `BUSY` rule, for both drivers: a
+    /// `shed` tick, and the work handed back with the structured reply
+    /// to send instead.
+    pub(crate) fn admit(&self, work: Work) -> Option<(Work, Reply)> {
+        let work = self.queue.try_push(work).err()?;
+        self.shed.fetch_add(1, Ordering::Relaxed);
+        Some((work, busy_reply(self)))
+    }
+
     fn stats(&self) -> ServeStats {
         ServeStats {
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -519,12 +499,13 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    wake: Wake,
     workers: Vec<JoinHandle<()>>,
     gossip: Option<JoinHandle<()>>,
 }
 
-/// Binds the address in `config` and starts the accept thread and
-/// worker pool.
+/// Binds the address in `config` and starts the front end and worker
+/// pool.
 ///
 /// # Errors
 ///
@@ -555,16 +536,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
             .unwrap_or_else(|| addr.to_string());
         Arc::new(Fabric::new(fabric_config, self_addr))
     });
-    let event_loop = config.event_loop && EVENT_LOOP_SUPPORTED;
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    let reactor_link = if event_loop {
-        Some(Arc::new(crate::reactor::ReactorLink::new()?))
-    } else {
-        None
-    };
     let shared = Arc::new(Shared {
         queue: BoundedQueue::new(config.queue_capacity.max(1)),
         shutdown: AtomicBool::new(false),
@@ -583,56 +554,41 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         remote: ShardedLru::new(config.result_cache_capacity, 8),
         fabric: fabric.clone(),
         persist,
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        reactor: reactor_link.clone(),
         registry,
         config,
     });
 
+    // The front end starts first: a failure to start it (fd limits)
+    // leaves no worker blocked on a queue nobody will close.
+    let (accept, wake) = spawn_front_end(listener, &shared)?;
     let workers = (0..shared.config.workers.max(1))
         .map(|i| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("rasengan-serve-worker-{i}"))
                 .spawn(move || {
+                    let mut scratch = vec![0u8; 64 << 10];
                     while let Some(work) = shared.queue.pop() {
                         match work {
-                            Work::Legacy(job) => handle_solve(&shared, job),
-                            #[cfg(all(
-                                target_os = "linux",
-                                any(target_arch = "x86_64", target_arch = "aarch64")
-                            ))]
-                            Work::Parsed(job) => {
-                                let queue_s = job.enqueued.elapsed().as_secs_f64();
-                                let reply =
-                                    solve_reply(&shared, &job.request, queue_s, job.enqueued);
-                                if let Some(link) = &shared.reactor {
-                                    link.complete(job.token, reply);
-                                }
+                            Work::Parsed {
+                                request,
+                                reply_to,
+                                enqueued,
+                            } => {
+                                let queue_s = enqueued.elapsed().as_secs_f64();
+                                reply_to(solve_reply(&shared, &request, queue_s, enqueued));
                             }
+                            Work::Conn {
+                                conn,
+                                request,
+                                enqueued,
+                            } => finish_solve(&shared, conn, request, enqueued, &mut scratch),
                         }
                     }
                 })
                 .expect("spawn worker thread")
         })
         .collect();
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    let accept = match reactor_link {
-        Some(link) => crate::reactor::spawn(listener, Arc::clone(&shared), link)?,
-        None => spawn_accept_thread(listener, &shared),
-    };
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    let accept = spawn_accept_thread(listener, &shared);
 
     // The gossip heartbeat: one round immediately (a fresh node joins
     // the ring before its first request), then one per interval until
@@ -655,17 +611,37 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         addr,
         shared,
         accept: Some(accept),
+        wake,
         workers,
         gossip,
     })
 }
 
-fn spawn_accept_thread(listener: TcpListener, shared: &Arc<Shared>) -> JoinHandle<()> {
+/// Starts the driver the config selects: the reactor where the
+/// platform has it and `event_loop` is set, the blocking accept thread
+/// otherwise.
+fn spawn_front_end(
+    listener: TcpListener,
+    shared: &Arc<Shared>,
+) -> std::io::Result<(JoinHandle<()>, Wake)> {
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    if shared.config.event_loop {
+        return crate::reactor::spawn(listener, Arc::clone(shared));
+    }
+    let addr = listener.local_addr()?;
     let shared = Arc::clone(shared);
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("rasengan-serve-accept".to_string())
-        .spawn(move || accept_loop(listener, &shared))
-        .expect("spawn accept thread")
+        .spawn(move || accept_loop(listener, &shared))?;
+    // A nudge connection pops the accept thread out of `accept()`; it
+    // re-checks the stop flag before reading anything.
+    let wake: Wake = Box::new(move || {
+        let _ = TcpStream::connect(addr);
+    });
+    Ok((thread, wake))
 }
 
 impl ServerHandle {
@@ -690,22 +666,10 @@ impl ServerHandle {
             return;
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the front end: the reactor gets an eventfd write and
-        // drains live connections before exiting; the legacy accept
-        // thread gets a nudge connection out of `accept()` and
-        // re-checks the flag before handling it.
-        let mut woke = false;
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if let Some(link) = &self.shared.reactor {
-            link.notify();
-            woke = true;
-        }
-        if !woke {
-            let _ = TcpStream::connect(self.addr);
-        }
+        // The reactor drains live connections before exiting; the
+        // blocking accept thread exits at once, leaving admitted
+        // connections to the workers.
+        (self.wake)();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -730,74 +694,101 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The blocking driver's accept thread. Each connection is read only
+/// through its verb line here: `PING`, `STATS` and `GOSSIP` are
+/// answered inline, and a `SOLVE` goes onto the queue carrying its
+/// connection for a worker to finish ([`finish_solve`]).
 fn accept_loop(listener: TcpListener, shared: &Shared) {
-    for conn in listener.incoming() {
+    // One read's worth of request may arrive with the verb line; the
+    // parser takes it, and the worker reads whatever is left.
+    let mut scratch = vec![0u8; 8 << 10];
+    for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match conn {
-            Ok(stream) => stream,
-            Err(_) => continue,
+        let Ok(stream) = stream else {
+            continue;
         };
         shared.accepted.fetch_add(1, Ordering::Relaxed);
-        apply_send_buffer(&shared.config, &stream);
+        crate::sys::apply_send_buffer(&stream, shared.config.send_buffer_bytes);
         let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
         let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-        let mut reader = std::io::BufReader::new(stream);
-        let mut verb_line = String::new();
-        use std::io::BufRead;
-        if reader.read_line(&mut verb_line).is_err() {
-            shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-            continue;
+        shared.conns_open.fetch_add(1, Ordering::Relaxed);
+        let mut conn = Conn::new(stream);
+        let mut step = read_blocking(shared, &mut conn, &mut scratch, true);
+        if matches!(step, Step::Wait) && conn.verb() == Some(Verb::Gossip) {
+            step = read_blocking(shared, &mut conn, &mut scratch, false);
         }
-        match parse_verb(&verb_line) {
-            Ok(Verb::Ping) => {
-                let reply = Reply::new(ReplyStatus::Ok, vec![("pong", Json::obj(vec![]))]);
-                write_reply_tracked(shared, reader.get_mut(), &reply);
+        let request = match step {
+            Step::Solve(request) => Some(request),
+            // The verb line named `SOLVE`; its body is the worker's.
+            Step::Wait => None,
+            step => {
+                finish(shared, conn, step);
+                continue;
             }
-            Ok(Verb::Stats) => {
-                let reply = Reply::new(ReplyStatus::Ok, vec![("stats", shared.stats_json())]);
-                write_reply_tracked(shared, reader.get_mut(), &reply);
-            }
-            Ok(Verb::Gossip) => {
-                // Membership exchanges are answered inline like STATS:
-                // they never queue behind solves, so a saturated node
-                // still heartbeats.
-                let reply = match GossipMessage::parse_body(&mut reader) {
-                    Ok(message) => gossip_reply(shared, &message),
-                    Err(err) => {
-                        let counter = match err {
-                            RequestError::Timeout(_) => &shared.timeouts,
-                            RequestError::Malformed(_) => &shared.bad_requests,
-                        };
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        request_error_reply(&err)
-                    }
-                };
-                write_reply_tracked(shared, reader.get_mut(), &reply);
-            }
-            Ok(Verb::Solve) => {
-                let job = Job {
-                    reader,
-                    enqueued: Instant::now(),
-                };
-                if let Err(Work::Legacy(mut job)) = shared.queue.try_push(Work::Legacy(job)) {
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    write_reply_tracked(shared, job.reader.get_mut(), &busy_reply(shared));
-                }
-            }
-            Err(message) => {
-                shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                let reply = bad_request_reply(&message);
-                write_reply_tracked(shared, reader.get_mut(), &reply);
-            }
+        };
+        let work = Work::Conn {
+            conn,
+            request,
+            enqueued: Instant::now(),
+        };
+        if let Some((Work::Conn { conn, .. }, busy)) = shared.admit(work) {
+            finish(shared, conn, Step::Reply(busy));
         }
     }
 }
 
+/// Reads a blocking connection until its request resolves, the read
+/// deadline fires, or — with `until_verb` — its verb line is in
+/// ([`Step::Wait`]), and applies the request rules.
+fn read_blocking(shared: &Shared, conn: &mut Conn, scratch: &mut [u8], until_verb: bool) -> Step {
+    match conn.handle_readable(scratch, until_verb) {
+        ReadOutcome::NeedMore { .. } if until_verb && conn.verb().is_some() => Step::Wait,
+        // A blocking read comes back empty-handed only when
+        // `SO_RCVTIMEO` fired.
+        ReadOutcome::NeedMore { .. } => conn.expire(shared),
+        outcome => resolve(shared, outcome),
+    }
+}
+
+/// Serves one admitted `SOLVE` connection on a worker: read the rest of
+/// the request, compute the reply, write it back.
+fn finish_solve(
+    shared: &Shared,
+    mut conn: Conn,
+    request: Option<Box<SolveRequest>>,
+    enqueued: Instant,
+    scratch: &mut [u8],
+) {
+    let queue_s = enqueued.elapsed().as_secs_f64();
+    let step = match request {
+        Some(request) => Step::Solve(request),
+        None => read_blocking(shared, &mut conn, scratch, false),
+    };
+    let step = match step {
+        Step::Solve(request) => Step::Reply(solve_reply(shared, &request, queue_s, enqueued)),
+        step => step,
+    };
+    finish(shared, conn, step);
+}
+
+/// Drains a blocking connection's reply, if it has one, and closes it.
+fn finish(shared: &Shared, mut conn: Conn, step: Step) {
+    if let Step::Reply(reply) = step {
+        conn.begin_reply(&reply);
+        // A blocking write stops short only when `SO_SNDTIMEO` fired;
+        // the connection closes either way, so only the count matters.
+        if let WriteOutcome::Blocked { .. } = conn.handle_writable() {
+            conn.expire(shared);
+        }
+    }
+    shared.conns_open.fetch_sub(1, Ordering::Relaxed);
+}
+
 /// The structured shed response, quoting the queue state that caused
-/// it. Shared by both front ends so `BUSY` bytes match.
-pub(crate) fn busy_reply(shared: &Shared) -> Reply {
+/// it.
+fn busy_reply(shared: &Shared) -> Reply {
     Reply::new(
         ReplyStatus::Busy,
         vec![(
@@ -811,8 +802,7 @@ pub(crate) fn busy_reply(shared: &Shared) -> Reply {
 }
 
 /// Answers a `GOSSIP` exchange: merge-and-reply on a fabric node, a
-/// structured rejection on a standalone one. Shared by both front
-/// ends.
+/// structured rejection on a standalone one.
 pub(crate) fn gossip_reply(shared: &Shared, message: &GossipMessage) -> Reply {
     match &shared.fabric {
         Some(fabric) => fabric.handle_gossip(message),
@@ -820,7 +810,7 @@ pub(crate) fn gossip_reply(shared: &Shared, message: &GossipMessage) -> Reply {
     }
 }
 
-pub(crate) fn bad_request_reply(message: &str) -> Reply {
+fn bad_request_reply(message: &str) -> Reply {
     Reply::new(
         ReplyStatus::Error,
         vec![(
@@ -833,64 +823,9 @@ pub(crate) fn bad_request_reply(message: &str) -> Reply {
     )
 }
 
-fn write_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
-    stream.write_all(reply.render().as_bytes())?;
-    stream.flush()
-}
-
-/// Writes a reply on the legacy path, counting a `timeouts` tick when
-/// the socket's `SO_SNDTIMEO` deadline expires mid-write (a client
-/// that stopped reading its response). Other write failures mean the
-/// client is already gone — nothing useful to do about those.
-fn write_reply_tracked(shared: &Shared, stream: &mut TcpStream, reply: &Reply) {
-    if let Err(err) = write_reply(stream, reply) {
-        if matches!(
-            err.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ) {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A structured error reply for a failed request read, carrying the
-/// error's own `kind` tag (`timeout` or `bad-request`).
-pub(crate) fn request_error_reply(err: &RequestError) -> Reply {
-    Reply::new(
-        ReplyStatus::Error,
-        vec![(
-            "error",
-            Json::obj(vec![
-                ("kind", Json::Str(err.kind().to_string())),
-                ("message", Json::Str(err.message().to_string())),
-            ]),
-        )],
-    )
-}
-
-/// Serves one admitted `SOLVE` connection on a legacy worker thread:
-/// parse the body off the socket, compute the reply, write it back.
-fn handle_solve(shared: &Shared, mut job: Job) {
-    let queue_s = job.enqueued.elapsed().as_secs_f64();
-    let request = match SolveRequest::parse_body(&mut job.reader) {
-        Ok(request) => request,
-        Err(err) => {
-            let counter = match err {
-                RequestError::Timeout(_) => &shared.timeouts,
-                RequestError::Malformed(_) => &shared.bad_requests,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            write_reply_tracked(shared, job.reader.get_mut(), &request_error_reply(&err));
-            return;
-        }
-    };
-    let reply = solve_reply(shared, &request, queue_s, job.enqueued);
-    write_reply_tracked(shared, job.reader.get_mut(), &reply);
-}
-
 /// Computes the full reply for a parsed `SOLVE` request — caches, disk
 /// tier, prepare, solve, counters, metrics — without touching any
-/// socket. Both front ends call this, so their `result` bytes are
+/// socket. Both drivers call this, so their `result` bytes are
 /// identical by construction.
 fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: Instant) -> Reply {
     let problem = match parse_as(request.format, &request.problem_text) {
@@ -1171,25 +1106,10 @@ fn ok_reply(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
+    use std::io::{Read as _, Write as _};
 
     fn tiny_problem() -> &'static str {
         include_str!("../../../examples/instances/F1.problem")
-    }
-
-    #[test]
-    fn verb_line_edge_cases() {
-        // The accept loop trusts `parse_verb` for header parsing;
-        // exercise the shapes a real socket produces: CRLF line
-        // endings, leading/trailing whitespace, extra tokens.
-        assert_eq!(parse_verb("RASENGAN/1 PING\r\n").unwrap(), Verb::Ping);
-        assert_eq!(parse_verb("  RASENGAN/1   STATS  ").unwrap(), Verb::Stats);
-        assert_eq!(parse_verb("RASENGAN/1 SOLVE extra").unwrap(), Verb::Solve);
-        assert!(parse_verb("").is_err());
-        assert!(parse_verb("\n").is_err());
-        assert!(parse_verb("RASENGAN/2 SOLVE").is_err());
-        assert!(parse_verb("RASENGAN/1").is_err());
-        assert!(parse_verb("rasengan/1 solve").is_err());
     }
 
     #[test]
@@ -1230,31 +1150,41 @@ mod tests {
     #[test]
     fn stalled_client_gets_structured_timeout_error() {
         // A tight IO deadline: connect, send only the verb line, then
-        // stall. The worker's body read must expire and answer with a
-        // structured `timeout` error instead of pinning the thread.
-        let server = serve(
-            ServeConfig::default()
-                .with_workers(1)
-                .with_io_timeout(Duration::from_millis(100)),
-        )
-        .expect("bind");
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(b"RASENGAN/1 SOLVE\n").unwrap();
-        // Do not shut down the write side: the server sees silence,
-        // not EOF, until its read deadline fires.
-        let mut body = String::new();
-        stream.read_to_string(&mut body).unwrap();
-        let reply = Reply::parse(&body).unwrap();
-        assert_eq!(reply.status, ReplyStatus::Error, "{body:?}");
-        let error = reply.json("error").unwrap();
-        assert_eq!(
-            error.get("kind").and_then(|k| k.as_str()),
-            Some("timeout"),
-            "{body:?}"
-        );
-        assert_eq!(server.stats().timeouts, 1);
-        assert_eq!(server.stats().bad_requests, 0);
-        server.shutdown();
+        // stall. The body read must expire and answer with a structured
+        // `timeout` error instead of holding the connection — on either
+        // driver.
+        let drivers: &[bool] = if EVENT_LOOP_SUPPORTED {
+            &[true, false]
+        } else {
+            &[false]
+        };
+        for &event_loop in drivers {
+            let server = serve(
+                ServeConfig::default()
+                    .with_event_loop(event_loop)
+                    .with_workers(1)
+                    .with_io_timeout(Duration::from_millis(100)),
+            )
+            .expect("bind");
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(b"RASENGAN/1 SOLVE\n").unwrap();
+            // Do not shut down the write side: the server sees silence,
+            // not EOF, until its read deadline fires.
+            let mut body = String::new();
+            stream.read_to_string(&mut body).unwrap();
+            let reply = Reply::parse(&body).unwrap();
+            assert_eq!(reply.status, ReplyStatus::Error, "{body:?}");
+            let error = reply.json("error").unwrap();
+            assert_eq!(
+                error.get("kind").and_then(|k| k.as_str()),
+                Some("timeout"),
+                "event_loop={event_loop}: {body:?}"
+            );
+            let stats = server.stats();
+            assert_eq!(stats.timeouts, 1, "event_loop={event_loop}");
+            assert_eq!(stats.bad_requests, 0, "event_loop={event_loop}");
+            server.shutdown();
+        }
     }
 
     #[test]
@@ -1355,9 +1285,10 @@ mod tests {
                 stream
             })
             .collect();
-        // Wait for admission: accepted counts verb lines read, so all
-        // three being accepted means they are queued (or already being
-        // served) — none can be lost by the shutdown below.
+        // Wait for admission: either driver finishes every connection
+        // it accepted (the reactor keeps serving after shutdown starts;
+        // the accept thread admits its current connection before it
+        // sees the flag), so none can be lost by the shutdown below.
         while server.stats().accepted < 3 {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -102,7 +102,6 @@ struct Options {
     trace_path: Option<String>,
     state_dir: Option<String>,
     io_timeout_ms: Option<u64>,
-    event_loop: Option<bool>,
     connect_retries: u32,
     format: Option<Format>,
     to: Option<Format>,
@@ -135,7 +134,6 @@ impl Options {
             trace_path: None,
             state_dir: None,
             io_timeout_ms: None,
-            event_loop: None,
             connect_retries: 0,
             format: None,
             to: None,
@@ -222,8 +220,6 @@ impl Options {
                             .map_err(|_| "io-timeout-ms must be an integer".to_string())?,
                     )
                 }
-                "--event-loop" => opts.event_loop = Some(true),
-                "--legacy-threads" => opts.event_loop = Some(false),
                 "--connect-retries" => {
                     opts.connect_retries = value("--connect-retries")?
                         .parse()
@@ -327,7 +323,9 @@ COMMANDS:
   list         show the registered benchmarks
   corpus list  show every corpus instance with its canonical fingerprint
   solve        run a solver on a benchmark
-  serve        run the multi-client solve service (runs until killed)
+  serve        run the multi-client solve service (runs until killed;
+               epoll reactor on Linux x86_64/aarch64, blocking
+               driver elsewhere)
   submit       send a problem to a running service and print the result
   convert      translate between problem formats (native | qubo | lp)
   inspect      show the compiled transition chain without solving
@@ -363,12 +361,8 @@ FLAGS:
       --deadline-ms <N>    per-request deadline for `submit`
       --state-dir <DIR>    crash-safe on-disk warm state for `serve`:
                            compiled artifacts and outcomes survive restarts
-      --io-timeout-ms <N>  per-connection socket timeout for `serve`,
+      --io-timeout-ms <N>  per-connection IO deadline for `serve`,
                            bounding stalled reads and stalled writes
-      --event-loop         `serve` with the epoll reactor front end
-                           (the default on Linux x86_64/aarch64)
-      --legacy-threads     `serve` with the blocking thread-per-
-                           connection front end
       --connect-retries <N> `submit` rides through a restarting server
                            with up to N extra connection attempts
       --peers <LIST>       comma-separated peer addresses; joins `serve`
@@ -621,9 +615,6 @@ fn cmd_serve(opts: &Options) -> ExitCode {
     }
     if let Some(ms) = opts.io_timeout_ms {
         config = config.with_io_timeout(std::time::Duration::from_millis(ms.max(1)));
-    }
-    if let Some(event_loop) = opts.event_loop {
-        config = config.with_event_loop(event_loop);
     }
     if !opts.peers.is_empty() || opts.node_id.is_some() {
         let node_id = opts

@@ -590,14 +590,21 @@ fn served_solve_bitwise_matches_in_process() {
     let local = Rasengan::new(cfg).solve(&problem).unwrap();
     let local_bytes = render_outcome(&local);
 
-    for workers in [1usize, 4] {
-        let server = serve(ServeConfig::default().with_workers(workers)).unwrap();
+    // Both drivers (the reactor falls back to the blocking driver where
+    // unsupported), each at one and four workers.
+    for (event_loop, workers) in [(true, 1usize), (true, 4), (false, 1), (false, 4)] {
+        let server = serve(
+            ServeConfig::default()
+                .with_event_loop(event_loop)
+                .with_workers(workers),
+        )
+        .unwrap();
         let reply = submit(server.addr(), &request).unwrap();
         assert_eq!(reply.status, ReplyStatus::Ok, "workers={workers}");
         assert_eq!(
             reply.section("result").unwrap(),
             local_bytes,
-            "served result must be byte-identical (workers={workers})"
+            "served result must be byte-identical (event_loop={event_loop}, workers={workers})"
         );
         // A traced request returns the same result bytes plus a
         // `trace` section that byte-matches the in-process tree.
