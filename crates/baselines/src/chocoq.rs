@@ -26,8 +26,7 @@ use rasengan_math::basis::TernaryBasisError;
 use rasengan_optim::{Cobyla, Optimizer};
 use rasengan_problems::{optimum, Problem, Sense};
 use rasengan_qsim::noise::{
-    apply_gate_noise_sparse, apply_gate_noise_sparse_fused, apply_readout_error,
-    run_noise_slots_sparse,
+    apply_gate_noise_sparse_fused, apply_readout_error, run_noise_slots_sparse,
 };
 use rasengan_qsim::sparse::{bits_from_label, label_from_bits};
 use rasengan_qsim::{Complex, Label, NoiseModel, SparseState};
@@ -239,7 +238,7 @@ impl<'a> CompiledEval<'a> {
             for &(a, b, _) in &self.problem.objective().quadratic {
                 for q in [a, b] {
                     if rng.gen::<f64>() < noise.p2 {
-                        apply_gate_noise_sparse(state, &[q], 1.0, &noise_free, rng);
+                        apply_gate_noise_sparse_fused(state, &[q], 1.0, &noise_free, rng);
                     }
                 }
             }
@@ -305,6 +304,7 @@ fn run_chocoq(
 mod tests {
     use super::*;
     use rasengan_problems::registry::{benchmark, BenchmarkId};
+    use rasengan_qsim::noise::apply_gate_noise_sparse;
 
     fn j1() -> Problem {
         benchmark(BenchmarkId::parse("J1").unwrap())
@@ -432,9 +432,12 @@ mod tests {
             .collect()
     }
 
-    fn noisy_regimes() -> [(&'static str, NoiseModel); 2] {
+    fn noisy_regimes() -> [(&'static str, NoiseModel); 3] {
         [
             ("noisy", NoiseModel::ibm_like(2e-3, 1e-2, 0.02)),
+            // A hot 2-qubit channel, so the objective-layer Rzz branch
+            // fires often enough in a 48-shot run to be pinned.
+            ("hot-rzz", NoiseModel::ibm_like(2e-3, 0.3, 0.02)),
             (
                 "noisy-damped",
                 NoiseModel::ibm_like(2e-3, 1e-2, 0.02)

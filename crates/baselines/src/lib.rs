@@ -27,6 +27,8 @@
 //! println!("ARG: HEA {} / P-QAOA {} / Choco-Q {}", hea.arg, pqaoa.arg, chocoq.arg);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod chocoq;
 pub mod common;
 pub mod gas;

@@ -9,6 +9,8 @@
 //! 3. Purification before vs after shot redistribution (purifying
 //!    first redirects wasted shots to feasible inputs).
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{apportion_shots, problem_basis, Rasengan, RasenganConfig};

@@ -5,6 +5,8 @@
 //! finishes in minutes with scaled-down iteration counts, like the
 //! artifact's reproduce mode.
 
+#![forbid(unsafe_code)]
+
 use std::process::Command;
 
 fn main() {

@@ -6,6 +6,8 @@
 //! depth, while Rasengan stays at 3 shallow segments; P-QAOA barely
 //! improves with depth.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::runners::RunEnv;
 use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};

@@ -7,6 +7,8 @@
 //! (c) noise-free ARG (Rasengan stays < 0.5 up to 78 qubits),
 //! (d) ARG under device noise (segments start failing past ~28 qubits).
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig, ResilienceConfig};

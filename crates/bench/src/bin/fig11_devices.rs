@@ -9,6 +9,8 @@
 //! in-constraints rate at 100% vs single-digit percent for Choco-Q on
 //! the noisier device.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::runners::RunEnv;
 use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};

@@ -7,6 +7,8 @@
 //! higher classical time (segmented execution bookkeeping) but much
 //! lower quantum time thanks to shallow segments.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::runners::RunEnv;
 use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};

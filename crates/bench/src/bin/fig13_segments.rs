@@ -5,6 +5,8 @@
 //! shots/segment) and total latency (expected: sub-linear, since
 //! per-segment circuits shrink as segments multiply).
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};

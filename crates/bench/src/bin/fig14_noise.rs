@@ -7,6 +7,8 @@
 //!     (1Q 0.035%, 2Q 0.875%): mild degradation to ~1.5%, then
 //!     segment-failure collapse near 2%.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig, ResilienceConfig};

@@ -7,6 +7,8 @@
 //! reduction (ineffective on already-sparse F1/K1/G1), opt 2 (pruning)
 //! ~67%, opt 3 (segmentation) a further ~82%.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};

@@ -7,6 +7,8 @@
 //! the big win (2.43× ARG, 303× on hardware; in-constraints rate jumps
 //! from single digits to 100%).
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};

@@ -6,6 +6,8 @@
 //! at a smaller fraction of the chain (e.g. 40.7% vs 73.6% on the
 //! fourth scale, a 1.8× expansion speedup).
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};
 use rasengan_core::prune::{coverage_curve, ChainConfig};

@@ -4,19 +4,14 @@
 //! Arms:
 //!
 //! * **dense-trajectory** — a noisy HEA-shaped circuit sampled over many
-//!   trajectories, fused and unfused from the same seed. Two noise
-//!   regimes: *readout-limited* (the asserted row — no gate channel is
-//!   active, so the noise-aware trajectory plan fuses rotation columns
-//!   into single 2×2 matrices and the CX ring into one label
-//!   permutation) and *gate-noise* (reported for transparency — every
-//!   gate channel is active, every gate is a barrier, and the plan
-//!   degenerates to the bit-identical gate-by-gate sequence, so the
-//!   speedup is ≈1×).
-//! * **dense-batched** — the same compiled program through the lockstep
-//!   batched engine ([`sample_trajectories`], 8 lanes per kernel sweep)
-//!   against a single-lane per-stream reference on one thread, so the
-//!   ratio isolates the structure-of-arrays batching win. Under
-//!   `--full` the gate-noise regime must be ≥1.5× faster batched.
+//!   trajectories through [`DenseTrajectoryRunner`], fused and unfused
+//!   from the same seed. Two noise regimes: *readout-limited* (the
+//!   asserted row — no gate channel is active, so the noise-aware
+//!   trajectory plan fuses rotation columns into single 2×2 matrices
+//!   and the CX ring into one label permutation) and *gate-noise*
+//!   (reported for transparency — every gate channel is active, every
+//!   gate is a barrier, and the plan degenerates to the bit-identical
+//!   gate-by-gate sequence, so the speedup is ≈1×).
 //! * **trace-noop** — a noisy Rasengan solve with tracing disabled
 //!   against the same solve traced, guarding that disabled tracing
 //!   costs nothing and that tracing never moves a result.
@@ -30,9 +25,11 @@
 //! Every arm asserts its result is identical to its reference before
 //! any timing is trusted. Default scale is a CI-safe smoke run
 //! (equality asserts only); `--full` runs the acceptance scale (≥1000
-//! trajectories) and additionally asserts the ≥2× dense and ≥1.5×
-//! batched speedups and the ≤2% tracing overhead. Saves
-//! `BENCH_fusion.{csv,json}` under `target/rasengan-reports/`.
+//! trajectories) and additionally asserts the ≥2× dense speedup and
+//! the ≤2% tracing overhead. Saves `BENCH_fusion.{csv,json}` under
+//! `target/rasengan-reports/`.
+
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,8 +38,7 @@ use rasengan_core::solver::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 use rasengan_qsim::exec::DenseTrajectoryRunner;
 use rasengan_qsim::noise::{apply_readout_error, run_dense_trajectory};
-use rasengan_qsim::parallel::derive_seed;
-use rasengan_qsim::{sample_trajectories, Circuit, Device, Gate, Label, NoiseModel, Program};
+use rasengan_qsim::{Circuit, Device, Gate, Label, NoiseModel, Program};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -107,29 +103,6 @@ fn dense_fused(
     counts
 }
 
-/// One fused trajectory per derived RNG stream — the sequential
-/// reference the lockstep batched engine must reproduce bitwise. (The
-/// `dense_unfused`/`dense_fused` arms above share one RNG across
-/// trajectories, an ordering the batched engine deliberately does not
-/// support; per-stream seeding is what makes lockstep execution
-/// order-free.)
-fn dense_per_stream(
-    program: &Program,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Vec<u64> {
-    let mut runner = DenseTrajectoryRunner::new(program);
-    (0..trajectories)
-        .map(|shot| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, shot as u64));
-            let state = runner.run(noise, &mut rng);
-            let label = state.sample_one(&mut rng);
-            apply_readout_error(label as Label, program.n_qubits(), noise.readout, &mut rng) as u64
-        })
-        .collect()
-}
-
 fn main() {
     let settings = RunSettings::from_args();
     let reps = 5;
@@ -163,9 +136,10 @@ fn main() {
             program.kernel_count(),
             program.traj_plan_len(noise),
         );
-        // Interleaved rep pairs + median per-pair ratio (see the
-        // batched arm below for why: host frequency drift between two
-        // independently-measured medians dwarfs the effect under test).
+        // Unfused and fused reps are interleaved (pairwise) so host
+        // frequency drift hits both equally; the reported number is the
+        // median per-pair ratio, far more stable on a noisy host than a
+        // ratio of two independently-measured medians.
         let mut ratios = Vec::with_capacity(reps);
         let mut unfused_times = Vec::with_capacity(reps);
         let mut fused_times = Vec::with_capacity(reps);
@@ -198,58 +172,6 @@ fn main() {
         println!("dense-trajectory [{regime}] speedup: {speedup:.2}x");
         if *regime == "readout-limited" {
             dense_speedup = speedup;
-        }
-    }
-
-    // --- batched-trajectory arm: the lockstep engine (8 lanes per
-    // kernel sweep) against a single-lane per-stream reference, both on
-    // one engine thread so the ratio isolates batching. Bitwise
-    // equality is asserted before any timing is trusted.
-    let mut batched_speedup = 0.0;
-    for (regime, noise) in &regimes {
-        // Sequential and batched reps are interleaved (pairwise) so VM
-        // frequency drift hits both arms equally; the reported number
-        // is the median per-pair ratio, which is far more stable than
-        // a ratio of independently-measured medians on a noisy host.
-        let mut ratios = Vec::with_capacity(reps);
-        let mut seq_times = Vec::with_capacity(reps);
-        let mut batched_times = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let started = Instant::now();
-            let seq_labels = dense_per_stream(&program, noise, trajectories, settings.seed);
-            let seq_s = started.elapsed().as_secs_f64();
-            let started = Instant::now();
-            let batched_labels = sample_trajectories(
-                &program,
-                noise,
-                trajectories,
-                settings.seed,
-                Some(8),
-                Some(1),
-            );
-            let batched_s = started.elapsed().as_secs_f64();
-            assert_eq!(
-                seq_labels, batched_labels,
-                "batched trajectories must reproduce the per-stream labels bitwise"
-            );
-            ratios.push(seq_s / batched_s);
-            seq_times.push(seq_s);
-            batched_times.push(batched_s);
-        }
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        seq_times.sort_by(|a, b| a.total_cmp(b));
-        batched_times.sort_by(|a, b| a.total_cmp(b));
-        let speedup = ratios[ratios.len() / 2];
-        table.row(vec![
-            format!("dense-batched-{regime}"),
-            format!("hea n={n} L={layers} T={trajectories} K=8"),
-            fmt(seq_times[reps / 2]),
-            fmt(batched_times[reps / 2]),
-            format!("{speedup:.2}x"),
-        ]);
-        println!("dense-batched [{regime}] speedup: {speedup:.2}x");
-        if *regime == "gate-noise" {
-            batched_speedup = speedup;
         }
     }
 
@@ -324,11 +246,6 @@ fn main() {
         assert!(
             dense_speedup >= 2.0,
             "dense-trajectory arm must be >=2x faster fused (got {dense_speedup:.2}x)"
-        );
-        assert!(
-            batched_speedup >= 1.5,
-            "batched arm must be >=1.5x faster than per-stream sequential on the \
-             gate-noise regime (got {batched_speedup:.2}x)"
         );
     }
 

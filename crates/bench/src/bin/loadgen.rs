@@ -37,6 +37,8 @@
 //! byte-identical to pass 1, and `BENCH_replay.json` plus the manifest
 //! itself land under `target/rasengan-reports/`.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::replay::{manifest, wire_body, ReplayConfig};
 use rasengan_bench::{report::fmt, RunSettings, Table};
 use rasengan_obs::metrics::{try_global, Histogram};
@@ -230,11 +232,11 @@ fn fd_soft_limit() -> Option<usize> {
 /// connection in admission order. A connection counts as *sustained*
 /// when the server still honors it end-to-end — the finish gets an
 /// `OK` whose `result` bytes match the in-process solve. On the
-/// threaded front end parked connections eat the admission queue and
+/// blocking driver parked connections eat the admission queue and
 /// the worker pool, so everything past `queue + workers` is shed with
 /// `BUSY` at park time; the reactor just keeps C parsers buffering and
 /// sustains the lot. The arm asserts the reactor's best sustained
-/// count is ≥4× the threaded front end's, saves `BENCH_evloop.json`,
+/// count is ≥4× the blocking driver's, saves `BENCH_evloop.json`,
 /// and checks every `OK` reply byte-identical across front ends and to
 /// the in-process baseline.
 fn run_evloop(settings: &RunSettings, max_conns: usize) {
@@ -283,10 +285,10 @@ fn run_evloop(settings: &RunSettings, max_conns: usize) {
     let (prefix, rest) = rendered.split_at(verb_end);
 
     let fronts: &[(&str, bool)] = if EVENT_LOOP_SUPPORTED {
-        &[("reactor", true), ("threaded", false)]
+        &[("reactor", true), ("blocking", false)]
     } else {
-        println!("evloop: reactor unsupported on this target; threaded only, no ratio gate");
-        &[("threaded", false)]
+        println!("evloop: reactor unsupported on this target; blocking only, no ratio gate");
+        &[("blocking", false)]
     };
 
     let mut table = Table::new(
@@ -363,7 +365,7 @@ fn run_evloop(settings: &RunSettings, max_conns: usize) {
                 let wall = started.elapsed().as_secs_f64();
                 // A slow client counts only when it was actually
                 // served, byte-for-byte; a BUSY shed or a reset
-                // mid-trickle (the threaded path under load) is
+                // mid-trickle (the blocking driver under load) is
                 // not a sustained outcome.
                 let trickle_ok = tricklers
                     .into_iter()
@@ -379,8 +381,8 @@ fn run_evloop(settings: &RunSettings, max_conns: usize) {
             });
             let conns_open = server.stats().conns_open;
 
-            // Finish phase, in admission order (the legacy queue is
-            // FIFO, so bodies arrive exactly as workers reach them).
+            // Finish phase, in admission order (the blocking driver's
+            // queue is FIFO, so bodies arrive exactly as workers reach them).
             let mut sustained = 0usize;
             for conn in parked.iter_mut() {
                 let Some(mut held) = conn.take() else {
@@ -433,15 +435,15 @@ fn run_evloop(settings: &RunSettings, max_conns: usize) {
 
     if EVENT_LOOP_SUPPORTED {
         let reactor = best.get("reactor").copied().unwrap_or(0);
-        let threaded = best.get("threaded").copied().unwrap_or(0).max(1);
-        let ratio = reactor as f64 / threaded as f64;
+        let blocking = best.get("blocking").copied().unwrap_or(0).max(1);
+        let ratio = reactor as f64 / blocking as f64;
         println!(
-            "evloop: reactor sustained {reactor}, threaded sustained {threaded} ({ratio:.1}x)"
+            "evloop: reactor sustained {reactor}, blocking sustained {blocking} ({ratio:.1}x)"
         );
         assert!(
             ratio >= 4.0,
-            "the reactor must sustain >=4x the threaded front end's connections \
-             (got {reactor} vs {threaded})"
+            "the reactor must sustain >=4x the blocking driver's connections \
+             (got {reactor} vs {blocking})"
         );
     }
 }

@@ -7,6 +7,8 @@
 //! algorithms, so the sweep stays fast; pass `--full` to add more
 //! cases).
 
+#![forbid(unsafe_code)]
+
 use rasengan_baselines::{BaselineConfig, ChocoQ};
 use rasengan_bench::report::fmt;
 use rasengan_bench::{RunSettings, Table};

@@ -8,6 +8,8 @@
 //! Paper reference points: ARG ~1100 (HEA), ~1000 (P-QAOA), 7.27
 //! (Choco-Q), 0.70 (Rasengan); latency 702/300/445/144 ms.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
 use rasengan_problems::enumerate_feasible;

@@ -8,6 +8,8 @@
 //! than Choco-Q on average, ~1900× better than HEA/P-QAOA), smallest
 //! depth (1.96×–49×), and #params comparable to QAOA's 10.
 
+#![forbid(unsafe_code)]
+
 use rasengan_bench::report::fmt;
 use rasengan_bench::runners::RunEnv;
 use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};

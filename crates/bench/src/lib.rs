@@ -13,6 +13,8 @@
 //! * [`replay`] — deterministic workload manifests for the loadgen
 //!   `--replay` arm (seeded Poisson arrivals over the full corpus).
 
+#![forbid(unsafe_code)]
+
 pub mod replay;
 pub mod report;
 pub mod runners;

@@ -37,6 +37,8 @@
 //! assert!(outcome.stats.max_segment_cx_depth <= 200);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod encode;
 pub mod hamiltonian;

@@ -37,6 +37,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod basis;
 pub mod hnf;
 pub mod matrix;

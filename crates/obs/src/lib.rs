@@ -21,6 +21,8 @@
 //! stage boundaries (a handful of `Instant` reads per solve, exactly
 //! what the old ad-hoc `StageTimes` plumbing cost) and builds nothing.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod span;

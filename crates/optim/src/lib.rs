@@ -17,6 +17,8 @@
 //! All optimizers **minimize**; callers maximizing an objective negate
 //! it.
 
+#![forbid(unsafe_code)]
+
 pub mod cobyla;
 pub mod nelder_mead;
 pub mod spsa;

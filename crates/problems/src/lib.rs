@@ -33,6 +33,8 @@
 //! assert!(feasible.iter().all(|x| !j1.sense().is_better(j1.evaluate(x), value)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binpack;
 pub mod builder;
 pub mod enumerate;

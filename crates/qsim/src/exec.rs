@@ -122,11 +122,7 @@ pub enum PermStep {
 /// Applies a permutation run to one `(label, amplitude)` pair, walking
 /// the steps in gate order.
 #[inline]
-pub(crate) fn apply_perm_steps(
-    steps: &[PermStep],
-    mut label: Label,
-    mut amp: Complex,
-) -> (Label, Complex) {
+fn apply_perm_steps(steps: &[PermStep], mut label: Label, mut amp: Complex) -> (Label, Complex) {
     for s in steps {
         match *s {
             PermStep::Xor(m) => label ^= m,
@@ -184,7 +180,7 @@ pub enum Kernel {
 /// masks, angles, and matrices precomputed. Application is bit-identical
 /// to [`DenseState::apply`] on the corresponding [`Gate`].
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum GateOp {
+enum GateOp {
     OneQ {
         q: usize,
         m: [Complex; 4],
@@ -240,10 +236,10 @@ impl GateOp {
 /// barrier needs (touched-qubit range into the program's flat buffer
 /// and the arity class selecting `p1` vs `p2`).
 #[derive(Clone, Debug)]
-pub(crate) struct TrajGate {
-    pub(crate) op: GateOp,
-    pub(crate) qubits: (u32, u32),
-    pub(crate) multi: bool,
+struct TrajGate {
+    op: GateOp,
+    qubits: (u32, u32),
+    multi: bool,
 }
 
 /// What the compiler is currently accumulating.
@@ -266,7 +262,7 @@ struct FuseInfo {
 
 /// One step of a noise-specialized trajectory plan.
 #[derive(Clone, Debug)]
-pub(crate) enum PlanStep {
+enum PlanStep {
     /// A gate whose noise channel is active: apply the compiled op,
     /// then its noise barrier — exactly the gate-by-gate sequence.
     Gate(u32),
@@ -287,15 +283,15 @@ const PERM_TABLE_MAX_QUBITS: usize = 22;
 /// into a scatter table so the hot loop is `out[index[l]] = f·amps[l]`
 /// instead of re-walking the step chain per amplitude.
 #[derive(Clone, Debug)]
-pub(crate) struct PermRun {
+struct PermRun {
     /// Label-transform steps in gate order (the fallback above the
     /// table threshold, and the source the table is built from).
-    pub(crate) steps: Vec<PermStep>,
+    steps: Vec<PermStep>,
     /// Destination label per source label (empty above the threshold).
-    pub(crate) index: Vec<u32>,
+    index: Vec<u32>,
     /// Amplitude factor per source label — products of the `±i` phases
     /// `Y` flips contribute; empty when every factor is 1.
-    pub(crate) factors: Vec<Complex>,
+    factors: Vec<Complex>,
 }
 
 impl PermRun {
@@ -349,9 +345,9 @@ impl PermRun {
 pub struct Program {
     n_qubits: usize,
     kernels: Vec<Kernel>,
-    pub(crate) traj: Vec<TrajGate>,
+    traj: Vec<TrajGate>,
     fuse_info: Vec<FuseInfo>,
-    pub(crate) qubit_buf: Vec<usize>,
+    qubit_buf: Vec<usize>,
     gate_count: usize,
 }
 
@@ -649,7 +645,7 @@ impl Program {
     /// gates re-fuse through the same classification the kernel compiler
     /// uses. With every channel active this degenerates to one
     /// [`PlanStep::Gate`] per gate — exactly today's unfused sequence.
-    pub(crate) fn build_traj_plan(&self, act1: bool, act2: bool) -> Vec<PlanStep> {
+    fn build_traj_plan(&self, act1: bool, act2: bool) -> Vec<PlanStep> {
         self.build_traj_plan_stats(act1, act2).0
     }
 
@@ -840,7 +836,7 @@ impl Program {
     }
 
     /// Runs one noisy trajectory into a fresh state (convenience for
-    /// single runs; batch callers should reuse a
+    /// single runs; callers sampling many trajectories should reuse a
     /// [`DenseTrajectoryRunner`]).
     pub fn dense_trajectory(&self, noise: &NoiseModel, rng: &mut impl Rng) -> DenseState {
         let mut runner = DenseTrajectoryRunner::new(self);
@@ -908,7 +904,7 @@ fn apply_perm_run_dense(state: &mut DenseState, run: &PermRun, scratch: &mut Vec
 /// gate regardless of arity, so either damping rate activates both.
 /// Readout error attaches at measurement, not at gates, so it never
 /// creates a barrier.
-pub(crate) fn channel_activity(noise: &NoiseModel) -> (bool, bool) {
+fn channel_activity(noise: &NoiseModel) -> (bool, bool) {
     let damping = noise.amplitude_damping > 0.0 || noise.phase_damping > 0.0;
     (noise.p1 > 0.0 || damping, noise.p2 > 0.0 || damping)
 }
@@ -1039,6 +1035,46 @@ mod tests {
             .mcx(vec![0, 2], 1)
             .x(2);
         c
+    }
+
+    #[test]
+    fn perm_fallback_matches_table_path() {
+        // The step-chain fallback (taken above `PERM_TABLE_MAX_QUBITS`,
+        // where no scatter table is built) must leave the same
+        // amplitudes as the table scatter, bit for bit.
+        let mut c = Circuit::new(3);
+        c.h(0).ry(1, 0.4);
+        c.x(0).cx(0, 1).push(Gate::Swap(1, 2)).push(Gate::Y(2));
+        let p = Program::compile(&c);
+        let run_plan = |strip: bool| {
+            let mut state = DenseState::zero_state(3);
+            let mut scratch = Vec::new();
+            let mut perm_runs = 0;
+            for step in p.build_traj_plan(false, false) {
+                match step {
+                    PlanStep::Gate(_) => unreachable!("no active channels"),
+                    PlanStep::OneQ(m) => apply_one_q_dense(&mut state, &m),
+                    PlanStep::Diagonal(t) => apply_diagonal_dense(&mut state, &t),
+                    PlanStep::Permutation(run) => {
+                        assert!(!run.index.is_empty(), "3 qubits build a table");
+                        perm_runs += 1;
+                        let run = if strip {
+                            PermRun {
+                                steps: run.steps,
+                                index: Vec::new(),
+                                factors: Vec::new(),
+                            }
+                        } else {
+                            run
+                        };
+                        apply_perm_run_dense(&mut state, &run, &mut scratch);
+                    }
+                }
+            }
+            assert_eq!(perm_runs, 1, "x·cx·swap·y fuses into one run");
+            state
+        };
+        assert_eq!(run_plan(true).amplitudes(), run_plan(false).amplitudes());
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //!   compile-once/execute-many workloads such as trajectory sampling.
 //! * [`noise`] — trajectory-sampled depolarizing, amplitude-damping,
 //!   phase-damping, and readout channels.
-//! * [`batch`] — lockstep batched-trajectory execution: K trajectories
-//!   per fused-kernel sweep in a structure-of-arrays store, bit-identical
-//!   per lane to sequential execution.
 //! * [`parallel`] — deterministic scoped-thread parallelism (derived
 //!   per-stream seeds, index-ordered results, aligned chunking).
 //! * [`fault`] — deterministic seed-derived fault injection (shot-batch
@@ -57,7 +54,8 @@
 //! }
 //! ```
 
-pub mod batch;
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod complex;
 pub mod decompose;
@@ -79,7 +77,6 @@ pub mod synth;
 pub mod verify;
 pub mod wire;
 
-pub use batch::{sample_trajectories, DenseBatch, DenseBatchRunner};
 pub use circuit::Circuit;
 pub use complex::Complex;
 pub use dense::DenseState;

@@ -258,85 +258,6 @@ fn project_and_flip_dense(state: &mut DenseState, q: usize) {
     state.apply(&Gate::X(q));
 }
 
-/// Applies post-gate noise on a lockstep trajectory batch for all
-/// `qubits` a gate touched, lane `l` drawing from `rngs[l]`.
-///
-/// Iteration is qubits outer / lanes inner, so each lane's RNG sees
-/// the per-qubit channel sequence (Pauli roll, amplitude damping,
-/// phase damping) at exactly the draw points
-/// [`apply_gate_noise_dense`] has, and every channel application
-/// touches only that lane's amplitude stripe with the identical
-/// single-trajectory arithmetic — which keeps each lane bit-identical
-/// to a sequential run of its stream.
-///
-/// # Panics
-///
-/// Panics if `rngs.len()` differs from the batch width.
-pub fn apply_gate_noise_batch<R: Rng>(
-    batch: &mut crate::batch::DenseBatch,
-    qubits: &[usize],
-    p: f64,
-    noise: &NoiseModel,
-    rngs: &mut [R],
-) {
-    assert_eq!(rngs.len(), batch.lanes(), "one RNG stream per lane");
-    for &q in qubits {
-        for (lane, rng) in rngs.iter_mut().enumerate() {
-            if p > 0.0 && rng.gen::<f64>() < p {
-                match sample_pauli(rng) {
-                    Pauli::X => batch.apply_1q_lane(lane, q, crate::dense::x_matrix()),
-                    Pauli::Y => batch.apply_1q_lane(lane, q, crate::dense::y_matrix()),
-                    Pauli::Z => batch.apply_phase_pair_lane(lane, q, Complex::ONE, -Complex::ONE),
-                }
-            }
-            if noise.amplitude_damping > 0.0 {
-                amplitude_damping_lane(batch, lane, q, noise.amplitude_damping, rng);
-            }
-            if noise.phase_damping > 0.0 {
-                phase_damping_lane(batch, lane, q, noise.phase_damping, rng);
-            }
-        }
-    }
-}
-
-/// [`amplitude_damping_dense`] on one lane of a trajectory batch.
-fn amplitude_damping_lane(
-    batch: &mut crate::batch::DenseBatch,
-    lane: usize,
-    q: usize,
-    gamma: f64,
-    rng: &mut impl Rng,
-) {
-    let p1 = batch.population_lane(lane, q);
-    let p_jump = gamma * p1;
-    if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
-        // Jump: project onto |1⟩_q (renormalizing) then flip to |0⟩_q.
-        batch.project_lane(lane, q, true);
-        batch.apply_1q_lane(lane, q, crate::dense::x_matrix());
-    } else {
-        batch.scale_one_lane(lane, q, (1.0 - gamma).sqrt());
-        batch.normalize_lane(lane);
-    }
-}
-
-/// [`phase_damping_dense`] on one lane of a trajectory batch.
-fn phase_damping_lane(
-    batch: &mut crate::batch::DenseBatch,
-    lane: usize,
-    q: usize,
-    lambda: f64,
-    rng: &mut impl Rng,
-) {
-    let p1 = batch.population_lane(lane, q);
-    let p_jump = lambda * p1;
-    if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
-        batch.project_lane(lane, q, true);
-    } else {
-        batch.scale_one_lane(lane, q, (1.0 - lambda).sqrt());
-        batch.normalize_lane(lane);
-    }
-}
-
 /// Runs a circuit on a dense state with gate-level trajectory noise.
 ///
 /// # Example
@@ -371,6 +292,11 @@ pub fn run_dense_trajectory(
 /// Applies post-gate noise on a sparse state for all `qubits` a gate
 /// touched. Pauli errors, damping jumps, and no-jump scalings all keep
 /// the support sparse.
+///
+/// This is the unfused reference oracle: the solve paths run
+/// [`apply_gate_noise_sparse_fused`] and [`run_noise_slots_sparse`],
+/// and the `noise` and `rasengan-core`/`rasengan-baselines` reference
+/// tests check those against this channel-by-channel sequence.
 pub fn apply_gate_noise_sparse(
     state: &mut SparseState,
     qubits: &[usize],

@@ -74,10 +74,10 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 /// Splits `0..total` into at most `parts` contiguous, order-preserving
 /// ranges of near-equal length (first ranges get the remainder).
 ///
-/// Used to assign whole work slabs — e.g. batched-trajectory groups —
-/// to [`par_map`] workers while keeping the global index order intact,
-/// which is what makes batched results byte-identical to sequential
-/// execution at any thread count.
+/// Used to assign whole work slabs — e.g. groups of per-shot sampling
+/// jobs — to [`par_map`] workers while keeping the global index order
+/// intact, which is what makes slabbed results byte-identical to
+/// sequential execution at any thread count.
 #[must_use]
 pub fn split_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.clamp(1, total.max(1));

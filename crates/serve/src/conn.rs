@@ -290,12 +290,14 @@ fn reject(shared: &Shared, err: RequestError) -> Reply {
 /// mid-request is counted as a bad request and closed.
 pub(crate) fn resolve(shared: &Shared, outcome: ReadOutcome) -> Step {
     match outcome {
-        ReadOutcome::NeedMore { .. } => Step::Wait,
-        ReadOutcome::Parsed(ParseProgress::Verb(Verb::Ping)) => Step::Reply(Reply::new(
+        // A read drive keeps reading on `More` and `eof` turns it into
+        // an error, so it never surfaces as `Parsed`; it means wait.
+        ReadOutcome::NeedMore { .. } | ReadOutcome::Parsed(ParseProgress::More) => Step::Wait,
+        ReadOutcome::Parsed(ParseProgress::Ping) => Step::Reply(Reply::new(
             ReplyStatus::Ok,
             vec![("pong", Json::obj(vec![]))],
         )),
-        ReadOutcome::Parsed(ParseProgress::Verb(Verb::Stats)) => Step::Reply(Reply::new(
+        ReadOutcome::Parsed(ParseProgress::Stats) => Step::Reply(Reply::new(
             ReplyStatus::Ok,
             vec![("stats", shared.stats_json())],
         )),
@@ -303,9 +305,6 @@ pub(crate) fn resolve(shared: &Shared, outcome: ReadOutcome) -> Step {
             Step::Reply(gossip_reply(shared, &message))
         }
         ReadOutcome::Parsed(ParseProgress::Request(request)) => Step::Solve(request),
-        // The parser rolls a SOLVE or GOSSIP verb on into its body, and
-        // a read only reports a parser that resolved.
-        ReadOutcome::Parsed(progress) => unreachable!("parser resolved to {progress:?}"),
         ReadOutcome::Invalid(err) => Step::Reply(reject(shared, err)),
         ReadOutcome::Peer => {
             shared.bad_requests.fetch_add(1, Ordering::Relaxed);

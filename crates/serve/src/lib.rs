@@ -39,6 +39,8 @@
 //! server.shutdown();
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub(crate) mod conn;
@@ -52,6 +54,7 @@ pub mod protocol;
 ))]
 pub(crate) mod reactor;
 pub mod server;
+#[allow(unsafe_code)]
 pub mod sys;
 
 pub use client::{

@@ -557,10 +557,10 @@ fn apply_body_line(problem: &mut String, line: &str) -> Result<BodyLine, Request
 pub enum ParseProgress {
     /// The request is incomplete; feed more bytes (or signal EOF).
     More,
-    /// The verb line named `STATS` or `PING` — no body follows. (A
-    /// `SOLVE` or `GOSSIP` verb rolls on into its body and never
-    /// surfaces bare.)
-    Verb(Verb),
+    /// The verb line named `PING` — no body follows.
+    Ping,
+    /// The verb line named `STATS` — no body follows.
+    Stats,
     /// A complete `SOLVE` request.
     Request(Box<SolveRequest>),
     /// A complete `GOSSIP` exchange.
@@ -698,9 +698,13 @@ impl IncrementalParser {
                     match verb {
                         Verb::Solve => self.state = ParseState::Headers,
                         Verb::Gossip => self.state = ParseState::Gossip,
-                        Verb::Stats | Verb::Ping => {
+                        Verb::Ping => {
                             self.state = ParseState::Done;
-                            return Ok(ParseProgress::Verb(verb));
+                            return Ok(ParseProgress::Ping);
+                        }
+                        Verb::Stats => {
+                            self.state = ParseState::Done;
+                            return Ok(ParseProgress::Stats);
                         }
                     }
                 }
@@ -1158,16 +1162,10 @@ mod tests {
 
     #[test]
     fn bare_verbs_parse_with_or_without_a_newline() {
-        assert_eq!(
-            parse("RASENGAN/1 PING\n").unwrap(),
-            ParseProgress::Verb(Verb::Ping)
-        );
+        assert_eq!(parse("RASENGAN/1 PING\n").unwrap(), ParseProgress::Ping);
         // A verb line terminated by EOF instead of a newline still
         // parses as the final line.
-        assert_eq!(
-            parse("RASENGAN/1 STATS").unwrap(),
-            ParseProgress::Verb(Verb::Stats)
-        );
+        assert_eq!(parse("RASENGAN/1 STATS").unwrap(), ParseProgress::Stats);
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! # let _ = outcome.arg;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rasengan_baselines as baselines;
 pub use rasengan_core as core;
 pub use rasengan_math as math;

@@ -13,6 +13,8 @@
 //! rasengan submit -f inst.lp --addr 127.0.0.1:7878
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rasengan::baselines::{BaselineConfig, ChocoQ, GroverAdaptiveSearch, Hea, PQaoa};
 use rasengan::core::{Rasengan, RasenganConfig};
 use rasengan::problems::ingest::{parse_as, write_as, Format};

@@ -216,58 +216,6 @@ fn noisy_solve_identical_at_any_thread_count() {
 }
 
 #[test]
-fn batched_trajectories_bitwise_match_sequential() {
-    // The lockstep batched engine must reproduce the per-stream
-    // sequential labels bitwise at every lane width × thread count, in
-    // every noise regime — including widths the shot count does not
-    // divide, where the remainder falls back to the single-trajectory
-    // path.
-    use rasengan::qsim::{sample_trajectories, Circuit, Gate, Program};
-
-    let n = 6;
-    let mut c = Circuit::new(n);
-    for q in 0..n {
-        c.push(Gate::Ry(q, 0.3 + 0.1 * q as f64));
-        c.push(Gate::Rz(q, 0.2 * (q + 1) as f64));
-    }
-    for q in 0..n {
-        c.push(Gate::Cx(q, (q + 1) % n));
-    }
-    let program = Program::compile(&c);
-
-    let regimes = [
-        // Readout only: gate kernels fuse, no mid-circuit draws.
-        ("quiet", NoiseModel::ibm_like(0.0, 0.0, 0.02)),
-        // Everything at once: Pauli rolls plus both damping channels,
-        // so every lane draws (and sometimes rescales) mid-circuit.
-        (
-            "hot",
-            NoiseModel::depolarizing(0.05)
-                .with_amplitude_damping(0.02)
-                .with_phase_damping(0.01),
-        ),
-        // Two-qubit channel only: noise barriers on the entangler ring.
-        ("mixed", NoiseModel::ibm_like(0.0, 0.03, 0.01)),
-    ];
-    // 13 shots: not divisible by 2, 4, or 8.
-    let shots = 13;
-    for (regime, noise) in &regimes {
-        let reference = sample_trajectories(&program, noise, shots, 77, Some(1), Some(1));
-        assert_eq!(reference.len(), shots);
-        for k in [1usize, 2, 4, 8] {
-            for threads in [1usize, 4] {
-                let batched =
-                    sample_trajectories(&program, noise, shots, 77, Some(k), Some(threads));
-                assert_eq!(
-                    reference, batched,
-                    "[{regime}] K={k} threads={threads} diverged from sequential"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn degenerate_damping_solve_identical_at_any_thread_count() {
     // Heavy damping drives trajectory norms into the sampler's
     // degenerate regime (the clamped fallback paths in
