@@ -280,16 +280,23 @@ fn run_chocoq(
         }
         Some(budget) => {
             let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-            for _ in 0..budget {
-                let mut state = SparseState::basis_state(n, seed_label);
-                if noisy {
+            if noisy {
+                for _ in 0..budget {
+                    let mut state = SparseState::basis_state(n, seed_label);
                     eval.evolve_noisy(&mut state, &cfg.noise, rng);
-                } else {
-                    eval.evolve_exact(&mut state);
+                    let label = state.sample_one(rng);
+                    let label = apply_readout_error(label, n, cfg.noise.readout, rng);
+                    *counts.entry(label).or_insert(0) += 1;
                 }
-                let label = state.sample_one(rng);
-                let label = apply_readout_error(label, n, cfg.noise.readout, rng);
-                *counts.entry(label).or_insert(0) += 1;
+            } else {
+                // Noise-free evolution draws nothing, so one state and
+                // one prepared sampler serve every shot.
+                let mut state = SparseState::basis_state(n, seed_label);
+                eval.evolve_exact(&mut state);
+                let sampler = state.prepared_sampler();
+                for _ in 0..budget {
+                    *counts.entry(sampler.draw(rng)).or_insert(0) += 1;
+                }
             }
             let total: usize = counts.values().sum();
             counts

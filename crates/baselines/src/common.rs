@@ -164,9 +164,9 @@ pub fn run_dense(
             let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
             if noisy {
                 let program = Program::compile(circuit);
-                let mut runner = DenseTrajectoryRunner::new(&program);
+                let mut runner = DenseTrajectoryRunner::new(&program, &cfg.noise);
                 for _ in 0..budget {
-                    let state = runner.run(&cfg.noise, rng);
+                    let state = runner.run(rng);
                     let label = state.sample_one(rng);
                     let label = apply_readout_error(
                         label as Label,

@@ -92,10 +92,10 @@ fn dense_fused(
     seed: u64,
 ) -> BTreeMap<Label, usize> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut runner = DenseTrajectoryRunner::new(program);
+    let mut runner = DenseTrajectoryRunner::new(program, noise);
     let mut counts = BTreeMap::new();
     for _ in 0..trajectories {
-        let state = runner.run(noise, &mut rng);
+        let state = runner.run(&mut rng);
         let label = state.sample_one(&mut rng) as Label;
         let label = apply_readout_error(label, program.n_qubits(), noise.readout, &mut rng);
         *counts.entry(label).or_insert(0) += 1;
@@ -130,11 +130,11 @@ fn main() {
     let mut dense_speedup = 0.0;
     for (regime, noise) in &regimes {
         println!(
-            "dense arm [{regime}]: n={n} layers={layers} gates={} -> {} kernels \
+            "dense arm [{regime}]: n={n} layers={layers} gates={} -> {} noise-free steps \
              ({} plan steps), {trajectories} trajectories",
             circuit.len(),
-            program.kernel_count(),
-            program.traj_plan_len(noise),
+            program.fusion_stats(&NoiseModel::noise_free()).steps,
+            program.fusion_stats(noise).steps,
         );
         // Unfused and fused reps are interleaved (pairwise) so host
         // frequency drift hits both equally; the reported number is the

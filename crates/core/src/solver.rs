@@ -862,7 +862,7 @@ impl Rasengan {
             deadline: exec_deadline,
             shots_before: total_shots,
         };
-        let exec = match execute(
+        let exec = execute(
             problem,
             prepared,
             &result.best_params,
@@ -870,90 +870,77 @@ impl Rasengan {
             &ctx,
             &mut events,
             Some(&mut tracer),
-        ) {
-            Ok(exec) => exec,
+        );
+        let execute_s = tracer.close(exec_span);
+
+        // One constructor for the finished outcome and for the partial
+        // one a budget-cut final execution returns.
+        let outcome = |distribution: BTreeMap<Label, f64>,
+                       raw_in_constraints_rate: f64,
+                       quantum_s: f64,
+                       retry_s: f64,
+                       total_shots: usize,
+                       events: Vec<ResilienceEvent>| {
+            let e_real = expectation(problem, &distribution, lambda);
+            let (_, e_opt) = optimum(problem);
+            Outcome {
+                best: best_solution(problem, &distribution),
+                expectation: e_real,
+                arg: arg(e_opt, e_real),
+                raw_in_constraints_rate,
+                in_constraints_rate: in_constraints_rate(problem, &distribution),
+                distribution,
+                stats: prepared.stats.clone(),
+                latency: Latency {
+                    quantum_s,
+                    classical_s: wall.elapsed().as_secs_f64(),
+                    stages: StageTimes {
+                        prepare_s,
+                        train_s,
+                        execute_s,
+                        retry_s,
+                        ..StageTimes::default()
+                    },
+                },
+                history: result.history,
+                evaluations: result.evaluations,
+                total_shots,
+                resilience: ResilienceReport { events },
+                trained_times: result.best_params,
+                trace: tracer.finish(),
+            }
+        };
+        match exec {
+            Ok(exec) => Ok(outcome(
+                exec.distribution,
+                exec.raw_in_constraints_rate,
+                quantum_s + exec.quantum_s,
+                retry_s + exec.retry_s,
+                total_shots + exec.shots,
+                events,
+            )),
+            // A budget killed the final execution. Package the best
+            // partial result — the latest successful training
+            // execution — so callers still get a usable answer.
             Err(RasenganError::BudgetExceeded { stage, kind, .. }) => {
-                // A budget killed the final execution. Package the best
-                // partial result — the latest successful training
-                // execution — so callers still get a usable answer.
-                let execute_s = tracer.close(exec_span);
-                let trace = tracer.finish();
                 let partial = last_good.map(|(distribution, raw_rate)| {
-                    let e_real = expectation(problem, &distribution, lambda);
-                    let (_, e_opt) = optimum(problem);
-                    Box::new(Outcome {
-                        best: best_solution(problem, &distribution),
-                        expectation: e_real,
-                        arg: arg(e_opt, e_real),
-                        raw_in_constraints_rate: raw_rate,
-                        in_constraints_rate: in_constraints_rate(problem, &distribution),
+                    Box::new(outcome(
                         distribution,
-                        stats: prepared.stats.clone(),
-                        latency: Latency {
-                            quantum_s,
-                            classical_s: wall.elapsed().as_secs_f64(),
-                            stages: StageTimes {
-                                prepare_s,
-                                train_s,
-                                execute_s,
-                                retry_s,
-                                ..StageTimes::default()
-                            },
-                        },
-                        history: result.history.clone(),
-                        evaluations: result.evaluations,
+                        raw_rate,
+                        quantum_s,
+                        retry_s,
                         total_shots,
-                        resilience: ResilienceReport {
-                            events: events.clone(),
-                        },
-                        trained_times: result.best_params.clone(),
-                        trace,
-                    })
+                        events,
+                    ))
                 });
-                return Err(RasenganError::BudgetExceeded {
+                Err(RasenganError::BudgetExceeded {
                     stage,
                     kind,
                     partial,
-                });
+                })
             }
-            Err(e) => return Err(e),
-        };
-        let execute_s = tracer.close(exec_span);
-        quantum_s += exec.quantum_s;
-        retry_s += exec.retry_s;
-        total_shots += exec.shots;
-
-        let e_real = expectation(problem, &exec.distribution, lambda);
-        let (_, e_opt) = optimum(problem);
-        let best = best_solution(problem, &exec.distribution);
-        let rate = in_constraints_rate(problem, &exec.distribution);
-
-        Ok(Outcome {
-            best,
-            expectation: e_real,
-            arg: arg(e_opt, e_real),
-            raw_in_constraints_rate: exec.raw_in_constraints_rate,
-            in_constraints_rate: rate,
-            distribution: exec.distribution,
-            stats: prepared.stats.clone(),
-            latency: Latency {
-                quantum_s,
-                classical_s: wall.elapsed().as_secs_f64(),
-                stages: StageTimes {
-                    prepare_s,
-                    train_s,
-                    execute_s,
-                    retry_s,
-                    ..StageTimes::default()
-                },
-            },
-            history: result.history,
-            evaluations: result.evaluations,
-            total_shots,
-            resilience: ResilienceReport { events },
-            trained_times: result.best_params,
-            trace: tracer.finish(),
-        })
+            Err(e) => Err(e),
+        }
     }
 }
 

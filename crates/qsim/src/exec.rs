@@ -1,30 +1,33 @@
-//! Compiled circuit programs: gate fusion for execute-many workloads.
+//! Compiled circuit programs: noise-aware gate fusion for dense
+//! trajectory sampling.
 //!
-//! A [`Program`] walks a [`Circuit`] once and compiles it into two
-//! complementary forms:
+//! [`Program::compile`] walks a [`Circuit`] once and records one entry
+//! per gate: its dense op with masks, angles and matrices precomputed,
+//! its qubit range, its arity class (which depolarizing rate its noise
+//! channel uses) and its fusion class. Compiling fuses nothing.
 //!
-//! * **Fused kernels** for noise-free execution: adjacent single-qubit
-//!   gates collapse into one 2×2 matrix per qubit, maximal runs of
-//!   diagonal gates (`Z`/`Rz`/`Phase`/`Cz`/`Rzz`/`Cp`/`Mcp`) merge into
-//!   one diagonal-phase kernel with precomputed factors, and maximal
-//!   runs of permutation gates (`X`/`Y`/`Cx`/`Swap`/`Mcx`) merge into
-//!   one label-permutation kernel the sparse backend applies with a
-//!   single map rebuild instead of one per gate.
-//! * **Per-gate trajectory steps** for noisy execution: every *active*
-//!   noise channel attaches after its gate and acts as a fusion
-//!   barrier. A channel is active when its depolarizing rate or either
-//!   damping rate is nonzero; an inactive channel touches neither the
-//!   state nor the RNG, so [`DenseTrajectoryRunner`] fuses maximal runs
-//!   of gates whose channels are inactive into the same kernel classes
-//!   as the noise-free path, and trajectory sampling still attaches at
-//!   exactly the points the gate-by-gate path would. Angles, masks, and
-//!   matrices are precomputed once at compile time, the per-trajectory
-//!   loop runs allocation-free over plain-old-data ops, and the state
-//!   buffer is reused across trajectories.
+//! [`DenseTrajectoryRunner::new`] groups the gates into a plan for one
+//! [`NoiseModel`], in the module's only fusion walk:
 //!
-//! Diagonal and permutation fusion multiply each amplitude by the same
+//! * a gate whose noise channel is *active* — its depolarizing rate or
+//!   either damping rate is nonzero — stays a step of its own, and its
+//!   noise barrier follows it;
+//! * a maximal run of gates whose channels are inactive fuses: adjacent
+//!   single-qubit gates collapse into one 2×2 matrix per qubit,
+//!   diagonal gates (`Z`/`Rz`/`Phase`/`Cz`/`Rzz`/`Cp`/`Mcp`) into one
+//!   diagonal-phase pass with precomputed factors, and permutation
+//!   gates (`X`/`Y`/`Cx`/`Swap`/`Mcx`) into one label permutation.
+//!
+//! An inactive channel touches neither the state nor the RNG, so the
+//! runner draws exactly the random numbers gate-by-gate execution
+//! ([`noise::run_dense_trajectory`]) draws, at the same points. Under
+//! [`NoiseModel::noise_free`] every gate fuses. Each trajectory replays
+//! the plan on one reused state buffer without allocating.
+//!
+//! Diagonal and permutation runs multiply each amplitude by the same
 //! factor sequence, in gate order, that gate-by-gate execution would —
-//! so those kernels are bit-identical to the unfused path. Only fused
+//! so they are bit-identical to the unfused path, except that a fused
+//! `Z` multiplies by `cis(π)` rather than the exact −1. Only fused
 //! 1-qubit matrix products introduce rounding (bounded by the property
 //! tests at 1e-9).
 
@@ -34,18 +37,18 @@ use crate::dense::{self, DenseState};
 use crate::gate::Gate;
 use crate::noise::{self, NoiseModel};
 use crate::parallel::par_chunks_aligned;
-use crate::sparse::{Label, SparseState, UnsupportedGate};
+use crate::sparse::Label;
 use rand::Rng;
 
-/// Minimum dense amplitude count before fused kernels fan out to
+/// Minimum dense amplitude count before fused runs fan out to
 /// threads (mirrors the per-gate kernels in [`crate::dense`]).
 const PAR_MIN_AMPS: usize = 1 << 14;
 
-/// One term of a fused diagonal kernel. Factors are precomputed at
+/// One term of a fused diagonal run. Factors are precomputed at
 /// compile time; application order matches gate order, so the product
 /// sequence per amplitude is exactly what gate-by-gate execution does.
 #[derive(Clone, Copy, Debug)]
-pub enum DiagTerm {
+enum DiagTerm {
     /// Multiply by `phase` when all `mask` bits are set
     /// (`Z`/`Phase`/`Cz`/`Cp`/`Mcp`).
     MaskPhase {
@@ -96,9 +99,9 @@ impl DiagTerm {
     }
 }
 
-/// One step of a fused label-permutation kernel.
+/// One step of a fused label-permutation run.
 #[derive(Clone, Copy, Debug)]
-pub enum PermStep {
+enum PermStep {
     /// Unconditional bit flips (`X`).
     Xor(Label),
     /// Flip `xor` when all `ctrl` bits are set (`Cx`/`Mcx`).
@@ -149,31 +152,6 @@ fn apply_perm_steps(steps: &[PermStep], mut label: Label, mut amp: Complex) -> (
         }
     }
     (label, amp)
-}
-
-/// A fused execution kernel: the unit of work after compilation.
-#[derive(Clone, Debug)]
-pub enum Kernel {
-    /// A run of single-qubit gates fused into one 2×2 matrix per
-    /// touched qubit (in first-touch order). The sparse backend cannot
-    /// execute this class; `first` records the offending gate for the
-    /// error message.
-    OneQ {
-        /// `(qubit, fused matrix)` per touched qubit.
-        matrices: Vec<(usize, [Complex; 4])>,
-        /// Display form of the run's first gate (for error reporting).
-        first: String,
-    },
-    /// A maximal run of diagonal gates: one pass, factors in gate order.
-    Diagonal {
-        /// Precomputed per-gate factors.
-        terms: Vec<DiagTerm>,
-    },
-    /// A maximal run of permutation gates: one label rebuild.
-    Permutation {
-        /// Label-transform steps in gate order.
-        steps: Vec<PermStep>,
-    },
 }
 
 /// A single compiled gate for trajectory (noisy) execution, with all
@@ -230,34 +208,49 @@ impl GateOp {
             } => state.apply_rzz_masks(ma as usize, mb as usize, minus, plus),
         }
     }
+
+    /// The op as a `(qubit, 2×2 matrix)` pair a 1-qubit run can absorb
+    /// (`None` for multi-qubit ops). The entries are the constants
+    /// [`DenseState::apply`] uses.
+    fn one_q(&self) -> Option<(usize, [Complex; 4])> {
+        match *self {
+            GateOp::OneQ { q, m } => Some((q, m)),
+            GateOp::PhasePair { q, p0, p1 } => Some((q, [p0, Complex::ZERO, Complex::ZERO, p1])),
+            _ => None,
+        }
+    }
 }
 
-/// One trajectory step: a compiled gate plus the metadata its noise
-/// barrier needs (touched-qubit range into the program's flat buffer
-/// and the arity class selecting `p1` vs `p2`).
+/// How a gate joins a fused run when its noise channel is inactive.
+#[derive(Clone, Copy, Debug)]
+enum Fusion {
+    /// `H`/`Rx`/`Ry`: only a 1-qubit matrix run takes it.
+    OneQ,
+    /// A diagonal gate. An open 1-qubit run absorbs the single-qubit
+    /// ones (`Z`/`Rz`/`Phase`) as matrices instead.
+    Diag(DiagTerm),
+    /// A permutation gate. An open 1-qubit run absorbs the
+    /// single-qubit ones (`X`/`Y`) as matrices instead.
+    Perm(PermStep),
+}
+
+/// One compiled gate: its dense op, the touched-qubit range into the
+/// program's flat buffer and the arity class (which select its noise
+/// barrier's qubits and `p1` vs `p2`), and its fusion class.
 #[derive(Clone, Debug)]
-struct TrajGate {
+struct CompiledGate {
     op: GateOp,
     qubits: (u32, u32),
     multi: bool,
+    fusion: Fusion,
 }
 
-/// What the compiler is currently accumulating.
+/// The fused run the plan builder is currently accumulating.
 enum Pending {
     None,
-    OneQ(Vec<(usize, [Complex; 4])>, String),
+    OneQ(Vec<(usize, [Complex; 4])>),
     Diag(Vec<DiagTerm>),
     Perm(Vec<PermStep>),
-}
-
-/// A gate's fusion classification, retained per trajectory step so a
-/// noise-aware plan can re-fuse runs whose channels turn out inactive
-/// for a particular [`NoiseModel`].
-#[derive(Clone, Copy, Debug)]
-struct FuseInfo {
-    one_q: Option<(usize, [Complex; 4])>,
-    diag: Option<DiagTerm>,
-    perm: Option<PermStep>,
 }
 
 /// One step of a noise-specialized trajectory plan.
@@ -321,21 +314,23 @@ impl PermRun {
     }
 }
 
-/// A circuit compiled into fused kernels (noise-free execution) and
-/// precomputed per-gate trajectory steps (noisy execution).
+/// A circuit compiled into one precomputed entry per gate, from which
+/// [`DenseTrajectoryRunner`] builds a noise-specialized fused plan.
 ///
 /// # Example
 ///
 /// ```
-/// use rasengan_qsim::exec::Program;
-/// use rasengan_qsim::{Circuit, DenseState};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+/// use rasengan_qsim::{Circuit, DenseState, DenseTrajectoryRunner, NoiseModel, Program};
 ///
 /// let mut c = Circuit::new(2);
 /// c.h(0).rz(0, 0.4).rz(1, -0.2).cx(0, 1);
 /// let program = Program::compile(&c);
-/// assert!(program.kernel_count() < c.len());
-/// let mut fused = DenseState::zero_state(2);
-/// program.run_dense(&mut fused);
+/// let noise = NoiseModel::noise_free();
+/// assert!(program.fusion_stats(&noise).steps < c.len());
+/// let mut runner = DenseTrajectoryRunner::new(&program, &noise);
+/// let fused = runner.run(&mut StdRng::seed_from_u64(0));
 /// let reference = DenseState::from_circuit(&c);
 /// for l in 0..4 {
 ///     assert!(fused.amplitude(l).approx_eq(reference.amplitude(l), 1e-12));
@@ -344,11 +339,8 @@ impl PermRun {
 #[derive(Clone, Debug)]
 pub struct Program {
     n_qubits: usize,
-    kernels: Vec<Kernel>,
-    traj: Vec<TrajGate>,
-    fuse_info: Vec<FuseInfo>,
+    gates: Vec<CompiledGate>,
     qubit_buf: Vec<usize>,
-    gate_count: usize,
 }
 
 /// Fusion counters for one trajectory plan, reported by
@@ -361,6 +353,8 @@ pub struct Program {
 pub struct FusionStats {
     /// Gates in the source circuit.
     pub gate_count: usize,
+    /// Steps in the plan: the barriers plus the fused runs.
+    pub steps: usize,
     /// Gates executed individually because their noise channel is
     /// active (the noise barrier after each one blocks fusion).
     pub barriers: usize,
@@ -382,27 +376,6 @@ pub struct FusionStats {
     pub diagonal_run_len_max: usize,
     /// Longest permutation run (in gates).
     pub permutation_run_len_max: usize,
-}
-
-/// The 2×2 matrix of a single-qubit gate (`None` for multi-qubit
-/// gates). Matches the matrices [`DenseState::apply`] uses.
-fn one_q_matrix(g: &Gate) -> Option<[Complex; 4]> {
-    Some(match g {
-        Gate::X(_) => dense::x_matrix(),
-        Gate::Y(_) => dense::y_matrix(),
-        Gate::H(_) => dense::h_matrix(),
-        Gate::Rx(_, t) => dense::rx_matrix(*t),
-        Gate::Ry(_, t) => dense::ry_matrix(*t),
-        Gate::Z(_) => [Complex::ONE, Complex::ZERO, Complex::ZERO, -Complex::ONE],
-        Gate::Rz(_, t) => [
-            Complex::cis(-t / 2.0),
-            Complex::ZERO,
-            Complex::ZERO,
-            Complex::cis(t / 2.0),
-        ],
-        Gate::Phase(_, t) => [Complex::ONE, Complex::ZERO, Complex::ZERO, Complex::cis(*t)],
-        _ => return None,
-    })
 }
 
 /// `b · a` as 2×2 row-major matrices (gate `b` applied after `a`).
@@ -553,108 +526,43 @@ fn gate_op(g: &Gate) -> GateOp {
 }
 
 impl Program {
-    /// Compiles a circuit: one walk, greedy maximal-run fusion.
+    /// Compiles a circuit: one walk, one precomputed entry per gate.
     pub fn compile(circuit: &Circuit) -> Program {
-        let mut kernels = Vec::new();
-        let mut pending = Pending::None;
-        let mut traj = Vec::with_capacity(circuit.len());
-        let mut fuse_info = Vec::with_capacity(circuit.len());
+        let mut gates = Vec::with_capacity(circuit.len());
         let mut qubit_buf = Vec::new();
-
-        let flush = |pending: &mut Pending, kernels: &mut Vec<Kernel>| match std::mem::replace(
-            pending,
-            Pending::None,
-        ) {
-            Pending::None => {}
-            Pending::OneQ(matrices, first) => kernels.push(Kernel::OneQ { matrices, first }),
-            Pending::Diag(terms) => kernels.push(Kernel::Diagonal { terms }),
-            Pending::Perm(steps) => kernels.push(Kernel::Permutation { steps }),
-        };
-
         for g in circuit.gates() {
-            // Trajectory form: every gate stands alone (noise barriers).
             let start = qubit_buf.len() as u32;
             qubit_buf.extend_from_slice(&g.qubits());
-            traj.push(TrajGate {
+            let fusion = match (diag_term(g), perm_step(g)) {
+                (Some(term), _) => Fusion::Diag(term),
+                (None, Some(step)) => Fusion::Perm(step),
+                (None, None) => Fusion::OneQ,
+            };
+            gates.push(CompiledGate {
                 op: gate_op(g),
                 qubits: (start, qubit_buf.len() as u32),
                 multi: g.is_multi_qubit(),
+                fusion,
             });
-            fuse_info.push(FuseInfo {
-                one_q: one_q_matrix(g).map(|m| (g.qubits()[0], m)),
-                diag: diag_term(g),
-                perm: perm_step(g),
-            });
-
-            // Fused form: extend the pending kernel or start a new one.
-            if let Pending::OneQ(matrices, _) = &mut pending {
-                // An open 1-qubit run absorbs any single-qubit gate.
-                if let Some(m) = one_q_matrix(g) {
-                    let q = g.qubits()[0];
-                    match matrices.iter_mut().find(|(mq, _)| *mq == q) {
-                        Some((_, acc)) => *acc = matmul(m, *acc),
-                        None => matrices.push((q, m)),
-                    }
-                    continue;
-                }
-            }
-            if let Some(term) = diag_term(g) {
-                match &mut pending {
-                    Pending::Diag(terms) => terms.push(term),
-                    _ => {
-                        flush(&mut pending, &mut kernels);
-                        pending = Pending::Diag(vec![term]);
-                    }
-                }
-            } else if let Some(step) = perm_step(g) {
-                match &mut pending {
-                    Pending::Perm(steps) => steps.push(step),
-                    _ => {
-                        flush(&mut pending, &mut kernels);
-                        pending = Pending::Perm(vec![step]);
-                    }
-                }
-            } else {
-                // H/Rx/Ry outside an open 1-qubit run.
-                let m = one_q_matrix(g).expect("remaining gates are single-qubit");
-                flush(&mut pending, &mut kernels);
-                pending = Pending::OneQ(vec![(g.qubits()[0], m)], g.to_string());
-            }
         }
-        flush(&mut pending, &mut kernels);
-
-        if let Some(reg) = rasengan_obs::metrics::try_global() {
-            reg.counter_add("qsim.fuse.programs", 1);
-            reg.counter_add("qsim.fuse.gates", circuit.len() as u64);
-            reg.counter_add("qsim.fuse.kernels", kernels.len() as u64);
-        }
-
         Program {
             n_qubits: circuit.n_qubits(),
-            kernels,
-            traj,
-            fuse_info,
+            gates,
             qubit_buf,
-            gate_count: circuit.len(),
         }
     }
 
-    /// Builds a trajectory plan specialized to which noise channels are
-    /// active: gates with active channels stay gate-by-gate steps (their
-    /// noise barrier follows each one), maximal runs of inactive-channel
-    /// gates re-fuse through the same classification the kernel compiler
-    /// uses. With every channel active this degenerates to one
-    /// [`PlanStep::Gate`] per gate — exactly today's unfused sequence.
-    fn build_traj_plan(&self, act1: bool, act2: bool) -> Vec<PlanStep> {
-        self.build_traj_plan_stats(act1, act2).0
-    }
-
-    /// [`build_traj_plan`](Self::build_traj_plan) plus fusion counters,
-    /// tallied during the same walk so the stats can never drift from
-    /// the plan that actually executes.
-    fn build_traj_plan_stats(&self, act1: bool, act2: bool) -> (Vec<PlanStep>, FusionStats) {
+    /// Groups the gates into a trajectory plan for `noise` — the only
+    /// place gates fuse. A gate whose channel is active stays a
+    /// [`PlanStep::Gate`] (its noise barrier follows it); maximal runs
+    /// of inactive-channel gates fuse greedily by fusion class. With
+    /// every channel active the plan is one step per gate, exactly the
+    /// unfused sequence. The counters are tallied in the same walk, so
+    /// they can never drift from the plan that executes.
+    fn plan(&self, noise: &NoiseModel) -> (Vec<PlanStep>, FusionStats) {
+        let (act1, act2) = channel_activity(noise);
         let mut stats = FusionStats {
-            gate_count: self.gate_count,
+            gate_count: self.gates.len(),
             ..FusionStats::default()
         };
         let mut steps = Vec::new();
@@ -666,21 +574,22 @@ impl Program {
             Pending::None,
         ) {
             Pending::None => {}
-            Pending::OneQ(matrices, _) => steps.push(PlanStep::OneQ(matrices)),
+            Pending::OneQ(matrices) => steps.push(PlanStep::OneQ(matrices)),
             Pending::Diag(terms) => steps.push(PlanStep::Diagonal(terms)),
             Pending::Perm(run) => steps.push(PlanStep::Permutation(PermRun::new(run, n_qubits))),
         };
 
-        for (i, (tg, fi)) in self.traj.iter().zip(&self.fuse_info).enumerate() {
-            let active = if tg.multi { act2 } else { act1 };
+        for (i, g) in self.gates.iter().enumerate() {
+            let active = if g.multi { act2 } else { act1 };
             if active {
                 flush(&mut pending, &mut steps);
                 steps.push(PlanStep::Gate(i as u32));
                 stats.barriers += 1;
                 continue;
             }
-            if let Pending::OneQ(matrices, _) = &mut pending {
-                if let Some((q, m)) = fi.one_q {
+            if let Pending::OneQ(matrices) = &mut pending {
+                // An open 1-qubit run absorbs any single-qubit gate.
+                if let Some((q, m)) = g.op.one_q() {
                     match matrices.iter_mut().find(|(mq, _)| *mq == q) {
                         Some((_, acc)) => *acc = matmul(m, *acc),
                         None => matrices.push((q, m)),
@@ -689,66 +598,62 @@ impl Program {
                     continue;
                 }
             }
-            if let Some(term) = fi.diag {
-                stats.diagonal_gates += 1;
-                match &mut pending {
-                    Pending::Diag(terms) => {
-                        terms.push(term);
-                        stats.diagonal_run_len_max = stats.diagonal_run_len_max.max(terms.len());
-                    }
-                    _ => {
-                        flush(&mut pending, &mut steps);
-                        pending = Pending::Diag(vec![term]);
-                        stats.diagonal_runs += 1;
-                        stats.diagonal_run_len_max = stats.diagonal_run_len_max.max(1);
-                    }
-                }
-            } else if let Some(step) = fi.perm {
-                stats.permutation_gates += 1;
-                match &mut pending {
-                    Pending::Perm(run) => {
-                        run.push(step);
-                        stats.permutation_run_len_max =
-                            stats.permutation_run_len_max.max(run.len());
-                    }
-                    _ => {
-                        flush(&mut pending, &mut steps);
-                        pending = Pending::Perm(vec![step]);
-                        stats.permutation_runs += 1;
-                        stats.permutation_run_len_max = stats.permutation_run_len_max.max(1);
+            match g.fusion {
+                Fusion::Diag(term) => {
+                    stats.diagonal_gates += 1;
+                    match &mut pending {
+                        Pending::Diag(terms) => {
+                            terms.push(term);
+                            stats.diagonal_run_len_max =
+                                stats.diagonal_run_len_max.max(terms.len());
+                        }
+                        _ => {
+                            flush(&mut pending, &mut steps);
+                            pending = Pending::Diag(vec![term]);
+                            stats.diagonal_runs += 1;
+                            stats.diagonal_run_len_max = stats.diagonal_run_len_max.max(1);
+                        }
                     }
                 }
-            } else {
-                let (q, m) = fi.one_q.expect("remaining gates are single-qubit");
-                flush(&mut pending, &mut steps);
-                pending = Pending::OneQ(vec![(q, m)], String::new());
-                stats.one_q_runs += 1;
-                stats.one_q_gates += 1;
+                Fusion::Perm(step) => {
+                    stats.permutation_gates += 1;
+                    match &mut pending {
+                        Pending::Perm(run) => {
+                            run.push(step);
+                            stats.permutation_run_len_max =
+                                stats.permutation_run_len_max.max(run.len());
+                        }
+                        _ => {
+                            flush(&mut pending, &mut steps);
+                            pending = Pending::Perm(vec![step]);
+                            stats.permutation_runs += 1;
+                            stats.permutation_run_len_max = stats.permutation_run_len_max.max(1);
+                        }
+                    }
+                }
+                Fusion::OneQ => {
+                    let qm = g.op.one_q().expect("H/Rx/Ry are single-qubit");
+                    flush(&mut pending, &mut steps);
+                    pending = Pending::OneQ(vec![qm]);
+                    stats.one_q_runs += 1;
+                    stats.one_q_gates += 1;
+                }
             }
         }
         flush(&mut pending, &mut steps);
         stats.gates_fused = stats.one_q_gates + stats.diagonal_gates + stats.permutation_gates;
+        stats.steps = steps.len();
         (steps, stats)
     }
 
-    /// Fusion counters for the trajectory plan this program would run
-    /// under `noise`: how many gates execute gate-by-gate (noise
-    /// barriers), how many fuse into which kind of run, and the longest
-    /// diagonal/permutation runs. The invariant
+    /// Fusion counters for the plan a [`DenseTrajectoryRunner`] runs
+    /// under `noise`: how many steps it has, how many gates execute
+    /// gate-by-gate (noise barriers), how many fuse into which kind of
+    /// run, and the longest diagonal/permutation runs. The invariant
     /// `gates_fused + barriers == gate_count` holds for every program
     /// and noise model (property-tested in `tests/properties.rs`).
     pub fn fusion_stats(&self, noise: &NoiseModel) -> FusionStats {
-        let (act1, act2) = channel_activity(noise);
-        self.build_traj_plan_stats(act1, act2).1
-    }
-
-    /// Number of steps in the trajectory plan [`DenseTrajectoryRunner`]
-    /// would execute under `noise` (equals [`Self::gate_count`] when
-    /// every channel is active; shrinks toward [`Self::kernel_count`] as
-    /// channels deactivate).
-    pub fn traj_plan_len(&self, noise: &NoiseModel) -> usize {
-        let (act1, act2) = channel_activity(noise);
-        self.build_traj_plan(act1, act2).len()
+        self.plan(noise).1
     }
 
     /// Number of qubits the compiled circuit acts on.
@@ -758,101 +663,18 @@ impl Program {
 
     /// Number of gates in the source circuit.
     pub fn gate_count(&self) -> usize {
-        self.gate_count
-    }
-
-    /// Number of fused kernels (≤ gate count; the fusion ratio).
-    pub fn kernel_count(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Whether every kernel is executable on the sparse backend (no
-    /// fused 1-qubit matrix runs).
-    pub fn is_sparse_safe(&self) -> bool {
-        !self
-            .kernels
-            .iter()
-            .any(|k| matches!(k, Kernel::OneQ { .. }))
-    }
-
-    /// Executes the fused kernels on a dense state (noise-free path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state width does not match the program.
-    pub fn run_dense(&self, state: &mut DenseState) {
-        assert_eq!(state.n_qubits(), self.n_qubits, "state width mismatch");
-        let mut scratch: Vec<Complex> = Vec::new();
-        for kernel in &self.kernels {
-            match kernel {
-                Kernel::OneQ { matrices, .. } => apply_one_q_dense(state, matrices),
-                Kernel::Diagonal { terms } => apply_diagonal_dense(state, terms),
-                Kernel::Permutation { steps } => {
-                    apply_permutation_dense(state, steps, &mut scratch)
-                }
-            }
-        }
-    }
-
-    /// Executes the fused kernels on a sparse state.
-    ///
-    /// Diagonal runs multiply each amplitude by the per-gate factors in
-    /// gate order and permutation runs rebuild the label map once — both
-    /// bit-identical to gate-by-gate application.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnsupportedGate`] (naming the run's first gate) if the
-    /// program contains a fused 1-qubit matrix kernel; the state is left
-    /// as of the preceding kernel.
-    pub fn run_sparse(&self, state: &mut SparseState) -> Result<(), UnsupportedGate> {
-        for kernel in &self.kernels {
-            match kernel {
-                Kernel::OneQ { first, .. } => {
-                    return Err(UnsupportedGate {
-                        gate: first.clone(),
-                    })
-                }
-                Kernel::Diagonal { terms } => {
-                    for (l, a) in state.amps.iter_mut() {
-                        for t in terms {
-                            t.apply(*l, a);
-                        }
-                    }
-                }
-                Kernel::Permutation { steps } => {
-                    state.scratch.clear();
-                    state.scratch.reserve(state.amps.len());
-                    for (&l, &a) in &state.amps {
-                        let (l2, amp) = apply_perm_steps(steps, l, a);
-                        *state.scratch.entry(l2).or_insert(Complex::ZERO) += amp;
-                    }
-                    std::mem::swap(&mut state.amps, &mut state.scratch);
-                    state.scratch.clear();
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs one noisy trajectory into a fresh state (convenience for
-    /// single runs; callers sampling many trajectories should reuse a
-    /// [`DenseTrajectoryRunner`]).
-    pub fn dense_trajectory(&self, noise: &NoiseModel, rng: &mut impl Rng) -> DenseState {
-        let mut runner = DenseTrajectoryRunner::new(self);
-        runner.run(noise, rng);
-        runner.into_state()
+        self.gates.len()
     }
 }
 
-/// Applies a fused 1-qubit kernel: one matrix pass per touched qubit.
+/// Applies a fused 1-qubit run: one matrix pass per touched qubit.
 fn apply_one_q_dense(state: &mut DenseState, matrices: &[(usize, [Complex; 4])]) {
     for &(q, m) in matrices {
         state.apply_1q(q, m);
     }
 }
 
-/// Applies a fused diagonal kernel: one pass, factors in gate order.
+/// Applies a fused diagonal run: one pass, factors in gate order.
 fn apply_diagonal_dense(state: &mut DenseState, terms: &[DiagTerm]) {
     let amps = state.amps_vec_mut();
     par_chunks_aligned(amps, 1, PAR_MIN_AMPS, |base, chunk| {
@@ -865,29 +687,19 @@ fn apply_diagonal_dense(state: &mut DenseState, terms: &[DiagTerm]) {
     });
 }
 
-/// Applies a fused permutation kernel: one label rebuild via `scratch`.
-fn apply_permutation_dense(state: &mut DenseState, steps: &[PermStep], scratch: &mut Vec<Complex>) {
-    let amps = state.amps_vec_mut();
-    scratch.clear();
-    scratch.resize(amps.len(), Complex::ZERO);
-    for (i, &a) in amps.iter().enumerate() {
-        let (l, amp) = apply_perm_steps(steps, i as Label, a);
-        scratch[l as usize] = amp;
-    }
-    std::mem::swap(amps, scratch);
-}
-
 /// Applies a plan permutation run: a single scatter through the
-/// precomputed table when one exists (the permutation is a bijection,
-/// so every `scratch` slot is written and no zero-fill is needed),
-/// otherwise the per-amplitude step chain.
+/// precomputed table when one exists, otherwise the per-amplitude step
+/// chain. The permutation is a bijection, so every `scratch` slot is
+/// written and no zero-fill is needed.
 fn apply_perm_run_dense(state: &mut DenseState, run: &PermRun, scratch: &mut Vec<Complex>) {
-    if run.index.is_empty() {
-        return apply_permutation_dense(state, &run.steps, scratch);
-    }
     let amps = state.amps_vec_mut();
     scratch.resize(amps.len(), Complex::ZERO);
-    if run.factors.is_empty() {
+    if run.index.is_empty() {
+        for (i, &a) in amps.iter().enumerate() {
+            let (l, amp) = apply_perm_steps(&run.steps, i as Label, a);
+            scratch[l as usize] = amp;
+        }
+    } else if run.factors.is_empty() {
         for (i, &a) in amps.iter().enumerate() {
             scratch[run.index[i] as usize] = a;
         }
@@ -909,64 +721,58 @@ fn channel_activity(noise: &NoiseModel) -> (bool, bool) {
     (noise.p1 > 0.0 || damping, noise.p2 > 0.0 || damping)
 }
 
-/// Executes a compiled program's trajectory steps repeatedly, reusing
+/// Executes a compiled program's trajectory plan repeatedly, reusing
 /// one state buffer across trajectories (no per-shot allocation).
 ///
-/// The runner lazily builds (and caches) a plan specialized to the
-/// noise model's channel activity. An inactive channel — zero
-/// depolarizing rate and zero damping — neither touches the state nor
-/// draws from the RNG in [`noise::run_dense_trajectory`], so gates
-/// under inactive channels re-fuse into kernels while every active
-/// channel still attaches at exactly the gate-by-gate points. For a
-/// given RNG state, [`run`](Self::run) therefore consumes RNG draws
-/// identically to [`noise::run_dense_trajectory`]; states are
-/// bit-identical when every channel is active (no fusion engages) and
-/// within the documented 1e-9 fused-matrix rounding otherwise.
+/// [`new`](Self::new) builds the plan once for the runner's noise
+/// model. An inactive channel — zero depolarizing rate and zero
+/// damping — neither touches the state nor draws from the RNG in
+/// [`noise::run_dense_trajectory`], so gates under inactive channels
+/// fuse while every active channel still attaches at exactly the
+/// gate-by-gate points. For a given RNG state, [`run`](Self::run)
+/// therefore consumes RNG draws identically to
+/// [`noise::run_dense_trajectory`]; states are bit-identical when every
+/// channel is active (no fusion engages) and within the documented
+/// 1e-9 fused-matrix rounding otherwise.
 pub struct DenseTrajectoryRunner<'p> {
     program: &'p Program,
-    state: DenseState,
+    noise: NoiseModel,
     plan: Vec<PlanStep>,
-    plan_activity: Option<(bool, bool)>,
+    state: DenseState,
     scratch: Vec<Complex>,
 }
 
 impl<'p> DenseTrajectoryRunner<'p> {
-    /// Creates a runner with a zeroed reusable state buffer.
+    /// Builds the plan for `noise` and a zeroed reusable state buffer.
     ///
     /// # Panics
     ///
     /// Panics if the program exceeds [`DenseState::MAX_QUBITS`].
-    pub fn new(program: &'p Program) -> Self {
+    pub fn new(program: &'p Program, noise: &NoiseModel) -> Self {
         DenseTrajectoryRunner {
             state: DenseState::zero_state(program.n_qubits),
+            plan: program.plan(noise).0,
+            noise: *noise,
             program,
-            plan: Vec::new(),
-            plan_activity: None,
             scratch: Vec::new(),
         }
     }
 
     /// Runs one trajectory from `|0…0⟩`, returning the final state.
-    pub fn run(&mut self, noise: &NoiseModel, rng: &mut impl Rng) -> &DenseState {
-        let activity = channel_activity(noise);
-        if self.plan_activity != Some(activity) {
-            self.plan = self.program.build_traj_plan(activity.0, activity.1);
-            self.plan_activity = Some(activity);
-            if let Some(reg) = rasengan_obs::metrics::try_global() {
-                reg.counter_add("qsim.traj_plan.miss", 1);
-            }
-        } else if let Some(reg) = rasengan_obs::metrics::try_global() {
-            reg.counter_add("qsim.traj_plan.hit", 1);
-        }
+    pub fn run(&mut self, rng: &mut impl Rng) -> &DenseState {
         self.state.reset_zero();
         for step in &self.plan {
             match step {
                 PlanStep::Gate(i) => {
-                    let tg = &self.program.traj[*i as usize];
-                    tg.op.apply_dense(&mut self.state);
-                    let p = if tg.multi { noise.p2 } else { noise.p1 };
-                    let qs = &self.program.qubit_buf[tg.qubits.0 as usize..tg.qubits.1 as usize];
-                    noise::apply_gate_noise_dense(&mut self.state, qs, p, noise, rng);
+                    let g = &self.program.gates[*i as usize];
+                    g.op.apply_dense(&mut self.state);
+                    let p = if g.multi {
+                        self.noise.p2
+                    } else {
+                        self.noise.p1
+                    };
+                    let qs = &self.program.qubit_buf[g.qubits.0 as usize..g.qubits.1 as usize];
+                    noise::apply_gate_noise_dense(&mut self.state, qs, p, &self.noise, rng);
                 }
                 PlanStep::OneQ(matrices) => apply_one_q_dense(&mut self.state, matrices),
                 PlanStep::Diagonal(terms) => apply_diagonal_dense(&mut self.state, terms),
@@ -977,21 +783,12 @@ impl<'p> DenseTrajectoryRunner<'p> {
         }
         &self.state
     }
-
-    /// The state left by the last [`run`](Self::run).
-    pub fn state(&self) -> &DenseState {
-        &self.state
-    }
-
-    /// Consumes the runner, returning the state buffer.
-    pub fn into_state(self) -> DenseState {
-        self.state
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::SparseState;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1037,6 +834,32 @@ mod tests {
         c
     }
 
+    /// Replays the noise-free plan's steps on `state`: the runner always
+    /// starts from |0…0⟩, so tests with another input drive the steps
+    /// directly.
+    fn run_noise_free_plan(p: &Program, state: &mut DenseState) {
+        let mut scratch = Vec::new();
+        for step in p.plan(&NoiseModel::noise_free()).0 {
+            match step {
+                PlanStep::Gate(_) => unreachable!("no active channels"),
+                PlanStep::OneQ(m) => apply_one_q_dense(state, &m),
+                PlanStep::Diagonal(t) => apply_diagonal_dense(state, &t),
+                PlanStep::Permutation(run) => apply_perm_run_dense(state, &run, &mut scratch),
+            }
+        }
+    }
+
+    /// Runs the program from |0…0⟩ on the runner under
+    /// [`NoiseModel::noise_free`], asserting it draws nothing.
+    fn run_noise_free(p: &Program) -> DenseState {
+        let mut rng = StdRng::seed_from_u64(5);
+        let state = DenseTrajectoryRunner::new(p, &NoiseModel::noise_free())
+            .run(&mut rng)
+            .clone();
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(5).gen::<u64>());
+        state
+    }
+
     #[test]
     fn perm_fallback_matches_table_path() {
         // The step-chain fallback (taken above `PERM_TABLE_MAX_QUBITS`,
@@ -1050,7 +873,7 @@ mod tests {
             let mut state = DenseState::zero_state(3);
             let mut scratch = Vec::new();
             let mut perm_runs = 0;
-            for step in p.build_traj_plan(false, false) {
+            for step in p.plan(&NoiseModel::noise_free()).0 {
                 match step {
                     PlanStep::Gate(_) => unreachable!("no active channels"),
                     PlanStep::OneQ(m) => apply_one_q_dense(&mut state, &m),
@@ -1082,9 +905,10 @@ mod tests {
         let c = hea_circuit(4, 3);
         let p = Program::compile(&c);
         assert_eq!(p.gate_count(), c.len());
-        // Each layer fuses into one OneQ kernel + one Permutation run.
-        assert_eq!(p.kernel_count(), 6);
-        assert!(!p.is_sparse_safe());
+        // Each layer fuses into one OneQ run + one Permutation run.
+        let stats = p.fusion_stats(&NoiseModel::noise_free());
+        assert_eq!(stats.steps, 6);
+        assert_eq!((stats.one_q_runs, stats.permutation_runs), (3, 3));
     }
 
     #[test]
@@ -1092,9 +916,7 @@ mod tests {
         let c = hea_circuit(5, 2);
         let p = Program::compile(&c);
         let reference = DenseState::from_circuit(&c);
-        let mut fused = DenseState::zero_state(5);
-        p.run_dense(&mut fused);
-        assert!(dense_distance(&fused, &reference) < 1e-12);
+        assert!(dense_distance(&run_noise_free(&p), &reference) < 1e-12);
     }
 
     #[test]
@@ -1102,38 +924,26 @@ mod tests {
         let c = sparse_circuit(3);
         let p = Program::compile(&c);
         let reference = DenseState::from_circuit(&c);
-        let mut fused = DenseState::zero_state(3);
-        p.run_dense(&mut fused);
-        assert!(dense_distance(&fused, &reference) < 1e-12);
+        assert!(dense_distance(&run_noise_free(&p), &reference) < 1e-12);
     }
 
     #[test]
     fn fused_sparse_matches_gate_by_gate() {
+        // The noise-free plan of a sparse-safe circuit, from a basis
+        // input, against gate-by-gate sparse execution.
         let c = sparse_circuit(3);
         let p = Program::compile(&c);
-        assert!(p.is_sparse_safe());
-        // Far fewer kernels than gates: one perm run, one diag run, ...
-        assert!(p.kernel_count() <= 4, "got {}", p.kernel_count());
-        let mut fused = SparseState::basis_state(3, 0b101);
+        // Far fewer steps than gates: one perm run, one diag run, ...
+        let steps = p.fusion_stats(&NoiseModel::noise_free()).steps;
+        assert!(steps <= 4, "got {steps}");
+        let mut fused = DenseState::basis_state(3, 0b101);
+        run_noise_free_plan(&p, &mut fused);
         let mut reference = SparseState::basis_state(3, 0b101);
-        p.run_sparse(&mut fused).unwrap();
-        for g in c.gates() {
-            reference.apply(g).unwrap();
+        reference.run(&c).unwrap();
+        for l in 0..8u64 {
+            let want = reference.amplitude(l as Label);
+            assert!(fused.amplitude(l).approx_eq(want, 1e-12), "label {l}");
         }
-        for (l, pr) in reference.distribution() {
-            assert!(fused.amplitude(l).approx_eq(reference.amplitude(l), 1e-12));
-            assert!((fused.probability(l) - pr).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn sparse_rejects_one_q_kernels() {
-        let mut c = Circuit::new(2);
-        c.x(0).h(1);
-        let p = Program::compile(&c);
-        let mut s = SparseState::basis_state(2, 0);
-        let err = p.run_sparse(&mut s).unwrap_err();
-        assert!(err.to_string().contains("h q1"));
     }
 
     #[test]
@@ -1142,12 +952,12 @@ mod tests {
         c.rzz(0, 3, 0.4).mcp(vec![0, 1], 2, 0.6);
         let noise = NoiseModel::ibm_like(0.02, 0.08, 0.01).with_amplitude_damping(0.01);
         let p = Program::compile(&c);
-        let mut runner = DenseTrajectoryRunner::new(&p);
+        let mut runner = DenseTrajectoryRunner::new(&p, &noise);
         for seed in 0..30 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let reference = noise::run_dense_trajectory(&c, &noise, &mut rng_a);
-            let fused = runner.run(&noise, &mut rng_b);
+            let fused = runner.run(&mut rng_b);
             assert_eq!(
                 fused.amplitudes(),
                 reference.amplitudes(),
@@ -1165,10 +975,10 @@ mod tests {
         let full = NoiseModel::ibm_like(4e-4, 1.2e-2, 1.3e-2)
             .with_amplitude_damping(3e-4)
             .with_phase_damping(3e-4);
-        assert_eq!(p.traj_plan_len(&full), p.gate_count());
+        assert_eq!(p.fusion_stats(&full).steps, p.gate_count());
         // Damping alone activates both channel classes.
         let damp = NoiseModel::noise_free().with_phase_damping(1e-3);
-        assert_eq!(p.traj_plan_len(&damp), p.gate_count());
+        assert_eq!(p.fusion_stats(&damp).steps, p.gate_count());
     }
 
     #[test]
@@ -1176,15 +986,18 @@ mod tests {
         let c = hea_circuit(4, 3);
         let p = Program::compile(&c);
         // Readout error attaches at measurement, so no gate is a
-        // barrier: the plan matches the noise-free kernel sequence.
+        // barrier: the plan is the noise-free one.
         let readout = NoiseModel::ibm_like(0.0, 0.0, 0.02);
-        assert_eq!(p.traj_plan_len(&readout), p.kernel_count());
-        let mut runner = DenseTrajectoryRunner::new(&p);
+        assert_eq!(
+            p.fusion_stats(&readout),
+            p.fusion_stats(&NoiseModel::noise_free())
+        );
+        let mut runner = DenseTrajectoryRunner::new(&p, &readout);
         for seed in 0..10 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let reference = noise::run_dense_trajectory(&c, &readout, &mut rng_a);
-            let fused = runner.run(&readout, &mut rng_b);
+            let fused = runner.run(&mut rng_b);
             assert!(dense_distance(fused, &reference) < 1e-9);
             // Neither path draws during state evolution.
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
@@ -1198,15 +1011,16 @@ mod tests {
         let c = hea_circuit(4, 2);
         let p = Program::compile(&c);
         let noise = NoiseModel::ibm_like(0.0, 0.01, 0.02);
-        let len = p.traj_plan_len(&noise);
+        let len = p.fusion_stats(&noise).steps;
         assert!(len < p.gate_count(), "no fusion happened ({len})");
-        assert!(len > p.kernel_count(), "CX barriers vanished ({len})");
-        let mut runner = DenseTrajectoryRunner::new(&p);
+        let quiet = p.fusion_stats(&NoiseModel::noise_free()).steps;
+        assert!(len > quiet, "CX barriers vanished ({len})");
+        let mut runner = DenseTrajectoryRunner::new(&p, &noise);
         for seed in 0..20 {
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
             let reference = noise::run_dense_trajectory(&c, &noise, &mut rng_a);
-            let fused = runner.run(&noise, &mut rng_b);
+            let fused = runner.run(&mut rng_b);
             assert!(dense_distance(fused, &reference) < 1e-9);
             assert_eq!(
                 rng_a.gen::<u64>(),
@@ -1218,12 +1032,11 @@ mod tests {
 
     #[test]
     fn diagonal_fusion_is_bit_identical_on_dense() {
-        // Pure diagonal circuit: the fused kernel multiplies the same
+        // Pure diagonal circuit: the fused run multiplies the same
         // factor sequence per amplitude, so equality is exact. (`Z` is
         // excluded: dense gate-by-gate uses the exact −1 while the fused
-        // term uses `cis(π)` to stay bit-identical with the sparse
-        // backend — that one gate is covered by the 1e-9 differential
-        // property tests instead.)
+        // term uses `cis(π)` — that one gate is covered by the 1e-9
+        // differential property tests instead.)
         let mut c = Circuit::new(3);
         c.h(0).h(1).h(2); // spread amplitude first
         let prep = DenseState::from_circuit(&c);
@@ -1234,9 +1047,9 @@ mod tests {
             .phase(2, 1.1)
             .push(Gate::Cz(0, 2));
         let p = Program::compile(&d);
-        assert_eq!(p.kernel_count(), 1);
+        assert_eq!(p.fusion_stats(&NoiseModel::noise_free()).steps, 1);
         let mut fused = prep.clone();
-        p.run_dense(&mut fused);
+        run_noise_free_plan(&p, &mut fused);
         let mut reference = prep;
         reference.run(&d);
         assert_eq!(fused.amplitudes(), reference.amplitudes());

@@ -12,9 +12,10 @@
 //! * [`SparseState`] — sparse basis-state simulation with analytic
 //!   transition operators ([`Transition`]), exact for Rasengan/Choco-Q
 //!   circuits at 100+ qubits.
-//! * [`exec`] — compiled circuit programs: gate fusion (1-qubit matrix
-//!   runs, diagonal-phase runs, label-permutation runs) for
-//!   compile-once/execute-many workloads such as trajectory sampling.
+//! * [`exec`] — compiled circuit programs for dense trajectory
+//!   sampling: per noise model, one plan that fuses the gates between
+//!   active noise channels (1-qubit matrix runs, diagonal-phase runs,
+//!   label-permutation runs).
 //! * [`noise`] — trajectory-sampled depolarizing, amplitude-damping,
 //!   phase-damping, and readout channels.
 //! * [`parallel`] — deterministic scoped-thread parallelism (derived
@@ -30,6 +31,8 @@
 //!   routing ("compiled via Quebec").
 //! * [`Device`] — IBM Kyiv/Brisbane/Quebec calibration, timing, and
 //!   latency models.
+//! * [`wire`] — canonical little-endian codec primitives and the
+//!   FNV-1a checksum of persisted records.
 //!
 //! # Example: cross-validating the two backends
 //!

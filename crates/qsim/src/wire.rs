@@ -1,28 +1,21 @@
 //! Compact binary wire format for persisted artifacts.
 //!
-//! The on-disk tier (PR 7) stores compiled artifacts and finished
-//! outcomes as flat byte records. This module provides the shared
-//! primitives: a little-endian [`WireWriter`]/[`WireReader`] pair whose
-//! encodings are canonical (one value, one byte sequence — so
-//! byte-equality of encodings means value equality), the FNV-1a
-//! checksum the record headers carry, and a codec for [`Circuit`] —
-//! the qter-style compiler/interpreter split where the *source* gate
-//! list is the durable form and [`Program::compile`](
-//! crate::exec::Program::compile) deterministically rebuilds the fused
-//! kernels on load.
+//! The on-disk tier stores compiled artifacts and finished outcomes as
+//! flat byte records. This module provides the shared primitives: a
+//! little-endian [`WireWriter`]/[`WireReader`] pair whose encodings are
+//! canonical (one value, one byte sequence — so byte-equality of
+//! encodings means value equality), and the FNV-1a checksum the record
+//! headers carry. The record codecs themselves live with their types
+//! (`Prepared`/`Outcome` in `rasengan-core`, the serve tier's keys).
 //!
 //! # Corruption discipline
 //!
 //! Every reader method is total: corrupt or truncated input returns
 //! [`WireError`], never panics and never reads out of bounds. Decoders
-//! built on top (circuit here, `Prepared`/`Outcome` in
-//! `rasengan-core`) add semantic validation — qubit bounds, ternary
-//! entries, range sanity — so a record that passes its checksum but
-//! carries nonsense still degrades to a structured error. The storage
-//! layer treats any [`WireError`] as "quarantine and recompute".
-
-use crate::circuit::Circuit;
-use crate::gate::Gate;
+//! built on top add semantic validation — ternary entries, range
+//! sanity — so a record that passes its checksum but carries nonsense
+//! still degrades to a structured error. The storage layer treats any
+//! [`WireError`] as "quarantine and recompute".
 
 /// Error decoding a wire payload. Carries enough to name the failure
 /// in quarantine accounting, nothing more — corrupt records are not
@@ -240,219 +233,9 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Gate tags of the circuit codec. Fixed for all time once a format
-/// version ships; new gates append new tags.
-mod tag {
-    pub const X: u8 = 0;
-    pub const Y: u8 = 1;
-    pub const Z: u8 = 2;
-    pub const H: u8 = 3;
-    pub const RX: u8 = 4;
-    pub const RY: u8 = 5;
-    pub const RZ: u8 = 6;
-    pub const PHASE: u8 = 7;
-    pub const CX: u8 = 8;
-    pub const CZ: u8 = 9;
-    pub const SWAP: u8 = 10;
-    pub const RZZ: u8 = 11;
-    pub const CP: u8 = 12;
-    pub const MCP: u8 = 13;
-    pub const MCX: u8 = 14;
-}
-
-/// Encodes a circuit as `n_qubits · gate_count · gates`. The durable
-/// form is the source gate list, not the fused kernels:
-/// [`Program::compile`](crate::exec::Program::compile) is
-/// deterministic, so compiling a decoded circuit reproduces the
-/// original program exactly, and the format stays valid across kernel
-/// layout changes.
-pub fn encode_circuit(circuit: &Circuit) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.usize(circuit.n_qubits());
-    w.usize(circuit.len());
-    for gate in circuit.gates() {
-        encode_gate(&mut w, gate);
-    }
-    w.into_bytes()
-}
-
-fn encode_gate(w: &mut WireWriter, gate: &Gate) {
-    match gate {
-        Gate::X(q) => {
-            w.u8(tag::X);
-            w.usize(*q);
-        }
-        Gate::Y(q) => {
-            w.u8(tag::Y);
-            w.usize(*q);
-        }
-        Gate::Z(q) => {
-            w.u8(tag::Z);
-            w.usize(*q);
-        }
-        Gate::H(q) => {
-            w.u8(tag::H);
-            w.usize(*q);
-        }
-        Gate::Rx(q, t) => {
-            w.u8(tag::RX);
-            w.usize(*q);
-            w.f64(*t);
-        }
-        Gate::Ry(q, t) => {
-            w.u8(tag::RY);
-            w.usize(*q);
-            w.f64(*t);
-        }
-        Gate::Rz(q, t) => {
-            w.u8(tag::RZ);
-            w.usize(*q);
-            w.f64(*t);
-        }
-        Gate::Phase(q, t) => {
-            w.u8(tag::PHASE);
-            w.usize(*q);
-            w.f64(*t);
-        }
-        Gate::Cx(c, t) => {
-            w.u8(tag::CX);
-            w.usize(*c);
-            w.usize(*t);
-        }
-        Gate::Cz(c, t) => {
-            w.u8(tag::CZ);
-            w.usize(*c);
-            w.usize(*t);
-        }
-        Gate::Swap(a, b) => {
-            w.u8(tag::SWAP);
-            w.usize(*a);
-            w.usize(*b);
-        }
-        Gate::Rzz(a, b, t) => {
-            w.u8(tag::RZZ);
-            w.usize(*a);
-            w.usize(*b);
-            w.f64(*t);
-        }
-        Gate::Cp(c, t, theta) => {
-            w.u8(tag::CP);
-            w.usize(*c);
-            w.usize(*t);
-            w.f64(*theta);
-        }
-        Gate::Mcp {
-            controls,
-            target,
-            theta,
-        } => {
-            w.u8(tag::MCP);
-            w.usize(controls.len());
-            for &c in controls {
-                w.usize(c);
-            }
-            w.usize(*target);
-            w.f64(*theta);
-        }
-        Gate::Mcx { controls, target } => {
-            w.u8(tag::MCX);
-            w.usize(controls.len());
-            for &c in controls {
-                w.usize(c);
-            }
-            w.usize(*target);
-        }
-    }
-}
-
-/// Decodes a circuit encoded by [`encode_circuit`], validating every
-/// qubit index against the register width (via [`Circuit::push`]'s
-/// invariant, checked here *before* pushing so corrupt input errors
-/// instead of panicking).
-pub fn decode_circuit(bytes: &[u8]) -> Result<Circuit, WireError> {
-    let mut r = WireReader::new(bytes);
-    let n_qubits = r.usize()?;
-    if n_qubits > 128 {
-        return Err(WireError::Invalid("register wider than 128 qubits"));
-    }
-    let n_gates = r.len(1)?;
-    let mut circuit = Circuit::new(n_qubits);
-    let qubit = |r: &mut WireReader| -> Result<usize, WireError> {
-        let q = r.usize()?;
-        if q >= n_qubits {
-            return Err(WireError::Invalid("qubit outside register"));
-        }
-        Ok(q)
-    };
-    for _ in 0..n_gates {
-        let gate = match r.u8()? {
-            tag::X => Gate::X(qubit(&mut r)?),
-            tag::Y => Gate::Y(qubit(&mut r)?),
-            tag::Z => Gate::Z(qubit(&mut r)?),
-            tag::H => Gate::H(qubit(&mut r)?),
-            tag::RX => Gate::Rx(qubit(&mut r)?, r.f64()?),
-            tag::RY => Gate::Ry(qubit(&mut r)?, r.f64()?),
-            tag::RZ => Gate::Rz(qubit(&mut r)?, r.f64()?),
-            tag::PHASE => Gate::Phase(qubit(&mut r)?, r.f64()?),
-            tag::CX => Gate::Cx(qubit(&mut r)?, qubit(&mut r)?),
-            tag::CZ => Gate::Cz(qubit(&mut r)?, qubit(&mut r)?),
-            tag::SWAP => Gate::Swap(qubit(&mut r)?, qubit(&mut r)?),
-            tag::RZZ => Gate::Rzz(qubit(&mut r)?, qubit(&mut r)?, r.f64()?),
-            tag::CP => Gate::Cp(qubit(&mut r)?, qubit(&mut r)?, r.f64()?),
-            tag::MCP => {
-                let n = r.len(8)?;
-                let controls = (0..n)
-                    .map(|_| qubit(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Gate::Mcp {
-                    controls,
-                    target: qubit(&mut r)?,
-                    theta: r.f64()?,
-                }
-            }
-            tag::MCX => {
-                let n = r.len(8)?;
-                let controls = (0..n)
-                    .map(|_| qubit(&mut r))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Gate::Mcx {
-                    controls,
-                    target: qubit(&mut r)?,
-                }
-            }
-            _ => return Err(WireError::Invalid("unknown gate tag")),
-        };
-        circuit.push(gate);
-    }
-    r.finish()?;
-    Ok(circuit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Program;
-    use crate::DenseState;
-
-    fn sample_circuit() -> Circuit {
-        let mut c = Circuit::new(4);
-        c.h(0)
-            .x(1)
-            .rx(2, 0.3)
-            .ry(3, -0.7)
-            .rz(0, 1.1)
-            .phase(1, 0.25)
-            .cx(0, 1)
-            .rzz(1, 2, 0.5)
-            .cp(2, 3, -0.4)
-            .mcp(vec![0, 1], 2, 0.9)
-            .mcx(vec![1, 2, 3], 0);
-        c.push(Gate::Y(2));
-        c.push(Gate::Z(3));
-        c.push(Gate::Cz(0, 3));
-        c.push(Gate::Swap(1, 3));
-        c
-    }
 
     #[test]
     fn primitives_round_trip() {
@@ -524,78 +307,17 @@ mod tests {
 
     #[test]
     fn fnv64_detects_single_bit_flips() {
-        let bytes = encode_circuit(&sample_circuit());
+        let mut w = WireWriter::new();
+        w.u64(0x0123_4567_89ab_cdef);
+        w.f64(-1.5);
+        w.usize(42);
+        w.bool(true);
+        let bytes = w.into_bytes();
         let clean = fnv64(&bytes);
         for bit in [0, 7, 63, 8 * bytes.len() - 1] {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert_ne!(fnv64(&flipped), clean, "flip at bit {bit} undetected");
         }
-    }
-
-    #[test]
-    fn circuit_round_trips_exactly() {
-        let circuit = sample_circuit();
-        let bytes = encode_circuit(&circuit);
-        let decoded = decode_circuit(&bytes).unwrap();
-        assert_eq!(decoded, circuit);
-        // Canonical: re-encoding yields the same bytes.
-        assert_eq!(encode_circuit(&decoded), bytes);
-    }
-
-    #[test]
-    fn decoded_circuit_compiles_to_an_equivalent_program() {
-        // The compiler/interpreter split: the durable form is the gate
-        // list, and compiling the decoded circuit must reproduce the
-        // original program's dense execution exactly.
-        let circuit = sample_circuit();
-        let decoded = decode_circuit(&encode_circuit(&circuit)).unwrap();
-        let original = Program::compile(&circuit);
-        let reloaded = Program::compile(&decoded);
-        let mut a = DenseState::zero_state(circuit.n_qubits());
-        let mut b = DenseState::zero_state(circuit.n_qubits());
-        original.run_dense(&mut a);
-        reloaded.run_dense(&mut b);
-        for l in 0..(1u64 << circuit.n_qubits()) {
-            let (x, y) = (a.amplitude(l), b.amplitude(l));
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "label {l}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "label {l}");
-        }
-    }
-
-    #[test]
-    fn corrupt_circuits_error_instead_of_panicking() {
-        let bytes = encode_circuit(&sample_circuit());
-        // Truncations at every prefix length.
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_circuit(&bytes[..cut]).is_err(),
-                "truncation at {cut} decoded"
-            );
-        }
-        // An out-of-register qubit index.
-        let mut w = WireWriter::new();
-        w.usize(2);
-        w.usize(1);
-        w.u8(tag::X);
-        w.usize(5);
-        assert_eq!(
-            decode_circuit(&w.into_bytes()),
-            Err(WireError::Invalid("qubit outside register"))
-        );
-        // An unknown gate tag.
-        let mut w = WireWriter::new();
-        w.usize(2);
-        w.usize(1);
-        w.u8(200);
-        assert_eq!(
-            decode_circuit(&w.into_bytes()),
-            Err(WireError::Invalid("unknown gate tag"))
-        );
-        // An absurd register width.
-        let mut w = WireWriter::new();
-        w.usize(100_000);
-        w.usize(0);
-        assert!(decode_circuit(&w.into_bytes()).is_err());
     }
 }

@@ -116,13 +116,6 @@ pub(crate) struct Conn<S = TcpStream> {
     out: Vec<u8>,
     /// How much of `out` has been written.
     written: usize,
-    /// The epoll interest mask currently registered for this socket
-    /// (`None` when deregistered, as in `Solving`). Reactor bookkeeping,
-    /// stored here so re-arming knows whether to ADD or MOD.
-    pub(crate) interest: Option<u32>,
-    /// The reactor's wheel-validated absolute deadline for the current
-    /// phase; `None` while solving (a long solve is not an IO stall).
-    pub(crate) deadline: Option<std::time::Instant>,
 }
 
 /// Whether a socket error means "no bytes moved before the deadline or
@@ -141,8 +134,6 @@ impl<S: Read + Write> Conn<S> {
             state: ConnState::Reading(Box::default()),
             out: Vec::new(),
             written: 0,
-            interest: None,
-            deadline: None,
         }
     }
 
@@ -164,11 +155,9 @@ impl<S: Read + Write> Conn<S> {
         }
     }
 
-    /// Marks the request as handed to the worker pool and clears the
-    /// reactor deadline (a long solve is not an IO stall).
+    /// Marks the request as handed to the worker pool.
     pub(crate) fn solving(&mut self) {
         self.state = ConnState::Solving;
-        self.deadline = None;
     }
 
     /// Drives reads until the socket has nothing more, EOF, or the

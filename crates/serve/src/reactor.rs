@@ -171,12 +171,25 @@ pub(crate) fn spawn(
     Ok((thread, Box::new(move || link.wake.wake())))
 }
 
+/// A connection plus the reactor's own bookkeeping for it, which the
+/// blocking driver has no use for.
+struct Slot {
+    conn: Conn,
+    /// The epoll interest mask currently registered for the socket
+    /// (`None` when deregistered, as in `Solving`), so re-arming knows
+    /// whether to ADD or MOD.
+    interest: Option<u32>,
+    /// The wheel-validated absolute deadline for the current phase;
+    /// `None` while solving (a long solve is not an IO stall).
+    deadline: Option<Instant>,
+}
+
 struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
     shared: Arc<Shared>,
     link: Arc<ReactorLink>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Slot>,
     wheel: TimerWheel,
     next_token: u64,
     start: Instant,
@@ -252,23 +265,23 @@ impl Reactor {
                     self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let mut conn = Conn::new(stream);
-                    let deadline = self.fresh_deadline();
-                    conn.deadline = Some(deadline);
                     let interest = EPOLLIN | EPOLLRDHUP;
-                    if self
-                        .epoll
-                        .add(conn.stream.as_raw_fd(), interest, token)
-                        .is_err()
-                    {
+                    if self.epoll.add(stream.as_raw_fd(), interest, token).is_err() {
                         // Out of epoll capacity; dropping the stream
                         // closes it.
                         continue;
                     }
-                    conn.interest = Some(interest);
+                    let deadline = self.fresh_deadline();
                     let deadline_ms = self.ms(deadline);
                     self.wheel.arm(token, deadline_ms);
-                    self.conns.insert(token, conn);
+                    self.conns.insert(
+                        token,
+                        Slot {
+                            conn: Conn::new(stream),
+                            interest: Some(interest),
+                            deadline: Some(deadline),
+                        },
+                    );
                     self.shared.conns_open.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -284,7 +297,7 @@ impl Reactor {
 
     fn conn_event(&mut self, token: u64, mask: u32, scratch: &mut [u8]) {
         let phase = match self.conns.get(&token) {
-            Some(conn) => conn.phase(),
+            Some(slot) => slot.conn.phase(),
             None => return,
         };
         match phase {
@@ -307,16 +320,13 @@ impl Reactor {
 
     fn drive_read(&mut self, token: u64, scratch: &mut [u8]) {
         let fresh = self.fresh_deadline();
-        let outcome = match self.conns.get_mut(&token) {
-            Some(conn) => conn.handle_readable(scratch, false),
-            None => return,
+        let Some(slot) = self.conns.get_mut(&token) else {
+            return;
         };
-        match outcome {
+        match slot.conn.handle_readable(scratch, false) {
             ReadOutcome::NeedMore { progressed } => {
                 if progressed {
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.deadline = Some(fresh);
-                    }
+                    slot.deadline = Some(fresh);
                 }
             }
             outcome => {
@@ -346,16 +356,17 @@ impl Reactor {
         };
         match self.shared.admit(work) {
             None => {
-                let Some(conn) = self.conns.get_mut(&token) else {
+                let Some(slot) = self.conns.get_mut(&token) else {
                     return;
                 };
-                conn.solving();
+                slot.conn.solving();
                 // Nothing the client sends can advance a solving
                 // request, so drop the socket from epoll entirely; the
                 // completion re-registers it for writing. The deadline
                 // is cleared too: a long solve is not an IO stall.
-                let _ = self.epoll.del(conn.stream.as_raw_fd());
-                conn.interest = None;
+                let _ = self.epoll.del(slot.conn.stream.as_raw_fd());
+                slot.interest = None;
+                slot.deadline = None;
             }
             Some((_, busy)) => self.start_write(token, &busy),
         }
@@ -369,17 +380,17 @@ impl Reactor {
     }
 
     fn start_write(&mut self, token: u64, reply: &Reply) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(slot) = self.conns.get_mut(&token) else {
             return;
         };
-        conn.begin_reply(reply);
+        slot.conn.begin_reply(reply);
         self.drive_write(token);
     }
 
     fn drive_write(&mut self, token: u64) {
         let fresh = self.fresh_deadline();
         let outcome = match self.conns.get_mut(&token) {
-            Some(conn) => conn.handle_writable(),
+            Some(slot) => slot.conn.handle_writable(),
             None => return,
         };
         match outcome {
@@ -387,16 +398,16 @@ impl Reactor {
             WriteOutcome::Blocked { progressed } => {
                 self.shared.writable_stalls.fetch_add(1, Ordering::Relaxed);
                 let (fd, interest, deadline) = {
-                    let Some(conn) = self.conns.get_mut(&token) else {
+                    let Some(slot) = self.conns.get_mut(&token) else {
                         return;
                     };
-                    if progressed || conn.deadline.is_none() {
-                        conn.deadline = Some(fresh);
+                    if progressed || slot.deadline.is_none() {
+                        slot.deadline = Some(fresh);
                     }
                     (
-                        conn.stream.as_raw_fd(),
-                        conn.interest,
-                        conn.deadline.expect("write phase has a deadline"),
+                        slot.conn.stream.as_raw_fd(),
+                        slot.interest,
+                        slot.deadline.expect("write phase has a deadline"),
                     )
                 };
                 if interest != Some(EPOLLOUT) {
@@ -408,8 +419,8 @@ impl Reactor {
                         self.close(token);
                         return;
                     }
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.interest = Some(EPOLLOUT);
+                    if let Some(slot) = self.conns.get_mut(&token) {
+                        slot.interest = Some(EPOLLOUT);
                     }
                     // One wheel entry per write phase; deadline
                     // refreshes are picked up lazily when it fires.
@@ -424,10 +435,10 @@ impl Reactor {
     /// Enforces a fired deadline, or re-arms if the connection made
     /// progress since the entry was inserted.
     fn timer_fired(&mut self, token: u64, now_ms: u64) {
-        let Some(conn) = self.conns.get(&token) else {
+        let Some(slot) = self.conns.get(&token) else {
             return;
         };
-        let Some(deadline) = conn.deadline else {
+        let Some(deadline) = slot.deadline else {
             return;
         };
         let deadline_ms = self.ms(deadline);
@@ -435,14 +446,14 @@ impl Reactor {
             self.wheel.arm(token, deadline_ms);
             return;
         }
-        let step = conn.expire(&self.shared);
+        let step = slot.conn.expire(&self.shared);
         self.apply(token, step);
     }
 
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            if conn.interest.is_some() {
-                let _ = self.epoll.del(conn.stream.as_raw_fd());
+        if let Some(slot) = self.conns.remove(&token) {
+            if slot.interest.is_some() {
+                let _ = self.epoll.del(slot.conn.stream.as_raw_fd());
             }
             self.shared.conns_open.fetch_sub(1, Ordering::Relaxed);
             // Dropping the stream closes the fd.

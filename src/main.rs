@@ -643,7 +643,7 @@ fn cmd_serve(opts: &Options) -> ExitCode {
     println!(
         "rasengan service listening on {} ({} front end, {} workers, queue {}{}{})",
         server.addr(),
-        if event_loop { "event-loop" } else { "threaded" },
+        if event_loop { "event-loop" } else { "blocking" },
         opts.workers,
         opts.queue,
         opts.state_dir

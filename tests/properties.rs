@@ -297,21 +297,25 @@ fn random_circuit(n: usize, ops: &[(usize, usize, usize, f64)], sparse_safe: boo
 
 proptest! {
     /// Fused execution is the identity transformation on semantics:
-    /// compiling any random circuit and running the kernels lands
-    /// within 1e-9 statevector distance of gate-by-gate dense
-    /// execution.
+    /// compiling any random circuit and running its noise-free plan
+    /// lands within 1e-9 statevector distance of gate-by-gate dense
+    /// execution, without drawing a random number.
     #[test]
     fn fused_dense_matches_gate_by_gate(
         ops in prop::collection::vec((0usize..13, 0usize..5, 0usize..5, -2.0f64..2.0), 1..40),
     ) {
-        use rasengan::qsim::{DenseState, Program};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rasengan::qsim::{DenseState, DenseTrajectoryRunner, NoiseModel, Program};
         let n = 5;
         let c = random_circuit(n, &ops, false);
         let reference = DenseState::from_circuit(&c);
         let program = Program::compile(&c);
-        prop_assert!(program.kernel_count() <= c.len());
-        let mut fused = DenseState::zero_state(n);
-        program.run_dense(&mut fused);
+        let noise = NoiseModel::noise_free();
+        prop_assert!(program.fusion_stats(&noise).steps <= c.len());
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut runner = DenseTrajectoryRunner::new(&program, &noise);
+        let fused = runner.run(&mut rng);
         let dist = reference
             .amplitudes()
             .iter()
@@ -320,34 +324,40 @@ proptest! {
             .sum::<f64>()
             .sqrt();
         prop_assert!(dist <= 1e-9, "statevector distance {dist:e}");
+        prop_assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(0).gen::<u64>());
     }
 
-    /// The same differential on the sparse backend: any circuit from
-    /// the permutation/diagonal gate pool compiles sparse-safe and the
-    /// fused kernels match gate-by-gate application from any basis
-    /// seed.
+    /// The same differential against the sparse backend: a circuit
+    /// from the permutation/diagonal gate pool, behind an X column that
+    /// prepares the basis input `label`, runs through the noise-free
+    /// plan and matches gate-by-gate sparse execution from `label`.
     #[test]
     fn fused_sparse_matches_gate_by_gate(
         ops in prop::collection::vec((0usize..12, 0usize..5, 0usize..5, -2.0f64..2.0), 1..40),
         label in 0u64..32,
     ) {
-        use rasengan::qsim::Program;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rasengan::qsim::{DenseTrajectoryRunner, Label, NoiseModel, Program};
         let n = 5;
-        let label = label as rasengan::qsim::Label;
-        let c = random_circuit(n, &ops, true);
-        let program = Program::compile(&c);
-        prop_assert!(program.is_sparse_safe());
-        let mut reference = SparseState::basis_state(n, label);
-        reference.run(&c).unwrap();
-        let mut fused = SparseState::basis_state(n, label);
-        program.run_sparse(&mut fused).unwrap();
-        let mut dist_sqr = 0.0f64;
-        for l in reference.support().into_iter().chain(fused.support()) {
-            dist_sqr += (reference.amplitude(l) - fused.amplitude(l)).norm_sqr();
+        let body = random_circuit(n, &ops, true);
+        let mut reference = SparseState::basis_state(n, label as Label);
+        reference.run(&body).unwrap();
+        let mut c = Circuit::new(n);
+        for q in (0..n).filter(|q| label >> q & 1 == 1) {
+            c.x(q);
         }
-        // Union-of-support walk counts shared labels twice; the bound
-        // below absorbs that factor.
-        prop_assert!(dist_sqr.sqrt() <= 2e-9, "sparse distance {:e}", dist_sqr.sqrt());
+        for g in body.gates() {
+            c.push(g.clone());
+        }
+        let program = Program::compile(&c);
+        let mut runner = DenseTrajectoryRunner::new(&program, &NoiseModel::noise_free());
+        let fused = runner.run(&mut StdRng::seed_from_u64(0));
+        let dist = (0..1u64 << n)
+            .map(|l| (reference.amplitude(l as Label) - fused.amplitude(l)).norm_sqr())
+            .sum::<f64>()
+            .sqrt();
+        prop_assert!(dist <= 1e-9, "sparse distance {dist:e}");
     }
 
     /// Noise channels are fusion barriers: a fused trajectory visits
@@ -370,8 +380,8 @@ proptest! {
         let mut rng_b = StdRng::seed_from_u64(seed);
         let reference = noise::run_dense_trajectory(&c, &noise_model, &mut rng_a);
         let program = Program::compile(&c);
-        let mut runner = DenseTrajectoryRunner::new(&program);
-        let fused = runner.run(&noise_model, &mut rng_b);
+        let mut runner = DenseTrajectoryRunner::new(&program, &noise_model);
+        let fused = runner.run(&mut rng_b);
         prop_assert_eq!(reference.amplitudes(), fused.amplitudes());
         prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams diverged");
     }
@@ -406,6 +416,10 @@ proptest! {
         let stats = program.fusion_stats(&noise);
         prop_assert_eq!(stats.gate_count, program.gate_count());
         prop_assert_eq!(
+            stats.steps,
+            stats.barriers + stats.one_q_runs + stats.diagonal_runs + stats.permutation_runs
+        );
+        prop_assert_eq!(
             stats.gates_fused + stats.barriers,
             stats.gate_count,
             "every gate must be fused or a barrier: {stats:?}"
@@ -429,6 +443,7 @@ proptest! {
         let all_hot = program.fusion_stats(&NoiseModel::ibm_like(0.002, 0.01, 0.01));
         prop_assert_eq!(all_hot.gates_fused, 0);
         prop_assert_eq!(all_hot.barriers, all_hot.gate_count);
+        prop_assert_eq!(all_hot.steps, all_hot.gate_count);
     }
 
     /// Histogram merge is associative and commutative, and merging is
