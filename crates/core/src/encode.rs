@@ -1,20 +1,19 @@
-//! Compact versioned binary codecs for [`Prepared`] and [`Outcome`] —
-//! the payloads of the on-disk warm-state tier (`rasengan-serve`'s
-//! `persist` module).
+//! Compact versioned binary codec for [`Prepared`] — the compile
+//! payload of the on-disk warm-state tier (`rasengan-serve`'s `persist`
+//! module). The service persists finished solves as their rendered
+//! `result` text, which needs no codec here.
 //!
 //! # Format discipline
 //!
-//! * **Versioned.** Each codec has its own format number
-//!   ([`PREPARED_FORMAT`], [`OUTCOME_FORMAT`]), carried in the storage
-//!   record header, bumped on any byte-layout change. Readers accept
-//!   exactly their own version; anything else is quarantined and
-//!   recomputed — there is no migration path, because every record is
-//!   just a cache of deterministic computation.
-//! * **Canonical.** One value, one byte sequence. `f64`s are stored by
-//!   bit pattern, so `encode(decode(bytes)) == bytes` and a decoded
-//!   [`Outcome`] re-serializes to the *byte-identical* wire `result`
-//!   section the original solve produced.
-//! * **Validated.** Decoders are total: corrupt input yields
+//! * **Versioned.** The codec has its format number
+//!   ([`PREPARED_FORMAT`]), carried in the storage record header and
+//!   bumped on any byte-layout change. Readers accept exactly their own
+//!   version; anything else is quarantined and recomputed — there is no
+//!   migration path, because every record is just a cache of
+//!   deterministic computation.
+//! * **Canonical.** One value, one byte sequence:
+//!   `encode(decode(bytes)) == bytes`.
+//! * **Validated.** The decoder is total: corrupt input yields
 //!   [`WireError`], never a panic and never an out-of-bounds read. On
 //!   top of the structural checks, [`decode_prepared`] re-validates the
 //!   semantic invariants [`TransitionHamiltonian::new`] would otherwise
@@ -28,29 +27,15 @@
 //!   extraction, no search); the expensive part of `prepare` is the
 //!   reachability analysis that *chose* the operators, which the record
 //!   skips entirely.
-//!
-//! A solve's span tree (`Outcome::trace`) is deliberately **not**
-//! persisted: traces are observability data, cheap to regenerate and
-//! already excluded from the result cache key's untraced entries.
-//! [`encode_outcome`] ignores the field; [`decode_outcome`] restores
-//! `trace: None`.
 
 use crate::hamiltonian::TransitionHamiltonian;
-use crate::latency::{Latency, StageTimes};
-use crate::metrics::Solution;
 use crate::prune::Chain;
-use crate::resilience::{BudgetKind, DegradeFallback, ResilienceEvent, ResilienceReport, Stage};
 use crate::segment::{SegmentPlan, SegmentProgram};
-use crate::solver::{ChainStats, Outcome, Prepared};
-use rasengan_qsim::fault::FaultKind;
+use crate::solver::{ChainStats, Prepared};
 use rasengan_qsim::wire::{WireError, WireReader, WireWriter};
-use std::collections::BTreeMap;
 
 /// Format version of [`encode_prepared`] payloads.
 pub const PREPARED_FORMAT: u16 = 1;
-
-/// Format version of [`encode_outcome`] payloads.
-pub const OUTCOME_FORMAT: u16 = 1;
 
 fn encode_i64_vec(w: &mut WireWriter, v: &[i64]) {
     w.usize(v.len());
@@ -62,18 +47,6 @@ fn encode_i64_vec(w: &mut WireWriter, v: &[i64]) {
 fn decode_i64_vec(r: &mut WireReader) -> Result<Vec<i64>, WireError> {
     let n = r.len(8)?;
     (0..n).map(|_| r.i64()).collect()
-}
-
-fn encode_f64_vec(w: &mut WireWriter, v: &[f64]) {
-    w.usize(v.len());
-    for &x in v {
-        w.f64(x);
-    }
-}
-
-fn decode_f64_vec(r: &mut WireReader) -> Result<Vec<f64>, WireError> {
-    let n = r.len(8)?;
-    (0..n).map(|_| r.f64()).collect()
 }
 
 /// A basis/operator vector must satisfy what
@@ -211,337 +184,27 @@ pub fn decode_prepared(bytes: &[u8]) -> Result<Prepared, WireError> {
     })
 }
 
-mod event_tag {
-    pub const FAULT_INJECTED: u8 = 0;
-    pub const RETRY: u8 = 1;
-    pub const DEGRADED: u8 = 2;
-    pub const BUDGET_EXHAUSTED: u8 = 3;
-    pub const PARAMS_SANITIZED: u8 = 4;
-}
-
-fn fault_kind_tag(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::ShotBatchLoss => 0,
-        FaultKind::ReadoutBurst => 1,
-        FaultKind::CalibrationDrift => 2,
-        FaultKind::FeasibilityKill => 3,
-        FaultKind::ParamCorruption => 4,
-    }
-}
-
-fn fault_kind_from(tag: u8) -> Result<FaultKind, WireError> {
-    Ok(match tag {
-        0 => FaultKind::ShotBatchLoss,
-        1 => FaultKind::ReadoutBurst,
-        2 => FaultKind::CalibrationDrift,
-        3 => FaultKind::FeasibilityKill,
-        4 => FaultKind::ParamCorruption,
-        _ => return Err(WireError::Invalid("unknown fault kind")),
-    })
-}
-
-fn stage_tag(stage: Stage) -> u8 {
-    match stage {
-        Stage::Prepare => 0,
-        Stage::Train => 1,
-        Stage::Execute => 2,
-    }
-}
-
-fn stage_from(tag: u8) -> Result<Stage, WireError> {
-    Ok(match tag {
-        0 => Stage::Prepare,
-        1 => Stage::Train,
-        2 => Stage::Execute,
-        _ => return Err(WireError::Invalid("unknown stage")),
-    })
-}
-
-fn encode_event(w: &mut WireWriter, event: &ResilienceEvent) {
-    match event {
-        ResilienceEvent::FaultInjected {
-            segment,
-            attempt,
-            kind,
-        } => {
-            w.u8(event_tag::FAULT_INJECTED);
-            w.usize(*segment);
-            w.usize(*attempt);
-            w.u8(fault_kind_tag(*kind));
-        }
-        ResilienceEvent::Retry {
-            segment,
-            attempt,
-            shots,
-            recovered,
-        } => {
-            w.u8(event_tag::RETRY);
-            w.usize(*segment);
-            w.usize(*attempt);
-            w.usize(*shots);
-            w.bool(*recovered);
-        }
-        ResilienceEvent::Degraded {
-            segment,
-            attempts,
-            fallback,
-        } => {
-            w.u8(event_tag::DEGRADED);
-            w.usize(*segment);
-            w.usize(*attempts);
-            w.u8(match fallback {
-                DegradeFallback::PreviousSegment => 0,
-                DegradeFallback::Seed => 1,
-            });
-        }
-        ResilienceEvent::BudgetExhausted { stage, kind } => {
-            w.u8(event_tag::BUDGET_EXHAUSTED);
-            w.u8(stage_tag(*stage));
-            match kind {
-                BudgetKind::WallClock { limit_s } => {
-                    w.u8(0);
-                    w.f64(*limit_s);
-                }
-                BudgetKind::Shots { limit } => {
-                    w.u8(1);
-                    w.usize(*limit);
-                }
-            }
-        }
-        ResilienceEvent::ParamsSanitized { repaired } => {
-            w.u8(event_tag::PARAMS_SANITIZED);
-            w.usize(*repaired);
-        }
-    }
-}
-
-fn decode_event(r: &mut WireReader) -> Result<ResilienceEvent, WireError> {
-    Ok(match r.u8()? {
-        event_tag::FAULT_INJECTED => ResilienceEvent::FaultInjected {
-            segment: r.usize()?,
-            attempt: r.usize()?,
-            kind: fault_kind_from(r.u8()?)?,
-        },
-        event_tag::RETRY => ResilienceEvent::Retry {
-            segment: r.usize()?,
-            attempt: r.usize()?,
-            shots: r.usize()?,
-            recovered: r.bool()?,
-        },
-        event_tag::DEGRADED => ResilienceEvent::Degraded {
-            segment: r.usize()?,
-            attempts: r.usize()?,
-            fallback: match r.u8()? {
-                0 => DegradeFallback::PreviousSegment,
-                1 => DegradeFallback::Seed,
-                _ => return Err(WireError::Invalid("unknown degrade fallback")),
-            },
-        },
-        event_tag::BUDGET_EXHAUSTED => ResilienceEvent::BudgetExhausted {
-            stage: stage_from(r.u8()?)?,
-            kind: match r.u8()? {
-                0 => BudgetKind::WallClock { limit_s: r.f64()? },
-                1 => BudgetKind::Shots { limit: r.usize()? },
-                _ => return Err(WireError::Invalid("unknown budget kind")),
-            },
-        },
-        event_tag::PARAMS_SANITIZED => ResilienceEvent::ParamsSanitized {
-            repaired: r.usize()?,
-        },
-        _ => return Err(WireError::Invalid("unknown resilience event")),
-    })
-}
-
-/// Encodes a finished [`Outcome`]. The span tree (`trace`) is not
-/// persisted — see the module docs.
-pub fn encode_outcome(o: &Outcome) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    encode_i64_vec(&mut w, &o.best.bits);
-    w.f64(o.best.value);
-    w.bool(o.best.feasible);
-    w.f64(o.expectation);
-    w.f64(o.arg);
-    w.f64(o.raw_in_constraints_rate);
-    w.f64(o.in_constraints_rate);
-    w.usize(o.distribution.len());
-    for (&label, &p) in &o.distribution {
-        w.u128(label);
-        w.f64(p);
-    }
-    encode_chain_stats(&mut w, &o.stats);
-    w.f64(o.latency.quantum_s);
-    w.f64(o.latency.classical_s);
-    w.f64(o.latency.stages.prepare_s);
-    w.f64(o.latency.stages.train_s);
-    w.f64(o.latency.stages.execute_s);
-    w.f64(o.latency.stages.retry_s);
-    w.f64(o.latency.stages.queue_s);
-    w.bool(o.latency.stages.cache_hit);
-    encode_f64_vec(&mut w, &o.history);
-    w.usize(o.evaluations);
-    w.usize(o.total_shots);
-    encode_f64_vec(&mut w, &o.trained_times);
-    w.usize(o.resilience.events.len());
-    for event in &o.resilience.events {
-        encode_event(&mut w, event);
-    }
-    w.into_bytes()
-}
-
-/// Decodes an [`Outcome`] record (`trace` restored as `None`). A
-/// decoded outcome serializes to the byte-identical wire `result`
-/// section the original produced — that is the disk tier's correctness
-/// contract, asserted end-to-end by the corruption-matrix tests.
-pub fn decode_outcome(bytes: &[u8]) -> Result<Outcome, WireError> {
-    let mut r = WireReader::new(bytes);
-    let bits = decode_i64_vec(&mut r)?;
-    let best = Solution {
-        bits,
-        value: r.f64()?,
-        feasible: r.bool()?,
-    };
-    let expectation = r.f64()?;
-    let arg = r.f64()?;
-    let raw_in_constraints_rate = r.f64()?;
-    let in_constraints_rate = r.f64()?;
-    let n_dist = r.len(24)?;
-    let mut distribution = BTreeMap::new();
-    for _ in 0..n_dist {
-        let label = r.u128()?;
-        let p = r.f64()?;
-        // BTreeMap iteration is the canonical order; duplicates would
-        // make re-encoding diverge from the original bytes.
-        if distribution.insert(label, p).is_some() {
-            return Err(WireError::Invalid("duplicate distribution label"));
-        }
-    }
-    let stats = decode_chain_stats(&mut r)?;
-    let latency = Latency {
-        quantum_s: r.f64()?,
-        classical_s: r.f64()?,
-        stages: StageTimes {
-            prepare_s: r.f64()?,
-            train_s: r.f64()?,
-            execute_s: r.f64()?,
-            retry_s: r.f64()?,
-            queue_s: r.f64()?,
-            cache_hit: r.bool()?,
-        },
-    };
-    let history = decode_f64_vec(&mut r)?;
-    let evaluations = r.usize()?;
-    let total_shots = r.usize()?;
-    let trained_times = decode_f64_vec(&mut r)?;
-    let n_events = r.len(2)?;
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        events.push(decode_event(&mut r)?);
-    }
-    r.finish()?;
-    Ok(Outcome {
-        best,
-        expectation,
-        arg,
-        raw_in_constraints_rate,
-        in_constraints_rate,
-        distribution,
-        stats,
-        latency,
-        history,
-        evaluations,
-        total_shots,
-        trained_times,
-        resilience: ResilienceReport { events },
-        trace: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::{Rasengan, RasenganConfig};
     use rasengan_problems::registry::{benchmark, BenchmarkId};
 
-    fn solved() -> (Outcome, Prepared) {
+    fn prepared() -> Prepared {
         let problem = benchmark(BenchmarkId::parse("F1").unwrap());
-        let solver = Rasengan::new(
+        Rasengan::new(
             RasenganConfig::default()
                 .with_seed(11)
                 .with_shots(128)
                 .with_max_iterations(8),
-        );
-        let prepared = solver.prepare(&problem).unwrap();
-        let outcome = solver.solve_prepared(&problem, &prepared).unwrap();
-        (outcome, prepared)
-    }
-
-    #[test]
-    fn outcome_round_trips_exactly() {
-        let (outcome, _) = solved();
-        let bytes = encode_outcome(&outcome);
-        let decoded = decode_outcome(&bytes).unwrap();
-        assert_eq!(decoded, outcome);
-        // Canonical: re-encoding reproduces the bytes.
-        assert_eq!(encode_outcome(&decoded), bytes);
-    }
-
-    #[test]
-    fn outcome_with_resilience_events_round_trips() {
-        let (mut outcome, _) = solved();
-        outcome.resilience.events = vec![
-            ResilienceEvent::FaultInjected {
-                segment: 2,
-                attempt: 0,
-                kind: FaultKind::ReadoutBurst,
-            },
-            ResilienceEvent::Retry {
-                segment: 2,
-                attempt: 1,
-                shots: 2048,
-                recovered: true,
-            },
-            ResilienceEvent::Degraded {
-                segment: 3,
-                attempts: 3,
-                fallback: DegradeFallback::Seed,
-            },
-            ResilienceEvent::BudgetExhausted {
-                stage: Stage::Train,
-                kind: BudgetKind::WallClock { limit_s: 2.5 },
-            },
-            ResilienceEvent::BudgetExhausted {
-                stage: Stage::Execute,
-                kind: BudgetKind::Shots { limit: 10_000 },
-            },
-            ResilienceEvent::ParamsSanitized { repaired: 4 },
-        ];
-        let decoded = decode_outcome(&encode_outcome(&outcome)).unwrap();
-        assert_eq!(decoded.resilience, outcome.resilience);
-    }
-
-    #[test]
-    fn trace_is_dropped_not_persisted() {
-        let problem = benchmark(BenchmarkId::parse("F1").unwrap());
-        let outcome = Rasengan::new(
-            RasenganConfig::default()
-                .with_shots(64)
-                .with_max_iterations(3)
-                .with_trace(true),
         )
-        .solve(&problem)
-        .unwrap();
-        assert!(outcome.trace.is_some());
-        let decoded = decode_outcome(&encode_outcome(&outcome)).unwrap();
-        assert!(decoded.trace.is_none());
-        // Everything except the trace survives.
-        let mut untraced = outcome.clone();
-        untraced.trace = None;
-        assert_eq!(decoded, untraced);
+        .prepare(&problem)
+        .unwrap()
     }
 
     #[test]
     fn prepared_round_trips_and_recompiles_programs() {
-        let (_, prepared) = solved();
+        let prepared = prepared();
         let bytes = encode_prepared(&prepared);
         let decoded = decode_prepared(&bytes).unwrap();
         assert_eq!(decoded.basis, prepared.basis);
@@ -589,7 +252,7 @@ mod tests {
 
     #[test]
     fn corrupt_prepared_records_error_instead_of_panicking() {
-        let (_, prepared) = solved();
+        let prepared = prepared();
         let bytes = encode_prepared(&prepared);
         // Every truncation point decodes to an error, not a panic.
         for cut in 0..bytes.len() {
@@ -617,20 +280,5 @@ mod tests {
         let mid = raw.len() / 2;
         raw[mid] ^= 0xff;
         let _ = decode_prepared(&raw);
-    }
-
-    #[test]
-    fn corrupt_outcome_records_error_instead_of_panicking() {
-        let (outcome, _) = solved();
-        let bytes = encode_outcome(&outcome);
-        for cut in 0..bytes.len() {
-            assert!(
-                decode_outcome(&bytes[..cut]).is_err(),
-                "truncation at {cut} decoded"
-            );
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(decode_outcome(&trailing), Err(WireError::Trailing));
     }
 }

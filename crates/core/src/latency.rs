@@ -41,25 +41,17 @@ pub struct StageTimes {
     /// `train_s`/`execute_s`, not an additional stage); zero unless the
     /// solver's retry budget was actually drawn on.
     pub retry_s: f64,
-    /// Time a served request waited in the admission queue before a
-    /// worker picked it up. Zero outside the service layer — the
-    /// in-process solver never queues.
-    pub queue_s: f64,
-    /// Whether the service answered this request from its result cache
-    /// (in which case `prepare_s`/`train_s`/`execute_s` describe the
-    /// original solve that populated the cache, not this request).
-    pub cache_hit: bool,
 }
 
 impl StageTimes {
-    /// Sum of the disjoint stages: `prepare_s + train_s + execute_s +
-    /// queue_s`. `retry_s` is deliberately excluded — it is wall-clock
+    /// Sum of the disjoint stages: `prepare_s + train_s + execute_s`.
+    /// `retry_s` is deliberately excluded — it is wall-clock
     /// spent *inside* retried training/execution attempts and is
     /// already counted there; adding it would double-count every
     /// recovered segment. Use this (not a hand-rolled field sum) when
     /// comparing the stage breakdown against `Latency::classical_s`.
     pub fn stage_sum(&self) -> f64 {
-        self.prepare_s + self.train_s + self.execute_s + self.queue_s
+        self.prepare_s + self.train_s + self.execute_s
     }
 }
 
@@ -103,10 +95,8 @@ mod tests {
             train_s: 0.4,
             execute_s: 0.2,
             retry_s: 0.15, // subset of train_s/execute_s
-            queue_s: 0.05,
-            cache_hit: false,
         };
-        assert!((s.stage_sum() - 0.75).abs() < 1e-15);
+        assert!((s.stage_sum() - 0.7).abs() < 1e-15);
     }
 
     #[test]

@@ -52,10 +52,7 @@ pub mod simplify;
 pub mod solver;
 pub mod zne;
 
-pub use encode::{
-    decode_outcome, decode_prepared, encode_outcome, encode_prepared, OUTCOME_FORMAT,
-    PREPARED_FORMAT,
-};
+pub use encode::{decode_prepared, encode_prepared, PREPARED_FORMAT};
 pub use hamiltonian::{problem_basis, TransitionHamiltonian};
 pub use latency::{Latency, StageTimes};
 pub use metrics::{arg, best_solution, distribution_arg, penalty_lambda, Solution};

@@ -899,7 +899,6 @@ impl Rasengan {
                         train_s,
                         execute_s,
                         retry_s,
-                        ..StageTimes::default()
                     },
                 },
                 history: result.history,

@@ -1,12 +1,13 @@
 //! Compact binary wire format for persisted artifacts.
 //!
-//! The on-disk tier stores compiled artifacts and finished outcomes as
+//! The on-disk tier stores compiled artifacts and finished solves as
 //! flat byte records. This module provides the shared primitives: a
 //! little-endian [`WireWriter`]/[`WireReader`] pair whose encodings are
 //! canonical (one value, one byte sequence — so byte-equality of
 //! encodings means value equality), and the FNV-1a checksum the record
 //! headers carry. The record codecs themselves live with their types
-//! (`Prepared`/`Outcome` in `rasengan-core`, the serve tier's keys).
+//! (`Prepared` in `rasengan-core`, the serve tier's keys and solved
+//! replies).
 //!
 //! # Corruption discipline
 //!
@@ -117,6 +118,12 @@ impl WireWriter {
     /// Appends a bool as one byte (0 or 1).
     pub fn bool(&mut self, v: bool) {
         self.u8(v as u8);
+    }
+
+    /// Appends a byte string, prefixed with its length.
+    pub fn bytes(&mut self, v: &[u8]) {
+        self.usize(v.len());
+        self.buf.extend_from_slice(v);
     }
 }
 
@@ -231,6 +238,12 @@ impl<'a> WireReader<'a> {
             _ => Err(WireError::Invalid("non-canonical bool")),
         }
     }
+
+    /// Reads a length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.len(1)?;
+        self.take(n)
+    }
 }
 
 #[cfg(test)]
@@ -251,6 +264,7 @@ mod tests {
         w.f64(f64::NAN);
         w.bool(true);
         w.bool(false);
+        w.bytes(b"text");
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -265,6 +279,7 @@ mod tests {
         assert!(r.f64().unwrap().is_nan());
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
+        assert_eq!(r.bytes().unwrap(), b"text");
         r.finish().unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Sharded LRU cache for finished outcomes and compiled artifacts.
+//! Sharded LRU cache for rendered solves and compiled artifacts.
 //!
 //! Keys hash with FNV-1a (not `RandomState`) so shard assignment is
 //! stable within and across runs; each shard is an independent

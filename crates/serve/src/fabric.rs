@@ -21,10 +21,11 @@
 //! its caches or computes and populates them; the forwarder returns
 //! the owner's `result`/`timing`/`trace` sections byte-for-byte
 //! (identity is the contract: any entry node yields the same bytes)
-//! and optionally keeps a local read-through copy. If the owner is
-//! unreachable the forwarder falls back to computing locally — the
-//! solve is deterministic, so the bytes are identical either way, only
-//! the cache warmth differs.
+//! and keeps a local read-through copy, except for a request carrying
+//! `deadline-ms`, whose result the wall clock may have cut short. If
+//! the owner is unreachable the forwarder falls back to computing
+//! locally — the solve is deterministic, so the bytes are identical
+//! either way, only the cache warmth differs.
 //!
 //! # Membership
 //!
@@ -161,8 +162,6 @@ pub struct FabricConfig {
     pub dead_after: Duration,
     /// Socket timeout for forwarded solves (connect, read, write).
     pub forward_timeout: Duration,
-    /// Keep a local read-through copy of forwarded results.
-    pub read_through: bool,
 }
 
 impl FabricConfig {
@@ -179,7 +178,6 @@ impl FabricConfig {
             suspect_after: Duration::from_secs(1),
             dead_after: Duration::from_secs(3),
             forward_timeout: Duration::from_secs(120),
-            read_through: true,
         }
     }
 
@@ -208,12 +206,6 @@ impl FabricConfig {
         self.heartbeat = interval;
         self.suspect_after = interval * 4;
         self.dead_after = interval * 12;
-        self
-    }
-
-    /// Disables the local read-through copy of forwarded results.
-    pub fn without_read_through(mut self) -> Self {
-        self.read_through = false;
         self
     }
 }

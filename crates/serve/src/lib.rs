@@ -8,7 +8,7 @@
 //! | `reactor` | epoll driver: non-blocking sockets, timer wheel, completion wakeups (Linux x86_64/aarch64) |
 //! | `conn` | the per-connection read/solve/write state machine and request rules, driven by both front ends |
 //! | [`sys`] | the platform shim: raw epoll/eventfd syscalls (Linux x86_64/aarch64), portable socket options |
-//! | [`cache`] | sharded LRU for finished outcomes and compiled artifacts |
+//! | [`cache`] | sharded LRU for rendered solves and compiled artifacts |
 //! | [`persist`] | crash-safe on-disk warm-state tier: versioned records, quarantine, recovery |
 //! | [`client`] | blocking submit/stats/ping helpers |
 //! | [`fabric`] | multi-node fabric: consistent-hash ring, single-hop forwarding, gossip membership |
@@ -62,9 +62,9 @@ pub use client::{
 };
 pub use fabric::{key_point, Fabric, FabricConfig, FabricStats, Ring, DEFAULT_VNODES};
 pub use json::Json;
-pub use persist::{OutcomeKey, Persist, PersistStats, StorageFault, StorageFaultPlan};
+pub use persist::{Persist, PersistStats, StorageFault, StorageFaultPlan};
 pub use protocol::{
-    outcome_json, render_outcome, IncrementalParser, ParseProgress, Reply, ReplyStatus,
-    RequestError, SolveRequest, Verb,
+    render_outcome, IncrementalParser, ParseProgress, Reply, ReplyStatus, RequestError,
+    SolveRequest, Verb,
 };
 pub use server::{serve, ServeConfig, ServeStats, ServerHandle, EVENT_LOOP_SUPPORTED};

@@ -3,9 +3,10 @@
 //! A [`Persist`] store keeps two record families under one state
 //! directory, keyed by the problem fingerprint:
 //!
-//! * `outcomes/<keyhash>.rec` — finished [`Outcome`]s under their full
-//!   [`OutcomeKey`] (fingerprint plus every training knob; thread and
-//!   batch counts excluded, exactly like the in-memory result cache).
+//! * `outcomes/<keyhash>.rec` — finished solves, stored as the reply
+//!   the service renders: the `result` text and the solve's latency,
+//!   under their full result-cache key (fingerprint plus every training
+//!   knob; thread counts excluded). Only untraced solves are stored.
 //! * `prepared/<fingerprint>.rec` — compiled [`Prepared`] artifacts
 //!   keyed on fingerprint alone.
 //!
@@ -13,16 +14,19 @@
 //!
 //! ```text
 //! magic  "RSGN"        4 bytes
-//! kind   u8            1 = outcome, 2 = prepared
+//! kind   u8            1 = solved, 2 = prepared
 //! format u16 LE        codec version gate
 //! length u64 LE        payload byte count
 //! check  u64 LE        FNV-1a 64 over the payload
-//! payload               versioned codec bytes (core::encode)
+//! payload               the key, then the body
 //! ```
 //!
-//! The payload embeds its own full key (the encoded [`OutcomeKey`], or
-//! the `u128` fingerprint), so a filename-hash collision is detected by
-//! comparison and served as a miss — never as another key's data.
+//! A solved payload is the encoded key, the `result` text (length
+//! prefixed, UTF-8, parsed as JSON on every read), and six latency
+//! `f64`s by bit pattern. A prepared payload is the `u128` fingerprint
+//! and the `core::encode` codec bytes. The embedded key means a
+//! filename-hash collision is detected by comparison — never served as
+//! another key's data.
 //!
 //! # Crash safety
 //!
@@ -42,7 +46,8 @@
 //! after startup degrade to a miss-plus-quarantine and the caller
 //! recomputes. Version-skewed records take the same path: there is no
 //! migration, because every record is a cache of deterministic
-//! computation.
+//! computation. (Solved records written before they held rendered text
+//! carry format 1 and are quarantined once, by the first scan.)
 //!
 //! # Fault injection
 //!
@@ -57,50 +62,90 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rasengan_core::encode::{
-    decode_outcome, decode_prepared, encode_outcome, encode_prepared, OUTCOME_FORMAT,
-    PREPARED_FORMAT,
-};
+use rasengan_core::encode::{decode_prepared, encode_prepared, PREPARED_FORMAT};
+use rasengan_core::latency::{Latency, StageTimes};
 use rasengan_core::solver::{Outcome, Prepared};
 use rasengan_obs::metrics::Registry;
 use rasengan_qsim::parallel::derive_seed;
 use rasengan_qsim::wire::{fnv64, WireError, WireReader, WireWriter};
 
+use crate::json;
+use crate::protocol::{render_outcome, SolveRequest};
+
 const MAGIC: [u8; 4] = *b"RSGN";
-const KIND_OUTCOME: u8 = 1;
-const KIND_PREPARED: u8 = 2;
 /// magic + kind + format + length + checksum.
 const HEADER_LEN: usize = 4 + 1 + 2 + 8 + 8;
 
-const DIR_OUTCOMES: &str = "outcomes";
-const DIR_PREPARED: &str = "prepared";
 const DIR_QUARANTINE: &str = "quarantine";
 const DIR_TMP: &str = "tmp";
 
-/// Everything that identifies a persisted outcome: the result-cache
-/// key minus the `trace` flag — only untraced outcomes are persisted
-/// (span trees are observability data, regenerated on demand).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct OutcomeKey {
-    /// Canonical problem fingerprint.
-    pub fingerprint: u128,
-    /// Sampling seed.
-    pub seed: u64,
-    /// Requested shots, if the request pinned them.
-    pub shots: Option<usize>,
-    /// Requested iteration cap, if pinned.
-    pub iterations: Option<usize>,
-    /// Retry budget.
-    pub retries: usize,
-    /// Whether graceful degradation was enabled.
-    pub degrade: bool,
-    /// Wall-clock deadline in milliseconds, if any.
-    pub deadline_ms: Option<u64>,
+/// One record family: its directory, header kind byte, format number,
+/// and the full payload decode the recovery scan runs on each record.
+struct Family {
+    dir: &'static str,
+    kind: u8,
+    format: u16,
+    validate: fn(&mut WireReader) -> Result<(), WireError>,
 }
 
-impl OutcomeKey {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+/// Finished solves, as rendered text since format 2 (see the module
+/// docs on format-1 records).
+const SOLVED: Family = Family {
+    dir: "outcomes",
+    kind: 1,
+    format: 2,
+    validate: |r| {
+        ResultKey::decode(r)?;
+        Solved::decode(r).map(drop)
+    },
+};
+
+const PREPARED: Family = Family {
+    dir: "prepared",
+    kind: 2,
+    format: PREPARED_FORMAT,
+    validate: |r| {
+        r.u128()?;
+        decode_prepared(r.rest()).map(drop)
+    },
+};
+
+/// Everything a request sets that changes its reply — the key of the
+/// result cache and of the solved records. Worker and engine thread
+/// counts are deliberately absent: outcomes are bit-identical at any
+/// parallelism, so a result computed under one thread configuration
+/// serves every other.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ResultKey {
+    pub(crate) fingerprint: u128,
+    pub(crate) seed: u64,
+    pub(crate) shots: Option<usize>,
+    pub(crate) iterations: Option<usize>,
+    pub(crate) retries: usize,
+    pub(crate) degrade: bool,
+    pub(crate) deadline_ms: Option<u64>,
+    /// Whether the reply carries a span tree. A traced and an untraced
+    /// solve produce byte-identical `result` sections, but an untraced
+    /// entry has no tree to put in the `trace` section, so the two must
+    /// not share a cache slot. Traced solves are never written to disk.
+    pub(crate) trace: bool,
+}
+
+impl ResultKey {
+    pub(crate) fn new(fingerprint: u128, request: &SolveRequest, trace: bool) -> Self {
+        ResultKey {
+            fingerprint,
+            seed: request.seed,
+            shots: request.shots,
+            iterations: request.iterations,
+            retries: request.retries,
+            degrade: request.degrade,
+            deadline_ms: request.deadline_ms,
+            trace,
+        }
+    }
+
+    fn encode(&self, w: &mut WireWriter) {
         w.u128(self.fingerprint);
         w.u64(self.seed);
         w.bool(self.shots.is_some());
@@ -111,10 +156,10 @@ impl OutcomeKey {
         w.bool(self.degrade);
         w.bool(self.deadline_ms.is_some());
         w.u64(self.deadline_ms.unwrap_or(0));
-        w.into_bytes()
+        w.bool(self.trace);
     }
 
-    fn decode(r: &mut WireReader) -> Result<OutcomeKey, WireError> {
+    fn decode(r: &mut WireReader) -> Result<ResultKey, WireError> {
         let fingerprint = r.u128()?;
         let seed = r.u64()?;
         let has_shots = r.bool()?;
@@ -125,7 +170,7 @@ impl OutcomeKey {
         let degrade = r.bool()?;
         let has_deadline = r.bool()?;
         let deadline_ms = r.u64()?;
-        Ok(OutcomeKey {
+        Ok(ResultKey {
             fingerprint,
             seed,
             shots: has_shots.then_some(shots),
@@ -133,13 +178,70 @@ impl OutcomeKey {
             retries,
             degrade,
             deadline_ms: has_deadline.then_some(deadline_ms),
+            trace: r.bool()?,
         })
     }
 
     /// The record file stem: hex of FNV-1a 64 over the encoded key.
     /// Collisions are resolved by the key embedded in the payload.
     fn file_stem(&self) -> String {
-        format!("{:016x}", fnv64(&self.encode()))
+        let mut w = WireWriter::new();
+        self.encode(&mut w);
+        format!("{:016x}", fnv64(&w.into_bytes()))
+    }
+}
+
+/// A finished solve in the one form the service keeps it: the
+/// canonical `result` text, the solve's latency, and the rendered span
+/// tree when the request was traced (never persisted).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Solved {
+    pub(crate) result: String,
+    pub(crate) latency: Latency,
+    pub(crate) trace: Option<String>,
+}
+
+impl Solved {
+    /// Renders an outcome once; every later reply reuses the text.
+    pub(crate) fn render(outcome: &Outcome) -> Solved {
+        Solved {
+            result: render_outcome(outcome),
+            latency: outcome.latency,
+            trace: outcome
+                .trace
+                .as_ref()
+                .map(|tree| tree.deterministic_json().render()),
+        }
+    }
+
+    fn encode(&self, w: &mut WireWriter) {
+        w.bytes(self.result.as_bytes());
+        w.f64(self.latency.quantum_s);
+        w.f64(self.latency.classical_s);
+        w.f64(self.latency.stages.prepare_s);
+        w.f64(self.latency.stages.train_s);
+        w.f64(self.latency.stages.execute_s);
+        w.f64(self.latency.stages.retry_s);
+    }
+
+    fn decode(r: &mut WireReader) -> Result<Solved, WireError> {
+        let result = std::str::from_utf8(r.bytes()?)
+            .map_err(|_| WireError::Invalid("result text is not UTF-8"))?;
+        json::parse(result).map_err(|_| WireError::Invalid("result text is not JSON"))?;
+        Ok(Solved {
+            result: result.to_string(),
+            latency: Latency {
+                quantum_s: r.f64()?,
+                classical_s: r.f64()?,
+                stages: StageTimes {
+                    prepare_s: r.f64()?,
+                    train_s: r.f64()?,
+                    execute_s: r.f64()?,
+                    retry_s: r.f64()?,
+                },
+            },
+            trace: None,
+        })
     }
 }
 
@@ -274,11 +376,11 @@ impl RecordGate {
     }
 }
 
-fn encode_record(kind: u8, format: u16, payload: &[u8]) -> Vec<u8> {
+fn encode_record(family: &Family, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
     bytes.extend_from_slice(&MAGIC);
-    bytes.push(kind);
-    bytes.extend_from_slice(&format.to_le_bytes());
+    bytes.push(family.kind);
+    bytes.extend_from_slice(&family.format.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
@@ -287,12 +389,12 @@ fn encode_record(kind: u8, format: u16, payload: &[u8]) -> Vec<u8> {
 
 /// Validates header, kind, version, length, and checksum; returns the
 /// payload slice. Decode gates run above this, on the payload.
-fn open_record(bytes: &[u8], kind: u8, format: u16) -> Result<&[u8], RecordGate> {
-    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC || bytes[4] != kind {
+fn open_record<'a>(bytes: &'a [u8], family: &Family) -> Result<&'a [u8], RecordGate> {
+    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC || bytes[4] != family.kind {
         return Err(RecordGate::Header);
     }
     let found = u16::from_le_bytes([bytes[5], bytes[6]]);
-    if found != format {
+    if found != family.format {
         return Err(RecordGate::Version);
     }
     let length = u64::from_le_bytes(bytes[7..15].try_into().unwrap());
@@ -305,6 +407,17 @@ fn open_record(bytes: &[u8], kind: u8, format: u16) -> Result<&[u8], RecordGate>
         return Err(RecordGate::Checksum);
     }
     Ok(payload)
+}
+
+/// How one record read ended.
+enum Read<T> {
+    /// No such file, or a sound record stored under another key whose
+    /// file name collides with this one.
+    Miss,
+    /// Passed every gate.
+    Valid(T),
+    /// Failed a gate and was renamed into `quarantine/`.
+    Quarantined,
 }
 
 /// Counters of one store, mirrored into the obs registry under
@@ -367,7 +480,7 @@ impl Persist {
         registry: Option<&'static Registry>,
     ) -> io::Result<Persist> {
         let root = root.into();
-        for sub in [DIR_OUTCOMES, DIR_PREPARED, DIR_QUARANTINE, DIR_TMP] {
+        for sub in [SOLVED.dir, PREPARED.dir, DIR_QUARANTINE, DIR_TMP] {
             fs::create_dir_all(root.join(sub))?;
         }
         let store = Persist {
@@ -412,55 +525,31 @@ impl Persist {
         }
     }
 
-    /// Stores a finished outcome under its full key. Traced outcomes
-    /// are the caller's responsibility to exclude (the codec drops the
-    /// tree, so persisting one would serve trace-less responses to
-    /// traced requests).
+    /// Stores an untraced solve under its full key. Traced keys are the
+    /// caller's to exclude: the record never carries the span tree.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; the store is unchanged (the old
     /// record, if any, is intact).
-    pub fn store_outcome(&self, key: &OutcomeKey, outcome: &Outcome) -> io::Result<()> {
-        let mut payload = key.encode();
-        payload.extend_from_slice(&encode_outcome(outcome));
-        self.write_record(
-            DIR_OUTCOMES,
-            &key.file_stem(),
-            KIND_OUTCOME,
-            OUTCOME_FORMAT,
-            &payload,
-        )
+    pub(crate) fn store_solved(&self, key: &ResultKey, solved: &Solved) -> io::Result<()> {
+        let mut w = WireWriter::new();
+        key.encode(&mut w);
+        solved.encode(&mut w);
+        self.write_record(&SOLVED, &key.file_stem(), &w.into_bytes())
     }
 
-    /// Loads the outcome stored under `key`, or `None` on miss — where
+    /// Loads the solve stored under `key`, or `None` on miss — where
     /// "miss" includes a missing file, a key-hash collision, and any
     /// record failing a validation gate (which is also quarantined).
-    pub fn load_outcome(&self, key: &OutcomeKey) -> Option<Outcome> {
-        let stem = key.file_stem();
-        let payload = self.read_record(DIR_OUTCOMES, &stem, KIND_OUTCOME, OUTCOME_FORMAT)?;
-        let mut r = WireReader::new(&payload);
-        let outcome = match OutcomeKey::decode(&mut r) {
-            Ok(stored) if stored == *key => match decode_outcome(r.rest()) {
-                Ok(outcome) => outcome,
-                Err(_) => {
-                    self.quarantine(DIR_OUTCOMES, &stem, RecordGate::Decode);
-                    return None;
-                }
-            },
-            Ok(_) => {
-                // A valid record for a different key sharing the hash:
-                // a miss, not corruption.
-                self.bump(&self.disk_misses, "persist.disk_miss");
-                return None;
+    pub(crate) fn load_solved(&self, key: &ResultKey) -> Option<Solved> {
+        let read = self.read_record(&SOLVED, &key.file_stem(), |r| {
+            if ResultKey::decode(r)? != *key {
+                return Ok(None);
             }
-            Err(_) => {
-                self.quarantine(DIR_OUTCOMES, &stem, RecordGate::Decode);
-                return None;
-            }
-        };
-        self.bump(&self.disk_hits, "persist.disk_hit");
-        Some(outcome)
+            Solved::decode(r).map(Some)
+        });
+        self.count_load(read)
     }
 
     /// Stores a compiled artifact under the problem fingerprint.
@@ -473,69 +562,71 @@ impl Persist {
         payload.u128(fingerprint);
         let mut payload = payload.into_bytes();
         payload.extend_from_slice(&encode_prepared(prepared));
-        self.write_record(
-            DIR_PREPARED,
-            &format!("{fingerprint:032x}"),
-            KIND_PREPARED,
-            PREPARED_FORMAT,
-            &payload,
-        )
+        self.write_record(&PREPARED, &format!("{fingerprint:032x}"), &payload)
     }
 
     /// Loads the compiled artifact for `fingerprint`, or `None` on
-    /// miss (missing, mismatched, or quarantined).
+    /// miss (missing, or quarantined — a record under the wrong
+    /// fingerprint is corrupt, since the file name is the fingerprint).
     pub fn load_prepared(&self, fingerprint: u128) -> Option<Prepared> {
-        let stem = format!("{fingerprint:032x}");
-        let payload = self.read_record(DIR_PREPARED, &stem, KIND_PREPARED, PREPARED_FORMAT)?;
-        let mut r = WireReader::new(&payload);
-        let prepared = match r.u128() {
-            Ok(stored) if stored == fingerprint => match decode_prepared(r.rest()) {
-                Ok(prepared) => prepared,
-                Err(_) => {
-                    self.quarantine(DIR_PREPARED, &stem, RecordGate::Decode);
-                    return None;
-                }
-            },
-            _ => {
-                self.quarantine(DIR_PREPARED, &stem, RecordGate::Decode);
-                return None;
+        let read = self.read_record(&PREPARED, &format!("{fingerprint:032x}"), |r| {
+            if r.u128()? != fingerprint {
+                return Err(WireError::Invalid("record under another fingerprint"));
             }
-        };
-        self.bump(&self.disk_hits, "persist.disk_hit");
-        Some(prepared)
+            decode_prepared(r.rest()).map(Some)
+        });
+        self.count_load(read)
     }
 
-    /// Reads and gate-checks one record; quarantines on failure,
-    /// counts a miss when the file does not exist.
-    fn read_record(&self, sub: &str, stem: &str, kind: u8, format: u16) -> Option<Vec<u8>> {
-        let path = self.root.join(sub).join(format!("{stem}.rec"));
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.bump(&self.disk_misses, "persist.disk_miss");
-                return None;
+    /// Counts a serving-path read as a disk hit or miss; a quarantine
+    /// was already counted when the file was renamed aside.
+    fn count_load<T>(&self, read: Read<T>) -> Option<T> {
+        match read {
+            Read::Valid(value) => {
+                self.bump(&self.disk_hits, "persist.disk_hit");
+                Some(value)
             }
-        };
-        match open_record(&bytes, kind, format) {
-            Ok(payload) => Some(payload.to_vec()),
-            Err(gate) => {
-                self.quarantine(sub, stem, gate);
+            Read::Miss => {
+                self.bump(&self.disk_misses, "persist.disk_miss");
                 None
             }
+            Read::Quarantined => None,
         }
+    }
+
+    /// Reads one record and runs every gate on it: header, version and
+    /// checksum, then `decode` over the payload, which must consume it
+    /// exactly. `decode` answers `Ok(None)` for a sound record stored
+    /// under another key (a miss); any failed gate quarantines the file.
+    fn read_record<T>(
+        &self,
+        family: &Family,
+        stem: &str,
+        decode: impl FnOnce(&mut WireReader) -> Result<Option<T>, WireError>,
+    ) -> Read<T> {
+        let path = self.root.join(family.dir).join(format!("{stem}.rec"));
+        let Ok(bytes) = fs::read(&path) else {
+            return Read::Miss;
+        };
+        let gate = match open_record(&bytes, family) {
+            Ok(payload) => {
+                let mut r = WireReader::new(payload);
+                match decode(&mut r).and_then(|value| r.finish().map(|()| value)) {
+                    Ok(Some(value)) => return Read::Valid(value),
+                    Ok(None) => return Read::Miss,
+                    Err(_) => RecordGate::Decode,
+                }
+            }
+            Err(gate) => gate,
+        };
+        self.quarantine(family.dir, stem, gate);
+        Read::Quarantined
     }
 
     /// Temp-file + fsync + atomic-rename write of one record; the
     /// fault plan (if armed) corrupts the bytes on the way down.
-    fn write_record(
-        &self,
-        sub: &str,
-        stem: &str,
-        kind: u8,
-        format: u16,
-        payload: &[u8],
-    ) -> io::Result<()> {
-        let record = encode_record(kind, format, payload);
+    fn write_record(&self, family: &Family, stem: &str, payload: &[u8]) -> io::Result<()> {
+        let record = encode_record(family, payload);
         let record = match &self.faults {
             Some(plan) => {
                 let (bytes, fired) = plan.apply(stem, record);
@@ -556,7 +647,7 @@ impl Persist {
             file.write_all(&record)?;
             file.sync_all()?;
         }
-        let dir = self.root.join(sub);
+        let dir = self.root.join(family.dir);
         let result = fs::rename(&tmp, dir.join(format!("{stem}.rec")));
         if result.is_err() {
             let _ = fs::remove_file(&tmp);
@@ -597,11 +688,8 @@ impl Persist {
                 self.bump(&self.tmp_cleaned, "persist.tmp_cleaned");
             }
         }
-        for (sub, kind, format) in [
-            (DIR_OUTCOMES, KIND_OUTCOME, OUTCOME_FORMAT),
-            (DIR_PREPARED, KIND_PREPARED, PREPARED_FORMAT),
-        ] {
-            let mut stems: Vec<String> = fs::read_dir(self.root.join(sub))?
+        for family in [&SOLVED, &PREPARED] {
+            let mut stems: Vec<String> = fs::read_dir(self.root.join(family.dir))?
                 .filter_map(|entry| {
                     let name = entry.ok()?.file_name().into_string().ok()?;
                     Some(name.strip_suffix(".rec")?.to_string())
@@ -611,30 +699,9 @@ impl Persist {
             // file names replay identically under fault injection.
             stems.sort();
             for stem in stems {
-                let path = self.root.join(sub).join(format!("{stem}.rec"));
-                let Ok(bytes) = fs::read(&path) else { continue };
-                match open_record(&bytes, kind, format) {
-                    Ok(payload) => {
-                        let decoded = match kind {
-                            KIND_OUTCOME => {
-                                let mut r = WireReader::new(payload);
-                                OutcomeKey::decode(&mut r)
-                                    .and_then(|_| decode_outcome(r.rest()))
-                                    .map(|_| ())
-                            }
-                            _ => {
-                                let mut r = WireReader::new(payload);
-                                r.u128().and_then(|_| decode_prepared(r.rest())).map(|_| ())
-                            }
-                        };
-                        match decoded {
-                            Ok(()) => {
-                                self.bump(&self.recovered, "persist.recovered");
-                            }
-                            Err(_) => self.quarantine(sub, &stem, RecordGate::Decode),
-                        }
-                    }
-                    Err(gate) => self.quarantine(sub, &stem, gate),
+                let read = self.read_record(family, &stem, |r| (family.validate)(r).map(Some));
+                if let Read::Valid(()) = read {
+                    self.bump(&self.recovered, "persist.recovered");
                 }
             }
         }
@@ -655,7 +722,7 @@ mod tests {
         dir
     }
 
-    fn solved() -> (u128, OutcomeKey, Outcome, Prepared) {
+    fn solved() -> (u128, ResultKey, Solved, Prepared) {
         let problem = benchmark(BenchmarkId::parse("F1").unwrap());
         let solver = Rasengan::new(
             RasenganConfig::default()
@@ -666,7 +733,7 @@ mod tests {
         let prepared = solver.prepare(&problem).unwrap();
         let outcome = solver.solve_prepared(&problem, &prepared).unwrap();
         let fingerprint = problem.fingerprint();
-        let key = OutcomeKey {
+        let key = ResultKey {
             fingerprint,
             seed: 5,
             shots: Some(128),
@@ -674,25 +741,29 @@ mod tests {
             retries: 0,
             degrade: false,
             deadline_ms: None,
+            trace: false,
         };
-        (fingerprint, key, outcome, prepared)
+        (fingerprint, key, Solved::render(&outcome), prepared)
     }
 
     #[test]
-    fn outcome_and_prepared_survive_reopen() {
+    fn solved_and_prepared_survive_reopen() {
         let dir = scratch("reopen");
-        let (fingerprint, key, outcome, prepared) = solved();
+        let (fingerprint, key, solved, prepared) = solved();
         {
             let store = Persist::open(&dir).unwrap();
-            store.store_outcome(&key, &outcome).unwrap();
+            store.store_solved(&key, &solved).unwrap();
             store.store_prepared(fingerprint, &prepared).unwrap();
             assert_eq!(store.stats().flushes, 2);
         }
         let store = Persist::open(&dir).unwrap();
         assert_eq!(store.stats().recovered, 2, "scan validates both records");
         assert_eq!(store.stats().quarantined, 0);
-        let loaded = store.load_outcome(&key).expect("warm outcome");
-        assert_eq!(loaded, outcome);
+        // The reloaded record serves the same `result` bytes and the
+        // same latency, bit for bit.
+        let loaded = store.load_solved(&key).expect("warm solve");
+        assert_eq!(loaded.result, solved.result);
+        assert_eq!(loaded, solved);
         let warm = store.load_prepared(fingerprint).expect("warm prepared");
         assert_eq!(warm.chain.ops, prepared.chain.ops);
         assert_eq!(store.stats().disk_hits, 2);
@@ -704,7 +775,7 @@ mod tests {
         let dir = scratch("miss");
         let (fingerprint, key, ..) = solved();
         let store = Persist::open(&dir).unwrap();
-        assert!(store.load_outcome(&key).is_none());
+        assert!(store.load_solved(&key).is_none());
         assert!(store.load_prepared(fingerprint).is_none());
         assert_eq!(store.stats().disk_misses, 2);
         assert_eq!(store.stats().quarantined, 0);
@@ -714,21 +785,21 @@ mod tests {
     #[test]
     fn key_knobs_address_distinct_records() {
         let dir = scratch("keys");
-        let (_, key, outcome, _) = solved();
+        let (_, key, solved, _) = solved();
         let store = Persist::open(&dir).unwrap();
-        store.store_outcome(&key, &outcome).unwrap();
-        let other = OutcomeKey {
+        store.store_solved(&key, &solved).unwrap();
+        let other = ResultKey {
             seed: key.seed + 1,
             ..key.clone()
         };
-        assert!(store.load_outcome(&other).is_none());
-        assert!(store.load_outcome(&key).is_some());
+        assert!(store.load_solved(&other).is_none());
+        assert!(store.load_solved(&key).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn every_fault_class_is_quarantined_on_read() {
-        let (fingerprint, key, outcome, prepared) = solved();
+        let (fingerprint, key, solved, prepared) = solved();
         for kind in [
             StorageFault::TornWrite,
             StorageFault::Truncation,
@@ -738,12 +809,12 @@ mod tests {
             let dir = scratch(&format!("fault-{kind}"));
             let plan = StorageFaultPlan::every_write(42, kind);
             let store = Persist::open_with(&dir, Some(plan), None).unwrap();
-            store.store_outcome(&key, &outcome).unwrap();
+            store.store_solved(&key, &solved).unwrap();
             store.store_prepared(fingerprint, &prepared).unwrap();
             assert_eq!(store.stats().faults_injected, 2, "{kind}: faults fired");
             // Both reads must degrade to a miss and quarantine the
             // record; a second read is then a plain miss.
-            assert!(store.load_outcome(&key).is_none(), "{kind}");
+            assert!(store.load_solved(&key).is_none(), "{kind}");
             assert!(store.load_prepared(fingerprint).is_none(), "{kind}");
             assert!(
                 store.stats().quarantined >= 1,
@@ -760,13 +831,68 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_solved_records_error_instead_of_panicking() {
+        let dir = scratch("corrupt-solved");
+        let (_, key, solved, _) = solved();
+        let store = Persist::open(&dir).unwrap();
+        store.store_solved(&key, &solved).unwrap();
+        let path = dir
+            .join(SOLVED.dir)
+            .join(format!("{}.rec", key.file_stem()));
+        let record = fs::read(&path).unwrap();
+        let quarantine = dir.join(DIR_QUARANTINE);
+        let mut expected_quarantined = 0;
+        // Plants `bytes` as the record, reads it back, and requires a
+        // miss that renamed the file into `quarantine/`.
+        let mut check = |bytes: &[u8], what: &str| {
+            fs::write(&path, bytes).unwrap();
+            assert!(store.load_solved(&key).is_none(), "{what} was served");
+            expected_quarantined += 1;
+            assert_eq!(store.stats().quarantined, expected_quarantined, "{what}");
+            assert!(!path.exists(), "{what} left in place");
+            for entry in fs::read_dir(&quarantine).unwrap() {
+                fs::remove_file(entry.unwrap().path()).unwrap();
+            }
+        };
+        for cut in 0..record.len() {
+            check(&record[..cut], &format!("truncation at {cut}"));
+        }
+        for bit in 0..record.len() * 8 {
+            let mut flipped = record.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit flip {bit}"));
+        }
+        // A payload whose checksum matches but whose body does not
+        // decode fails the decode gate: trailing bytes, text that is
+        // not UTF-8, and text that is not JSON.
+        let mut w = WireWriter::new();
+        key.encode(&mut w);
+        solved.encode(&mut w);
+        w.u8(0);
+        check(&encode_record(&SOLVED, &w.into_bytes()), "trailing byte");
+        for text in [&b"\xff\xfe"[..], b"{\"best\":"] {
+            let mut w = WireWriter::new();
+            key.encode(&mut w);
+            w.bytes(text);
+            for _ in 0..6 {
+                w.f64(0.0);
+            }
+            check(&encode_record(&SOLVED, &w.into_bytes()), "bad text");
+        }
+        // The untouched record still loads.
+        fs::write(&path, &record).unwrap();
+        assert_eq!(store.load_solved(&key), Some(solved));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn recovery_scan_quarantines_and_cleans_tmp() {
         let dir = scratch("recover");
-        let (fingerprint, key, outcome, prepared) = solved();
+        let (fingerprint, key, solved, prepared) = solved();
         {
             let plan = StorageFaultPlan::every_write(7, StorageFault::BitFlip);
             let store = Persist::open_with(&dir, Some(plan), None).unwrap();
-            store.store_outcome(&key, &outcome).unwrap();
+            store.store_solved(&key, &solved).unwrap();
             store.store_prepared(fingerprint, &prepared).unwrap();
         }
         // Crash residue: a stale temp file.
@@ -777,14 +903,14 @@ mod tests {
         assert_eq!(stats.quarantined, 2, "scan quarantines both bad records");
         assert_eq!(stats.recovered, 0);
         // The serving dirs are clean again: reads are plain misses.
-        assert!(store.load_outcome(&key).is_none());
+        assert!(store.load_solved(&key).is_none());
         assert_eq!(store.stats().quarantined, 2, "no double quarantine");
         // Healthy writes now land and survive another reopen.
-        store.store_outcome(&key, &outcome).unwrap();
+        store.store_solved(&key, &solved).unwrap();
         drop(store);
         let reopened = Persist::open(&dir).unwrap();
         assert_eq!(reopened.stats().recovered, 1);
-        assert_eq!(reopened.load_outcome(&key).unwrap(), outcome);
+        assert_eq!(reopened.load_solved(&key).unwrap(), solved);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -807,25 +933,25 @@ mod tests {
     #[test]
     fn version_skew_passes_checksum_but_fails_version_gate() {
         let payload = b"payload bytes".to_vec();
-        let mut record = encode_record(KIND_OUTCOME, OUTCOME_FORMAT, &payload);
+        let mut record = encode_record(&SOLVED, &payload);
         let (skewed, fired) =
             StorageFaultPlan::every_write(1, StorageFault::VersionSkew).apply("r", record.clone());
         assert!(fired);
-        assert_eq!(
-            open_record(&skewed, KIND_OUTCOME, OUTCOME_FORMAT),
-            Err(RecordGate::Version)
+        assert_eq!(open_record(&skewed, &SOLVED), Err(RecordGate::Version));
+        // So does a solved record in the retired binary format 1.
+        let retired = encode_record(
+            &Family {
+                format: 1,
+                ..SOLVED
+            },
+            &payload,
         );
+        assert_eq!(open_record(&retired, &SOLVED), Err(RecordGate::Version));
         // The untouched record passes every gate.
-        assert_eq!(
-            open_record(&record, KIND_OUTCOME, OUTCOME_FORMAT).unwrap(),
-            &payload[..]
-        );
+        assert_eq!(open_record(&record, &SOLVED).unwrap(), &payload[..]);
         // And a flipped payload bit fails the checksum gate.
         let last = record.len() - 1;
         record[last] ^= 1;
-        assert_eq!(
-            open_record(&record, KIND_OUTCOME, OUTCOME_FORMAT),
-            Err(RecordGate::Checksum)
-        );
+        assert_eq!(open_record(&record, &SOLVED), Err(RecordGate::Checksum));
     }
 }

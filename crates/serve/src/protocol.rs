@@ -41,6 +41,7 @@
 //! [`Outcome`] serialized with [`render_outcome`]. Wall-clock and
 //! service-side metadata live in `timing` and `service`.
 
+use rasengan_core::latency::Latency;
 use rasengan_core::resilience::ResilienceConfig;
 use rasengan_core::solver::{Outcome, RasenganConfig, RasenganError};
 use rasengan_problems::ingest::Format;
@@ -866,11 +867,9 @@ impl Reply {
     }
 }
 
-/// Serializes the deterministic part of an [`Outcome`] — everything
-/// except wall-clock latency — as a canonical JSON object. Bit-equal
-/// outcomes serialize to byte-equal text, which is the contract the
-/// served-determinism tests check.
-pub fn outcome_json(outcome: &Outcome) -> Json {
+/// The deterministic part of an [`Outcome`] — everything except
+/// wall-clock latency — as a canonical JSON object.
+fn outcome_json(outcome: &Outcome) -> Json {
     let best = Json::obj(vec![
         (
             "bits",
@@ -970,25 +969,30 @@ pub fn outcome_json(outcome: &Outcome) -> Json {
     ])
 }
 
-/// Renders [`outcome_json`] to its canonical byte form — the exact
-/// bytes the server puts in the `result` section.
+/// Renders the deterministic part of an [`Outcome`] — everything
+/// except wall-clock latency — as canonical JSON text: the exact bytes
+/// the server puts in the `result` section. Bit-equal outcomes render
+/// to byte-equal text, which is the contract the served-determinism
+/// tests check.
 pub fn render_outcome(outcome: &Outcome) -> String {
     outcome_json(outcome).render()
 }
 
-/// Serializes the wall-clock side of an [`Outcome`] (the non-
-/// deterministic part, kept out of `result`).
-pub fn timing_json(outcome: &Outcome) -> Json {
-    let stages = &outcome.latency.stages;
+/// Serializes the wall-clock side of a served solve (the non-
+/// deterministic part, kept out of `result`): the solve's latency,
+/// plus how long this request queued and whether a cache answered it
+/// (in which case the stages describe the solve that filled the cache).
+pub fn timing_json(latency: &Latency, queue_s: f64, cache_hit: bool) -> Json {
+    let stages = &latency.stages;
     Json::obj(vec![
-        ("quantum_s", Json::Num(outcome.latency.quantum_s)),
-        ("classical_s", Json::Num(outcome.latency.classical_s)),
+        ("quantum_s", Json::Num(latency.quantum_s)),
+        ("classical_s", Json::Num(latency.classical_s)),
         ("prepare_s", Json::Num(stages.prepare_s)),
         ("train_s", Json::Num(stages.train_s)),
         ("execute_s", Json::Num(stages.execute_s)),
         ("retry_s", Json::Num(stages.retry_s)),
-        ("queue_s", Json::Num(stages.queue_s)),
-        ("cache_hit", Json::Bool(stages.cache_hit)),
+        ("queue_s", Json::Num(queue_s)),
+        ("cache_hit", Json::Bool(cache_hit)),
     ])
 }
 

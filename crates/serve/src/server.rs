@@ -40,10 +40,14 @@
 //!
 //! # Caches
 //!
-//! * **Result cache** — finished [`Outcome`]s keyed on the problem
+//! * **Result cache** — finished solves, rendered once into their
+//!   `result` text (plus latency, and the `trace` text when traced),
+//!   keyed on the problem
 //!   [`fingerprint`](rasengan_problems::fingerprint) plus every
 //!   training knob the request can set. Worker-thread count is *not*
-//!   part of the key: results are invariant under it.
+//!   part of the key: results are invariant under it. A hit renders
+//!   only `timing`. A solve cut short by a budget stop depends on the
+//!   wall clock, so it is never cached or persisted.
 //! * **Compile cache** — [`Prepared`] artifacts (reduced basis,
 //!   transition chain, segment plan) keyed on fingerprint alone. That
 //!   key is sound because [`Rasengan::prepare`] reads only
@@ -64,7 +68,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rasengan_core::solver::{Outcome, Prepared, Rasengan};
+use rasengan_core::latency::Latency;
+use rasengan_core::solver::{Prepared, Rasengan};
 use rasengan_obs::metrics::{install_global, Registry};
 use rasengan_problems::ingest::parse_as;
 use rasengan_qsim::parallel::BoundedQueue;
@@ -73,10 +78,9 @@ use crate::cache::ShardedLru;
 use crate::conn::{resolve, Conn, ReadOutcome, Step, WriteOutcome};
 use crate::fabric::{Fabric, FabricConfig, FabricStats};
 use crate::json::Json;
-use crate::persist::{OutcomeKey, Persist, PersistStats, StorageFaultPlan};
+use crate::persist::{Persist, PersistStats, ResultKey, Solved, StorageFaultPlan};
 use crate::protocol::{
-    error_sections, outcome_json, timing_json, GossipMessage, Reply, ReplyStatus, SolveRequest,
-    Verb,
+    error_sections, timing_json, GossipMessage, Reply, ReplyStatus, SolveRequest, Verb,
 };
 
 /// Service tuning knobs.
@@ -88,7 +92,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue capacity; requests beyond it are shed.
     pub queue_capacity: usize,
-    /// Result cache capacity (finished outcomes).
+    /// Result cache capacity (finished solves).
     pub result_cache_capacity: usize,
     /// Compile cache capacity (prepared artifacts).
     pub compile_cache_capacity: usize,
@@ -105,7 +109,7 @@ pub struct ServeConfig {
     /// Crash-safe on-disk warm-state tier ([`crate::persist`]). `None`
     /// keeps the service memory-only; `Some(dir)` opens (and recovers)
     /// the state directory at startup, loads cache misses from disk,
-    /// and flushes fresh compiles and untraced outcomes back.
+    /// and flushes fresh compiles and untraced solves back.
     pub state_dir: Option<PathBuf>,
     /// Deterministic storage fault injection applied to every persist
     /// write — test scaffolding for the corruption matrix, never armed
@@ -230,56 +234,6 @@ impl ServeConfig {
     }
 }
 
-/// Everything a request needs beyond the problem itself — the result
-/// cache key. Worker and engine thread counts are deliberately absent:
-/// outcomes are bit-identical at any parallelism, so a result computed
-/// under one thread configuration serves every other.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct ResultKey {
-    fingerprint: u128,
-    seed: u64,
-    shots: Option<usize>,
-    iterations: Option<usize>,
-    retries: usize,
-    degrade: bool,
-    deadline_ms: Option<u64>,
-    /// Whether the cached outcome carries a span tree. A traced and an
-    /// untraced solve produce byte-identical `result` sections, but a
-    /// cached untraced outcome has no tree to put in the `trace`
-    /// section, so the two must not share a cache slot.
-    trace: bool,
-}
-
-impl ResultKey {
-    fn new(fingerprint: u128, request: &SolveRequest, trace: bool) -> Self {
-        ResultKey {
-            fingerprint,
-            seed: request.seed,
-            shots: request.shots,
-            iterations: request.iterations,
-            retries: request.retries,
-            degrade: request.degrade,
-            deadline_ms: request.deadline_ms,
-            trace,
-        }
-    }
-
-    /// The disk-tier address of this key. `None` for traced requests:
-    /// the persisted codec drops span trees, so a disk record could
-    /// never satisfy a traced response.
-    fn disk_key(&self) -> Option<OutcomeKey> {
-        (!self.trace).then_some(OutcomeKey {
-            fingerprint: self.fingerprint,
-            seed: self.seed,
-            shots: self.shots,
-            iterations: self.iterations,
-            retries: self.retries,
-            degrade: self.degrade,
-            deadline_ms: self.deadline_ms,
-        })
-    }
-}
-
 /// What travels over the admission queue.
 pub(crate) enum Work {
     /// A request the reactor parsed. The reactor keeps the socket; the
@@ -321,7 +275,7 @@ pub(crate) struct Shared {
     pub(crate) readable_events: AtomicU64,
     pub(crate) writable_stalls: AtomicU64,
     pub(crate) loop_iterations: AtomicU64,
-    results: ShardedLru<ResultKey, Arc<Outcome>>,
+    results: ShardedLru<ResultKey, Arc<Solved>>,
     compiles: ShardedLru<u128, Arc<Prepared>>,
     /// Read-through copies of forwarded replies: the owner's sections
     /// (minus `service`), cached verbatim so a repeat request on this
@@ -846,11 +800,19 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
             fabric.count_forward_in();
         }
     }
-    if let Some(cached) = shared.results.get(&key) {
-        let mut outcome = (*cached).clone();
-        outcome.latency.stages.queue_s = queue_s;
-        outcome.latency.stages.cache_hit = true;
-        return ok_reply(shared, &outcome, fingerprint, queue_s, enqueued, "hit");
+    let ok = |sections, cache_note: &str, owner: Option<&str>| {
+        ok_reply(
+            shared,
+            sections,
+            fingerprint,
+            queue_s,
+            enqueued,
+            cache_note,
+            owner,
+        )
+    };
+    if let Some(solved) = shared.results.get(&key) {
+        return ok(solved.sections(&solved.latency, queue_s, true), "hit", None);
     }
 
     // Fabric tiers: the local read-through copy of a previously
@@ -859,32 +821,19 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
     if let Some(fabric) = &shared.fabric {
         if let Some(sections) = shared.remote.get(&key) {
             fabric.count_remote_hit();
-            return forwarded_reply(
-                shared,
-                (*sections).clone(),
-                fingerprint,
-                queue_s,
-                enqueued,
-                "remote-hit",
-                None,
-            );
+            return ok((*sections).clone(), "remote-hit", None);
         }
     }
 
-    // Memory miss: the disk tier is next. A validated record promotes
-    // back into the in-memory LRU; anything corrupt was quarantined by
-    // the load and falls through to a recompute.
-    let disk_key = key.disk_key();
-    if let (Some(persist), Some(disk_key)) = (&shared.persist, &disk_key) {
-        if let Some(outcome) = persist.load_outcome(disk_key) {
-            shared
-                .results
-                .insert(key.clone(), Arc::new(outcome.clone()));
-            let mut outcome = outcome;
-            outcome.latency.stages.queue_s = queue_s;
-            outcome.latency.stages.cache_hit = true;
-            return ok_reply(shared, &outcome, fingerprint, queue_s, enqueued, "disk-hit");
-        }
+    // Memory miss: the disk tier is next (untraced keys only: a record
+    // never carries the span tree). A validated record promotes back
+    // into the in-memory LRU; anything corrupt was quarantined by the
+    // load and falls through to a recompute.
+    let persist = shared.persist.as_ref().filter(|_| !key.trace);
+    if let Some(solved) = persist.and_then(|p| p.load_solved(&key)) {
+        let sections = solved.sections(&solved.latency, queue_s, true);
+        shared.results.insert(key, Arc::new(solved));
+        return ok(sections, "disk-hit", None);
     }
 
     // Fabric forwarding: every local tier missed, this node is not
@@ -923,18 +872,12 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
                                 .filter(|(name, _)| name.as_str() != "service")
                                 .cloned()
                                 .collect();
-                            if fabric.config().read_through {
+                            // A deadline can cut the owner's solve short,
+                            // so its reply is not kept for a repeat.
+                            if request.deadline_ms.is_none() {
                                 shared.remote.insert(key, Arc::new(sections.clone()));
                             }
-                            return forwarded_reply(
-                                shared,
-                                sections,
-                                fingerprint,
-                                queue_s,
-                                enqueued,
-                                &format!("forward-{owner_note}"),
-                                Some(&owner.id),
-                            );
+                            return ok(sections, &format!("forward-{owner_note}"), Some(&owner.id));
                         }
                         Ok(reply) if reply.status == ReplyStatus::Error => {
                             // Solver errors are as deterministic as
@@ -1005,18 +948,25 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
     };
 
     match solver.solve_prepared(&problem, &prepared) {
-        Ok(mut outcome) => {
-            // Cache the outcome as solved — per-request queue wait and
-            // hit flags are stamped on the copy each response sends.
-            shared.results.insert(key, Arc::new(outcome.clone()));
-            if let (Some(persist), Some(disk_key)) = (&shared.persist, &disk_key) {
-                if persist.store_outcome(disk_key, &outcome).is_err() {
-                    shared.registry.counter_add("persist.write_error", 1);
+        Ok(outcome) => {
+            // Render once. The cached copy keeps the solve's own
+            // latency; this reply reports the prepare time it paid.
+            let solved = Solved::render(&outcome);
+            let mut latency = solved.latency;
+            latency.stages.prepare_s = prepare_s;
+            let sections = solved.sections(&latency, queue_s, false);
+            // A budget stop depends on the wall clock, not on the key:
+            // a repeat could finish, so the cut-short result is never
+            // kept.
+            if outcome.resilience.budget_exhaustions() == 0 {
+                if let Some(persist) = persist {
+                    if persist.store_solved(&key, &solved).is_err() {
+                        shared.registry.counter_add("persist.write_error", 1);
+                    }
                 }
+                shared.results.insert(key, Arc::new(solved));
             }
-            outcome.latency.stages.queue_s = queue_s;
-            outcome.latency.stages.prepare_s = prepare_s;
-            ok_reply(shared, &outcome, fingerprint, queue_s, enqueued, cache_note)
+            ok(sections, cache_note, None)
         }
         Err(err) => {
             shared.served_error.fetch_add(1, Ordering::Relaxed);
@@ -1025,13 +975,34 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
     }
 }
 
-/// Builds the reply for a solve served through the fabric — a freshly
-/// forwarded owner reply or a local read-through copy of one. This
-/// node's own `service` section is stamped in front; every other
-/// section (`result`, `timing`, `trace`, …) is the owner's bytes,
-/// verbatim, so the `result` a client reads is identical no matter
-/// which node it hit.
-fn forwarded_reply(
+impl Solved {
+    /// The reply sections after `service`: the stored `result` text,
+    /// `timing` for this request, and the `trace` text when there is
+    /// one. The span tree rides in its own section so `result` stays
+    /// byte-identical with and without tracing; it is the deterministic
+    /// render (IDs and structure, no wall-clock), with no reactor or
+    /// worker span added, so a served trace byte-matches an in-process
+    /// solve's tree.
+    fn sections(&self, latency: &Latency, queue_s: f64, cache_hit: bool) -> Vec<(String, String)> {
+        let mut sections = vec![
+            ("result".to_string(), self.result.clone()),
+            (
+                "timing".to_string(),
+                timing_json(latency, queue_s, cache_hit).render(),
+            ),
+        ];
+        if let Some(trace) = &self.trace {
+            sections.push(("trace".to_string(), trace.clone()));
+        }
+        sections
+    }
+}
+
+/// Builds an `OK` reply: this node's `service` section in front of
+/// `sections` — rendered from this node's [`Solved`], or a forwarded
+/// owner's bytes verbatim (then `owner` names that node), so the
+/// `result` a client reads is identical no matter which node it hit.
+fn ok_reply(
     shared: &Shared,
     sections: Vec<(String, String)>,
     fingerprint: u128,
@@ -1063,44 +1034,6 @@ fn forwarded_reply(
         status: ReplyStatus::Ok,
         sections: all,
     }
-}
-
-fn ok_reply(
-    shared: &Shared,
-    outcome: &Outcome,
-    fingerprint: u128,
-    queue_s: f64,
-    enqueued: Instant,
-    cache_note: &str,
-) -> Reply {
-    shared.served_ok.fetch_add(1, Ordering::Relaxed);
-    shared.registry.counter_add("serve.requests", 1);
-    shared
-        .registry
-        .histogram_record("serve.queue_wait_us", (queue_s * 1e6) as u64);
-    shared.registry.histogram_record(
-        "serve.request_us",
-        enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64,
-    );
-    let service = Json::obj(vec![
-        ("fingerprint", Json::Str(format!("{fingerprint:#034x}"))),
-        ("cache", Json::Str(cache_note.to_string())),
-        ("queue_wait_ms", Json::Num(queue_s * 1000.0)),
-    ]);
-    let mut sections = vec![
-        ("service", service),
-        ("result", outcome_json(outcome)),
-        ("timing", timing_json(outcome)),
-    ];
-    // The span tree rides in its own section so `result` stays
-    // byte-identical with and without tracing. Only the deterministic
-    // render is sent: IDs and structure, no wall-clock. No reactor or
-    // worker span is ever added here: the served trace must byte-match
-    // an in-process solve's tree (the determinism suite checks this).
-    if let Some(tree) = &outcome.trace {
-        sections.push(("trace", tree.deterministic_json()));
-    }
-    Reply::new(ReplyStatus::Ok, sections)
 }
 
 #[cfg(test)]
@@ -1232,6 +1165,56 @@ mod tests {
         assert_eq!(stats.persist.quarantined, 0);
         second.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timing_has_one_shape_on_miss_hit_and_disk_hit() {
+        let dir =
+            std::env::temp_dir().join(format!("rasengan-serve-timing-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let request = SolveRequest::new(tiny_problem())
+            .with_seed(4)
+            .with_shots(64)
+            .with_iterations(3);
+        let config = || ServeConfig::default().with_workers(1).with_state_dir(&dir);
+        let first = serve(config()).expect("bind");
+        let miss = crate::client::submit(first.addr(), &request).unwrap();
+        let hit = crate::client::submit(first.addr(), &request).unwrap();
+        first.shutdown();
+        let second = serve(config()).expect("bind");
+        let disk = crate::client::submit(second.addr(), &request).unwrap();
+        second.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        for (reply, note, cache_hit) in [
+            (&miss, "miss", false),
+            (&hit, "hit", true),
+            (&disk, "disk-hit", true),
+        ] {
+            assert_eq!(reply.status, ReplyStatus::Ok, "{note}");
+            let service = reply.json("service").unwrap();
+            assert_eq!(service.get("cache").and_then(|c| c.as_str()), Some(note));
+            let Json::Obj(fields) = reply.json("timing").unwrap() else {
+                panic!("{note}: timing is not an object");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "quantum_s",
+                    "classical_s",
+                    "prepare_s",
+                    "train_s",
+                    "execute_s",
+                    "retry_s",
+                    "queue_s",
+                    "cache_hit"
+                ],
+                "{note}"
+            );
+            assert_eq!(fields[7].1, Json::Bool(cache_hit), "{note}");
+            assert_eq!(reply.section("result"), miss.section("result"), "{note}");
+        }
     }
 
     #[test]

@@ -265,21 +265,46 @@ fn cross_node_resubmission_hits_remote_and_local_caches() {
 /// (c) Owner death: the cluster detects it (suspect → dead), rebuilds
 /// the ring without the corpse, and keeps serving byte-identical
 /// results throughout — first by local fallback while the death is
-/// still undetected, then by re-routed ownership.
+/// still undetected, then by re-routed ownership. Every submit carries
+/// a seed of its own, so no cache tier can answer: each reply is
+/// computed where routing sends it, and the `service.cache` note says
+/// where that was.
 #[test]
 fn owner_death_rebuilds_the_ring_and_results_stay_identical() {
-    // Read-through is disabled so the post-death submits exercise
-    // routing and recompute, not a warm forwarder cache.
-    let mut servers = spawn_cluster(3, 2, |f| f.without_read_through());
+    let mut servers = spawn_cluster(3, 2, |f| f);
     let (_, text) = instance_texts().into_iter().next().unwrap();
-    let request = request_for(&text);
+    let problem = parse_problem(&text).expect("fixture parses");
+    let request = |seed: u64| request_for(&text).with_seed(seed);
+    let expected = |seed: u64| {
+        render_outcome(
+            &Rasengan::new(request(seed).config())
+                .solve(&problem)
+                .expect("in-process solve"),
+        )
+    };
+    let note = |reply: &rasengan::serve::Reply| {
+        let service = reply.json("service").expect("service section");
+        let get = |key: &str| {
+            service
+                .get(key)
+                .and_then(|v| v.as_str())
+                .map(str::to_string)
+        };
+        (get("cache").expect("cache note"), get("owner"))
+    };
     let owner = owner_index(&servers, &text);
+    let mut ids: Vec<String> = (0..3).map(node_id).collect();
     let survivors: Vec<usize> = (0..3).filter(|i| *i != owner).collect();
 
-    // Healthy cluster: a non-owner entry forwards to the owner.
-    let before = submit(servers[survivors[0]].addr(), &request).expect("pre-death submit");
+    // Healthy cluster: a non-owner entry forwards to the owner, which
+    // computes.
+    let before = submit(servers[survivors[0]].addr(), &request(21)).expect("pre-death submit");
     assert_eq!(before.status, ReplyStatus::Ok);
-    let baseline = before.section("result").expect("result").to_string();
+    assert_eq!(before.section("result").expect("result"), expected(21));
+    assert_eq!(
+        note(&before),
+        ("forward-miss".to_string(), Some(node_id(owner)))
+    );
     // Each node versions its own ring, so the rebuild check is
     // per-survivor against that survivor's own pre-death version.
     let ring_before: Vec<i128> = survivors
@@ -288,20 +313,22 @@ fn owner_death_rebuilds_the_ring_and_results_stay_identical() {
         .collect();
 
     // Kill the owner. `remove` keeps the survivors' relative order, so
-    // `ring_before[k]` still belongs to `servers[k]`.
+    // `ring_before[k]` and `ids[k]` still belong to `servers[k]`.
     let corpse = servers.remove(owner);
+    ids.remove(owner);
     corpse.shutdown();
 
     // Immediately after death the survivors still route to the corpse;
     // the forward fails and the entry node falls back to computing
     // locally — same bytes, and the dead peer is suspected on the spot.
-    let during = submit(servers[0].addr(), &request).expect("fallback submit");
+    let during = submit(servers[0].addr(), &request(22)).expect("fallback submit");
     assert_eq!(during.status, ReplyStatus::Ok);
     assert_eq!(
         during.section("result").expect("result"),
-        baseline,
+        expected(22),
         "local fallback must be byte-identical"
     );
+    assert_eq!(note(&during), ("miss".to_string(), None));
 
     // The gossip timers take it from there: suspect → dead → ring
     // rebuild on every survivor.
@@ -322,15 +349,40 @@ fn owner_death_rebuilds_the_ring_and_results_stay_identical() {
         );
     }
 
-    // Post-rebuild: both survivors answer, and the bytes still match.
-    for server in &servers {
-        let after = submit(server.addr(), &request).expect("post-rebuild submit");
+    // Post-rebuild: the ring over the survivors names a new owner, and
+    // every entry's solve runs there. So far only the fallback node
+    // has compiled the problem.
+    let members: Vec<(String, String)> = ids
+        .iter()
+        .cloned()
+        .zip(servers.iter().map(|s| s.addr().to_string()))
+        .collect();
+    let new_owner = rasengan::serve::Ring::build(&members, DEFAULT_VNODES)
+        .owner_of(problem.fingerprint())
+        .map(|(id, _)| id.to_string())
+        .expect("non-empty ring");
+    let mut compiled = vec![ids[0].clone()];
+    for (k, server) in servers.iter().enumerate() {
+        let seed = 23 + k as u64;
+        let after = submit(server.addr(), &request(seed)).expect("post-rebuild submit");
         assert_eq!(after.status, ReplyStatus::Ok);
         assert_eq!(
             after.section("result").expect("result"),
-            baseline,
+            expected(seed),
             "post-rebuild result must be byte-identical"
         );
+        let compile = if compiled.contains(&new_owner) {
+            "compile-hit"
+        } else {
+            "miss"
+        };
+        compiled.push(new_owner.clone());
+        let want = if ids[k] == new_owner {
+            (compile.to_string(), None)
+        } else {
+            (format!("forward-{compile}"), Some(new_owner.clone()))
+        };
+        assert_eq!(note(&after), want, "entry {}", ids[k]);
     }
     for server in servers {
         server.shutdown();

@@ -13,8 +13,10 @@ use std::path::PathBuf;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use rasengan::core::Rasengan;
+use rasengan::problems::io::write_problem;
+use rasengan::problems::registry::{benchmark, BenchmarkId};
 use rasengan::serve::{
-    render_outcome, serve, submit, ReplyStatus, ServeConfig, SolveRequest, StorageFault,
+    render_outcome, serve, submit, Reply, ReplyStatus, ServeConfig, SolveRequest, StorageFault,
     StorageFaultPlan,
 };
 
@@ -207,4 +209,52 @@ fn clean_records_survive_restart_across_the_thread_matrix() {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn budget_stopped_results_are_never_cached() {
+    // A 1 ms deadline (0.5 ms per budgeted stage) cuts this solve
+    // short; `degrade` turns the cut into an `OK` reply. What such a
+    // reply holds depends on the wall clock, not on its key, so neither
+    // the result cache nor the disk tier may answer the repeat.
+    let problem = benchmark(BenchmarkId::parse("K3").unwrap());
+    let request = SolveRequest::new(write_problem(&problem))
+        .with_seed(5)
+        .with_shots(512)
+        .with_iterations(200)
+        .with_degrade()
+        .with_deadline_ms(1);
+    let dir = state_dir("deadline");
+    let config = || ServeConfig::default().with_workers(1).with_state_dir(&dir);
+    let cache_note = |reply: &Reply| {
+        assert_eq!(reply.status, ReplyStatus::Ok, "{reply:?}");
+        reply
+            .json("service")
+            .unwrap()
+            .get("cache")
+            .and_then(|c| c.as_str())
+            .unwrap()
+            .to_string()
+    };
+
+    let first = serve(config()).unwrap();
+    let cut = submit(first.addr(), &request).expect("first submit");
+    cache_note(&cut);
+    let budget_stops = cut
+        .json("result")
+        .unwrap()
+        .get("resilience")
+        .and_then(|r| r.get("budget_stops"))
+        .and_then(|n| n.as_i128())
+        .unwrap();
+    assert!(budget_stops > 0, "the deadline must cut the solve short");
+    let repeat = submit(first.addr(), &request).expect("repeat submit");
+    assert_ne!(cache_note(&repeat), "hit");
+    first.shutdown();
+
+    let restarted = serve(config()).unwrap();
+    let replay = submit(restarted.addr(), &request).expect("submit after restart");
+    assert_ne!(cache_note(&replay), "disk-hit");
+    restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
