@@ -9,7 +9,9 @@ use rasengan_core::prune::{build_chain, ChainConfig};
 use rasengan_core::purify::purify_counts;
 use rasengan_core::{apportion_shots, problem_basis, simplify_basis};
 use rasengan_math::nullspace;
+use rasengan_problems::flp::FacilityLocation;
 use rasengan_problems::registry::{benchmark, BenchmarkId as Bid};
+use rasengan_problems::Problem;
 use rasengan_qsim::sparse::label_from_bits;
 use rasengan_qsim::synth::tau_circuit;
 use rasengan_qsim::{DenseState, SparseState, Transition};
@@ -90,12 +92,21 @@ fn bench_simplify(c: &mut Criterion) {
     group.finish();
 }
 
-/// Chain construction with pruning + early stop.
+/// Chain construction with pruning + early stop: three registry ids
+/// (at most 850 reachable states) and the largest `flp-scale` shape,
+/// FLP (4,6) at instance seed 2025 (7400 states).
 fn bench_chain_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("chain_build");
-    for name in ["F2", "K3", "S4"] {
-        let p = benchmark(Bid::parse(name).unwrap());
-        let basis = problem_basis(&p).unwrap();
+    let mut inputs: Vec<(String, Problem)> = ["F2", "K3", "S4"]
+        .into_iter()
+        .map(|name| (name.to_string(), benchmark(Bid::parse(name).unwrap())))
+        .collect();
+    inputs.push((
+        "flp_4_6".to_string(),
+        FacilityLocation::generate(4, 6, 2025).into_problem(),
+    ));
+    for (name, p) in &inputs {
+        let basis = problem_basis(p).unwrap();
         let seed = label_from_bits(p.initial_feasible().unwrap());
         group.bench_function(format!("{name}_pruned"), |b| {
             b.iter(|| {

@@ -11,7 +11,6 @@ use rasengan_problems::Problem;
 use rasengan_qsim::decompose::tau_cx_cost;
 use rasengan_qsim::synth::tau_circuit;
 use rasengan_qsim::{Circuit, Label, SparseState, Transition};
-use std::collections::HashSet;
 
 /// One transition Hamiltonian `H^τ(u)` with its precomputed mask form.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,20 +71,6 @@ impl TransitionHamiltonian {
     pub fn partner(&self, x: Label) -> Option<Label> {
         self.transition.partner(x)
     }
-
-    /// The basis states this Hamiltonian would add to `reached` — the
-    /// feasible-space expansion test behind Hamiltonian pruning
-    /// (paper §4.1, Fig. 6).
-    pub fn expansion(&self, reached: &HashSet<Label>) -> Vec<Label> {
-        let mut new: Vec<Label> = reached
-            .iter()
-            .filter_map(|&x| self.partner(x))
-            .filter(|p| !reached.contains(p))
-            .collect();
-        new.sort_unstable();
-        new.dedup();
-        new
-    }
 }
 
 /// Computes the problem's ternary homogeneous basis — the `m` vectors
@@ -124,17 +109,6 @@ mod tests {
         let xg = label_from_bits(&[1, 0, 1, 0, 0]);
         assert_eq!(h.partner(xp), Some(xg));
         assert_eq!(h.partner(xg), Some(xp));
-    }
-
-    #[test]
-    fn expansion_reports_only_new_states() {
-        let h = paper_u2();
-        let xp = label_from_bits(&[0, 0, 0, 1, 0]);
-        let xg = label_from_bits(&[1, 0, 1, 0, 0]);
-        let mut reached = HashSet::from([xp]);
-        assert_eq!(h.expansion(&reached), vec![xg]);
-        reached.insert(xg);
-        assert!(h.expansion(&reached).is_empty());
     }
 
     #[test]

@@ -7,10 +7,19 @@
 //! nothing: pruning simulates the reachable feasible set classically and
 //! drops any operator that adds no new basis state, stopping the whole
 //! chain once `m` consecutive operators are dry (Fig. 6b's early stop).
+//!
+//! Both walks here are linear in the reachable set. [`build_chain`]
+//! gives each operator a cursor into the insertion-ordered set, so a
+//! visit expands only the states found since that operator last ran,
+//! and each operator inspects each state once over the whole chain.
+//! [`reachable_count_above`] stops its BFS once the count passes a
+//! limit, which is all the simplify guard in `Rasengan::prepare` needs
+//! to compare two bases.
 
 use crate::hamiltonian::TransitionHamiltonian;
-use rasengan_qsim::Label;
+use rasengan_qsim::{Label, Transition};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of the chain builder.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,14 +80,98 @@ impl Chain {
     }
 }
 
+/// Multiply-fold hasher for the `u128` labels of the reachable-set
+/// trackers. The labels are compiler-internal, so SipHash's resistance
+/// to chosen keys buys nothing here; no set built with it is ever
+/// iterated, so its order cannot reach a result.
+#[derive(Default)]
+struct LabelHasher(u64);
+
+const FOLD_LO: u64 = 0x243F_6A88_85A3_08D3;
+const FOLD_HI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The 128-bit product of `a` and `b`, its halves xor-ed together.
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let m = u128::from(a) * u128::from(b);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+impl Hasher for LabelHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = folded_multiply(self.0 ^ u64::from(b) ^ FOLD_LO, FOLD_HI);
+        }
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.0 = folded_multiply(self.0 ^ x as u64 ^ FOLD_LO, (x >> 64) as u64 ^ FOLD_HI);
+    }
+}
+
+type LabelSet = HashSet<Label, BuildHasherDefault<LabelHasher>>;
+
+/// The reachable feasible set, held in insertion order plus a
+/// membership set.
+struct Reach {
+    order: Vec<Label>,
+    seen: LabelSet,
+}
+
+impl Reach {
+    fn new(seed: Label) -> Self {
+        let mut seen = LabelSet::default();
+        seen.insert(seed);
+        Reach {
+            order: vec![seed],
+            seen,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Adds the partners under `t` of the states from position `from`
+    /// on; returns whether the set grew.
+    fn expand(&mut self, t: &Transition, from: usize) -> bool {
+        let before = self.order.len();
+        for i in from..before {
+            if let Some(p) = t.partner(self.order[i]) {
+                if self.seen.insert(p) {
+                    self.order.push(p);
+                }
+            }
+        }
+        self.order.len() > before
+    }
+}
+
 /// Builds the transition chain from a (possibly simplified) basis and
 /// the seed feasible state.
+///
+/// The walk is semi-naive: each operator keeps a cursor, the size of
+/// the reachable set when it last ran, and a visit expands only the
+/// states added since. That finds exactly what a rescan of the whole
+/// set would, because a partner move is an involution: once `h` has
+/// run, the set is closed under `h`, so only later states can have a
+/// new partner. An operator is dry exactly when those states add
+/// nothing.
 ///
 /// # Panics
 ///
 /// Panics if `basis` is empty (a fully-determined system has exactly one
 /// feasible solution and needs no quantum search).
 pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain {
+    walk(basis, seed, cfg, |_| {})
+}
+
+/// The chain walk behind [`build_chain`] and [`coverage_curve`]; calls
+/// `kept` with the reachable-set size after each kept operator.
+fn walk(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig, mut kept: impl FnMut(usize)) -> Chain {
     assert!(!basis.is_empty(), "empty homogeneous basis");
     let m = basis.len();
     let rounds = cfg.max_rounds.unwrap_or(m);
@@ -87,7 +180,8 @@ pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain 
         .map(|u| TransitionHamiltonian::new(u.clone()))
         .collect();
 
-    let mut reached: HashSet<Label> = HashSet::from([seed]);
+    let mut reach = Reach::new(seed);
+    let mut cursors = vec![0usize; m];
     let mut ops = Vec::new();
     let mut pruned = 0usize;
     let mut dry = 0usize;
@@ -96,8 +190,8 @@ pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain 
     let mut raw_len = 0usize;
 
     'rounds: for _ in 0..rounds {
-        for h in &hams {
-            if reached.len() >= cfg.support_cap {
+        for (h, cursor) in hams.iter().zip(&mut cursors) {
+            if reach.len() >= cfg.support_cap {
                 // Redundancy detection saturated: keeping further
                 // operators would blow up the parameter count with no
                 // way to tell useful ones apart (a ~2000-parameter
@@ -108,10 +202,11 @@ pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain 
                 break 'rounds;
             }
             raw_len += 1;
-            let expansion = h.expansion(&reached);
-            if !expansion.is_empty() {
-                reached.extend(expansion);
+            let grew = reach.expand(h.transition(), *cursor);
+            *cursor = reach.len();
+            if grew {
                 ops.push(h.clone());
+                kept(reach.len());
                 dry = 0;
             } else {
                 dry += 1;
@@ -119,6 +214,7 @@ pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain 
                     pruned += 1;
                 } else {
                     ops.push(h.clone());
+                    kept(reach.len());
                 }
                 if cfg.early_stop && dry >= m {
                     early_stopped = true;
@@ -136,26 +232,37 @@ pub fn build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain 
         pruned,
         early_stopped,
         support_capped,
-        reached_states: reached.len(),
+        reached_states: reach.len(),
     }
 }
 
 /// Number of basis states reachable from `seed` by ±basis moves with
 /// binary intermediates (capped BFS). Used to verify that a simplified
 /// basis has not disconnected the single-step transition graph.
+///
+/// The cap is checked before each state is expanded, and one expansion
+/// adds up to `m` states, so the count can exceed `cap` by up to
+/// `m − 1`.
 pub fn reachable_count(basis: &[Vec<i64>], seed: Label, cap: usize) -> usize {
-    let hams: Vec<TransitionHamiltonian> = basis
-        .iter()
-        .map(|u| TransitionHamiltonian::new(u.clone()))
-        .collect();
-    let mut reached: HashSet<Label> = HashSet::from([seed]);
+    reachable_count_above(basis, seed, cap, usize::MAX)
+}
+
+/// [`reachable_count`], stopped early once the count exceeds `limit`.
+///
+/// The count only grows as the BFS runs, so the result exceeds `limit`
+/// exactly when `reachable_count(basis, seed, cap)` does; at or below
+/// `limit` it equals that count.
+pub fn reachable_count_above(basis: &[Vec<i64>], seed: Label, cap: usize, limit: usize) -> usize {
+    let transitions: Vec<Transition> = basis.iter().map(|u| Transition::from_u(u)).collect();
+    let mut reached = LabelSet::default();
+    reached.insert(seed);
     let mut frontier = vec![seed];
     while let Some(x) = frontier.pop() {
-        if reached.len() >= cap {
+        if reached.len() >= cap || reached.len() > limit {
             break;
         }
-        for h in &hams {
-            if let Some(p) = h.partner(x) {
+        for t in &transitions {
+            if let Some(p) = t.partner(x) {
                 if reached.insert(p) {
                     frontier.push(p);
                 }
@@ -183,25 +290,233 @@ pub fn coverage_curve(
     total_feasible: usize,
     cfg: &ChainConfig,
 ) -> Vec<CoveragePoint> {
-    let chain = build_chain(basis, seed, cfg);
-    let mut reached: HashSet<Label> = HashSet::from([seed]);
+    let mut covered = Vec::new();
+    let chain = walk(basis, seed, cfg, |reached| covered.push(reached));
     let n_ops = chain.ops.len().max(1);
-    let mut out = Vec::with_capacity(chain.ops.len());
-    for (idx, op) in chain.ops.iter().enumerate() {
-        let expansion = op.expansion(&reached);
-        reached.extend(expansion);
-        out.push(CoveragePoint {
+    covered
+        .iter()
+        .enumerate()
+        .map(|(idx, &reached)| CoveragePoint {
             chain_fraction: (idx + 1) as f64 / n_ops as f64,
-            covered_fraction: reached.len() as f64 / total_feasible as f64,
-        });
-    }
-    out
+            covered_fraction: reached as f64 / total_feasible as f64,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simplify::simplify_basis;
+    use rasengan_problems::flp::FacilityLocation;
+    use rasengan_problems::registry::{all_ids, benchmark};
+    use rasengan_problems::Problem;
     use rasengan_qsim::sparse::label_from_bits;
+
+    /// The basis states `h` would add to `reached`: the full-rescan
+    /// expansion test the chain walk replaced.
+    fn reference_expansion(h: &TransitionHamiltonian, reached: &HashSet<Label>) -> Vec<Label> {
+        let mut new: Vec<Label> = reached
+            .iter()
+            .filter_map(|&x| h.partner(x))
+            .filter(|p| !reached.contains(p))
+            .collect();
+        new.sort_unstable();
+        new.dedup();
+        new
+    }
+
+    /// The chain builder as it was before the semi-naive walk: every
+    /// operator rescans the whole reachable set.
+    fn reference_build_chain(basis: &[Vec<i64>], seed: Label, cfg: &ChainConfig) -> Chain {
+        assert!(!basis.is_empty(), "empty homogeneous basis");
+        let m = basis.len();
+        let rounds = cfg.max_rounds.unwrap_or(m);
+        let hams: Vec<TransitionHamiltonian> = basis
+            .iter()
+            .map(|u| TransitionHamiltonian::new(u.clone()))
+            .collect();
+
+        let mut reached: HashSet<Label> = HashSet::from([seed]);
+        let mut ops = Vec::new();
+        let mut pruned = 0usize;
+        let mut dry = 0usize;
+        let mut early_stopped = false;
+        let mut support_capped = false;
+        let mut raw_len = 0usize;
+
+        'rounds: for _ in 0..rounds {
+            for h in &hams {
+                if reached.len() >= cfg.support_cap {
+                    support_capped = true;
+                    raw_len = rounds * m;
+                    break 'rounds;
+                }
+                raw_len += 1;
+                let expansion = reference_expansion(h, &reached);
+                if !expansion.is_empty() {
+                    reached.extend(expansion);
+                    ops.push(h.clone());
+                    dry = 0;
+                } else {
+                    dry += 1;
+                    if cfg.prune {
+                        pruned += 1;
+                    } else {
+                        ops.push(h.clone());
+                    }
+                    if cfg.early_stop && dry >= m {
+                        early_stopped = true;
+                        raw_len = rounds * m;
+                        break 'rounds;
+                    }
+                }
+            }
+        }
+
+        Chain {
+            ops,
+            raw_len,
+            pruned,
+            early_stopped,
+            support_capped,
+            reached_states: reached.len(),
+        }
+    }
+
+    /// The capped BFS as it was before the bounded guard.
+    fn reference_reachable_count(basis: &[Vec<i64>], seed: Label, cap: usize) -> usize {
+        let hams: Vec<TransitionHamiltonian> = basis
+            .iter()
+            .map(|u| TransitionHamiltonian::new(u.clone()))
+            .collect();
+        let mut reached: HashSet<Label> = HashSet::from([seed]);
+        let mut frontier = vec![seed];
+        while let Some(x) = frontier.pop() {
+            if reached.len() >= cap {
+                break;
+            }
+            for h in &hams {
+                if let Some(p) = h.partner(x) {
+                    if reached.insert(p) {
+                        frontier.push(p);
+                    }
+                }
+            }
+        }
+        reached.len()
+    }
+
+    fn assert_same_chain(got: &Chain, want: &Chain, what: &str) {
+        let us = |c: &Chain| c.ops.iter().map(|o| o.u().to_vec()).collect::<Vec<_>>();
+        assert_eq!(us(got), us(want), "{what}: ops");
+        assert_eq!(got.raw_len, want.raw_len, "{what}: raw_len");
+        assert_eq!(got.pruned, want.pruned, "{what}: pruned");
+        assert_eq!(
+            got.early_stopped, want.early_stopped,
+            "{what}: early_stopped"
+        );
+        assert_eq!(
+            got.support_capped, want.support_capped,
+            "{what}: support_capped"
+        );
+        assert_eq!(
+            got.reached_states, want.reached_states,
+            "{what}: reached_states"
+        );
+    }
+
+    #[test]
+    fn reference_chain_walk_matches_full_rescan() {
+        let mut problems: Vec<(String, Problem)> = all_ids()
+            .into_iter()
+            .map(|id| (id.to_string(), benchmark(id)))
+            .collect();
+        for (f, d) in [(4, 4), (5, 4), (4, 6)] {
+            let p = FacilityLocation::generate(f, d, 2025).into_problem();
+            problems.push((format!("flp({f},{d})"), p));
+        }
+        for (name, p) in &problems {
+            let raw = crate::problem_basis(p).unwrap();
+            let seed_bits = p
+                .initial_feasible()
+                .map(<[i64]>::to_vec)
+                .or_else(|| rasengan_math::find_binary_solution(p.constraints(), p.rhs()).ok())
+                .unwrap();
+            let seed = label_from_bits(&seed_bits);
+            let simplified = simplify_basis(&raw).basis;
+            for (which, basis) in [("raw", &raw), ("simplified", &simplified)] {
+                let m = basis.len();
+                let d = ChainConfig::default();
+                let configs = [
+                    d.clone(),
+                    ChainConfig {
+                        prune: false,
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        early_stop: false,
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        prune: false,
+                        early_stop: false,
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        max_rounds: Some(1),
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        max_rounds: Some(2 * m),
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        support_cap: 2,
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        support_cap: 64,
+                        ..d.clone()
+                    },
+                    ChainConfig {
+                        support_cap: 1000,
+                        ..d.clone()
+                    },
+                ];
+                for cfg in &configs {
+                    let what = format!("{name}/{which}/{cfg:?}");
+                    let want = reference_build_chain(basis, seed, cfg);
+                    assert_same_chain(&build_chain(basis, seed, cfg), &want, &what);
+                }
+                for cap in [2, 64, 1000, d.support_cap] {
+                    let r = reference_reachable_count(basis, seed, cap);
+                    assert_eq!(reachable_count(basis, seed, cap), r, "{name}/{which}/{cap}");
+                    for limit in [0, r.saturating_sub(1), r, r + 1, usize::MAX] {
+                        assert_eq!(
+                            reachable_count_above(basis, seed, cap, limit) > limit,
+                            r > limit,
+                            "{name}/{which}: cap {cap}, limit {limit}, count {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expand_reports_only_new_states() {
+        let h = TransitionHamiltonian::new(vec![-1, 0, -1, 1, 0]);
+        let xp = label_from_bits(&[0, 0, 0, 1, 0]);
+        let xg = label_from_bits(&[1, 0, 1, 0, 0]);
+        let mut reach = Reach::new(xp);
+        assert!(reach.expand(h.transition(), 0));
+        assert_eq!(reach.order, vec![xp, xg]);
+        // Closed under `h` now: neither a full rescan nor the states
+        // past a cursor yield anything new.
+        assert!(!reach.expand(h.transition(), 0));
+        assert!(!reach.expand(h.transition(), 2));
+        assert_eq!(reach.len(), 2);
+    }
 
     /// The paper's running example: 3 basis vectors, 5 feasible states.
     fn paper_basis() -> Vec<Vec<i64>> {

@@ -534,9 +534,11 @@ impl Rasengan {
             // *single-step* transition graph over binary states can lose
             // connectivity (intermediate sums leave {0,1}^n). Keep the
             // simplified basis only if it reaches at least as much of
-            // the feasible space from the seed.
-            let raw_reach = reachable_count(&raw_basis, seed_label, cfg.support_cap);
+            // the feasible space from the seed. The raw BFS stops as
+            // soon as it passes the simplified count.
             let simp_reach = reachable_count(&simplify_result.basis, seed_label, cfg.support_cap);
+            let raw_reach =
+                reachable_count_above(&raw_basis, seed_label, cfg.support_cap, simp_reach);
             if simp_reach >= raw_reach {
                 (
                     simplify_result.basis,
@@ -943,7 +945,7 @@ impl Rasengan {
     }
 }
 
-use crate::prune::reachable_count;
+use crate::prune::{reachable_count, reachable_count_above};
 
 /// Objective value charged when an evaluation fails under noise; large
 /// enough to steer any optimizer away, finite so interpolation stays

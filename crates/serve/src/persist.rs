@@ -886,6 +886,50 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_prepared_records_error_instead_of_panicking() {
+        let dir = scratch("corrupt-prepared");
+        let (fingerprint, _, _, prepared) = solved();
+        let store = Persist::open(&dir).unwrap();
+        store.store_prepared(fingerprint, &prepared).unwrap();
+        let path = dir
+            .join(PREPARED.dir)
+            .join(format!("{fingerprint:032x}.rec"));
+        let record = fs::read(&path).unwrap();
+        let quarantine = dir.join(DIR_QUARANTINE);
+        let mut expected_quarantined = 0;
+        // Plants `bytes` as the record, reads it back, and requires a
+        // miss that renamed the file into `quarantine/`.
+        let mut check = |bytes: &[u8], what: &str| {
+            fs::write(&path, bytes).unwrap();
+            assert!(
+                store.load_prepared(fingerprint).is_none(),
+                "{what} was served"
+            );
+            expected_quarantined += 1;
+            assert_eq!(store.stats().quarantined, expected_quarantined, "{what}");
+            assert!(!path.exists(), "{what} left in place");
+            for entry in fs::read_dir(&quarantine).unwrap() {
+                fs::remove_file(entry.unwrap().path()).unwrap();
+            }
+        };
+        for cut in 0..record.len() {
+            check(&record[..cut], &format!("truncation at {cut}"));
+        }
+        for bit in 0..record.len() * 8 {
+            let mut flipped = record.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit flip {bit}"));
+        }
+        // The untouched record still loads.
+        fs::write(&path, &record).unwrap();
+        let loaded = store
+            .load_prepared(fingerprint)
+            .expect("intact record loads");
+        assert_eq!(encode_prepared(&loaded), encode_prepared(&prepared));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn recovery_scan_quarantines_and_cleans_tmp() {
         let dir = scratch("recover");
         let (fingerprint, key, solved, prepared) = solved();
