@@ -7,26 +7,26 @@
 //!
 //! * `basis` — the ternary nullspace basis and the seed feasible state;
 //! * `simplify` — Algorithm 1 on that basis;
-//! * `guard` — the connectivity check, timed as two full
-//!   [`reachable_count`] BFS (raw and simplified basis);
+//! * `guard_two_full_bfs` — the connectivity check as two full
+//!   [`reachable_count`] BFS (raw and simplified basis). `prepare` now
+//!   stops the raw BFS once it passes the simplified count, so this
+//!   column over-counts the guard `prepare` runs; it tracks the cost of
+//!   a full reachable-set walk;
 //! * `chain` — [`build_chain`] on the kept basis;
 //! * `segment` — the segmentation plan plus one compiled program per
 //!   segment;
 //! * `prepare` — the whole `Rasengan::prepare` call, for reference.
 //!
-//! Each figure is the median over `--reps` repetitions (default 21), in
-//! milliseconds; the corpus row sums the 32 ids per repetition.
-//!
-//! Results accumulate in a JSON file (`--out`, default
-//! `BENCH_compile.json` in the working directory) under a side name
-//! (`--side`, default `change`). Each invocation appends one run to its
-//! side and recomputes that side's per-stage median over its runs, so
-//! two builds run alternately against one file give a paired
-//! before/after record. Each side records its commit, `rustc -V` and
-//! the available parallelism.
+//! Each figure is the median over 21 repetitions, in milliseconds; the
+//! corpus row sums the 32 ids per repetition. It prints the table and,
+//! with `--out PATH`, writes the medians as one JSON record under a
+//! side name (`--side`, default `change`) with the commit, `rustc -V`
+//! and the available parallelism. `BENCH_compile.json` at the
+//! repository root pairs two such sides, each the median of several
+//! runs alternated between the two builds.
 //!
 //! ```text
-//! cargo run --release -p rasengan-bench --bin compile_stages -- --side parent
+//! cargo run --release -p rasengan-bench --bin compile_stages -- --side parent --out parent.json
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,7 +36,7 @@ use rasengan_bench::Table;
 use rasengan_core::prune::{build_chain, reachable_count, ChainConfig};
 use rasengan_core::segment::{single_segment, SegmentProgram};
 use rasengan_core::{plan_segments, problem_basis, simplify_basis, Rasengan, RasenganConfig};
-use rasengan_obs::json::{self, Json};
+use rasengan_obs::json::Json;
 use rasengan_problems::flp::FacilityLocation;
 use rasengan_problems::registry::{all_ids, benchmark};
 use rasengan_problems::Problem;
@@ -45,7 +45,15 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
-const STAGES: [&str; 6] = ["basis", "simplify", "guard", "chain", "segment", "prepare"];
+const STAGES: [&str; 6] = [
+    "basis",
+    "simplify",
+    "guard_two_full_bfs",
+    "chain",
+    "segment",
+    "prepare",
+];
+const REPS: usize = 21;
 const FLP_SHAPES: [(usize, usize); 3] = [(4, 4), (5, 4), (4, 6)];
 const FLP_INSTANCE_SEED: u64 = 2025;
 
@@ -134,11 +142,11 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Per-stage medians over `reps` repetitions of compiling `problems`,
+/// Per-stage medians over [`REPS`] repetitions of compiling `problems`,
 /// each repetition summing the stage over all of them.
-fn measure(problems: &[Problem], cfg: &RasenganConfig, reps: usize) -> [f64; 6] {
-    let mut samples: Vec<[f64; 6]> = Vec::with_capacity(reps);
-    for _ in 0..reps {
+fn measure(problems: &[Problem], cfg: &RasenganConfig) -> [f64; 6] {
+    let mut samples: Vec<[f64; 6]> = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
         let mut sum = [0.0; 6];
         for p in problems {
             for (s, v) in sum.iter_mut().zip(time_stages(p, cfg)) {
@@ -160,16 +168,6 @@ fn command_line(program: &str, args: &[&str]) -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn commit() -> String {
-    let head = command_line("git", &["rev-parse", "--short", "HEAD"]);
-    let dirty = !command_line("git", &["status", "--porcelain", "--untracked-files=no"]).is_empty();
-    if dirty && head != "unknown" {
-        format!("{head}-dirty")
-    } else {
-        head
-    }
-}
-
 fn stage_obj(ms: &[f64]) -> Json {
     Json::Obj(
         STAGES
@@ -180,47 +178,15 @@ fn stage_obj(ms: &[f64]) -> Json {
     )
 }
 
-/// A side's per-input, per-stage medians over its runs.
-fn side_median(runs: &[Json], inputs: &[String]) -> Json {
-    Json::Obj(
-        inputs
-            .iter()
-            .map(|input| {
-                let ms: Vec<f64> = STAGES
-                    .iter()
-                    .map(|stage| {
-                        // Non-empty: the run just measured has every
-                        // input and stage.
-                        let mut v: Vec<f64> = runs
-                            .iter()
-                            .filter_map(|r| r.get(input)?.get(stage)?.as_f64())
-                            .collect();
-                        median(&mut v)
-                    })
-                    .collect();
-                (input.clone(), stage_obj(&ms))
-            })
-            .collect(),
-    )
-}
-
 fn main() {
     let mut side = "change".to_string();
-    let mut out = "BENCH_compile.json".to_string();
-    let mut reps = 21usize;
+    let mut out = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--side" => side = args.next().expect("--side NAME"),
-            "--out" => out = args.next().expect("--out PATH"),
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .expect("--reps N (N ≥ 1)")
-            }
-            other => panic!("unknown argument {other:?} (expected --side, --out, --reps)"),
+            "--out" => out = Some(args.next().expect("--out PATH")),
+            other => panic!("unknown argument {other:?} (expected --side, --out)"),
         }
     }
 
@@ -242,60 +208,34 @@ fn main() {
     let mut headers = vec!["input"];
     headers.extend(STAGES);
     let mut table = Table::new(
-        format!("Compile stages ({side}): median ms over {reps} repetitions"),
+        format!("Compile stages ({side}): median ms over {REPS} repetitions"),
         headers,
     );
-    let mut run = Vec::new();
+    let mut medians = Vec::new();
     for (name, problems) in &rows {
-        let ms = measure(problems, &cfg, reps);
+        let ms = measure(problems, &cfg);
         let mut cells = vec![name.clone()];
         cells.extend(ms.iter().map(|&v| fmt(v)));
         table.row(cells);
-        run.push((name.clone(), stage_obj(&ms)));
+        medians.push((name.clone(), stage_obj(&ms)));
     }
     table.print();
 
-    // Merge this run into the record: other sides stay as they are.
-    let existing = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|text| json::parse(&text).ok());
-    let mut sides: Vec<Json> = existing
-        .as_ref()
-        .and_then(|j| j.get("sides")?.as_arr().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    let pos = sides
-        .iter()
-        .position(|s| s.get("side").and_then(Json::as_str) == Some(side.as_str()));
-    let mut runs: Vec<Json> = pos
-        .and_then(|i| sides[i].get("runs")?.as_arr().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    runs.push(Json::Obj(run));
-    let inputs: Vec<String> = rows.iter().map(|(n, _)| n.clone()).collect();
-    let record = Json::obj(vec![
-        ("side", Json::Str(side.clone())),
-        ("commit", Json::Str(commit())),
-        ("rustc", Json::Str(command_line("rustc", &["-V"]))),
-        (
-            "nproc",
-            Json::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i128),
-        ),
-        ("reps", Json::Int(reps as i128)),
-        ("median_ms", side_median(&runs, &inputs)),
-        ("runs", Json::Arr(runs)),
-    ]);
-    match pos {
-        Some(i) => sides[i] = record,
-        None => sides.push(record),
+    if let Some(out) = out {
+        let record = Json::obj(vec![
+            ("side", Json::Str(side)),
+            (
+                "commit",
+                Json::Str(command_line("git", &["rev-parse", "--short", "HEAD"])),
+            ),
+            ("rustc", Json::Str(command_line("rustc", &["-V"]))),
+            (
+                "nproc",
+                Json::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i128),
+            ),
+            ("median_ms", Json::Obj(medians)),
+        ]);
+        std::fs::write(&out, record.render() + "\n").expect("write the compile-stage record");
+        println!("wrote {out}");
     }
-    let doc = Json::obj(vec![
-        ("bench", Json::Str("compile_stages".to_string())),
-        ("unit", Json::Str("ms".to_string())),
-        (
-            "stages",
-            Json::Arr(STAGES.iter().map(|s| Json::Str(s.to_string())).collect()),
-        ),
-        ("sides", Json::Arr(sides)),
-    ]);
-    std::fs::write(&out, doc.render() + "\n").expect("write the compile-stage record");
-    println!("wrote {out}");
 }
