@@ -7,7 +7,7 @@
 //! and a per-draw *wire format* (`native|qubo|qubo-recover|lp`), all
 //! fixed at manifest-build time. Every random quantity is drawn from
 //! SplitMix64 streams derived from the manifest seed via
-//! [`case_seed`](rasengan_problems::registry::case_seed), so the same
+//! [`case_seed`], so the same
 //! seed reproduces the same request sequence on any machine — and
 //! because the solver itself is bit-deterministic, replaying a manifest
 //! twice must produce byte-identical per-request `result` sections.

@@ -39,8 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
-pub mod encode;
 pub mod hamiltonian;
 pub mod latency;
 pub mod metrics;
@@ -52,7 +50,6 @@ pub mod simplify;
 pub mod solver;
 pub mod zne;
 
-pub use encode::{decode_prepared, encode_prepared, PREPARED_FORMAT};
 pub use hamiltonian::{problem_basis, TransitionHamiltonian};
 pub use latency::{Latency, StageTimes};
 pub use metrics::{arg, best_solution, distribution_arg, penalty_lambda, Solution};

@@ -1,5 +1,5 @@
 //! Problem ingestion: standard interchange formats lowered onto the
-//! native [`Problem`](crate::problem::Problem) substrate.
+//! native [`Problem`] substrate.
 //!
 //! The native text format (`problems::io`) is Rasengan's own; the rest
 //! of the ecosystem speaks QUBO matrix form (the encoding catalog of

@@ -214,8 +214,9 @@ pub fn benchmark(id: BenchmarkId) -> Problem {
 }
 
 /// SplitMix64 finalizer — the same mixing `qsim::parallel::derive_seed`
-/// uses (this crate sits below `qsim`, so the function is inlined here
-/// rather than imported).
+/// uses (this crate sits below `obs`, which owns the canonical copy,
+/// and below `qsim`, so the function is inlined here rather than
+/// imported).
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

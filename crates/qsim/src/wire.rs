@@ -1,22 +1,21 @@
-//! Compact binary wire format for persisted artifacts.
+//! Compact binary wire format for persisted records.
 //!
-//! The on-disk tier stores compiled artifacts and finished solves as
-//! flat byte records. This module provides the shared primitives: a
-//! little-endian [`WireWriter`]/[`WireReader`] pair whose encodings are
-//! canonical (one value, one byte sequence — so byte-equality of
-//! encodings means value equality), and the FNV-1a checksum the record
-//! headers carry. The record codecs themselves live with their types
-//! (`Prepared` in `rasengan-core`, the serve tier's keys and solved
-//! replies).
+//! The on-disk tier stores finished solves as flat byte records. This
+//! module provides the primitives: a little-endian
+//! [`WireWriter`]/[`WireReader`] pair whose encodings are canonical
+//! (one value, one byte sequence — so byte-equality of encodings means
+//! value equality), and the FNV-1a checksum the record headers carry.
+//! The record codecs themselves (the serve tier's result keys and
+//! solved replies) live with their types.
 //!
 //! # Corruption discipline
 //!
 //! Every reader method is total: corrupt or truncated input returns
 //! [`WireError`], never panics and never reads out of bounds. Decoders
-//! built on top add semantic validation — ternary entries, range
-//! sanity — so a record that passes its checksum but carries nonsense
-//! still degrades to a structured error. The storage layer treats any
-//! [`WireError`] as "quarantine and recompute".
+//! built on top add semantic validation — UTF-8 and JSON checks on the
+//! stored text — so a record that passes its checksum but carries
+//! nonsense still degrades to a structured error. The storage layer
+//! treats any [`WireError`] as "quarantine and recompute".
 
 /// Error decoding a wire payload. Carries enough to name the failure
 /// in quarantine accounting, nothing more — corrupt records are not
@@ -77,28 +76,13 @@ impl WireWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64`.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u128` (basis-state labels, fingerprints).
+    /// Appends a `u128` (fingerprints).
     pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`.
-    pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -156,14 +140,6 @@ impl<'a> WireReader<'a> {
         }
     }
 
-    /// Consumes and returns every byte not yet read — for payloads
-    /// that embed a key prefix followed by an opaque codec body.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -178,16 +154,6 @@ impl<'a> WireReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -196,11 +162,6 @@ impl<'a> WireReader<'a> {
     /// Reads a `u128`.
     pub fn u128(&mut self) -> Result<u128, WireError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    /// Reads an `i64`.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a `usize` stored as `u64`, rejecting values the host
@@ -254,11 +215,8 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = WireWriter::new();
         w.u8(7);
-        w.u16(65535);
-        w.u32(0xdead_beef);
         w.u64(u64::MAX - 1);
         w.u128(u128::MAX / 3);
-        w.i64(-42);
         w.usize(123_456);
         w.f64(-0.0);
         w.f64(f64::NAN);
@@ -268,11 +226,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 65535);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.usize().unwrap(), 123_456);
         // -0.0 and NaN must survive by bit pattern.
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
@@ -286,9 +241,10 @@ mod tests {
     #[test]
     fn reader_never_reads_past_end() {
         let mut r = WireReader::new(&[1, 2, 3]);
-        assert_eq!(r.u16().unwrap(), 0x0201);
+        assert_eq!(r.u8().unwrap(), 1);
         assert_eq!(r.u64(), Err(WireError::Truncated));
-        // A failed read consumes nothing; the last byte is intact.
+        // A failed read consumes nothing; the remaining bytes are intact.
+        assert_eq!(r.u8().unwrap(), 2);
         assert_eq!(r.u8().unwrap(), 3);
         assert_eq!(r.u8(), Err(WireError::Truncated));
     }

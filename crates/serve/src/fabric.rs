@@ -4,7 +4,7 @@
 //! # Ring
 //!
 //! Ownership of a problem is a pure function of its
-//! [`fingerprint`](rasengan_problems::fingerprint) and the live member
+//! [`fingerprint`](mod@rasengan_problems::fingerprint) and the live member
 //! set: each member contributes [`DEFAULT_VNODES`] points on a 64-bit
 //! FNV-1a ring (the same FNV constants as the cache shard selector),
 //! and a fingerprint belongs to the first point clockwise from its own
@@ -46,6 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use rasengan_obs::splitmix64;
+use rasengan_qsim::wire::fnv64;
+
 use crate::json::Json;
 use crate::protocol::{GossipMember, GossipMessage, GossipState, Reply, ReplyStatus};
 
@@ -54,32 +57,20 @@ use crate::protocol::{GossipMember, GossipMessage, GossipState, Reply, ReplyStat
 /// build stays trivially cheap.
 pub const DEFAULT_VNODES: usize = 64;
 
-/// FNV-1a 64-bit — the same constants as the cache shard selector, so
+/// The ring position of a member's virtual node. Ring points are FNV-1a
+/// 64 ([`fnv64`]), the same constants as the cache shard selector, so
 /// ring placement is stable across builds and platforms.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The ring position of a member's virtual node.
 fn ring_point(id: &str, vnode: u32) -> u64 {
     let mut bytes = Vec::with_capacity(id.len() + 5);
     bytes.extend_from_slice(id.as_bytes());
     bytes.push(b'#');
     bytes.extend_from_slice(&vnode.to_le_bytes());
-    fnv1a(&bytes)
+    fnv64(&bytes)
 }
 
 /// The ring position of a problem fingerprint.
 pub fn key_point(fingerprint: u128) -> u64 {
-    fnv1a(&fingerprint.to_le_bytes())
+    fnv64(&fingerprint.to_le_bytes())
 }
 
 /// A consistent-hash ring over a member set. Building it sorts and
@@ -208,15 +199,6 @@ impl FabricConfig {
         self.dead_after = interval * 12;
         self
     }
-}
-
-/// SplitMix64 finalizer — the repo's standard bit mixer, used here to
-/// rotate the gossip target order deterministically per round.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A known peer: its dial address, health, and the last time this node
@@ -552,7 +534,9 @@ impl Fabric {
                 .collect()
         };
         if !targets.is_empty() {
-            let start = (splitmix(self.config.seed ^ round) % targets.len() as u64) as usize;
+            // The workspace's bit mixer rotates the gossip target order
+            // deterministically per round.
+            let start = (splitmix64(self.config.seed ^ round) % targets.len() as u64) as usize;
             let message = self.gossip_message().render();
             for offset in 0..targets.len() {
                 let (_, addr) = &targets[(start + offset) % targets.len()];
@@ -805,10 +789,25 @@ mod tests {
 
     #[test]
     fn ring_owner_is_stable_across_builds() {
-        // The FNV constants are pinned; a fixed fingerprint maps to a
-        // fixed point forever. Guard the hash against accidental edits.
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
-        assert_eq!(key_point(0), fnv1a(&[0u8; 16]));
+        // A fixed fingerprint maps to a fixed point forever: these
+        // literals guard the ring hash against accidental edits.
+        assert_eq!(key_point(0), 0x8820_1fb9_60ff_6465);
+        assert_eq!(key_point(42), 0xbe4a_4087_bd2f_4ecf);
+        assert_eq!(key_point(u128::MAX), 0xd660_7508_f5a1_e855);
+        // Owners (the last digit of the member id) of 64 fixed
+        // fingerprints on a 3-member ring.
+        let ring = Ring::build(&members(&["n0", "n1", "n2"]), DEFAULT_VNODES);
+        let owners: String = (0..64u128)
+            .map(|i| {
+                let fp = i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c834);
+                let (id, _) = ring.owner_of(fp).unwrap();
+                id.chars().last().unwrap()
+            })
+            .collect();
+        assert_eq!(
+            owners,
+            "0222222222220220202011202222022200210220122221212111222020212211"
+        );
         let ring = Ring::build(&members(&["n0", "n1"]), DEFAULT_VNODES);
         let first = ring.owner_of(42).map(|(id, _)| id.to_string());
         for _ in 0..8 {

@@ -1,20 +1,22 @@
 //! Crash-safe on-disk warm-state tier below the in-memory LRUs.
 //!
-//! A [`Persist`] store keeps two record families under one state
-//! directory, keyed by the problem fingerprint:
+//! A [`Persist`] store keeps one record family under its state
+//! directory: `outcomes/<keyhash>.rec`, finished solves stored as the
+//! reply the service renders — the `result` text and the solve's
+//! latency, under their full result-cache key (problem fingerprint plus
+//! every training knob; thread counts excluded). Only untraced solves
+//! are stored.
 //!
-//! * `outcomes/<keyhash>.rec` — finished solves, stored as the reply
-//!   the service renders: the `result` text and the solve's latency,
-//!   under their full result-cache key (fingerprint plus every training
-//!   knob; thread counts excluded). Only untraced solves are stored.
-//! * `prepared/<fingerprint>.rec` — compiled [`Prepared`] artifacts
-//!   keyed on fingerprint alone.
+//! Compiles are not persisted: `Rasengan::prepare` costs less than
+//! writing and fsyncing a record, so the service keeps them in its
+//! in-memory compile cache only. A `prepared/` directory left by an
+//! older build is never read, counted or removed.
 //!
 //! # Record format
 //!
 //! ```text
 //! magic  "RSGN"        4 bytes
-//! kind   u8            1 = solved, 2 = prepared
+//! kind   u8            1 = solved
 //! format u16 LE        codec version gate
 //! length u64 LE        payload byte count
 //! check  u64 LE        FNV-1a 64 over the payload
@@ -23,10 +25,9 @@
 //!
 //! A solved payload is the encoded key, the `result` text (length
 //! prefixed, UTF-8, parsed as JSON on every read), and six latency
-//! `f64`s by bit pattern. A prepared payload is the `u128` fingerprint
-//! and the `core::encode` codec bytes. The embedded key means a
-//! filename-hash collision is detected by comparison — never served as
-//! another key's data.
+//! `f64`s by bit pattern. The embedded key means a filename-hash
+//! collision is detected by comparison — never served as another key's
+//! data.
 //!
 //! # Crash safety
 //!
@@ -41,11 +42,11 @@
 //! [`Persist::open`] runs a recovery scan: every record is fully
 //! validated (magic, kind, version, length, checksum, payload decode)
 //! and anything failing a gate is *renamed aside* into `quarantine/`
-//! and counted — never deleted (it is evidence), never served. The
-//! runtime read path applies the same gates, so records corrupted
-//! after startup degrade to a miss-plus-quarantine and the caller
-//! recomputes. Version-skewed records take the same path: there is no
-//! migration, because every record is a cache of deterministic
+//! and counted — never deleted or overwritten (it is evidence), never
+//! served. The runtime read path applies the same gates, so records
+//! corrupted after startup degrade to a miss-plus-quarantine and the
+//! caller recomputes. Version-skewed records take the same path: there
+//! is no migration, because every record is a cache of deterministic
 //! computation. (Solved records written before they held rendered text
 //! carry format 1 and are quarantined once, by the first scan.)
 //!
@@ -62,9 +63,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rasengan_core::encode::{decode_prepared, encode_prepared, PREPARED_FORMAT};
 use rasengan_core::latency::{Latency, StageTimes};
-use rasengan_core::solver::{Outcome, Prepared};
+use rasengan_core::solver::Outcome;
 use rasengan_obs::metrics::Registry;
 use rasengan_qsim::parallel::derive_seed;
 use rasengan_qsim::wire::{fnv64, WireError, WireReader, WireWriter};
@@ -76,39 +76,15 @@ const MAGIC: [u8; 4] = *b"RSGN";
 /// magic + kind + format + length + checksum.
 const HEADER_LEN: usize = 4 + 1 + 2 + 8 + 8;
 
+const DIR_SOLVED: &str = "outcomes";
 const DIR_QUARANTINE: &str = "quarantine";
 const DIR_TMP: &str = "tmp";
 
-/// One record family: its directory, header kind byte, format number,
-/// and the full payload decode the recovery scan runs on each record.
-struct Family {
-    dir: &'static str,
-    kind: u8,
-    format: u16,
-    validate: fn(&mut WireReader) -> Result<(), WireError>,
-}
-
-/// Finished solves, as rendered text since format 2 (see the module
+/// Header kind byte of a solved record.
+const SOLVED_KIND: u8 = 1;
+/// Solved records hold rendered text since format 2 (see the module
 /// docs on format-1 records).
-const SOLVED: Family = Family {
-    dir: "outcomes",
-    kind: 1,
-    format: 2,
-    validate: |r| {
-        ResultKey::decode(r)?;
-        Solved::decode(r).map(drop)
-    },
-};
-
-const PREPARED: Family = Family {
-    dir: "prepared",
-    kind: 2,
-    format: PREPARED_FORMAT,
-    validate: |r| {
-        r.u128()?;
-        decode_prepared(r.rest()).map(drop)
-    },
-};
+const SOLVED_FORMAT: u16 = 2;
 
 /// Everything a request sets that changes its reply — the key of the
 /// result cache and of the solved records. Worker and engine thread
@@ -376,11 +352,11 @@ impl RecordGate {
     }
 }
 
-fn encode_record(family: &Family, payload: &[u8]) -> Vec<u8> {
+fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
     bytes.extend_from_slice(&MAGIC);
-    bytes.push(family.kind);
-    bytes.extend_from_slice(&family.format.to_le_bytes());
+    bytes.push(SOLVED_KIND);
+    bytes.extend_from_slice(&SOLVED_FORMAT.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&fnv64(payload).to_le_bytes());
     bytes.extend_from_slice(payload);
@@ -389,12 +365,12 @@ fn encode_record(family: &Family, payload: &[u8]) -> Vec<u8> {
 
 /// Validates header, kind, version, length, and checksum; returns the
 /// payload slice. Decode gates run above this, on the payload.
-fn open_record<'a>(bytes: &'a [u8], family: &Family) -> Result<&'a [u8], RecordGate> {
-    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC || bytes[4] != family.kind {
+fn open_record(bytes: &[u8]) -> Result<&[u8], RecordGate> {
+    if bytes.len() < HEADER_LEN || bytes[0..4] != MAGIC || bytes[4] != SOLVED_KIND {
         return Err(RecordGate::Header);
     }
     let found = u16::from_le_bytes([bytes[5], bytes[6]]);
-    if found != family.format {
+    if found != SOLVED_FORMAT {
         return Err(RecordGate::Version);
     }
     let length = u64::from_le_bytes(bytes[7..15].try_into().unwrap());
@@ -480,7 +456,7 @@ impl Persist {
         registry: Option<&'static Registry>,
     ) -> io::Result<Persist> {
         let root = root.into();
-        for sub in [SOLVED.dir, PREPARED.dir, DIR_QUARANTINE, DIR_TMP] {
+        for sub in [DIR_SOLVED, DIR_QUARANTINE, DIR_TMP] {
             fs::create_dir_all(root.join(sub))?;
         }
         let store = Persist {
@@ -536,51 +512,21 @@ impl Persist {
         let mut w = WireWriter::new();
         key.encode(&mut w);
         solved.encode(&mut w);
-        self.write_record(&SOLVED, &key.file_stem(), &w.into_bytes())
+        self.write_record(&key.file_stem(), &w.into_bytes())
     }
 
     /// Loads the solve stored under `key`, or `None` on miss — where
     /// "miss" includes a missing file, a key-hash collision, and any
     /// record failing a validation gate (which is also quarantined).
     pub(crate) fn load_solved(&self, key: &ResultKey) -> Option<Solved> {
-        let read = self.read_record(&SOLVED, &key.file_stem(), |r| {
+        let read = self.read_record(&key.file_stem(), |r| {
             if ResultKey::decode(r)? != *key {
                 return Ok(None);
             }
             Solved::decode(r).map(Some)
         });
-        self.count_load(read)
-    }
-
-    /// Stores a compiled artifact under the problem fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; the old record (if any) is intact.
-    pub fn store_prepared(&self, fingerprint: u128, prepared: &Prepared) -> io::Result<()> {
-        let mut payload = WireWriter::new();
-        payload.u128(fingerprint);
-        let mut payload = payload.into_bytes();
-        payload.extend_from_slice(&encode_prepared(prepared));
-        self.write_record(&PREPARED, &format!("{fingerprint:032x}"), &payload)
-    }
-
-    /// Loads the compiled artifact for `fingerprint`, or `None` on
-    /// miss (missing, or quarantined — a record under the wrong
-    /// fingerprint is corrupt, since the file name is the fingerprint).
-    pub fn load_prepared(&self, fingerprint: u128) -> Option<Prepared> {
-        let read = self.read_record(&PREPARED, &format!("{fingerprint:032x}"), |r| {
-            if r.u128()? != fingerprint {
-                return Err(WireError::Invalid("record under another fingerprint"));
-            }
-            decode_prepared(r.rest()).map(Some)
-        });
-        self.count_load(read)
-    }
-
-    /// Counts a serving-path read as a disk hit or miss; a quarantine
-    /// was already counted when the file was renamed aside.
-    fn count_load<T>(&self, read: Read<T>) -> Option<T> {
+        // A quarantine was already counted when the file was renamed
+        // aside.
         match read {
             Read::Valid(value) => {
                 self.bump(&self.disk_hits, "persist.disk_hit");
@@ -600,15 +546,14 @@ impl Persist {
     /// under another key (a miss); any failed gate quarantines the file.
     fn read_record<T>(
         &self,
-        family: &Family,
         stem: &str,
         decode: impl FnOnce(&mut WireReader) -> Result<Option<T>, WireError>,
     ) -> Read<T> {
-        let path = self.root.join(family.dir).join(format!("{stem}.rec"));
+        let path = self.root.join(DIR_SOLVED).join(format!("{stem}.rec"));
         let Ok(bytes) = fs::read(&path) else {
             return Read::Miss;
         };
-        let gate = match open_record(&bytes, family) {
+        let gate = match open_record(&bytes) {
             Ok(payload) => {
                 let mut r = WireReader::new(payload);
                 match decode(&mut r).and_then(|value| r.finish().map(|()| value)) {
@@ -619,14 +564,14 @@ impl Persist {
             }
             Err(gate) => gate,
         };
-        self.quarantine(family.dir, stem, gate);
+        self.quarantine(stem, gate);
         Read::Quarantined
     }
 
     /// Temp-file + fsync + atomic-rename write of one record; the
     /// fault plan (if armed) corrupts the bytes on the way down.
-    fn write_record(&self, family: &Family, stem: &str, payload: &[u8]) -> io::Result<()> {
-        let record = encode_record(family, payload);
+    fn write_record(&self, stem: &str, payload: &[u8]) -> io::Result<()> {
+        let record = encode_record(payload);
         let record = match &self.faults {
             Some(plan) => {
                 let (bytes, fired) = plan.apply(stem, record);
@@ -647,7 +592,7 @@ impl Persist {
             file.write_all(&record)?;
             file.sync_all()?;
         }
-        let dir = self.root.join(family.dir);
+        let dir = self.root.join(DIR_SOLVED);
         let result = fs::rename(&tmp, dir.join(format!("{stem}.rec")));
         if result.is_err() {
             let _ = fs::remove_file(&tmp);
@@ -663,13 +608,20 @@ impl Persist {
 
     /// Renames a failed record aside into `quarantine/` and counts it,
     /// total and per-gate. The record is kept as evidence, under a
-    /// name that says which family and which gate failed.
-    fn quarantine(&self, sub: &str, stem: &str, gate: RecordGate) {
-        let from = self.root.join(sub).join(format!("{stem}.rec"));
-        let to = self
-            .root
-            .join(DIR_QUARANTINE)
-            .join(format!("{sub}.{stem}.{}.rec", gate.tag()));
+    /// name that says which directory and which gate failed; a record
+    /// that fails the same gate again takes the first free index
+    /// (`.1`, `.2`, …), so no earlier evidence is overwritten.
+    fn quarantine(&self, stem: &str, gate: RecordGate) {
+        let from = self.root.join(DIR_SOLVED).join(format!("{stem}.rec"));
+        let base = format!("{DIR_SOLVED}.{stem}.{}", gate.tag());
+        let quarantine = self.root.join(DIR_QUARANTINE);
+        let mut to = quarantine.join(format!("{base}.rec"));
+        for index in 1.. {
+            if !to.exists() {
+                break;
+            }
+            to = quarantine.join(format!("{base}.{index}.rec"));
+        }
         let _ = fs::rename(&from, &to);
         self.bump(&self.quarantined, "persist.quarantined");
         if let Some(registry) = self.registry {
@@ -688,21 +640,22 @@ impl Persist {
                 self.bump(&self.tmp_cleaned, "persist.tmp_cleaned");
             }
         }
-        for family in [&SOLVED, &PREPARED] {
-            let mut stems: Vec<String> = fs::read_dir(self.root.join(family.dir))?
-                .filter_map(|entry| {
-                    let name = entry.ok()?.file_name().into_string().ok()?;
-                    Some(name.strip_suffix(".rec")?.to_string())
-                })
-                .collect();
-            // Deterministic scan order, so quarantine counters and
-            // file names replay identically under fault injection.
-            stems.sort();
-            for stem in stems {
-                let read = self.read_record(family, &stem, |r| (family.validate)(r).map(Some));
-                if let Read::Valid(()) = read {
-                    self.bump(&self.recovered, "persist.recovered");
-                }
+        let mut stems: Vec<String> = fs::read_dir(self.root.join(DIR_SOLVED))?
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                Some(name.strip_suffix(".rec")?.to_string())
+            })
+            .collect();
+        // Deterministic scan order, so quarantine counters and file
+        // names replay identically under fault injection.
+        stems.sort();
+        for stem in stems {
+            let read = self.read_record(&stem, |r| {
+                ResultKey::decode(r)?;
+                Solved::decode(r).map(|_| Some(()))
+            });
+            if let Read::Valid(()) = read {
+                self.bump(&self.recovered, "persist.recovered");
             }
         }
         Ok(())
@@ -722,7 +675,7 @@ mod tests {
         dir
     }
 
-    fn solved() -> (u128, ResultKey, Solved, Prepared) {
+    fn solved() -> (ResultKey, Solved) {
         let problem = benchmark(BenchmarkId::parse("F1").unwrap());
         let solver = Rasengan::new(
             RasenganConfig::default()
@@ -730,11 +683,9 @@ mod tests {
                 .with_shots(128)
                 .with_max_iterations(6),
         );
-        let prepared = solver.prepare(&problem).unwrap();
-        let outcome = solver.solve_prepared(&problem, &prepared).unwrap();
-        let fingerprint = problem.fingerprint();
+        let outcome = solver.solve(&problem).unwrap();
         let key = ResultKey {
-            fingerprint,
+            fingerprint: problem.fingerprint(),
             seed: 5,
             shots: Some(128),
             iterations: Some(6),
@@ -743,41 +694,37 @@ mod tests {
             deadline_ms: None,
             trace: false,
         };
-        (fingerprint, key, Solved::render(&outcome), prepared)
+        (key, Solved::render(&outcome))
     }
 
     #[test]
     fn solved_and_prepared_survive_reopen() {
         let dir = scratch("reopen");
-        let (fingerprint, key, solved, prepared) = solved();
+        let (key, solved) = solved();
         {
             let store = Persist::open(&dir).unwrap();
             store.store_solved(&key, &solved).unwrap();
-            store.store_prepared(fingerprint, &prepared).unwrap();
-            assert_eq!(store.stats().flushes, 2);
+            assert_eq!(store.stats().flushes, 1);
         }
         let store = Persist::open(&dir).unwrap();
-        assert_eq!(store.stats().recovered, 2, "scan validates both records");
+        assert_eq!(store.stats().recovered, 1, "scan validates the record");
         assert_eq!(store.stats().quarantined, 0);
         // The reloaded record serves the same `result` bytes and the
         // same latency, bit for bit.
         let loaded = store.load_solved(&key).expect("warm solve");
         assert_eq!(loaded.result, solved.result);
         assert_eq!(loaded, solved);
-        let warm = store.load_prepared(fingerprint).expect("warm prepared");
-        assert_eq!(warm.chain.ops, prepared.chain.ops);
-        assert_eq!(store.stats().disk_hits, 2);
+        assert_eq!(store.stats().disk_hits, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_records_are_misses_not_errors() {
         let dir = scratch("miss");
-        let (fingerprint, key, ..) = solved();
+        let (key, _) = solved();
         let store = Persist::open(&dir).unwrap();
         assert!(store.load_solved(&key).is_none());
-        assert!(store.load_prepared(fingerprint).is_none());
-        assert_eq!(store.stats().disk_misses, 2);
+        assert_eq!(store.stats().disk_misses, 1);
         assert_eq!(store.stats().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -785,7 +732,7 @@ mod tests {
     #[test]
     fn key_knobs_address_distinct_records() {
         let dir = scratch("keys");
-        let (_, key, solved, _) = solved();
+        let (key, solved) = solved();
         let store = Persist::open(&dir).unwrap();
         store.store_solved(&key, &solved).unwrap();
         let other = ResultKey {
@@ -799,7 +746,7 @@ mod tests {
 
     #[test]
     fn every_fault_class_is_quarantined_on_read() {
-        let (fingerprint, key, solved, prepared) = solved();
+        let (key, solved) = solved();
         for kind in [
             StorageFault::TornWrite,
             StorageFault::Truncation,
@@ -810,15 +757,14 @@ mod tests {
             let plan = StorageFaultPlan::every_write(42, kind);
             let store = Persist::open_with(&dir, Some(plan), None).unwrap();
             store.store_solved(&key, &solved).unwrap();
-            store.store_prepared(fingerprint, &prepared).unwrap();
-            assert_eq!(store.stats().faults_injected, 2, "{kind}: faults fired");
-            // Both reads must degrade to a miss and quarantine the
-            // record; a second read is then a plain miss.
+            assert_eq!(store.stats().faults_injected, 1, "{kind}: fault fired");
+            // The read must degrade to a miss and quarantine the
+            // record.
             assert!(store.load_solved(&key).is_none(), "{kind}");
-            assert!(store.load_prepared(fingerprint).is_none(), "{kind}");
-            assert!(
-                store.stats().quarantined >= 1,
-                "{kind}: corrupt records quarantined"
+            assert_eq!(
+                store.stats().quarantined,
+                1,
+                "{kind}: corrupt record quarantined"
             );
             assert_eq!(store.stats().disk_hits, 0, "{kind}: nothing served");
             let quarantined: Vec<_> = fs::read_dir(dir.join(DIR_QUARANTINE))
@@ -833,11 +779,11 @@ mod tests {
     #[test]
     fn corrupt_solved_records_error_instead_of_panicking() {
         let dir = scratch("corrupt-solved");
-        let (_, key, solved, _) = solved();
+        let (key, solved) = solved();
         let store = Persist::open(&dir).unwrap();
         store.store_solved(&key, &solved).unwrap();
         let path = dir
-            .join(SOLVED.dir)
+            .join(DIR_SOLVED)
             .join(format!("{}.rec", key.file_stem()));
         let record = fs::read(&path).unwrap();
         let quarantine = dir.join(DIR_QUARANTINE);
@@ -869,7 +815,7 @@ mod tests {
         key.encode(&mut w);
         solved.encode(&mut w);
         w.u8(0);
-        check(&encode_record(&SOLVED, &w.into_bytes()), "trailing byte");
+        check(&encode_record(&w.into_bytes()), "trailing byte");
         for text in [&b"\xff\xfe"[..], b"{\"best\":"] {
             let mut w = WireWriter::new();
             key.encode(&mut w);
@@ -877,7 +823,7 @@ mod tests {
             for _ in 0..6 {
                 w.f64(0.0);
             }
-            check(&encode_record(&SOLVED, &w.into_bytes()), "bad text");
+            check(&encode_record(&w.into_bytes()), "bad text");
         }
         // The untouched record still loads.
         fs::write(&path, &record).unwrap();
@@ -886,69 +832,78 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_prepared_records_error_instead_of_panicking() {
-        let dir = scratch("corrupt-prepared");
-        let (fingerprint, _, _, prepared) = solved();
+    fn requarantined_record_keeps_both_files() {
+        let dir = scratch("requarantine");
+        let (key, _) = solved();
         let store = Persist::open(&dir).unwrap();
-        store.store_prepared(fingerprint, &prepared).unwrap();
         let path = dir
-            .join(PREPARED.dir)
-            .join(format!("{fingerprint:032x}.rec"));
-        let record = fs::read(&path).unwrap();
-        let quarantine = dir.join(DIR_QUARANTINE);
-        let mut expected_quarantined = 0;
-        // Plants `bytes` as the record, reads it back, and requires a
-        // miss that renamed the file into `quarantine/`.
-        let mut check = |bytes: &[u8], what: &str| {
-            fs::write(&path, bytes).unwrap();
-            assert!(
-                store.load_prepared(fingerprint).is_none(),
-                "{what} was served"
-            );
-            expected_quarantined += 1;
-            assert_eq!(store.stats().quarantined, expected_quarantined, "{what}");
-            assert!(!path.exists(), "{what} left in place");
-            for entry in fs::read_dir(&quarantine).unwrap() {
-                fs::remove_file(entry.unwrap().path()).unwrap();
-            }
-        };
-        for cut in 0..record.len() {
-            check(&record[..cut], &format!("truncation at {cut}"));
+            .join(DIR_SOLVED)
+            .join(format!("{}.rec", key.file_stem()));
+        // The same junk twice fails the same gate under the same stem;
+        // the second quarantine must not replace the first file.
+        for round in 1..=2 {
+            fs::write(&path, b"junk").unwrap();
+            assert!(store.load_solved(&key).is_none(), "round {round}");
         }
-        for bit in 0..record.len() * 8 {
-            let mut flipped = record.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            check(&flipped, &format!("bit flip {bit}"));
-        }
-        // The untouched record still loads.
-        fs::write(&path, &record).unwrap();
-        let loaded = store
-            .load_prepared(fingerprint)
-            .expect("intact record loads");
-        assert_eq!(encode_prepared(&loaded), encode_prepared(&prepared));
+        assert_eq!(store.stats().quarantined, 2);
+        let mut names: Vec<String> = fs::read_dir(dir.join(DIR_QUARANTINE))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let stem = key.file_stem();
+        assert_eq!(
+            names,
+            [
+                format!("outcomes.{stem}.header.1.rec"),
+                format!("outcomes.{stem}.header.rec"),
+            ]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prepared_directory_from_an_older_build_is_inert() {
+        let dir = scratch("old-prepared");
+        let (key, solved) = solved();
+        Persist::open(&dir)
+            .unwrap()
+            .store_solved(&key, &solved)
+            .unwrap();
+        // Older builds also persisted compiles under `prepared/`.
+        let prepared = dir
+            .join("prepared")
+            .join(format!("{:032x}.rec", 0xabcd_u128));
+        fs::create_dir_all(prepared.parent().unwrap()).unwrap();
+        let bytes = b"RSGN\x02 an old compile record".to_vec();
+        fs::write(&prepared, &bytes).unwrap();
+        let store = Persist::open(&dir).unwrap();
+        assert_eq!(store.stats().recovered, 1);
+        assert_eq!(store.stats().quarantined, 0);
+        assert_eq!(fs::read(&prepared).unwrap(), bytes, "left untouched");
+        assert_eq!(store.load_solved(&key), Some(solved));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recovery_scan_quarantines_and_cleans_tmp() {
         let dir = scratch("recover");
-        let (fingerprint, key, solved, prepared) = solved();
+        let (key, solved) = solved();
         {
             let plan = StorageFaultPlan::every_write(7, StorageFault::BitFlip);
             let store = Persist::open_with(&dir, Some(plan), None).unwrap();
             store.store_solved(&key, &solved).unwrap();
-            store.store_prepared(fingerprint, &prepared).unwrap();
         }
         // Crash residue: a stale temp file.
         fs::write(dir.join(DIR_TMP).join("stale.0.0.tmp"), b"half a record").unwrap();
         let store = Persist::open(&dir).unwrap();
         let stats = store.stats();
         assert_eq!(stats.tmp_cleaned, 1);
-        assert_eq!(stats.quarantined, 2, "scan quarantines both bad records");
+        assert_eq!(stats.quarantined, 1, "scan quarantines the bad record");
         assert_eq!(stats.recovered, 0);
         // The serving dirs are clean again: reads are plain misses.
         assert!(store.load_solved(&key).is_none());
-        assert_eq!(store.stats().quarantined, 2, "no double quarantine");
+        assert_eq!(store.stats().quarantined, 1, "no double quarantine");
         // Healthy writes now land and survive another reopen.
         store.store_solved(&key, &solved).unwrap();
         drop(store);
@@ -977,25 +932,20 @@ mod tests {
     #[test]
     fn version_skew_passes_checksum_but_fails_version_gate() {
         let payload = b"payload bytes".to_vec();
-        let mut record = encode_record(&SOLVED, &payload);
+        let mut record = encode_record(&payload);
         let (skewed, fired) =
             StorageFaultPlan::every_write(1, StorageFault::VersionSkew).apply("r", record.clone());
         assert!(fired);
-        assert_eq!(open_record(&skewed, &SOLVED), Err(RecordGate::Version));
+        assert_eq!(open_record(&skewed), Err(RecordGate::Version));
         // So does a solved record in the retired binary format 1.
-        let retired = encode_record(
-            &Family {
-                format: 1,
-                ..SOLVED
-            },
-            &payload,
-        );
-        assert_eq!(open_record(&retired, &SOLVED), Err(RecordGate::Version));
+        let mut retired = record.clone();
+        retired[5..7].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(open_record(&retired), Err(RecordGate::Version));
         // The untouched record passes every gate.
-        assert_eq!(open_record(&record, &SOLVED).unwrap(), &payload[..]);
+        assert_eq!(open_record(&record).unwrap(), &payload[..]);
         // And a flipped payload bit fails the checksum gate.
         let last = record.len() - 1;
         record[last] ^= 1;
-        assert_eq!(open_record(&record, &SOLVED), Err(RecordGate::Checksum));
+        assert_eq!(open_record(&record), Err(RecordGate::Checksum));
     }
 }

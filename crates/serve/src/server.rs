@@ -2,12 +2,12 @@
 //! control.
 //!
 //! Every connection runs the one request/reply state machine,
-//! [`crate::conn::Conn`] over the one parser,
+//! `conn::Conn` over the one parser,
 //! [`IncrementalParser`](crate::protocol::IncrementalParser). Two
 //! drivers move its bytes, selected by [`ServeConfig::event_loop`]:
 //!
 //! * **Reactor** (the default on Linux x86_64/aarch64): a single epoll
-//!   event loop ([`crate::reactor`]) owns every socket in non-blocking
+//!   event loop (`reactor`) owns every socket in non-blocking
 //!   mode and enforces IO deadlines with a timer wheel.
 //!   Concurrent-connection capacity is bounded by file descriptors,
 //!   not threads.
@@ -22,10 +22,10 @@
 //! end and `SOLVE` work is pushed onto a bounded queue
 //! ([`rasengan_qsim::parallel::BoundedQueue`]) drained by a fixed
 //! worker pool. When the queue is full the request is shed immediately
-//! with a structured `BUSY` response ([`Shared::admit`]) — the front
+//! with a structured `BUSY` response (`Shared::admit`) — the front
 //! end never blocks on solver work, so load-shedding stays responsive
 //! under saturation. The two drivers produce byte-identical replies:
-//! the request rules live in [`crate::conn`], and [`solve_reply`] holds
+//! the request rules live in `conn`, and `solve_reply` holds
 //! all solve-side semantics (caches, persist tier, counters).
 //!
 //! # Determinism
@@ -43,7 +43,7 @@
 //! * **Result cache** — finished solves, rendered once into their
 //!   `result` text (plus latency, and the `trace` text when traced),
 //!   keyed on the problem
-//!   [`fingerprint`](rasengan_problems::fingerprint) plus every
+//!   [`fingerprint`](mod@rasengan_problems::fingerprint) plus every
 //!   training knob the request can set. Worker-thread count is *not*
 //!   part of the key: results are invariant under it. A hit renders
 //!   only `timing`. A solve cut short by a budget stop depends on the
@@ -52,7 +52,9 @@
 //!   transition chain, segment plan) keyed on fingerprint alone. That
 //!   key is sound because [`Rasengan::prepare`] reads only
 //!   compile-side knobs (simplify, prune, early-stop, segmentation,
-//!   depth budget), which the protocol pins to their defaults.
+//!   depth budget), which the protocol pins to their defaults. It is
+//!   memory-only: a miss runs [`Rasengan::prepare`], which costs less
+//!   than writing a record, so the disk tier holds finished solves alone.
 //!
 //! # Shutdown
 //!
@@ -108,8 +110,8 @@ pub struct ServeConfig {
     pub trace_all: bool,
     /// Crash-safe on-disk warm-state tier ([`crate::persist`]). `None`
     /// keeps the service memory-only; `Some(dir)` opens (and recovers)
-    /// the state directory at startup, loads cache misses from disk,
-    /// and flushes fresh compiles and untraced solves back.
+    /// the state directory at startup, loads result-cache misses from
+    /// disk, and flushes fresh untraced solves back.
     pub state_dir: Option<PathBuf>,
     /// Deterministic storage fault injection applied to every persist
     /// write — test scaffolding for the corruption matrix, never armed
@@ -906,43 +908,20 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
         // A hit reuses the compiled segment programs directly: no
         // recompilation on the warm path.
         Some(prepared) => (prepared, "compile-hit", 0.0),
+        // Compiles are memory-only: `prepare` costs less than a record
+        // write, so the disk tier keeps finished solves alone.
         None => {
             let started = Instant::now();
-            let from_disk = shared
-                .persist
-                .as_ref()
-                .and_then(|p| p.load_prepared(fingerprint));
-            match from_disk {
-                Some(prepared) => {
-                    // Decoded artifacts carry recompiled segment
-                    // programs, so the disk warm path skips `prepare`
-                    // just like the in-memory one.
+            match solver.prepare(&problem) {
+                Ok(prepared) => {
                     let prepared = Arc::new(prepared);
                     shared.compiles.insert(fingerprint, Arc::clone(&prepared));
-                    (
-                        prepared,
-                        "compile-disk-hit",
-                        started.elapsed().as_secs_f64(),
-                    )
+                    (prepared, "miss", started.elapsed().as_secs_f64())
                 }
-                None => match solver.prepare(&problem) {
-                    Ok(prepared) => {
-                        let prepared = Arc::new(prepared);
-                        shared.compiles.insert(fingerprint, Arc::clone(&prepared));
-                        if let Some(persist) = &shared.persist {
-                            // Flush failures only cost warmth, never
-                            // correctness; the counters record them.
-                            if persist.store_prepared(fingerprint, &prepared).is_err() {
-                                shared.registry.counter_add("persist.write_error", 1);
-                            }
-                        }
-                        (prepared, "miss", started.elapsed().as_secs_f64())
-                    }
-                    Err(err) => {
-                        shared.served_error.fetch_add(1, Ordering::Relaxed);
-                        return Reply::new(ReplyStatus::Error, error_sections(&err));
-                    }
-                },
+                Err(err) => {
+                    shared.served_error.fetch_add(1, Ordering::Relaxed);
+                    return Reply::new(ReplyStatus::Error, error_sections(&err));
+                }
             }
         }
     };
@@ -1137,19 +1116,19 @@ mod tests {
             stream.read_to_string(&mut body).unwrap();
             Reply::parse(&body).unwrap()
         };
-        // Cold server: the solve misses everything and flushes both an
-        // outcome and a prepared artifact to disk.
+        // Cold server: the solve misses everything and flushes its
+        // solved record to disk (compiles are never persisted).
         let first = serve(ServeConfig::default().with_state_dir(&dir)).expect("bind");
         let cold = submit(first.addr());
         assert_eq!(cold.status, ReplyStatus::Ok);
         let cold_result = cold.section("result").unwrap().to_string();
-        assert_eq!(first.stats().persist.flushes, 2);
+        assert_eq!(first.stats().persist.flushes, 1);
         first.shutdown();
         // Restarted server, same state dir: the recovery scan admits
-        // both records and the replayed request is served from disk,
+        // the record and the replayed request is served from disk,
         // byte-identical, without a solve.
         let second = serve(ServeConfig::default().with_state_dir(&dir)).expect("bind");
-        assert_eq!(second.stats().persist.recovered, 2);
+        assert_eq!(second.stats().persist.recovered, 1);
         let warm = submit(second.addr());
         assert_eq!(warm.status, ReplyStatus::Ok);
         assert_eq!(
@@ -1235,11 +1214,10 @@ mod tests {
         let reply = Reply::parse(&body).unwrap();
         assert_eq!(reply.status, ReplyStatus::Ok);
         assert!(reply.section("trace").is_some());
-        // The compile artifact is persisted (trace-independent), but
-        // the traced outcome is not: its record could never carry the
-        // span tree back.
+        // The traced outcome is not persisted: its record could never
+        // carry the span tree back. Compiles never reach the disk.
         let stats = server.stats();
-        assert_eq!(stats.persist.flushes, 1);
+        assert_eq!(stats.persist.flushes, 0);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -362,7 +362,7 @@ FLAGS:
       --queue <N>          service admission-queue capacity (default 64)
       --deadline-ms <N>    per-request deadline for `submit`
       --state-dir <DIR>    crash-safe on-disk warm state for `serve`:
-                           compiled artifacts and outcomes survive restarts
+                           finished solves survive restarts
       --io-timeout-ms <N>  per-connection IO deadline for `serve`,
                            bounding stalled reads and stalled writes
       --connect-retries <N> `submit` rides through a restarting server

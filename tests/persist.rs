@@ -75,8 +75,8 @@ fn every_fault_class_quarantines_and_recomputes_identically() {
         for fault in FAULT_MATRIX {
             let dir = state_dir(&format!("matrix-{fault}-{threads}"));
 
-            // Round one: a faulty server. Every record it flushes is
-            // corrupted on the way to disk, but the response itself
+            // Round one: a faulty server. The solved record it flushes
+            // is corrupted on the way to disk, but the response itself
             // is computed in memory and must already be correct.
             let corrupt = serve(
                 ServeConfig::default()
@@ -95,18 +95,18 @@ fn every_fault_class_quarantines_and_recomputes_identically() {
             );
             let stats = corrupt.stats();
             assert_eq!(
-                stats.persist.flushes, 2,
-                "{fault}/{threads}: outcome + prepared flushed"
+                stats.persist.flushes, 1,
+                "{fault}/{threads}: the solved record flushed"
             );
             assert_eq!(
-                stats.persist.faults_injected, 2,
-                "{fault}/{threads}: both flushes corrupted"
+                stats.persist.faults_injected, 1,
+                "{fault}/{threads}: the flush corrupted"
             );
             corrupt.shutdown();
 
             // Round two: a clean server on the same directory. The
-            // recovery scan must quarantine both corrupt records —
-            // never serve them — and the replayed request recomputes.
+            // recovery scan must quarantine the corrupt record — never
+            // serve it — and the replayed request recomputes.
             let clean = serve(
                 ServeConfig::default()
                     .with_workers(1)
@@ -116,8 +116,8 @@ fn every_fault_class_quarantines_and_recomputes_identically() {
             .unwrap();
             let recovered = clean.stats();
             assert_eq!(
-                recovered.persist.quarantined, 2,
-                "{fault}/{threads}: both corrupt records quarantined at startup"
+                recovered.persist.quarantined, 1,
+                "{fault}/{threads}: the corrupt record quarantined at startup"
             );
             assert_eq!(
                 recovered.persist.recovered, 0,
@@ -127,7 +127,7 @@ fn every_fault_class_quarantines_and_recomputes_identically() {
                 .expect("quarantine dir")
                 .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
                 .collect();
-            assert_eq!(quarantine.len(), 2, "{fault}/{threads}");
+            assert_eq!(quarantine.len(), 1, "{fault}/{threads}");
 
             let reply = submit(clean.addr(), &request()).expect("replay after recovery");
             assert_eq!(reply.status, ReplyStatus::Ok, "{fault}/{threads}");
@@ -187,7 +187,7 @@ fn clean_records_survive_restart_across_the_thread_matrix() {
         )
         .unwrap();
         let recovered = reader.stats();
-        assert_eq!(recovered.persist.recovered, 2, "threads {threads}");
+        assert_eq!(recovered.persist.recovered, 1, "threads {threads}");
         assert_eq!(recovered.persist.quarantined, 0, "threads {threads}");
         let reply = submit(reader.addr(), &request()).expect("warm submit");
         assert_eq!(reply.status, ReplyStatus::Ok);
