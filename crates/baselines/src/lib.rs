@@ -31,14 +31,12 @@
 
 pub mod chocoq;
 pub mod common;
-pub mod gas;
 pub mod hea;
 pub mod ising;
 pub mod pqaoa;
 
 pub use chocoq::ChocoQ;
 pub use common::{BaselineConfig, BaselineOptimizer, BaselineOutcome};
-pub use gas::GroverAdaptiveSearch;
 pub use hea::Hea;
 pub use ising::{penalized_qubo, qubo_to_ising, Ising, Qubo};
 pub use pqaoa::PQaoa;

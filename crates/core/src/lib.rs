@@ -48,7 +48,6 @@ pub mod resilience;
 pub mod segment;
 pub mod simplify;
 pub mod solver;
-pub mod zne;
 
 pub use hamiltonian::{problem_basis, TransitionHamiltonian};
 pub use latency::{Latency, StageTimes};
@@ -65,7 +64,6 @@ pub use solver::{
 // The observability types an `Outcome` embeds, so downstream crates can
 // consume `Outcome::trace` without naming `rasengan-obs` directly.
 pub use rasengan_obs::span::{Span, TraceTree};
-pub use zne::{solve_with_zne, ZneResult};
 
 #[cfg(test)]
 mod tests {

@@ -29,7 +29,6 @@ use rasengan_obs::span::{TraceTree, Tracer};
 use rasengan_optim::{Cobyla, NelderMead, Optimizer, Spsa};
 use rasengan_problems::{optimum, Problem};
 use rasengan_qsim::fault::{FaultKind, FaultPlan};
-use rasengan_qsim::mitigation::{mitigate_readout, ReadoutModel};
 use rasengan_qsim::noise::{
     apply_gate_noise_sparse_fused, apply_readout_error, run_noise_slots_sparse,
 };
@@ -84,10 +83,6 @@ pub struct RasenganConfig {
     pub optimizer: OptimizerKind,
     /// Reachable-set cap for pruning bookkeeping.
     pub support_cap: usize,
-    /// Apply M3-style readout-error mitigation to each segment's
-    /// measured distribution before purification (only meaningful when
-    /// the noise model has a nonzero readout rate).
-    pub readout_mitigation: bool,
     /// Warm-start evolution times (e.g. transferred from a previously
     /// solved case of the same shape). Must match the compiled chain's
     /// parameter count; `None` starts every time at π/4.
@@ -135,7 +130,6 @@ impl Default for RasenganConfig {
             max_iterations: 300,
             optimizer: OptimizerKind::Cobyla,
             support_cap: 1 << 16,
-            readout_mitigation: false,
             initial_times: None,
             final_segment_shot_boost: 1,
             threads: None,
@@ -198,12 +192,6 @@ impl RasenganConfig {
             let d = target_fidelity.ln() / (1.0 - p2).ln();
             (d.floor() as usize).max(34)
         };
-        self
-    }
-
-    /// Enables M3-style readout mitigation (builder style).
-    pub fn with_readout_mitigation(mut self) -> Self {
-        self.readout_mitigation = true;
         self
     }
 
@@ -1217,18 +1205,11 @@ fn execute(
                         // post-process.
                         None
                     } else {
-                        let mut raw: BTreeMap<Label, f64> = run
+                        let raw: BTreeMap<Label, f64> = run
                             .counts
                             .into_iter()
                             .map(|(l, c)| (l, c as f64 / total as f64))
                             .collect();
-                        if cfg.readout_mitigation && cfg.noise.readout > 0.0 {
-                            raw = mitigate_readout(
-                                &raw,
-                                problem.n_vars(),
-                                ReadoutModel::new(cfg.noise.readout),
-                            );
-                        }
                         if cfg.purify {
                             purify_distribution(problem, &raw)
                         } else {
@@ -1968,26 +1949,6 @@ mod tests {
         let noise_free =
             RasenganConfig::default().with_fidelity_budget(&Device::noise_free(10), 0.5);
         assert!(noise_free.segment_depth_budget > 1_000_000);
-    }
-
-    #[test]
-    fn readout_mitigation_improves_noisy_rate() {
-        // Pure readout noise: every measurement error is a classical
-        // bit flip, which mitigation + purification should clean up.
-        let noise = NoiseModel::ibm_like(0.0, 0.0, 0.05);
-        let base = RasenganConfig::default()
-            .with_seed(17)
-            .with_noise(noise)
-            .with_shots(1024)
-            .with_max_iterations(20);
-        let plain = Rasengan::new(base.clone()).solve(&j1()).unwrap();
-        let mitigated = Rasengan::new(base.with_readout_mitigation())
-            .solve(&j1())
-            .unwrap();
-        // Both purify to 100%; the mitigated run should not be worse on
-        // the raw feasible fraction (mitigation reassigns flipped mass).
-        assert!(mitigated.raw_in_constraints_rate >= plain.raw_in_constraints_rate - 0.05);
-        assert!(mitigated.best.feasible);
     }
 
     #[test]

@@ -256,32 +256,6 @@ impl DenseState {
         });
     }
 
-    /// Flips the sign of every basis amplitude whose label satisfies
-    /// `marked` — an idealized oracle call (used by the Grover adaptive
-    /// search baseline; real implementations synthesize this from
-    /// arithmetic comparators).
-    pub fn apply_phase_flip(&mut self, marked: impl Fn(u64) -> bool) {
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            if marked(i as u64) {
-                *a = -*a;
-            }
-        }
-    }
-
-    /// Applies the Grover diffusion operator `2|s⟩⟨s| − I` (inversion
-    /// about the uniform-state mean).
-    pub fn apply_diffusion(&mut self) {
-        let len = self.amps.len() as f64;
-        let mut mean = Complex::ZERO;
-        for a in &self.amps {
-            mean += *a;
-        }
-        mean = mean.scale(1.0 / len);
-        for a in &mut self.amps {
-            *a = mean.scale(2.0) - *a;
-        }
-    }
-
     /// Measurement probabilities for every basis label.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()

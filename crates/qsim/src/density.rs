@@ -6,7 +6,7 @@
 //! channel's Kraus operators *exactly*: `ρ ← Σ_k K_k ρ K_k†`. It is
 //! exponentially expensive (`4^n` entries) and therefore capped at
 //! 7 qubits — exactly enough to cross-validate the trajectory sampler,
-//! which the tests here and in `tests/` do.
+//! which the tests here do. The module is compiled for tests only.
 
 use crate::circuit::Circuit;
 use crate::complex::Complex;
@@ -41,11 +41,6 @@ impl DensityMatrix {
         let mut rho = vec![Complex::ZERO; dim * dim];
         rho[label as usize * dim + label as usize] = Complex::ONE;
         DensityMatrix { n_qubits, rho }
-    }
-
-    /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
     }
 
     /// The matrix entry `ρ[r][c]`.

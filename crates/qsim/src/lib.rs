@@ -63,13 +63,11 @@ pub mod circuit;
 pub mod complex;
 pub mod decompose;
 pub mod dense;
-pub mod density;
 pub mod device;
 pub mod draw;
 pub mod exec;
 pub mod fault;
 pub mod gate;
-pub mod mitigation;
 pub mod noise;
 pub mod parallel;
 pub mod peephole;
@@ -79,6 +77,10 @@ pub mod sparse;
 pub mod synth;
 pub mod verify;
 pub mod wire;
+
+// Exact Kraus evolution: the oracle the trajectory channels are tested against.
+#[cfg(test)]
+mod density;
 
 pub use circuit::Circuit;
 pub use complex::Complex;

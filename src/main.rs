@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 
-use rasengan::baselines::{BaselineConfig, ChocoQ, GroverAdaptiveSearch, Hea, PQaoa};
+use rasengan::baselines::{BaselineConfig, ChocoQ, Hea, PQaoa};
 use rasengan::core::{Rasengan, RasenganConfig};
 use rasengan::problems::ingest::{parse_as, write_as, Format};
 use rasengan::problems::io::write_problem;
@@ -347,7 +347,7 @@ FLAGS:
                            into equality constraints on ingestion
       --lambda <X>         penalty weight for QUBO export (default:
                            auto-sized from the objective)
-  -a, --algorithm <NAME>   rasengan | chocoq | pqaoa | hea | gas
+  -a, --algorithm <NAME>   rasengan | chocoq | pqaoa | hea
   -d, --device <NAME>      kyiv | brisbane | quebec (noise + timing)
       --shots <N>          shots per segment/circuit
       --seed <N>           RNG seed (default 7)
@@ -555,7 +555,7 @@ fn cmd_solve(opts: &Options) -> ExitCode {
                 }
             }
         }
-        alg @ ("chocoq" | "pqaoa" | "hea" | "gas") => {
+        alg @ ("chocoq" | "pqaoa" | "hea") => {
             let mut cfg = BaselineConfig::default()
                 .with_seed(opts.seed)
                 .with_layers(opts.layers)
@@ -575,8 +575,7 @@ fn cmd_solve(opts: &Options) -> ExitCode {
                     }
                 },
                 "pqaoa" => PQaoa::new(cfg).with_frozen_qubits(1).solve(&problem),
-                "hea" => Hea::new(cfg).solve(&problem),
-                _ => GroverAdaptiveSearch::new(cfg).solve(&problem),
+                _ => Hea::new(cfg).solve(&problem),
             };
             (
                 out.best.bits,

@@ -36,12 +36,24 @@ fn solve_reports_metrics() {
 
 #[test]
 fn solve_with_baseline_algorithm() {
+    for alg in ["chocoq", "pqaoa", "hea"] {
+        let out = cli()
+            .args(["solve", "-b", "F1", "-a", alg, "-i", "40"])
+            .output()
+            .expect("cli runs");
+        assert!(out.status.success(), "{alg} failed");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("objective"));
+    }
+}
+
+#[test]
+fn solve_rejects_removed_algorithm() {
     let out = cli()
-        .args(["solve", "-b", "F1", "-a", "gas", "-i", "40"])
+        .args(["solve", "-b", "F1", "-a", "gas"])
         .output()
         .expect("cli runs");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("objective"));
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
 }
 
 #[test]

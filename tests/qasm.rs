@@ -1,13 +1,10 @@
 //! Integration tests for the deployability extensions: OpenQASM export
-//! of compiled Rasengan segments, and M3-style readout mitigation
-//! composed with purification.
+//! of compiled Rasengan segments.
 
 use rasengan::core::{Rasengan, RasenganConfig};
 use rasengan::problems::registry::{benchmark, BenchmarkId};
-use rasengan::qsim::mitigation::{mitigate_readout, ReadoutModel};
 use rasengan::qsim::qasm::{qasm_stats, to_qasm3};
-use rasengan::qsim::{Circuit, NoiseModel};
-use std::collections::BTreeMap;
+use rasengan::qsim::Circuit;
 
 #[test]
 fn compiled_segments_export_to_qasm() {
@@ -43,53 +40,6 @@ fn qasm_export_of_every_benchmark_head_segment() {
             "{name}: first τ exported without gates"
         );
     }
-}
-
-#[test]
-fn mitigation_then_purification_recovers_from_readout_noise() {
-    // A distribution corrupted by pure readout error: mitigation should
-    // move most of the spilled mass back before purification prunes the
-    // remainder.
-    let p = benchmark(BenchmarkId::parse("J1").unwrap());
-    let feasible = rasengan::problems::enumerate_feasible(&p);
-    let truth = rasengan::qsim::sparse::label_from_bits(&feasible[0]);
-
-    // Analytic single-flip corruption at rate 0.06.
-    let rate = 0.06;
-    let n = p.n_vars();
-    let mut measured: BTreeMap<u128, f64> = BTreeMap::new();
-    let stay = (1.0f64 - rate).powi(n as i32);
-    measured.insert(truth, stay);
-    for q in 0..n {
-        let flipped = truth ^ (1 << q);
-        measured.insert(flipped, rate * (1.0 - rate).powi(n as i32 - 1));
-    }
-    let total: f64 = measured.values().sum();
-    for v in measured.values_mut() {
-        *v /= total;
-    }
-
-    let fixed = mitigate_readout(&measured, n, ReadoutModel::new(rate));
-    assert!(
-        fixed[&truth] > measured[&truth],
-        "mitigation must concentrate mass back on the truth"
-    );
-    assert!(fixed[&truth] > 0.98, "mitigated mass {}", fixed[&truth]);
-}
-
-#[test]
-fn solver_with_mitigation_handles_pure_readout_noise() {
-    let p = benchmark(BenchmarkId::parse("F1").unwrap());
-    let cfg = RasenganConfig::default()
-        .with_seed(4)
-        .with_noise(NoiseModel::ibm_like(0.0, 0.0, 0.04))
-        .with_shots(1024)
-        .with_max_iterations(25)
-        .with_readout_mitigation();
-    let outcome = Rasengan::new(cfg).solve(&p).unwrap();
-    assert_eq!(outcome.in_constraints_rate, 1.0);
-    assert!(outcome.best.feasible);
-    assert!(outcome.arg < 2.0, "readout-only noise should stay solvable");
 }
 
 #[test]
