@@ -59,14 +59,22 @@ pub fn expectation(problem: &Problem, dist: &BTreeMap<Label, f64>, lambda: f64) 
 
 /// Fraction of probability mass on feasible outcomes.
 pub fn in_constraints_rate(problem: &Problem, dist: &BTreeMap<Label, f64>) -> f64 {
-    let total: f64 = dist.values().sum();
+    pairs_in_constraints_rate(problem, dist.iter().map(|(&l, &p)| (l, p)))
+}
+
+/// [`in_constraints_rate`] of `(label, probability)` pairs in ascending
+/// label order.
+pub(crate) fn pairs_in_constraints_rate(
+    problem: &Problem,
+    pairs: impl Iterator<Item = (Label, f64)> + Clone,
+) -> f64 {
+    let total: f64 = pairs.clone().map(|(_, p)| p).sum();
     if total == 0.0 {
         return 0.0;
     }
-    let feasible: f64 = dist
-        .iter()
-        .filter(|(&l, _)| problem.is_feasible_label(l))
-        .map(|(_, &p)| p)
+    let feasible: f64 = pairs
+        .filter(|&(l, _)| problem.is_feasible_label(l))
+        .map(|(_, p)| p)
         .sum();
     feasible / total
 }

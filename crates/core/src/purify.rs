@@ -7,16 +7,25 @@
 //!
 //! The paper measures the check as negligible: 0.05 ms against ~700 ms
 //! of circuit execution per training iteration. In this simulator a
-//! noise-free segment executes in microseconds, so the check is not
-//! negligible: on Fig. 10 FLP ((4,4), (5,4) and (4,6), 2048 shots, one
-//! thread on a 2-vCPU x86-64 VM) purification took 62% of training and
-//! execution time when each distinct outcome was unpacked into a bit
-//! vector and multiplied through the dense `C` (1.2 µs per label). It
-//! now runs [`Problem::is_feasible_label`] on the packed label, a few
-//! popcounts per row over masks compiled once per problem, and still
-//! takes about half (0.37 µs per label; the default x86-64 target has
-//! no `popcnt` instruction, so each popcount is a bit-twiddling
-//! sequence).
+//! noise-free segment executes in microseconds, so it is not: on the
+//! Fig. 10 FLP instances at 2048 shots the per-label check
+//! ([`Problem::is_feasible_label`], a few popcounts per row over masks
+//! compiled once per problem) took 34-44% of an execution. So the
+//! solver checks labels only where a label can be infeasible:
+//!
+//! - **Checked per label:** noisy runs; runs with an active fault plan
+//!   (a readout burst flips bits even without noise); and noise-free
+//!   sampled runs whose closure the solver could not prove.
+//! - **Proven once per solve:** a noise-free sampled run with no fault
+//!   plan, whose seed is feasible and whose every compiled move `u` has
+//!   `C u = 0` for the problem passed ([`Problem::preserves_feasibility`]).
+//!   Every label it measures is feasible by construction, so
+//!   purification keeps all the mass and only [`renormalize`]s it; with
+//!   purification off the raw distribution passes through at rate 1.
+//!
+//! Either way the result bytes are the same. Separately, a noise-free
+//! input batch whose evolved support is one label takes all its shots
+//! without drawing any.
 
 use rasengan_problems::Problem;
 use rasengan_qsim::Label;
@@ -80,32 +89,37 @@ pub fn purify_counts(problem: &Problem, counts: &BTreeMap<Label, usize>) -> Puri
     }
 }
 
-/// Purifies a probability distribution (rather than integer counts):
+/// Purifies a probability distribution (rather than integer counts),
+/// given as `(label, probability)` pairs in ascending label order:
 /// drops infeasible mass, returning the renormalized feasible
 /// distribution and the feasible fraction, or `None` if nothing
 /// survives.
 pub fn purify_distribution(
     problem: &Problem,
-    dist: &BTreeMap<Label, f64>,
-) -> Option<(BTreeMap<Label, f64>, f64)> {
-    let total: f64 = dist.values().sum();
+    mut dist: Vec<(Label, f64)>,
+) -> Option<(Vec<(Label, f64)>, f64)> {
+    let total: f64 = dist.iter().map(|&(_, p)| p).sum();
     if total <= 0.0 {
         return None;
     }
-    let feasible: BTreeMap<Label, f64> = dist
-        .iter()
-        .filter(|(&l, _)| problem.is_feasible_label(l))
-        .map(|(&l, &p)| (l, p))
-        .collect();
-    let kept: f64 = feasible.values().sum();
+    dist.retain(|&(l, _)| problem.is_feasible_label(l));
+    let (feasible, kept) = renormalize(dist)?;
+    Some((feasible, kept / total))
+}
+
+/// Divides every probability by their sum `kept`, returning the
+/// renormalized pairs and `kept`, or `None` when no mass is left. The
+/// last step of [`purify_distribution`], and all of it for a
+/// distribution whose labels are feasible by construction.
+pub fn renormalize(mut dist: Vec<(Label, f64)>) -> Option<(Vec<(Label, f64)>, f64)> {
+    let kept: f64 = dist.iter().map(|&(_, p)| p).sum();
     if kept <= 0.0 {
         return None;
     }
-    let rate = kept / total;
-    Some((
-        feasible.into_iter().map(|(l, p)| (l, p / kept)).collect(),
-        rate,
-    ))
+    for (_, p) in &mut dist {
+        *p /= kept;
+    }
+    Some((dist, kept))
 }
 
 /// Normalizes surviving counts into a probability distribution.
@@ -184,6 +198,33 @@ mod tests {
         let purified = purify_counts(&p, &BTreeMap::new());
         assert_eq!(purified.in_constraints_rate, 0.0);
         assert_eq!(purified.removed, 0);
+    }
+
+    #[test]
+    fn purify_distribution_drops_and_renormalizes() {
+        let p = one_hot(2);
+        let dist = vec![(0b00u128, 0.1), (0b01, 0.6), (0b10, 0.2), (0b11, 0.1)];
+        let (feasible, rate) = purify_distribution(&p, dist).unwrap();
+        // Sums in label order, as the function takes them.
+        let kept = 0.6 + 0.2;
+        assert_eq!(feasible, vec![(0b01, 0.6 / kept), (0b10, 0.2 / kept)]);
+        assert_eq!(rate, kept / (0.1 + 0.6 + 0.2 + 0.1));
+        assert!(purify_distribution(&p, vec![(0b11u128, 1.0)]).is_none());
+    }
+
+    #[test]
+    fn renormalize_is_purification_of_feasible_input() {
+        // On feasible labels purification keeps every pair and the
+        // whole sum, so skipping the check changes no byte.
+        let p = one_hot(3);
+        let dist = vec![(0b001u128, 0.3), (0b010, 0.3), (0b100, 0.1)];
+        let (renormalized, kept) = renormalize(dist.clone()).unwrap();
+        assert_eq!(
+            purify_distribution(&p, dist),
+            Some((renormalized, kept / kept))
+        );
+        assert_eq!(kept / kept, 1.0);
+        assert!(renormalize(Vec::new()).is_none());
     }
 
     #[test]

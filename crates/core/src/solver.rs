@@ -13,10 +13,11 @@
 use crate::hamiltonian::problem_basis;
 use crate::latency::{segment_execution_seconds, Latency, StageTimes};
 use crate::metrics::{
-    arg, best_solution, expectation, in_constraints_rate, penalty_lambda, Solution,
+    arg, best_solution, expectation, in_constraints_rate, pairs_in_constraints_rate,
+    penalty_lambda, Solution,
 };
 use crate::prune::{build_chain, Chain, ChainConfig};
-use crate::purify::purify_distribution;
+use crate::purify::{purify_distribution, renormalize};
 use crate::resilience::{
     BudgetKind, DegradeFallback, ResilienceConfig, ResilienceEvent, ResilienceReport, Stage,
 };
@@ -737,6 +738,7 @@ impl Rasengan {
             .max_stage_seconds
             .map(|s| Instant::now() + Duration::from_secs_f64(s));
         let plan = resil.fault_plan.as_ref().filter(|p| p.is_active());
+        let closed = proves_closure(problem, prepared, cfg);
 
         // Training loop: minimize the sense-adjusted expectation. Each
         // evaluation executes under its own RNG stream derived from the
@@ -786,14 +788,15 @@ impl Rasengan {
                 stream_seed,
                 deadline: train_deadline,
                 shots_before: total_shots,
+                closed,
             };
             match execute(problem, prepared, exec_params, cfg, &ctx, &mut events, None) {
                 Ok(exec) => {
                     quantum_s += exec.quantum_s;
                     retry_s += exec.retry_s;
                     total_shots += exec.shots;
-                    last_good = Some((exec.distribution.clone(), exec.raw_in_constraints_rate));
                     let e = expectation(problem, &exec.distribution, lambda);
+                    last_good = Some((exec.distribution, exec.raw_in_constraints_rate));
                     match sense {
                         rasengan_problems::Sense::Minimize => e,
                         rasengan_problems::Sense::Maximize => -e,
@@ -851,6 +854,7 @@ impl Rasengan {
             stream_seed: derive_seed(cfg.seed, u64::MAX),
             deadline: exec_deadline,
             shots_before: total_shots,
+            closed,
         };
         let exec = execute(
             problem,
@@ -942,6 +946,7 @@ const FAILURE_OBJECTIVE: f64 = 1e12;
 
 /// Result of executing the full segmented chain once at fixed
 /// parameters.
+#[derive(Debug, PartialEq)]
 struct Execution {
     distribution: BTreeMap<Label, f64>,
     raw_in_constraints_rate: f64,
@@ -952,13 +957,37 @@ struct Execution {
 
 /// Context of one [`execute`] call: which stage it runs in, the RNG
 /// seed every stream of the call derives from, the stage's wall-clock
-/// deadline, and how many shots the solve had already spent when the
-/// call started.
+/// deadline, how many shots the solve had already spent when the call
+/// started, and whether [`proves_closure`] holds for the solve.
 struct ExecContext {
     stage: Stage,
     stream_seed: u64,
     deadline: Option<Instant>,
     shots_before: usize,
+    closed: bool,
+}
+
+/// Whether every label a sampled execution of `prepared` can measure
+/// is feasible for `problem`, so [`execute`] may skip the per-label
+/// check. That holds without noise and without an active fault plan
+/// (a readout burst flips bits even without noise) when the seed is
+/// feasible and every compiled move `u` has `C u = 0`: a partner move
+/// then carries a feasible label to a feasible one. Checked against
+/// the problem passed, since only a doc comment ties a [`Prepared`] to
+/// its problem. Exact mode never checks labels, so it skips the proof.
+fn proves_closure(problem: &Problem, prepared: &Prepared, cfg: &RasenganConfig) -> bool {
+    cfg.shots.is_some()
+        && !cfg.noise.is_noisy()
+        && !cfg
+            .resilience
+            .fault_plan
+            .as_ref()
+            .is_some_and(FaultPlan::is_active)
+        && problem.is_feasible_label(prepared.seed_label)
+        && prepared.programs.iter().flat_map(|p| &p.ops).all(|op| {
+            let t = &op.transition;
+            problem.preserves_feasibility(t.plus_mask, t.minus_mask)
+        })
 }
 
 /// Returns the budget that has tripped, if any.
@@ -1061,7 +1090,8 @@ fn execute(
         (None, false) => None,
     };
 
-    let mut dist: BTreeMap<Label, f64> = BTreeMap::from([(prepared.seed_label, 1.0)]);
+    // Segments hand off `(label, probability)` in ascending label order.
+    let mut dist: Vec<(Label, f64)> = vec![(prepared.seed_label, 1.0)];
     let mut quantum_s = 0.0;
     let mut retry_s = 0.0;
     let mut shots_used = 0usize;
@@ -1127,8 +1157,8 @@ fn execute(
                 dist = propagate_exact(problem.n_vars(), program, times, &dist, threads);
             }
             Some(seg_shots) => {
-                let inputs: Vec<Label> = dist.keys().copied().collect();
-                let probs: Vec<f64> = dist.values().copied().collect();
+                let inputs: Vec<Label> = dist.iter().map(|&(l, _)| l).collect();
+                let probs: Vec<f64> = dist.iter().map(|&(_, p)| p).collect();
                 let mut attempt = 0usize;
                 loop {
                     if attempt > 0 {
@@ -1199,22 +1229,28 @@ fn execute(
                             kind: FaultKind::FeasibilityKill,
                         });
                     }
-                    let total: usize = run.counts.values().sum();
+                    let total: usize = run.counts.iter().map(|&(_, c)| c).sum();
                     let outcome = if killed || total == 0 {
                         // A kill fault, or every batch lost: nothing to
                         // post-process.
                         None
                     } else {
-                        let raw: BTreeMap<Label, f64> = run
+                        let raw: Vec<(Label, f64)> = run
                             .counts
                             .into_iter()
                             .map(|(l, c)| (l, c as f64 / total as f64))
                             .collect();
-                        if cfg.purify {
-                            purify_distribution(problem, &raw)
-                        } else {
-                            let rate = crate::metrics::in_constraints_rate(problem, &raw);
-                            Some((raw, rate))
+                        match (ctx.closed, cfg.purify) {
+                            // Every label is feasible by construction:
+                            // purification keeps all of the mass (rate
+                            // `kept / kept`) and renormalizes by it.
+                            (true, true) => renormalize(raw).map(|(next, _)| (next, 1.0)),
+                            (true, false) => Some((raw, 1.0)),
+                            (false, true) => purify_distribution(problem, raw),
+                            (false, false) => {
+                                let rate = pairs_in_constraints_rate(problem, raw.iter().copied());
+                                Some((raw, rate))
+                            }
                         }
                     };
 
@@ -1271,7 +1307,7 @@ fn execute(
     }
 
     Ok(Execution {
-        distribution: dist,
+        distribution: dist.into_iter().collect(),
         raw_in_constraints_rate: raw_rate,
         quantum_s,
         retry_s,
@@ -1287,23 +1323,22 @@ fn propagate_exact(
     n_vars: usize,
     program: &SegmentProgram,
     times: &[f64],
-    dist: &BTreeMap<Label, f64>,
+    dist: &[(Label, f64)],
     threads: usize,
-) -> BTreeMap<Label, f64> {
+) -> Vec<(Label, f64)> {
     let consts = mixing_constants(program, times);
-    let inputs: Vec<(Label, f64)> = dist.iter().map(|(&l, &p)| (l, p)).collect();
-    let locals = par_map(&inputs, threads, |_, &(label, _)| {
+    let locals = par_map(dist, threads, |_, &(label, _)| {
         let mut state = SparseState::basis_state(n_vars, label);
         evolve(&mut state, program, &consts);
         state.distribution()
     });
     let mut next: BTreeMap<Label, f64> = BTreeMap::new();
-    for ((_, p), local) in inputs.iter().zip(locals) {
+    for ((_, p), local) in dist.iter().zip(locals) {
         for (l, q) in local {
             *next.entry(l).or_insert(0.0) += p * q;
         }
     }
-    next
+    next.into_iter().collect()
 }
 
 /// Domain tag separating retry RNG sub-seeds from every other stream
@@ -1333,7 +1368,8 @@ struct AttemptKey {
 
 /// What one sampled attempt of a segment produced and cost.
 struct SegmentRun {
-    counts: BTreeMap<Label, usize>,
+    /// Counts per measured label, in ascending label order.
+    counts: Vec<(Label, usize)>,
     /// The advanced stream counter (meaningful only for attempt 0).
     next_stream: u64,
     shots: usize,
@@ -1365,7 +1401,7 @@ fn run_segment_shots(
         ..
     } = key;
     let mut run = SegmentRun {
-        counts: BTreeMap::new(),
+        counts: Vec::new(),
         next_stream: key.first_stream,
         shots: 0,
         quantum_s: 0.0,
@@ -1464,9 +1500,20 @@ fn run_segment_shots(
             let mut sampler = PreparedSampler::default();
             let mut pairs: Vec<(Label, usize)> = Vec::new();
             for &(input, share, stream) in &batches[slab.clone()] {
-                let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
                 state.reset(input);
                 evolve(&mut state, program, &consts);
+                // A one-label support takes every shot: the sampler
+                // would clamp each draw to its only entry. Without a
+                // burst to re-measure them, no draw is needed, and the
+                // batch's stream is its own, so skipping it moves no
+                // other batch's draws.
+                if burst.is_none() {
+                    if let Some(label) = state.sole_label() {
+                        pairs.push((label, share));
+                        continue;
+                    }
+                }
+                let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
                 sampler.prepare(&state);
                 match burst {
                     Some(rate) => {
@@ -1488,10 +1535,11 @@ fn run_segment_shots(
     run
 }
 
-/// Sums `(label, count)` pairs into one count per label. Sorting a flat
-/// vector once replaces a map insert per pair; the sums are integers,
-/// so the order of equal labels cannot matter.
-fn fold_counts(mut pairs: Vec<(Label, usize)>) -> BTreeMap<Label, usize> {
+/// Sums `(label, count)` pairs into one count per label, in ascending
+/// label order. Sorting a flat vector once replaces a map insert per
+/// pair; the sums are integers, so the order of equal labels cannot
+/// matter.
+fn fold_counts(mut pairs: Vec<(Label, usize)>) -> Vec<(Label, usize)> {
     pairs.sort_unstable_by_key(|&(label, _)| label);
     pairs.dedup_by(|next, kept| {
         let same = next.0 == kept.0;
@@ -1500,7 +1548,7 @@ fn fold_counts(mut pairs: Vec<(Label, usize)>) -> BTreeMap<Label, usize> {
         }
         same
     });
-    pairs.into_iter().collect()
+    pairs
 }
 
 /// Evaluates each operator's Eq. 6 mixing constants `(cos t, −i·sin t)`
@@ -1753,9 +1801,12 @@ mod tests {
     fn reference_exact_propagation_matches_compiled() {
         for_each_reference_segment(|label, problem, program, ops, times, dist| {
             let n = problem.n_vars();
-            let want = reference_propagate(n, ops, times, dist);
+            let want: Vec<(Label, f64)> = reference_propagate(n, ops, times, dist)
+                .into_iter()
+                .collect();
+            let dist: Vec<(Label, f64)> = dist.iter().map(|(&l, &p)| (l, p)).collect();
             for threads in [1, 4] {
-                let got = propagate_exact(n, program, times, dist, threads);
+                let got = propagate_exact(n, program, times, &dist, threads);
                 assert_eq!(got, want, "{label}, {threads} threads");
             }
         });
@@ -1793,6 +1844,10 @@ mod tests {
     fn reference_segment_runs_match_compiled() {
         let regimes = std::iter::once(("noise-free sampled", NoiseModel::noise_free()))
             .chain(noisy_regimes());
+        // Noise-free batches whose evolved support is one label: the
+        // runner takes their shots without drawing, so the oracle's
+        // draws must cover some of them.
+        let mut one_label_batches = 0usize;
         for (regime, noise) in regimes {
             for_each_reference_segment(|label, problem, program, ops, times, dist| {
                 let inputs: Vec<Label> = dist.keys().copied().collect();
@@ -1800,6 +1855,17 @@ mod tests {
                 let shares = apportion_shots(&probs, 160);
                 let batches: Vec<(Label, usize)> =
                     inputs.iter().copied().zip(shares.iter().copied()).collect();
+                if !noise.is_noisy() {
+                    one_label_batches += batches
+                        .iter()
+                        .filter(|&&(input, share)| {
+                            share > 0
+                                && reference_exact(problem.n_vars(), input, ops, times)
+                                    .support_size()
+                                    == 1
+                        })
+                        .count();
+                }
                 let key = AttemptKey {
                     seed: 0xBA7C,
                     first_stream: 17,
@@ -1808,6 +1874,7 @@ mod tests {
                 };
                 let (want, want_next) =
                     reference_segment_counts(problem.n_vars(), ops, times, &noise, &batches, key);
+                let want: Vec<(Label, usize)> = want.into_iter().collect();
                 for threads in [1, 4] {
                     let cfg = RasenganConfig::default()
                         .with_noise(noise)
@@ -1820,6 +1887,173 @@ mod tests {
                 }
             });
         }
+        assert!(
+            one_label_batches > 0,
+            "no noise-free batch had a one-label support"
+        );
+    }
+
+    /// Every registry instance and the Fig. 10 FLP shapes the
+    /// benchmark samples, compiled under the default config.
+    fn closed_cases() -> Vec<(Problem, Prepared)> {
+        use rasengan_problems::flp::FacilityLocation;
+        let registry = rasengan_problems::registry::all_ids()
+            .into_iter()
+            .map(benchmark);
+        let flp = [(4, 4), (5, 4), (4, 6)]
+            .into_iter()
+            .map(|(f, d)| FacilityLocation::generate(f, d, 2025).into_problem());
+        registry
+            .chain(flp)
+            .map(|problem| {
+                let prepared = Rasengan::new(RasenganConfig::default())
+                    .prepare(&problem)
+                    .unwrap();
+                (problem, prepared)
+            })
+            .collect()
+    }
+
+    fn exec_ctx(stream_seed: u64, closed: bool) -> ExecContext {
+        ExecContext {
+            stage: Stage::Train,
+            stream_seed,
+            deadline: None,
+            shots_before: 0,
+            closed,
+        }
+    }
+
+    #[test]
+    fn closed_execution_matches_checked_execution() {
+        // The byte-identity oracle of the noise-free fast path: skipping
+        // the per-label check and the draws of one-label batches must
+        // reproduce the checked execution exactly.
+        for (i, (problem, prepared)) in closed_cases().into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xC105 + i as u64);
+            let times: Vec<f64> = (0..prepared.stats.n_params)
+                .map(|_| rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI))
+                .collect();
+            for threads in [1, 4] {
+                for purify in [true, false] {
+                    let cfg = RasenganConfig {
+                        purify,
+                        ..RasenganConfig::default()
+                            .with_shots(512)
+                            .with_threads(threads)
+                    };
+                    assert!(proves_closure(&problem, &prepared, &cfg));
+                    let run = |closed| {
+                        let ctx = exec_ctx(derive_seed(7, i as u64), closed);
+                        execute(
+                            &problem,
+                            &prepared,
+                            &times,
+                            &cfg,
+                            &ctx,
+                            &mut Vec::new(),
+                            None,
+                        )
+                        .unwrap()
+                    };
+                    let checked = run(false);
+                    assert_eq!(checked.raw_in_constraints_rate, 1.0);
+                    assert_eq!(
+                        run(true),
+                        checked,
+                        "{}, {threads} threads, purify {purify}",
+                        problem.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_proof_holds_only_for_noise_free_sampling() {
+        let sampled = RasenganConfig::default().with_shots(64);
+        for (problem, prepared) in closed_cases() {
+            let name = problem.name();
+            assert!(proves_closure(&problem, &prepared, &sampled), "{name}");
+            let exact = RasenganConfig::default();
+            assert!(!proves_closure(&problem, &prepared, &exact), "{name}");
+            let noisy = sampled.clone().with_noise(NoiseModel::depolarizing(1e-3));
+            assert!(!proves_closure(&problem, &prepared, &noisy), "{name}");
+            let faulted = sampled
+                .clone()
+                .with_fault_plan(FaultPlan::new(1).with_shot_loss(0.1));
+            assert!(!proves_closure(&problem, &prepared, &faulted), "{name}");
+        }
+    }
+
+    #[test]
+    fn closed_proof_rejects_an_infeasible_seed() {
+        let cfg = RasenganConfig::default().with_shots(64);
+        for (problem, mut prepared) in closed_cases() {
+            let infeasible = (0..problem.n_vars())
+                .map(|bit| prepared.seed_label ^ 1 << bit)
+                .find(|&l| !problem.is_feasible_label(l))
+                .unwrap();
+            prepared.seed_label = infeasible;
+            assert!(
+                !proves_closure(&problem, &prepared, &cfg),
+                "{}",
+                problem.name()
+            );
+        }
+    }
+
+    #[test]
+    fn closed_proof_rejects_moves_of_another_problem() {
+        use rasengan_math::IntMatrix;
+        use rasengan_problems::{Objective, Sense};
+        // Two one-hot pairs, and the same variables with `x3` unbound:
+        // the seed 0b0101 is feasible for both, but the compiled move
+        // (0, 0, 1, −1) has `Cu ≠ 0` for the second problem.
+        let problem = |rows: &[Vec<i64>]| {
+            Problem::new(
+                "pairs",
+                IntMatrix::from_rows(rows),
+                vec![1, 1],
+                Objective::linear(vec![1.0, 2.0, 3.0, 4.0]),
+                Sense::Minimize,
+            )
+            .unwrap()
+            .with_initial_feasible(vec![1, 0, 1, 0])
+            .unwrap()
+        };
+        let own = problem(&[vec![1, 1, 0, 0], vec![0, 0, 1, 1]]);
+        let other = problem(&[vec![1, 1, 0, 0], vec![0, 0, 1, 0]]);
+        let cfg = RasenganConfig::default()
+            .with_seed(3)
+            .with_shots(256)
+            .with_max_iterations(10);
+        let prepared = Rasengan::new(cfg.clone()).prepare(&own).unwrap();
+        assert!(proves_closure(&own, &prepared, &cfg));
+        assert!(!proves_closure(&other, &prepared, &cfg));
+
+        // The unproven solve keeps the per-label check: at π/4 half the
+        // mass leaves `other`'s feasible set, and purification drops it.
+        let times = vec![std::f64::consts::FRAC_PI_4; prepared.stats.n_params];
+        let exec = execute(
+            &other,
+            &prepared,
+            &times,
+            &cfg,
+            &exec_ctx(9, false),
+            &mut Vec::new(),
+            None,
+        )
+        .unwrap();
+        assert!(exec.raw_in_constraints_rate < 1.0);
+        let outcome = Rasengan::new(cfg)
+            .solve_prepared(&other, &prepared)
+            .unwrap();
+        assert_eq!(outcome.in_constraints_rate, 1.0);
+        assert!(outcome
+            .distribution
+            .keys()
+            .all(|&l| other.is_feasible_label(l)));
     }
 
     #[test]

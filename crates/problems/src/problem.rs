@@ -198,14 +198,20 @@ impl LabelRows {
     }
 
     fn satisfied_by(&self, label: u128) -> bool {
+        self.all_rows(|mask| (label & mask).count_ones() as i128, |b| b as i128)
+    }
+
+    /// Whether every row's `Σ coef · count(mask)`, summed exactly in
+    /// `i128`, equals `want(rhs)`.
+    fn all_rows(&self, count: impl Fn(u128) -> i128, want: impl Fn(i64) -> i128) -> bool {
         let mut start = 0;
         self.rows.iter().all(|&(end, b)| {
             let lhs: i128 = self.groups[start..end]
                 .iter()
-                .map(|&(coef, mask)| coef as i128 * (label & mask).count_ones() as i128)
+                .map(|&(coef, mask)| coef as i128 * count(mask))
                 .sum();
             start = end;
-            lhs == b as i128
+            lhs == want(b)
         })
     }
 }
@@ -337,6 +343,23 @@ impl Problem {
     /// compiled once per problem, summed exactly in `i128`.
     pub fn is_feasible_label(&self, label: u128) -> bool {
         self.label_rows.satisfied_by(label)
+    }
+
+    /// Whether the move `u` = `plus` − `minus` (bit `i` of `plus` is
+    /// `uᵢ = 1`, of `minus` `uᵢ = −1`; the masks are disjoint) stays
+    /// on the problem's variables and satisfies `C u = 0`, so it
+    /// carries every feasible label to a feasible label. Popcounts per
+    /// row over the masks [`Problem::is_feasible_label`] uses.
+    pub fn preserves_feasibility(&self, plus: u128, minus: u128) -> bool {
+        let outside = match self.n_vars() {
+            n if n >= 128 => 0,
+            n => u128::MAX << n,
+        };
+        (plus | minus) & outside == 0
+            && self.label_rows.all_rows(
+                |mask| (plus & mask).count_ones() as i128 - (minus & mask).count_ones() as i128,
+                |_| 0,
+            )
     }
 
     /// Total constraint violation `‖C x − b‖₁`.

@@ -1,6 +1,7 @@
 //! `Problem::is_feasible_label` against `Problem::is_feasible` on the
 //! unpacked bits: the two must agree on every `u128` label, with the
-//! bits at or above `n_vars` ignored.
+//! bits at or above `n_vars` ignored. `Problem::preserves_feasibility`
+//! against the dense product `C u = 0` on ternary moves.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,4 +155,79 @@ fn full_width_labels_agree() {
     });
     assert!(check(&p, x, 0));
     assert!(!check(&p, x ^ 1 << 127, 0));
+}
+
+/// Asserts `Problem::preserves_feasibility` agrees with the dense
+/// product `C u = 0` on the ternary move `u`; returns the verdict.
+fn check_move(p: &Problem, u: &[i64]) -> bool {
+    let plus = pack(&u.iter().map(|&v| (v == 1) as i64).collect::<Vec<_>>());
+    let minus = pack(&u.iter().map(|&v| (v == -1) as i64).collect::<Vec<_>>());
+    let want = p.constraints().mul_vec(u).iter().all(|&v| v == 0);
+    assert_eq!(
+        p.preserves_feasibility(plus, minus),
+        want,
+        "{}: move {u:?}",
+        p.name()
+    );
+    want
+}
+
+#[test]
+fn moves_agree_with_dense_products() {
+    // Every ternary move over the hand-built systems.
+    let big = 1i64 << 40;
+    let cases = [
+        problem(
+            "unit and double coefficients",
+            &[vec![1, -1, 2, -2, 1, 0, 0], vec![2, 2, 0, 1, -1, 1, 1]],
+            vec![1, 3],
+        ),
+        problem(
+            "2^40 coefficients",
+            &[
+                vec![big, -big, 1, 0, 0, -1],
+                vec![0, big, 0, big, -2 * big, 0],
+            ],
+            vec![0, 0],
+        ),
+        problem("one-hot", &[vec![1; 5]], vec![1]),
+    ];
+    for p in &cases {
+        let n = p.n_vars();
+        let mut verdicts = [0usize; 2];
+        for code in 0..3usize.pow(n as u32) {
+            let u: Vec<i64> = (0..n)
+                .map(|i| (code / 3usize.pow(i as u32) % 3) as i64 - 1)
+                .collect();
+            verdicts[check_move(p, &u) as usize] += 1;
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{}", p.name());
+    }
+
+    // Differences of feasible points (always in the kernel) and random
+    // sparse moves over the registry.
+    let mut rng = StdRng::seed_from_u64(0x3071);
+    for id in all_ids() {
+        let p = benchmark(id);
+        let n = p.n_vars();
+        let feasible = enumerate_feasible(&p);
+        for pair in feasible.windows(2).take(64) {
+            let u: Vec<i64> = pair[0].iter().zip(&pair[1]).map(|(a, b)| a - b).collect();
+            assert!(check_move(&p, &u), "{id}");
+        }
+        for _ in 0..256 {
+            let u: Vec<i64> = (0..n)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => 1,
+                    1 => -1,
+                    _ => 0,
+                })
+                .collect();
+            check_move(&p, &u);
+        }
+        // A move touching a column past the problem's variables is
+        // never proven.
+        assert!(!p.preserves_feasibility(1 << n, 0), "{id}");
+        assert!(!p.preserves_feasibility(0, 1 << n), "{id}");
+    }
 }

@@ -214,6 +214,15 @@ impl SparseState {
         self.amps.len()
     }
 
+    /// The only basis label in superposition, if the support is one
+    /// label.
+    pub fn sole_label(&self) -> Option<Label> {
+        match self.amps.len() {
+            1 => self.amps.keys().next().copied(),
+            _ => None,
+        }
+    }
+
     /// Amplitude of `|label⟩` (zero if absent).
     pub fn amplitude(&self, label: Label) -> Complex {
         self.amps.get(&label).copied().unwrap_or(Complex::ZERO)

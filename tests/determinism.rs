@@ -273,20 +273,36 @@ fn noise_free_sampled_labels_are_feasible_by_construction() {
     // The seed is feasible, every kept operator has `Cu = 0`, and a
     // partner move fires only where the label's bits allow it, so
     // without noise every sampled label satisfies the constraints
-    // before purification touches it.
+    // before purification touches it. Such solves skip the per-label
+    // check, so the returned labels are checked here, one by one.
+    use rasengan::problems::flp::FacilityLocation;
     let cfg = RasenganConfig::default()
         .with_seed(2025)
         .with_shots(256)
         .with_max_iterations(5);
-    for id in rasengan::problems::all_ids() {
+    let registry = rasengan::problems::all_ids()
+        .into_iter()
+        .map(|id| (id.to_string(), benchmark(id)));
+    // The Fig. 10 FLP shapes the benchmark samples.
+    let flp = [(4, 4), (5, 4), (4, 6)].into_iter().map(|(f, d)| {
+        let problem = FacilityLocation::generate(f, d, 2025).into_problem();
+        (format!("FLP ({f},{d})"), problem)
+    });
+    for (name, problem) in registry.chain(flp) {
         for threads in [1usize, 4] {
             let outcome = Rasengan::new(cfg.clone().with_threads(threads))
-                .solve(&benchmark(id))
-                .unwrap_or_else(|e| panic!("{id} at {threads} threads: {e}"));
+                .solve(&problem)
+                .unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
             assert_eq!(
                 outcome.raw_in_constraints_rate, 1.0,
-                "{id} at {threads} threads sampled an infeasible label"
+                "{name} at {threads} threads sampled an infeasible label"
             );
+            for &label in outcome.distribution.keys() {
+                assert!(
+                    problem.is_feasible_label(label),
+                    "{name} at {threads} threads returned infeasible label {label:#x}"
+                );
+            }
         }
     }
 }
