@@ -42,6 +42,7 @@
 pub mod hamiltonian;
 pub mod latency;
 pub mod metrics;
+mod objective;
 pub mod prune;
 pub mod purify;
 pub mod resilience;
