@@ -9,9 +9,8 @@
 //! climbs instead:
 //!
 //! 1. **Retry with escalation** — re-execute the failed segment up to
-//!    [`ResilienceConfig::retry_budget`] times, multiplying the shot
-//!    budget by [`ResilienceConfig::shot_escalation`] per attempt, each
-//!    attempt on a fresh RNG substream.
+//!    [`ResilienceConfig::retry_budget`] times, doubling the shot budget
+//!    per attempt, each attempt on a fresh RNG substream.
 //! 2. **Graceful degradation** — if retries are exhausted and
 //!    [`ResilienceConfig::degrade`] is set, fall back to the previous
 //!    segment's (feasible) output distribution and continue the chain,
@@ -28,23 +27,21 @@
 //! distinguishable from one that never saw any.
 //!
 //! All defaults are off (zero retries, no degradation, no budgets, no
-//! fault plan): a default-config solve is byte-identical to the
-//! pre-resilience solver for the same seed.
+//! fault plan). A ladder that is armed but never fires changes no result
+//! byte: attempt 0 of every segment draws from the execution's own stream
+//! counter, and retries draw from a tagged sub-seed that cannot collide
+//! with it.
 
 use rasengan_qsim::fault::{FaultKind, FaultPlan};
 
 /// Knobs of the recovery ladder. Carried by
-/// [`RasenganConfig::resilience`](crate::RasenganConfig).
-#[derive(Clone, Debug, PartialEq)]
+/// [`RasenganConfig::resilience`](crate::RasenganConfig). The default
+/// arms nothing.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResilienceConfig {
     /// Extra execution attempts per segment after the first fails to
     /// produce a feasible outcome (default 0: fail like the paper).
     pub retry_budget: usize,
-    /// Shot-budget multiplier per retry attempt: attempt `a` runs with
-    /// `shots × shot_escalation^a` (default 2.0). Builds on
-    /// [`RasenganConfig::final_segment_shot_boost`](crate::RasenganConfig),
-    /// which still applies to the last segment.
-    pub shot_escalation: f64,
     /// When retries are exhausted, keep the previous segment's feasible
     /// distribution (or the feasible seed, for segment 0) and continue
     /// the chain instead of aborting (default false).
@@ -65,26 +62,12 @@ pub struct ResilienceConfig {
     pub fault_plan: Option<FaultPlan>,
 }
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            retry_budget: 0,
-            shot_escalation: 2.0,
-            degrade: false,
-            max_stage_seconds: None,
-            max_total_shots: None,
-            fault_plan: None,
-        }
-    }
-}
-
 impl ResilienceConfig {
     /// The production posture: 2 retries with 2× shot escalation, then
     /// graceful degradation. No budgets, no faults.
     pub fn recommended() -> Self {
         ResilienceConfig {
             retry_budget: 2,
-            shot_escalation: 2.0,
             degrade: true,
             ..ResilienceConfig::default()
         }
@@ -94,21 +77,6 @@ impl ResilienceConfig {
     #[must_use]
     pub fn with_retry_budget(mut self, retries: usize) -> Self {
         self.retry_budget = retries;
-        self
-    }
-
-    /// Sets the per-retry shot escalation factor (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor ≥ 1` and finite.
-    #[must_use]
-    pub fn with_shot_escalation(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "shot escalation must be a finite factor ≥ 1"
-        );
-        self.shot_escalation = factor;
         self
     }
 
@@ -152,37 +120,30 @@ impl ResilienceConfig {
         self.fault_plan = Some(plan);
         self
     }
+}
 
-    /// Whether any recovery / injection machinery is armed.
-    pub fn is_armed(&self) -> bool {
-        self.retry_budget > 0
-            || self.degrade
-            || self.max_stage_seconds.is_some()
-            || self.max_total_shots.is_some()
-            || self.fault_plan.as_ref().is_some_and(FaultPlan::is_active)
+/// Shot-budget multiplier per retry attempt.
+const SHOT_ESCALATION: f64 = 2.0;
+
+/// The shot budget of retry `attempt` (0-based) of a segment whose base
+/// budget is `base`: `base × 2^attempt`. Attempt 0 is always exactly
+/// `base`.
+pub(crate) fn escalated_shots(base: usize, attempt: usize) -> usize {
+    if attempt == 0 {
+        return base;
     }
-
-    /// The shot budget for retry attempt `attempt` (0-based) given the
-    /// segment's base budget. Attempt 0 is always exactly `base`.
-    pub fn escalated_shots(&self, base: usize, attempt: usize) -> usize {
-        if attempt == 0 {
-            return base;
-        }
-        let scaled = base as f64 * self.shot_escalation.powi(attempt as i32);
-        // Saturate rather than overflow on absurd escalation ladders.
-        if scaled >= usize::MAX as f64 / 2.0 {
-            usize::MAX / 2
-        } else {
-            (scaled.round() as usize).max(base)
-        }
+    let scaled = base as f64 * SHOT_ESCALATION.powi(attempt as i32);
+    // Saturate rather than overflow: a request may ask for 64 retries.
+    if scaled >= usize::MAX as f64 / 2.0 {
+        usize::MAX / 2
+    } else {
+        scaled.round() as usize
     }
 }
 
 /// A pipeline stage, for budget accounting and error reporting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Compilation: basis, simplification, chain, segmentation.
-    Prepare,
     /// The variational training loop.
     Train,
     /// The final execution at the trained parameters.
@@ -192,7 +153,6 @@ pub enum Stage {
 impl std::fmt::Display for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Stage::Prepare => "prepare",
             Stage::Train => "train",
             Stage::Execute => "execute",
         })
@@ -282,8 +242,8 @@ pub enum ResilienceEvent {
 /// The audit trail of one solve's recovery ladder, attached to
 /// [`Outcome::resilience`](crate::Outcome).
 ///
-/// Empty (`is_clean`) for runs that never needed recovery — which is
-/// also the byte-identical-to-legacy case.
+/// Empty (`is_clean`) for runs that never needed recovery; such a run's
+/// result bytes do not depend on whether the ladder was armed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Every event, in occurrence order (training evaluations first,
@@ -368,7 +328,6 @@ mod tests {
     #[test]
     fn defaults_are_fully_disarmed() {
         let cfg = ResilienceConfig::default();
-        assert!(!cfg.is_armed());
         assert_eq!(cfg.retry_budget, 0);
         assert!(!cfg.degrade);
         assert!(cfg.fault_plan.is_none());
@@ -379,7 +338,6 @@ mod tests {
     #[test]
     fn recommended_posture_retries_then_degrades() {
         let cfg = ResilienceConfig::recommended();
-        assert!(cfg.is_armed());
         assert_eq!(cfg.retry_budget, 2);
         assert!(cfg.degrade);
         assert!(cfg.fault_plan.is_none());
@@ -387,25 +345,22 @@ mod tests {
 
     #[test]
     fn inert_fault_plan_does_not_arm() {
-        let cfg = ResilienceConfig::default().with_fault_plan(FaultPlan::new(1));
-        assert!(!cfg.is_armed(), "a no-fault plan must not arm resilience");
-        let armed =
-            ResilienceConfig::default().with_fault_plan(FaultPlan::new(1).kill_segment(0, 1));
-        assert!(armed.is_armed());
+        assert!(
+            !FaultPlan::new(1).is_active(),
+            "a no-fault plan must not arm resilience"
+        );
+        assert!(FaultPlan::new(1).kill_segment(0, 1).is_active());
     }
 
     #[test]
     fn escalation_ladder_doubles_and_saturates() {
-        let cfg = ResilienceConfig::recommended();
-        assert_eq!(cfg.escalated_shots(256, 0), 256);
-        assert_eq!(cfg.escalated_shots(256, 1), 512);
-        assert_eq!(cfg.escalated_shots(256, 2), 1024);
-        // Saturation instead of overflow.
-        let silly = ResilienceConfig::default().with_shot_escalation(1e6);
-        assert_eq!(silly.escalated_shots(usize::MAX / 4, 5), usize::MAX / 2);
-        // Escalation never shrinks the budget.
-        let unit = ResilienceConfig::default().with_shot_escalation(1.0);
-        assert_eq!(unit.escalated_shots(100, 3), 100);
+        assert_eq!(escalated_shots(256, 0), 256);
+        assert_eq!(escalated_shots(256, 1), 512);
+        assert_eq!(escalated_shots(256, 2), 1024);
+        // Saturation instead of overflow, also at the 64 retries a
+        // request may ask for.
+        assert_eq!(escalated_shots(usize::MAX / 4, 5), usize::MAX / 2);
+        assert_eq!(escalated_shots(1, 64), usize::MAX / 2);
     }
 
     #[test]

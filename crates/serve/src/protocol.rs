@@ -1129,7 +1129,7 @@ mod tests {
         let recommended = ResilienceConfig::recommended();
         assert_eq!(cfg.resilience.retry_budget, recommended.retry_budget);
         assert_eq!(cfg.resilience.degrade, recommended.degrade);
-        assert_eq!(cfg.resilience.shot_escalation, recommended.shot_escalation);
+        assert_eq!(cfg.resilience, recommended);
     }
 
     #[test]
