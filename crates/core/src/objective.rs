@@ -5,8 +5,8 @@
 //! per optimizer step, the final execution at the trained times runs
 //! [`Objective::execute_final`], and both charge one set of totals:
 //! shots, modeled quantum seconds, retry wall-clock and resilience
-//! events. [`Objective::outcome`] turns those totals into the solve's
-//! [`Outcome`].
+//! events. [`Objective::finish`] picks the solve's answer and turns it
+//! and those totals into the [`Outcome`].
 
 use crate::latency::{segment_execution_seconds, Latency};
 use crate::metrics::{
@@ -61,17 +61,17 @@ pub(crate) struct Objective<'a> {
     /// The training stage's wall-clock ceiling, counted from
     /// [`Objective::new`].
     train_deadline: Option<Instant>,
-    /// Whether the training stage's budget stop is already recorded.
-    train_budget_reported: bool,
+    /// The ceiling that stopped training, once one has tripped.
+    train_stop: Option<BudgetKind>,
     /// Modeled quantum seconds of every successful execution.
     pub(crate) quantum_s: f64,
     /// Wall-clock of the retry attempts of every successful execution.
     pub(crate) retry_s: f64,
     total_shots: usize,
     events: Vec<ResilienceEvent>,
-    /// The latest successful execution: what a budget-cut final
-    /// execution falls back to.
-    pub(crate) last_good: Option<Execution>,
+    /// The latest completed execution: the answer of a budget-cut
+    /// solve.
+    last_good: Option<Execution>,
 }
 
 impl<'a> Objective<'a> {
@@ -90,7 +90,7 @@ impl<'a> Objective<'a> {
             closed: proves_closure(problem, prepared, cfg),
             evaluations: 0,
             train_deadline: stage_deadline(&cfg.resilience),
-            train_budget_reported: false,
+            train_stop: None,
             quantum_s: 0.0,
             retry_s: 0.0,
             total_shots: 0,
@@ -101,26 +101,18 @@ impl<'a> Objective<'a> {
 
     /// The sense-adjusted expectation at `params`, to be minimized.
     /// Each evaluation executes under its own RNG stream derived from
-    /// the seed and the evaluation index. Once a training budget trips,
-    /// and for an evaluation that fails under noise, it returns
-    /// [`FAILURE_OBJECTIVE`] without spending quantum time.
+    /// the seed and the evaluation index. An evaluation that fails under
+    /// noise or is stopped by a budget returns [`FAILURE_OBJECTIVE`];
+    /// once a training budget trips, every later one returns it without
+    /// spending quantum time.
     pub(crate) fn evaluate(&mut self, params: &[f64]) -> f64 {
         let cfg = self.cfg;
         self.evaluations += 1;
         let stream_seed = derive_seed(cfg.seed, self.evaluations);
 
-        // Budget gate: once a ceiling trips, the remaining optimizer
-        // iterations drain without spending quantum time.
-        if let Some(kind) = budget_tripped(self.train_deadline, &cfg.resilience, self.total_shots) {
-            if !self.train_budget_reported {
-                self.train_budget_reported = true;
-                self.events.push(ResilienceEvent::BudgetExhausted {
-                    stage: Stage::Train,
-                    kind,
-                });
-            }
+        let Ok(()) = self.budget_stop(Stage::Train, self.train_deadline, 0) else {
             return FAILURE_OBJECTIVE;
-        }
+        };
 
         // Fault injection: corrupt optimizer parameters before
         // execution; the executor sanitizes rather than crashes. (For
@@ -154,10 +146,10 @@ impl<'a> Objective<'a> {
                     Sense::Maximize => -e,
                 }
             }
-            // A failed evaluation (noise destroyed feasibility) is
-            // charged a large *finite* penalty: infinities would poison
-            // the optimizer's linear interpolation into NaN parameter
-            // steps.
+            // A failed evaluation (noise destroyed feasibility, or a
+            // budget stopped it) is charged a large *finite* penalty:
+            // infinities would poison the optimizer's linear
+            // interpolation into NaN parameter steps.
             Err(_) => FAILURE_OBJECTIVE,
         }
     }
@@ -196,6 +188,8 @@ impl<'a> Objective<'a> {
     /// of every segment draws from the execution's stream counter and
     /// retries from a tagged sub-seed ([`retry_stream_seed`]), so
     /// neither retries nor their absence move any attempt-0 stream.
+    /// A budget that trips before a segment or a retry ends the
+    /// execution with [`RasenganError::BudgetExceeded`].
     ///
     /// When a recording `tracer` is supplied (the final execution of a
     /// traced solve), one `segment` span is opened per chain segment and
@@ -256,10 +250,8 @@ impl<'a> Objective<'a> {
         let mut next_stream = 0u64;
 
         let segments = prepared.plan.segments.iter().zip(&prepared.programs);
-        'segments: for (seg_idx, (range, program)) in segments.enumerate() {
-            if self.budget_stop(stage, deadline, shots_used)? {
-                break 'segments;
-            }
+        for (seg_idx, (range, program)) in segments.enumerate() {
+            self.budget_stop(stage, deadline, shots_used)?;
 
             let times = &params[range.clone()];
             let cx_depth = program.cx_depth();
@@ -297,8 +289,8 @@ impl<'a> Objective<'a> {
                     loop {
                         // Retries re-check the budgets: escalated shots
                         // must not blow through a hard ceiling.
-                        if attempt > 0 && self.budget_stop(stage, deadline, shots_used)? {
-                            break 'segments;
+                        if attempt > 0 {
+                            self.budget_stop(stage, deadline, shots_used)?;
                         }
                         let attempt_shots = escalated_shots(seg_shots, attempt);
                         let attempt_start = (attempt > 0).then(Instant::now);
@@ -423,40 +415,77 @@ impl<'a> Objective<'a> {
         })
     }
 
-    /// The budget gate of an execution, checked before each segment and
-    /// each retry. A tripped ceiling is recorded; then `Ok(true)` stops
-    /// the chain where it is when degradation is armed (every segment's
-    /// input is a feasible distribution, so stopping early costs
-    /// quality, never validity), and the error ends the execution
-    /// otherwise.
+    /// The solve's one budget gate, checked before each evaluation, each
+    /// segment and each retry, with `shots_used` the running execution's
+    /// uncharged shots. A tripped ceiling ends the execution with
+    /// [`RasenganError::BudgetExceeded`] and is recorded once per stage:
+    /// a stopped training stage stays stopped.
     fn budget_stop(
         &mut self,
         stage: Stage,
         deadline: Option<Instant>,
         shots_used: usize,
-    ) -> Result<bool, RasenganError> {
-        let resil = &self.cfg.resilience;
-        let Some(kind) = budget_tripped(deadline, resil, self.total_shots + shots_used) else {
-            return Ok(false);
+    ) -> Result<(), RasenganError> {
+        let kind = match self.train_stop.filter(|_| stage == Stage::Train) {
+            Some(kind) => kind,
+            None => {
+                let shots = self.total_shots + shots_used;
+                let Some(kind) = budget_tripped(deadline, &self.cfg.resilience, shots) else {
+                    return Ok(());
+                };
+                self.events
+                    .push(ResilienceEvent::BudgetExhausted { stage, kind });
+                if stage == Stage::Train {
+                    self.train_stop = Some(kind);
+                }
+                kind
+            }
         };
-        self.events
-            .push(ResilienceEvent::BudgetExhausted { stage, kind });
-        if resil.degrade {
-            Ok(true)
-        } else {
-            Err(RasenganError::BudgetExceeded {
-                stage,
-                kind,
-                partial: None,
-            })
-        }
+        Err(RasenganError::BudgetExceeded {
+            stage,
+            kind,
+            partial: None,
+        })
     }
 
-    /// The solve's [`Outcome`]: `exec`'s distribution (the final
-    /// execution's, or [`Objective::last_good`] when a budget cut it)
-    /// with everything the objective charged, the optimizer's result
-    /// and the stage timings.
-    pub(crate) fn outcome(
+    /// The solve's answer, given the final execution `final_exec`: its
+    /// outcome when it completed. After a budget stop the answer is the
+    /// latest completed execution, or the feasible seed when none
+    /// completed; degradation returns it as the `Ok` outcome, and
+    /// otherwise it rides in the error's `partial` (the seed never
+    /// does). Any other error is returned as it is.
+    pub(crate) fn finish(
+        mut self,
+        final_exec: Result<Execution, RasenganError>,
+        trained: OptimizeResult,
+        latency: Latency,
+        trace: Option<TraceTree>,
+    ) -> Result<Outcome, RasenganError> {
+        let (stage, kind) = match final_exec {
+            Ok(exec) => return Ok(self.outcome(exec, trained, latency, trace)),
+            Err(RasenganError::BudgetExceeded { stage, kind, .. }) => (stage, kind),
+            Err(e) => return Err(e),
+        };
+        let last_good = self.last_good.take();
+        if self.cfg.resilience.degrade {
+            let exec = last_good.unwrap_or_else(|| Execution {
+                distribution: BTreeMap::from([(self.prepared.seed_label, 1.0)]),
+                raw_in_constraints_rate: 1.0,
+            });
+            return Ok(self.outcome(exec, trained, latency, trace));
+        }
+        let partial = last_good.map(|exec| Box::new(self.outcome(exec, trained, latency, trace)));
+        Err(RasenganError::BudgetExceeded {
+            stage,
+            kind,
+            partial,
+        })
+    }
+
+    /// The solve's [`Outcome`]: `exec`'s distribution with everything
+    /// the objective charged, the optimizer's result and the stage
+    /// timings.
+    fn outcome(
         self,
         exec: Execution,
         trained: OptimizeResult,

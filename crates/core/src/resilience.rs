@@ -16,11 +16,13 @@
 //!    segment's (feasible) output distribution and continue the chain,
 //!    recording the event instead of aborting.
 //! 3. **Budgets** — optional per-stage wall-clock and total-shot
-//!    ceilings. Once tripped, the solver stops spending and returns the
-//!    best outcome it can still assemble (degrading the remaining
-//!    chain), or a structured
-//!    [`RasenganError::BudgetExceeded`](crate::RasenganError) when no
-//!    outcome exists yet.
+//!    ceilings. A tripped ceiling ends the execution it trips in, and a
+//!    stopped training stage runs no further execution. The solve's
+//!    answer is then the latest completed execution (the feasible seed
+//!    when none completed). With degradation armed it is the `Ok`
+//!    outcome; otherwise the solve fails with
+//!    [`RasenganError::BudgetExceeded`](crate::RasenganError), which
+//!    carries it as the partial outcome when an execution completed.
 //!
 //! Every recovery action lands in the [`ResilienceReport`] attached to
 //! the [`Outcome`](crate::Outcome), so a run that survived faults is
@@ -44,7 +46,10 @@ pub struct ResilienceConfig {
     pub retry_budget: usize,
     /// When retries are exhausted, keep the previous segment's feasible
     /// distribution (or the feasible seed, for segment 0) and continue
-    /// the chain instead of aborting (default false).
+    /// the chain instead of aborting (default false). After a budget
+    /// stop, return the solve's answer (the latest completed
+    /// execution, or the feasible seed) as the `Ok` outcome instead of
+    /// [`RasenganError::BudgetExceeded`](crate::RasenganError).
     pub degrade: bool,
     /// Wall-clock ceiling in seconds applied independently to the
     /// training stage and the final execution stage. `None` = no limit.

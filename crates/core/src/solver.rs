@@ -266,10 +266,10 @@ pub enum RasenganError {
     },
     /// The constraints fully determine the solution (nothing to search).
     FullyDetermined,
-    /// A configured stage budget (wall-clock or total shots) tripped
-    /// before a full outcome existed and degradation was disabled.
-    /// Carries the best partial outcome assembled so far, if any
-    /// training evaluation completed.
+    /// A configured stage budget (wall-clock or total shots) stopped the
+    /// solve and degradation was disabled. Carries the latest completed
+    /// execution's outcome as the partial, if any training evaluation
+    /// completed.
     BudgetExceeded {
         /// Stage in which the ceiling tripped.
         stage: Stage,
@@ -733,24 +733,7 @@ impl Rasengan {
                 retry_s: objective.retry_s,
             },
         };
-        let trace = tracer.finish();
-        match exec {
-            Ok(exec) => Ok(objective.outcome(exec, trained, latency, trace)),
-            // A budget killed the final execution. Package the best
-            // partial result — the latest successful training
-            // execution — so callers still get a usable answer.
-            Err(RasenganError::BudgetExceeded { stage, kind, .. }) => {
-                let partial = objective.last_good.take().map(|last_good| {
-                    Box::new(objective.outcome(last_good, trained, latency, trace))
-                });
-                Err(RasenganError::BudgetExceeded {
-                    stage,
-                    kind,
-                    partial,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        objective.finish(exec, trained, latency, tracer.finish())
     }
 }
 

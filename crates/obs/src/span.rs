@@ -196,7 +196,6 @@ struct Frame {
 pub struct Tracer {
     record: bool,
     frames: Vec<Frame>,
-    retry_s: f64,
 }
 
 impl Tracer {
@@ -209,7 +208,6 @@ impl Tracer {
                 span: None,
                 next_ordinal: 0,
             }],
-            retry_s: 0.0,
         }
     }
 
@@ -229,7 +227,6 @@ impl Tracer {
                 }),
                 next_ordinal: 0,
             }],
-            retry_s: 0.0,
         }
     }
 
@@ -313,18 +310,6 @@ impl Tracer {
             }
         }
         elapsed
-    }
-
-    /// Accumulates retry wall-clock outside the span tree (retries
-    /// happen inside both training and final execution; `StageTimes`
-    /// reports their total).
-    pub fn add_retry_seconds(&mut self, s: f64) {
-        self.retry_s += s;
-    }
-
-    /// Total retry seconds accumulated so far.
-    pub fn retry_seconds(&self) -> f64 {
-        self.retry_s
     }
 
     /// Finishes the trace: closes the root span and returns the tree

@@ -88,10 +88,17 @@ fn roundtrip(addr: impl ToSocketAddrs, request_text: &str) -> std::io::Result<Re
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(DEFAULT_TIMEOUT))?;
     stream.set_write_timeout(Some(DEFAULT_TIMEOUT))?;
-    stream.write_all(request_text.as_bytes())?;
-    stream.flush()?;
-    // Signal end-of-request; the server replies and closes, so the
-    // response is simply everything until EOF.
+    exchange(&mut stream, request_text.as_bytes())
+}
+
+/// Sends the last bytes `rest` of a request (possibly none), signals
+/// end-of-request with a write half-close and reads the reply: the
+/// server replies and closes, so the reply is everything until EOF.
+pub(crate) fn exchange(stream: &mut TcpStream, rest: &[u8]) -> std::io::Result<Reply> {
+    if !rest.is_empty() {
+        stream.write_all(rest)?;
+        stream.flush()?;
+    }
     let _ = stream.shutdown(Shutdown::Write);
     let mut body = String::new();
     stream.read_to_string(&mut body)?;
@@ -165,10 +172,7 @@ pub fn submit_trickled(
         stream.flush()?;
         std::thread::sleep(pace);
     }
-    let _ = stream.shutdown(Shutdown::Write);
-    let mut body = String::new();
-    stream.read_to_string(&mut body)?;
-    parse_response(&body)
+    exchange(&mut stream, &[])
 }
 
 /// A connection held deliberately mid-request: opened, fed a prefix of
@@ -228,14 +232,7 @@ impl HeldConnection {
     ///
     /// I/O errors talking to the server, or an unparseable response.
     pub fn finish(mut self, rest: &[u8]) -> std::io::Result<Reply> {
-        if !rest.is_empty() {
-            self.stream.write_all(rest)?;
-            self.stream.flush()?;
-        }
-        let _ = self.stream.shutdown(Shutdown::Write);
-        let mut body = String::new();
-        self.stream.read_to_string(&mut body)?;
-        parse_response(&body)
+        exchange(&mut self.stream, rest)
     }
 }
 

@@ -40,7 +40,6 @@
 //! itself (or the same peer twice) is harmless.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,6 +48,7 @@ use std::time::{Duration, Instant};
 use rasengan_obs::splitmix64;
 use rasengan_qsim::wire::fnv64;
 
+use crate::client::exchange;
 use crate::json::Json;
 use crate::protocol::{GossipMember, GossipMessage, GossipState, Reply, ReplyStatus};
 
@@ -559,12 +559,7 @@ impl Fabric {
             TcpStream::connect_timeout(&sock_addr, timeout.max(Duration::from_millis(200)))?;
         stream.set_read_timeout(Some(timeout.max(Duration::from_millis(200))))?;
         stream.set_write_timeout(Some(timeout.max(Duration::from_millis(200))))?;
-        stream.write_all(message.as_bytes())?;
-        stream.flush()?;
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let mut body = String::new();
-        stream.read_to_string(&mut body)?;
-        Reply::parse(&body).map_err(|m| std::io::Error::new(std::io::ErrorKind::InvalidData, m))
+        exchange(&mut stream, message.as_bytes())
     }
 
     /// Merges the pull half of a gossip exchange (the peer's `gossip`
@@ -756,12 +751,7 @@ impl Fabric {
         let mut stream = TcpStream::connect_timeout(&sock_addr, connect)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
-        stream.write_all(request_text.as_bytes())?;
-        stream.flush()?;
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let mut body = String::new();
-        stream.read_to_string(&mut body)?;
-        Reply::parse(&body).map_err(|m| std::io::Error::new(std::io::ErrorKind::InvalidData, m))
+        exchange(&mut stream, request_text.as_bytes())
     }
 }
 

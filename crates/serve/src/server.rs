@@ -94,10 +94,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue capacity; requests beyond it are shed.
     pub queue_capacity: usize,
-    /// Result cache capacity (finished solves).
-    pub result_cache_capacity: usize,
-    /// Compile cache capacity (prepared artifacts).
-    pub compile_cache_capacity: usize,
     /// Engine threads per solve; `None` defers to `RASENGAN_THREADS`.
     pub solver_threads: Option<usize>,
     /// Per-connection IO deadline, refreshed by every read or write
@@ -133,6 +129,13 @@ pub struct ServeConfig {
     pub fabric: Option<FabricConfig>,
 }
 
+/// Capacity of the result cache (finished solves), and of the cache of
+/// results fetched from fabric peers.
+const RESULT_CACHE_CAPACITY: usize = 256;
+
+/// Capacity of the compile cache (prepared artifacts).
+const COMPILE_CACHE_CAPACITY: usize = 64;
+
 /// Whether the epoll reactor front end can run on this target (the
 /// raw-syscall shim in [`crate::sys`] is Linux x86_64/aarch64 only).
 pub const EVENT_LOOP_SUPPORTED: bool = cfg!(all(
@@ -146,8 +149,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_capacity: 64,
-            result_cache_capacity: 256,
-            compile_cache_capacity: 64,
             solver_threads: None,
             io_timeout: Duration::from_secs(30),
             trace_all: false,
@@ -176,13 +177,6 @@ impl ServeConfig {
     /// Sets the admission queue capacity.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets both cache capacities.
-    pub fn with_cache_capacities(mut self, results: usize, compiles: usize) -> Self {
-        self.result_cache_capacity = results;
-        self.compile_cache_capacity = compiles;
         self
     }
 
@@ -505,9 +499,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         readable_events: AtomicU64::new(0),
         writable_stalls: AtomicU64::new(0),
         loop_iterations: AtomicU64::new(0),
-        results: ShardedLru::new(config.result_cache_capacity, 8),
-        compiles: ShardedLru::new(config.compile_cache_capacity, 4),
-        remote: ShardedLru::new(config.result_cache_capacity, 8),
+        results: ShardedLru::new(RESULT_CACHE_CAPACITY, 8),
+        compiles: ShardedLru::new(COMPILE_CACHE_CAPACITY, 4),
+        remote: ShardedLru::new(RESULT_CACHE_CAPACITY, 8),
         fabric: fabric.clone(),
         persist,
         registry,

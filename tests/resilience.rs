@@ -263,6 +263,9 @@ fn shot_budget_aborts_without_degradation() {
 
 #[test]
 fn shot_budget_with_degradation_truncates_the_chain() {
+    // The ceiling stops the first training execution and the final one
+    // before either completes; degradation turns the stop into an
+    // outcome, the feasible seed.
     let outcome = Rasengan::new(
         noisy_cfg(18).with_resilience(
             ResilienceConfig::default()
@@ -271,7 +274,7 @@ fn shot_budget_with_degradation_truncates_the_chain() {
         ),
     )
     .solve(&f1())
-    .expect("degradation must turn a tripped budget into a truncated chain");
+    .expect("degradation must turn a tripped budget into a feasible outcome");
     assert!(outcome.best.feasible);
     assert!(outcome.resilience.budget_exhaustions() > 0);
     assert!(outcome.total_shots <= 100 + 128 * 4, "runaway shot spend");
@@ -297,6 +300,71 @@ fn tripped_final_execution_returns_partial_outcome() {
             assert!(!partial.resilience.is_clean());
         }
         other => panic!("expected BudgetExceeded, got {other}"),
+    }
+}
+
+/// A noise-free sampled solve whose 2000-shot ceiling trips in
+/// training, after some evaluations have completed.
+fn budget_cut_cfg(degrade: bool) -> RasenganConfig {
+    let resilience = ResilienceConfig::default().with_total_shots(2000);
+    RasenganConfig::default()
+        .with_seed(7)
+        .with_shots(128)
+        .with_max_iterations(10)
+        .with_resilience(if degrade {
+            resilience.with_degradation()
+        } else {
+            resilience
+        })
+}
+
+/// The partial outcome of a budget-cut solve without degradation.
+fn budget_cut_partial(id: &str) -> rasengan::core::Outcome {
+    let p = benchmark(BenchmarkId::parse(id).unwrap());
+    match Rasengan::new(budget_cut_cfg(false)).solve(&p) {
+        Err(RasenganError::BudgetExceeded {
+            stage: Stage::Execute,
+            partial: Some(partial),
+            ..
+        }) => *partial,
+        other => panic!("{id}: expected an execute-stage BudgetExceeded, got {other:?}"),
+    }
+}
+
+#[test]
+fn tripped_budget_is_recorded_once_per_stage() {
+    // The training execution that trips the ceiling ends training; the
+    // final execution trips it again. Nothing else records a stop.
+    for id in ["F1", "S1"] {
+        let partial = budget_cut_partial(id);
+        let stops: Vec<Stage> = partial
+            .resilience
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                ResilienceEvent::BudgetExhausted { stage, .. } => Some(*stage),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stops, [Stage::Train, Stage::Execute], "{id}");
+        assert_eq!(partial.resilience.budget_exhaustions(), 2, "{id}");
+    }
+}
+
+#[test]
+fn degraded_budget_stop_returns_the_undegraded_partial() {
+    // Degradation decides only whether a budget-cut solve is `Ok`; the
+    // answer is the latest completed execution either way.
+    for id in ["F1", "S1"] {
+        let partial = budget_cut_partial(id);
+        let p = benchmark(BenchmarkId::parse(id).unwrap());
+        let outcome = Rasengan::new(budget_cut_cfg(true))
+            .solve(&p)
+            .expect("degradation turns a budget stop into an outcome");
+        assert_eq!(outcome.distribution, partial.distribution, "{id}");
+        assert_eq!(outcome.arg, partial.arg, "{id}");
+        assert_eq!(outcome.trained_times, partial.trained_times, "{id}");
+        assert_eq!(outcome.resilience.budget_exhaustions(), 2, "{id}");
     }
 }
 
