@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the kernels the paper's figures depend
 //! on: transition application (sparse vs dense — the DESIGN.md ablation
 //! of the simulation backend), exact nullspace computation, Hamiltonian
-//! simplification, chain construction with pruning, purification, and
-//! shot apportionment.
+//! simplification, chain construction with pruning, purification, shot
+//! apportionment, and the noisy trajectories' per-CX noise slots.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rasengan_core::prune::{build_chain, ChainConfig};
@@ -195,6 +195,53 @@ fn bench_sampling(c: &mut Criterion) {
     group.finish();
 }
 
+/// One transition operator's per-CX noise-slot loop under IBM Kyiv
+/// noise, on the flat trajectory buffer the noisy solver runs each shot
+/// on: weight-2 and weight-3 operators (68 and 102 slots, 34 per
+/// qubit) on states of one label and of two (the operator's pair at
+/// t = π/4).
+fn bench_noise_slots(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rasengan_qsim::noise::TrajectoryState;
+    use rasengan_qsim::{Complex, Device};
+
+    let noise = Device::ibm_kyiv().noise;
+    let n = 8;
+    let mut group = c.benchmark_group("noise_slots");
+    for u in [&[1i64, -1][..], &[1, -1, 1][..]] {
+        let mut full = vec![0i64; n];
+        full[..u.len()].copy_from_slice(u);
+        let tr = Transition::from_u(&full);
+        let support: Vec<usize> = (0..u.len()).collect();
+        let slots = 34 * u.len();
+        // Minus positions set, plus positions clear: a label with a partner.
+        let input = u
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v == -1)
+            .fold(0u128, |l, (q, _)| l | 1 << q);
+        let t = std::f64::consts::FRAC_PI_4;
+        let (cos, misin) = (Complex::from(t.cos()), Complex::new(0.0, -t.sin()));
+        for labels in [1, 2] {
+            let id = BenchmarkId::new(format!("kyiv_w{}", u.len()), format!("{labels}_labels"));
+            group.bench_function(id, |b| {
+                let mut rng = StdRng::seed_from_u64(4);
+                let mut state = TrajectoryState::new(n);
+                b.iter(|| {
+                    state.reset(input);
+                    if labels == 2 {
+                        state.apply_transition_with(&tr, cos, misin);
+                    }
+                    state.noise_slots(&support, slots, noise.p2, &noise, &mut rng);
+                    black_box(state.sample_one(&mut rng))
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Largest-remainder shot apportionment.
 fn bench_apportion(c: &mut Criterion) {
     let probs: Vec<f64> = (1..=256).map(|i| 1.0 / i as f64).collect();
@@ -215,5 +262,6 @@ criterion_group! {
         bench_purification,
         bench_sampling,
         bench_apportion,
+        bench_noise_slots,
 }
 criterion_main!(kernels);

@@ -394,7 +394,9 @@ pub struct Outcome {
     pub history: Vec<f64>,
     /// Total objective evaluations (circuit batches) executed.
     pub evaluations: usize,
-    /// Total shots consumed across all segments and iterations.
+    /// Total shots consumed across all segments and iterations, those
+    /// of budget-cut executions included; an execution that ends in
+    /// [`RasenganError::NoFeasibleOutput`] is not counted.
     pub total_shots: usize,
     /// The trained evolution times (reusable as a warm start for
     /// sibling cases via [`RasenganConfig::with_initial_times`]).

@@ -148,7 +148,7 @@ pub struct SparseState {
 }
 
 /// Amplitudes below this magnitude are dropped during compaction.
-const PRUNE_EPS: f64 = 1e-14;
+pub(crate) const PRUNE_EPS: f64 = 1e-14;
 
 impl SparseState {
     /// Creates the basis state `|label⟩`.
@@ -552,6 +552,21 @@ impl PreparedSampler {
         self.entries
             .extend(state.amps.iter().map(|(&l, a)| (l, a.norm_sqr())));
         self.entries.sort_unstable_by_key(|&(l, _)| l);
+        self.accumulate();
+    }
+
+    /// [`Self::prepare`] for a support given as `(label, amplitude)` in
+    /// ascending label order, so nothing is sorted.
+    pub(crate) fn prepare_sorted(&mut self, support: impl Iterator<Item = (Label, Complex)>) {
+        self.entries.clear();
+        self.entries.extend(support.map(|(l, a)| (l, a.norm_sqr())));
+        debug_assert!(self.entries.windows(2).all(|w| w[0].0 < w[1].0));
+        self.accumulate();
+    }
+
+    /// Turns the sorted `(label, probability)` entries into cumulative
+    /// masses, recording the total and the last supported index.
+    fn accumulate(&mut self) {
         let mut acc = 0.0f64;
         self.last_support = 0;
         for (i, (_, p)) in self.entries.iter_mut().enumerate() {

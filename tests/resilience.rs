@@ -369,6 +369,43 @@ fn degraded_budget_stop_returns_the_undegraded_partial() {
 }
 
 #[test]
+fn budget_cut_execution_charges_the_shots_it_ran() {
+    // A 100-shot ceiling lets the first training execution run one
+    // 128-shot segment before it trips. Those shots are charged, so the
+    // charged total already stands at the ceiling when the final
+    // execution starts, and it stops before its first segment.
+    for id in ["F1", "S1"] {
+        let p = benchmark(BenchmarkId::parse(id).unwrap());
+        let cfg = RasenganConfig::default()
+            .with_seed(7)
+            .with_shots(128)
+            .with_max_iterations(10)
+            .with_resilience(
+                ResilienceConfig::default()
+                    .with_total_shots(100)
+                    .with_degradation(),
+            )
+            .with_trace(true);
+        let outcome = Rasengan::new(cfg)
+            .solve(&p)
+            .expect("degradation turns a budget stop into an outcome");
+        assert_eq!(outcome.total_shots, 128, "{id}");
+        assert!(outcome.latency.quantum_s > 0.0, "{id}");
+        let tree = outcome.trace.expect("traced solve carries a tree");
+        let execute = tree
+            .root
+            .children
+            .iter()
+            .find(|c| c.label == "execute")
+            .expect("execute stage span");
+        assert!(
+            execute.children.iter().all(|c| c.label != "segment"),
+            "{id}: the final execution ran a segment"
+        );
+    }
+}
+
+#[test]
 fn heavy_noise_abort_becomes_completion_with_resilience() {
     // Acceptance scenario: the exact configuration that
     // `heavy_noise_failure_mode_is_reported` (end_to_end.rs) shows
