@@ -185,6 +185,53 @@ fn golden_sampled_result_digests() {
 }
 
 #[test]
+fn golden_chocoq_noisy_digests() {
+    // Pin the absolute bytes of Choco-Q's noisy trajectories: the
+    // distribution (label and probability bits) and the expectation
+    // bits. Kyiv noise runs Pauli-only mixer slots over the feasible
+    // set; the heavy-damping model also damps the preparation column.
+    use rasengan::qsim::wire::{fnv64, WireWriter};
+
+    let heavy = NoiseModel::ibm_like(4e-4, 1.2e-2, 0.02)
+        .with_amplitude_damping(5e-2)
+        .with_phase_damping(3e-2);
+    let digests: Vec<String> = ["F2", "J1"]
+        .into_iter()
+        .flat_map(|id| {
+            let problem = benchmark(BenchmarkId::parse(id).unwrap());
+            let cfg = BaselineConfig::default()
+                .with_seed(5)
+                .with_shots(256)
+                .with_max_iterations(12)
+                .with_layers(2);
+            [
+                cfg.clone().on_device(Device::ibm_kyiv()),
+                cfg.with_noise(heavy),
+            ]
+            .map(|cfg| {
+                let out = ChocoQ::new(cfg).solve(&problem).unwrap();
+                let mut w = WireWriter::new();
+                for (&label, &p) in &out.distribution {
+                    w.u128(label);
+                    w.f64(p);
+                }
+                w.f64(out.expectation);
+                format!("{:#018x}", fnv64(&w.into_bytes()))
+            })
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            "0x14765c17ab04ec5c",
+            "0x66f31dbad1f3c1d3",
+            "0x5d173228089603db",
+            "0xd32114196d07c60b"
+        ]
+    );
+}
+
+#[test]
 fn noisy_solve_identical_at_any_thread_count() {
     // The execution engine derives one RNG stream per global shot index,
     // so the trajectory ensemble — and therefore every downstream number
