@@ -25,9 +25,7 @@ use rasengan_core::segment::SegmentProgram;
 use rasengan_math::basis::TernaryBasisError;
 use rasengan_optim::{Cobyla, Optimizer};
 use rasengan_problems::{optimum, Problem, Sense};
-use rasengan_qsim::noise::{
-    apply_gate_noise_sparse_fused, apply_readout_error, run_noise_slots_sparse,
-};
+use rasengan_qsim::noise::{apply_readout_error, TrajectoryState};
 use rasengan_qsim::sparse::{bits_from_label, label_from_bits};
 use rasengan_qsim::{Complex, Label, NoiseModel, SparseState};
 use std::collections::{BTreeMap, HashMap};
@@ -150,17 +148,21 @@ impl ChocoQ {
 /// as a [`SegmentProgram`] (precomputed masks, supports, CX costs),
 /// per-layer mixing constants evaluated once, and memo caches reusing
 /// objective evaluations and `cis` phases across all trajectories of
-/// the evaluation. Every floating-point value it feeds the state is
-/// identical to what a gate-by-gate replay of the circuit computes, so
-/// the two agree bit for bit per shot (the `reference_*` tests below).
+/// the evaluation. The exact and noise-free sampled paths evolve a
+/// [`SparseState`]; noisy shots run on one [`TrajectoryState`] that
+/// every shot of the evaluation resets and reuses, the noisy state
+/// Rasengan's segments run on. Every floating-point value it feeds the
+/// state is identical to what a gate-by-gate replay of the circuit
+/// computes, so the two agree bit for bit per shot (the `reference_*`
+/// tests below).
 struct CompiledEval<'a> {
     problem: &'a Problem,
     n: usize,
     program: SegmentProgram,
     /// `(γ, cos β, −i·sin β)` per layer.
     layers: Vec<(f64, Complex, Complex)>,
-    /// Qubits of the state-preparation X column.
-    prep: Vec<usize>,
+    /// The feasible seed every shot starts from (prepared by an X column).
+    seed_label: Label,
     /// `f(label)` memo, shared by all layers and shots.
     obj_cache: HashMap<Label, f64>,
     /// `e^{-iγ·f(label)}` memo per layer (γ differs per layer).
@@ -192,31 +194,31 @@ impl<'a> CompiledEval<'a> {
             program: SegmentProgram::compile(hams),
             phase_cache: vec![HashMap::new(); layers.len()],
             layers,
-            prep: (0..n).filter(|&q| seed_label >> q & 1 == 1).collect(),
+            seed_label,
             obj_cache: HashMap::new(),
         }
     }
 
-    /// The objective layer `e^{-iγ f(x)}`, with both the objective
-    /// polynomial and the `cis` evaluation memoized per label.
-    fn apply_objective_layer(&mut self, state: &mut SparseState, layer: usize) {
+    /// The objective layer's factor `e^{-iγ f(x)}` per label, with both
+    /// the objective polynomial and the `cis` evaluation memoized.
+    fn objective_phase(&mut self, layer: usize) -> impl FnMut(Label) -> Complex + '_ {
         let (gamma, _, _) = self.layers[layer];
         let (problem, n) = (self.problem, self.n);
         let obj_cache = &mut self.obj_cache;
         let phase_cache = &mut self.phase_cache[layer];
-        state.apply_diagonal_phase_with(|l| {
+        move |l| {
             *phase_cache.entry(l).or_insert_with(|| {
                 let f = *obj_cache
                     .entry(l)
                     .or_insert_with(|| problem.evaluate(&bits_from_label(l, n)));
                 Complex::cis(-gamma * f)
             })
-        });
+        }
     }
 
     fn evolve_exact(&mut self, state: &mut SparseState) {
         for layer in 0..self.layers.len() {
-            self.apply_objective_layer(state, layer);
+            state.apply_diagonal_phase_with(self.objective_phase(layer));
             let (_, cos, misin) = self.layers[layer];
             for ct in &self.program.ops {
                 state.apply_transition_with(&ct.transition, cos, misin);
@@ -224,8 +226,19 @@ impl<'a> CompiledEval<'a> {
         }
     }
 
-    fn evolve_noisy(&mut self, state: &mut SparseState, noise: &NoiseModel, rng: &mut StdRng) {
-        apply_gate_noise_sparse_fused(state, &self.prep, noise.p1, noise, rng);
+    /// One noisy shot on `state`, reset to the seed label, measured
+    /// through the trajectory's kept sampler (before readout error).
+    fn evolve_noisy(
+        &mut self,
+        state: &mut TrajectoryState,
+        noise: &NoiseModel,
+        rng: &mut StdRng,
+    ) -> Label {
+        let seed_label = self.seed_label;
+        state.reset(seed_label);
+        // State-preparation X column.
+        let prep = (0..self.n).filter(|&q| seed_label >> q & 1 == 1);
+        state.gate_noise(prep, noise.p1, noise, rng);
         let noise_free = NoiseModel::noise_free();
         let pauli_only = NoiseModel {
             amplitude_damping: 0.0,
@@ -233,12 +246,12 @@ impl<'a> CompiledEval<'a> {
             ..*noise
         };
         for layer in 0..self.layers.len() {
-            self.apply_objective_layer(state, layer);
+            state.apply_diagonal_phase_with(self.objective_phase(layer));
             // Objective Rzz noise: 2 CX per quadratic term.
             for &(a, b, _) in &self.problem.objective().quadratic {
                 for q in [a, b] {
                     if rng.gen::<f64>() < noise.p2 {
-                        apply_gate_noise_sparse_fused(state, &[q], 1.0, &noise_free, rng);
+                        state.gate_noise([q], 1.0, &noise_free, rng);
                     }
                 }
             }
@@ -247,9 +260,10 @@ impl<'a> CompiledEval<'a> {
             let (_, cos, misin) = self.layers[layer];
             for ct in &self.program.ops {
                 state.apply_transition_with(&ct.transition, cos, misin);
-                run_noise_slots_sparse(state, &ct.support, ct.cx_cost, noise.p2, &pauli_only, rng);
+                state.noise_slots(&ct.support, ct.cx_cost, noise.p2, &pauli_only, rng);
             }
         }
+        state.sample_one(rng)
     }
 }
 
@@ -281,10 +295,10 @@ fn run_chocoq(
         Some(budget) => {
             let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
             if noisy {
+                // One trajectory buffer serves every shot.
+                let mut state = TrajectoryState::new(n);
                 for _ in 0..budget {
-                    let mut state = SparseState::basis_state(n, seed_label);
-                    eval.evolve_noisy(&mut state, &cfg.noise, rng);
-                    let label = state.sample_one(rng);
+                    let label = eval.evolve_noisy(&mut state, &cfg.noise, rng);
                     let label = apply_readout_error(label, n, cfg.noise.readout, rng);
                     *counts.entry(label).or_insert(0) += 1;
                 }
@@ -479,15 +493,16 @@ mod tests {
             for (problem, hams, seed_label, params) in reference_cases() {
                 let n = problem.n_vars();
                 let mut eval = CompiledEval::new(&problem, &hams, seed_label, &params);
+                let mut flat = TrajectoryState::new(n);
                 for shot in 0..48u64 {
                     let mut rng = StdRng::seed_from_u64(0x5407 ^ shot);
-                    let mut state = SparseState::basis_state(n, seed_label);
-                    if noise.is_noisy() {
-                        eval.evolve_noisy(&mut state, &noise, &mut rng);
+                    let got = if noise.is_noisy() {
+                        eval.evolve_noisy(&mut flat, &noise, &mut rng)
                     } else {
+                        let mut state = SparseState::basis_state(n, seed_label);
                         eval.evolve_exact(&mut state);
-                    }
-                    let got = state.sample_one(&mut rng);
+                        state.sample_one(&mut rng)
+                    };
                     let mut rng = StdRng::seed_from_u64(0x5407 ^ shot);
                     let noise = noise.is_noisy().then_some(&noise);
                     let want =

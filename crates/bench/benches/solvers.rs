@@ -8,11 +8,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rasengan_baselines::common::run_dense;
-use rasengan_baselines::{penalized_qubo, qubo_to_ising, BaselineConfig, Hea, PQaoa};
+use rasengan_baselines::{penalized_qubo, qubo_to_ising, BaselineConfig, ChocoQ, Hea, PQaoa};
 use rasengan_core::metrics::penalty_lambda;
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
-use rasengan_qsim::NoiseModel;
+use rasengan_qsim::{Device, NoiseModel};
 
 /// One full Rasengan solve at a tiny iteration budget (end-to-end cost).
 fn bench_rasengan_solve(c: &mut Criterion) {
@@ -81,6 +81,25 @@ fn bench_noisy_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// One noisy Choco-Q solve (Fig. 11): F2 under IBM Kyiv noise, 256
+/// trajectory shots per evaluation over a two-layer circuit, every
+/// shot on one reused trajectory buffer.
+fn bench_chocoq_noisy(c: &mut Criterion) {
+    let p = benchmark(BenchmarkId::parse("F2").unwrap());
+    let cfg = BaselineConfig::default()
+        .on_device(Device::ibm_kyiv())
+        .with_seed(5)
+        .with_shots(256)
+        .with_layers(2)
+        .with_max_iterations(12);
+    c.bench_function("chocoq_noisy_F2_kyiv_256shots", |b| {
+        b.iter(|| {
+            let out = ChocoQ::new(cfg.clone()).solve(black_box(&p)).unwrap();
+            black_box(out.expectation)
+        })
+    });
+}
+
 /// One dense HEA circuit evaluation (exact probabilities).
 fn bench_hea_evaluation(c: &mut Criterion) {
     let p = benchmark(BenchmarkId::parse("F1").unwrap());
@@ -122,6 +141,7 @@ criterion_group! {
         bench_rasengan_solve,
         bench_rasengan_execution,
         bench_noisy_thread_scaling,
+        bench_chocoq_noisy,
         bench_hea_evaluation,
         bench_pqaoa_evaluation,
 }

@@ -294,7 +294,7 @@ pub fn run_dense_trajectory(
 /// the support sparse.
 ///
 /// This is the unfused reference oracle: the solve paths run
-/// [`apply_gate_noise_sparse_fused`] and [`run_noise_slots_sparse`],
+/// [`TrajectoryState::gate_noise`] and [`TrajectoryState::noise_slots`],
 /// and the `noise` and `rasengan-core`/`rasengan-baselines` reference
 /// tests check those against this channel-by-channel sequence.
 pub fn apply_gate_noise_sparse(
@@ -323,9 +323,8 @@ pub fn apply_gate_noise_sparse(
 }
 
 /// One amplitude-damping trajectory step on qubit `q` of a sparse state.
-pub fn amplitude_damping_sparse(state: &mut SparseState, q: usize, gamma: f64, rng: &mut impl Rng) {
-    let p1 = population_sparse(state, q);
-    let p_jump = gamma * p1;
+fn amplitude_damping_sparse(state: &mut SparseState, q: usize, gamma: f64, rng: &mut impl Rng) {
+    let p_jump = gamma * state.population(q);
     if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
         state.project_qubit(q, true);
         state.apply(&Gate::X(q)).expect("X is always sparse-safe");
@@ -336,9 +335,8 @@ pub fn amplitude_damping_sparse(state: &mut SparseState, q: usize, gamma: f64, r
 }
 
 /// One phase-damping trajectory step on qubit `q` of a sparse state.
-pub fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng: &mut impl Rng) {
-    let p1 = population_sparse(state, q);
-    let p_jump = lambda * p1;
+fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng: &mut impl Rng) {
+    let p_jump = lambda * state.population(q);
     if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
         state.project_qubit(q, true);
     } else {
@@ -347,79 +345,20 @@ pub fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng:
     }
 }
 
-fn population_sparse(state: &SparseState, q: usize) -> f64 {
-    state.population(q)
-}
-
-/// [`apply_gate_noise_sparse`] for the compiled trajectory paths:
-/// identical channels at identical RNG draw points, run as one
-/// single-qubit slot of [`run_noise_slots_sparse`]'s mass-space loop per
-/// qubit. The map is loaded into a flat buffer on the first event and
-/// stored back once, so a call that draws no Pauli and has no damping
-/// leaves it untouched. [`TrajectoryState::gate_noise`] runs the same
-/// loop on a shot's own flat buffer.
-pub fn apply_gate_noise_sparse_fused(
-    state: &mut SparseState,
-    qubits: &[usize],
-    p: f64,
-    noise: &NoiseModel,
-    rng: &mut impl Rng,
-) {
-    let mut ms = MassSlots::default();
-    if ms.gate_noise(qubits.iter().copied(), p, noise, rng, |ms| ms.load(state)) {
-        ms.store(state);
-    }
-}
-
-/// Runs one transition operator's whole noise-slot loop — `slots`
-/// iterations of the per-CX depolarizing roll plus the random-operand
-/// damping slot — on a flat buffer loaded from `state` on the first
-/// event and stored back once. [`TrajectoryState::noise_slots`] runs the
-/// same loop on a flat buffer that lives for a whole shot.
-///
-/// Per slot this is equivalent to the unfused sequence (a `p2` roll
-/// applying a uniform Pauli on a random support qubit via
-/// [`apply_gate_noise_sparse`] with `p = 1`, then its damping channels
-/// with `p = 0` on a random operand pair) with RNG draws at identical
-/// points. None of the slot channels grow the support: Pauli events
-/// permute labels, damping branches rescale or project.
-///
-/// The loop runs in mass space: each label keeps its amplitude as loaded
-/// and an unnormalized mass `w`, a damping channel rolls against
-/// `u·T < rate·pop` (`T` the total mass), and its no-jump branch
-/// multiplies the selected class masses by `1 − rate`, so there is no
-/// renormalizing division per channel and no square root per slot. A
-/// draw at or above its rate cannot jump, so the class masses and `T`
-/// are formed only when a draw lands below it. Amplitudes are rescaled
-/// once, as `a·√(w/(|a|²·T))`, when the loop ends or a channel jumps; a
-/// jump then runs the exact per-channel sequence for the rest of its
-/// slot. The buffer is put in label order before any sum, and sums run
-/// in that order; a loop that sums nothing (no damping) sorts nothing.
-/// Thresholds equal the normalized ones up to rounding, so amplitudes
-/// agree with the unfused sequence to last-ulp drift.
-pub fn run_noise_slots_sparse(
-    state: &mut SparseState,
-    support: &[usize],
-    slots: usize,
-    p2: f64,
-    noise: &NoiseModel,
-    rng: &mut impl Rng,
-) {
-    let mut ms = MassSlots::default();
-    if ms.noise_slots(support, slots, p2, noise, rng, |ms| ms.load(state)) {
-        ms.store(state);
-    }
-}
-
-/// One noisy trajectory on a flat buffer that a worker reuses for every
+/// One noisy trajectory on a flat buffer that a caller reuses for every
 /// shot: `(label, amplitude, mass)` entries, put in ascending label
-/// order before any sum or draw, which the slot loop of
-/// [`run_noise_slots_sparse`] runs on in place. It runs the steps a
-/// [`SparseState`] shot runs through [`apply_gate_noise_sparse_fused`],
-/// [`SparseState::apply_transition_with`], [`run_noise_slots_sparse`]
-/// and [`SparseState::sample_one`], with the same RNG draws and the
-/// same result bits, but it hashes nothing and, once its buffers have
-/// grown, allocates nothing.
+/// order before any sum or draw. It runs the steps of a noisy
+/// [`SparseState`] shot — the gate-noise channels of
+/// [`apply_gate_noise_sparse`], [`SparseState::apply_transition_with`],
+/// [`SparseState::apply_diagonal_phase_with`], per-CX noise slots and
+/// [`SparseState::sample_one`] — with the same RNG draws, but it hashes
+/// nothing and, once its buffers have grown, allocates nothing. Both
+/// Rasengan's noisy segments and Choco-Q's noisy shots run on it.
+///
+/// A noise call with damping reloads each label's mass from its
+/// amplitude once at its start; a call without damping reads no masses,
+/// so it neither sorts the buffer nor scans it, and a Pauli event over a
+/// large support costs one `O(s)` pass.
 ///
 /// # Example
 ///
@@ -442,9 +381,24 @@ pub fn run_noise_slots_sparse(
 #[derive(Clone, Debug)]
 pub struct TrajectoryState {
     n_qubits: usize,
-    slots: MassSlots,
+    entries: Vec<Entry>,
+    /// Whether `entries` is in ascending label order.
+    sorted: bool,
+    /// Whether a no-jump factor has scaled a populated class since the
+    /// last reload or rescale (otherwise the amplitudes are current).
+    scaled: bool,
+    /// Whether [`Self::live`] and [`Self::min_w`] are current. Reloads
+    /// and bit flips leave them to the next damping slot, so a loop
+    /// without damping never scans.
+    scanned: bool,
+    /// The union of the labels with positive mass: operand `q` has a
+    /// populated class iff its bit is set here.
+    live: Label,
+    /// At most the least positive mass (infinite when there is none):
+    /// exact after a scan, a lower bound after fast slots.
+    min_w: f64,
     /// A transition's `(label, contribution)` pairs, one or two per
-    /// output label, sorted and folded into `slots`.
+    /// output label, sorted and folded into `entries`.
     merge: Vec<(Label, Complex)>,
     sampler: PreparedSampler,
 }
@@ -459,7 +413,12 @@ impl TrajectoryState {
         assert!(n_qubits <= 128, "sparse backend limited to 128 qubits");
         let mut state = TrajectoryState {
             n_qubits,
-            slots: MassSlots::default(),
+            entries: Vec::new(),
+            sorted: true,
+            scaled: false,
+            scanned: false,
+            live: 0,
+            min_w: f64::INFINITY,
             merge: Vec::new(),
             sampler: PreparedSampler::default(),
         };
@@ -483,19 +442,22 @@ impl TrajectoryState {
             "basis label out of range for {} qubits",
             self.n_qubits
         );
-        let ms = &mut self.slots;
-        ms.entries.clear();
-        ms.entries.push(Entry {
+        self.entries.clear();
+        self.entries.push(Entry {
             label,
             amp: Complex::ONE,
             w: 0.0,
         });
-        ms.sorted = true;
-        ms.scaled = false;
-        ms.scanned = false;
+        self.sorted = true;
+        self.scaled = false;
+        self.scanned = false;
     }
 
-    /// [`apply_gate_noise_sparse_fused`] on this trajectory.
+    /// [`apply_gate_noise_sparse`] on this trajectory: for each qubit a
+    /// `p` roll applying a uniform Pauli, then the qubit's damping
+    /// channels as one single-qubit slot of [`Self::noise_slots`]'s
+    /// mass-space loop, with identical channels at identical RNG draw
+    /// points.
     pub fn gate_noise(
         &mut self,
         qubits: impl IntoIterator<Item = usize>,
@@ -503,12 +465,22 @@ impl TrajectoryState {
         noise: &NoiseModel,
         rng: &mut impl Rng,
     ) {
-        if self
-            .slots
-            .gate_noise(qubits, p, noise, rng, MassSlots::reload)
-        {
-            self.slots.finish();
+        let damping = Damping::of(noise);
+        if damping.is_some() {
+            // Loading before a first Pauli rather than after it reads
+            // the same `|a|²`.
+            self.reload();
         }
+        for q in qubits {
+            if p > 0.0 && rng.gen::<f64>() < p {
+                let pauli = sample_pauli(rng);
+                self.pauli(pauli, 1 << q);
+            }
+            if let Some(d) = &damping {
+                self.damping_slot(1 << q, 0, d, rng);
+            }
+        }
+        self.finish();
     }
 
     /// [`SparseState::apply_transition_with`] on this trajectory: each
@@ -517,7 +489,7 @@ impl TrajectoryState {
     /// label and adjacent pairs folded, so each output label gets
     /// `ZERO + x (+ y)` as the map merge gives it, in `O(s log s)`.
     pub fn apply_transition_with(&mut self, tr: &Transition, cos: Complex, misin: Complex) {
-        let entries = &mut self.slots.entries;
+        let entries = &mut self.entries;
         self.merge.clear();
         for e in entries.iter() {
             match tr.partner(e.label) {
@@ -543,10 +515,36 @@ impl TrajectoryState {
                 entries.push(Entry { label, amp, w: 0.0 });
             }
         }
-        self.slots.sorted = true;
+        self.sorted = true;
     }
 
-    /// [`run_noise_slots_sparse`] on this trajectory.
+    /// [`SparseState::apply_diagonal_phase_with`] on this trajectory:
+    /// multiplies each amplitude by `factor(label)`.
+    pub fn apply_diagonal_phase_with(&mut self, mut factor: impl FnMut(Label) -> Complex) {
+        for e in &mut self.entries {
+            e.amp *= factor(e.label);
+        }
+    }
+
+    /// Runs one transition operator's whole noise-slot loop: `slots`
+    /// iterations of the per-CX depolarizing roll plus the
+    /// random-operand damping slot.
+    ///
+    /// Per slot this is equivalent to the unfused sequence (a `p2` roll
+    /// applying a uniform Pauli on a random support qubit via
+    /// [`apply_gate_noise_sparse`] with `p = 1`, then its damping channels
+    /// with `p = 0` on a random operand pair) with RNG draws at identical
+    /// points. None of the slot channels grow the support: Pauli events
+    /// permute labels, damping branches rescale or project.
+    ///
+    /// A damping channel rolls against `u·T < rate·pop` (`T` the total
+    /// mass), and its no-jump branch multiplies the selected class masses
+    /// by `1 − rate`, so there is no renormalizing division per channel
+    /// and no square root per slot. Amplitudes are rescaled once, as
+    /// `a·√(w/(|a|²·T))`, when the loop ends or a channel jumps; a jump
+    /// then runs the exact per-channel sequence for the rest of its slot.
+    /// Thresholds equal the normalized ones up to rounding, so amplitudes
+    /// agree with the unfused sequence to last-ulp drift.
     pub fn noise_slots(
         &mut self,
         support: &[usize],
@@ -555,12 +553,33 @@ impl TrajectoryState {
         noise: &NoiseModel,
         rng: &mut impl Rng,
     ) {
-        if self
-            .slots
-            .noise_slots(support, slots, p2, noise, rng, MassSlots::reload)
-        {
-            self.slots.finish();
+        let damping = Damping::of(noise);
+        if slots == 0 || support.is_empty() || (p2 <= 0.0 && damping.is_none()) {
+            return;
         }
+        let pick = IndexDraw::new(support.len());
+        if damping.is_some() {
+            // Every slot is an event. Loading before a first-slot Pauli
+            // rather than after it reads the same `|a|²`.
+            self.reload();
+        }
+        for _ in 0..slots {
+            if p2 > 0.0 && rng.gen::<f64>() < p2 {
+                let q = support[pick.sample(rng)];
+                // `apply_gate_noise_sparse` with `p = 1` draws its roll
+                // (always below 1) and applies the sampled Pauli.
+                let _roll: f64 = rng.gen();
+                let pauli = sample_pauli(rng);
+                self.pauli(pauli, 1 << q);
+            }
+            if let Some(d) = &damping {
+                let a = support[pick.sample(rng)];
+                let b = support[pick.sample(rng)];
+                let mb = if b == a { 0 } else { 1 << b };
+                self.damping_slot(1 << a, mb, d, rng);
+            }
+        }
+        self.finish();
     }
 
     /// [`SparseState::sample_one`] on this trajectory, through a sampler
@@ -570,8 +589,8 @@ impl TrajectoryState {
     ///
     /// Panics if the state is empty.
     pub fn sample_one(&mut self, rng: &mut impl Rng) -> Label {
-        self.slots.sort();
-        let entries = &self.slots.entries;
+        self.sort();
+        let entries = &self.entries;
         assert!(!entries.is_empty(), "cannot sample an empty state");
         self.sampler
             .prepare_sorted(entries.iter().map(|e| (e.label, e.amp)));
@@ -724,20 +743,20 @@ impl Damping {
     }
 }
 
-/// One label of a [`MassSlots`] buffer.
+/// One label of a [`TrajectoryState`] buffer.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     label: Label,
-    /// The amplitude as of the last load, reload or rescale.
+    /// The amplitude as of the last reload or rescale.
     amp: Complex,
     /// `|amp|²` at the last reload, times every no-jump factor since.
     w: f64,
 }
 
-/// The mass-space state of the noise-slot loop: the support, each label
-/// with its amplitude and its unnormalized mass `w`. Bit flips and loads
-/// leave the labels out of order; every sum sorts them first, so sums
-/// run in ascending label order and never in a hash map's.
+/// The mass-space machinery of the noise calls: each label keeps its
+/// amplitude and an unnormalized mass `w`. Bit flips leave the labels
+/// out of order; every sum sorts them first, so sums run in ascending
+/// label order and never in a hash map's.
 ///
 /// A damping channel whose classes hold positive mass rolls one draw
 /// `u`. When `u ≥ rate` it cannot jump: `u·T ≥ rate·T ≥ rate·pop` under
@@ -749,49 +768,7 @@ struct Entry {
 /// time would. Where the populated classes cannot tell whether a channel
 /// rolls (a rate of 1 zeroes a class, or masses near underflow), the
 /// slot takes that exact path from its start.
-#[derive(Clone, Debug, Default)]
-struct MassSlots {
-    entries: Vec<Entry>,
-    /// Whether `entries` is in ascending label order.
-    sorted: bool,
-    /// Whether a no-jump factor has scaled a populated class since the
-    /// last load or rescale (otherwise the amplitudes are current).
-    scaled: bool,
-    /// Whether [`Self::live`] and [`Self::min_w`] are current. Loads and
-    /// bit flips leave them to the next damping slot, so a loop without
-    /// damping never scans.
-    scanned: bool,
-    /// The union of the labels with positive mass: operand `q` has a
-    /// populated class iff its bit is set here.
-    live: Label,
-    /// At most the least positive mass (infinite when there is none):
-    /// exact after a scan, a lower bound after fast slots.
-    min_w: f64,
-}
-
-impl MassSlots {
-    /// Loads `state`'s support, in map order, and starts mass tracking.
-    fn load(&mut self, state: &SparseState) {
-        self.entries.clear();
-        self.entries.extend(
-            state
-                .amps
-                .iter()
-                .map(|(&label, &amp)| Entry { label, amp, w: 0.0 }),
-        );
-        self.sorted = false;
-        self.reload();
-    }
-
-    /// Rescales if needed and writes the support back into `state`.
-    fn store(&mut self, state: &mut SparseState) {
-        self.finish();
-        state.amps.clear();
-        state
-            .amps
-            .extend(self.entries.iter().map(|e| (e.label, e.amp)));
-    }
-
+impl TrajectoryState {
     /// Brings the amplitudes up to date with the masses, if a no-jump
     /// factor has scaled them.
     fn finish(&mut self) {
@@ -860,85 +837,6 @@ impl MassSlots {
             }
         }
         self.scaled = false;
-    }
-
-    /// The per-gate channel loop of [`apply_gate_noise_sparse_fused`]:
-    /// for each qubit a `p` roll applying a uniform Pauli, then the
-    /// qubit's damping slot. `load` brings the buffer up to date before
-    /// the first event; returns whether it ran.
-    fn gate_noise<R: Rng>(
-        &mut self,
-        qubits: impl IntoIterator<Item = usize>,
-        p: f64,
-        noise: &NoiseModel,
-        rng: &mut R,
-        load: impl FnOnce(&mut Self),
-    ) -> bool {
-        let damping = Damping::of(noise);
-        let mut load = Some(load);
-        for q in qubits {
-            if p > 0.0 && rng.gen::<f64>() < p {
-                let pauli = sample_pauli(rng);
-                self.ensure_loaded(&mut load);
-                self.pauli(pauli, 1 << q);
-            }
-            if let Some(d) = &damping {
-                self.ensure_loaded(&mut load);
-                self.damping_slot(1 << q, 0, d, rng);
-            }
-        }
-        load.is_none()
-    }
-
-    /// The noise-slot loop of [`run_noise_slots_sparse`]. `load` brings
-    /// the buffer up to date before the first event; returns whether it
-    /// ran.
-    fn noise_slots<R: Rng>(
-        &mut self,
-        support: &[usize],
-        slots: usize,
-        p2: f64,
-        noise: &NoiseModel,
-        rng: &mut R,
-        load: impl FnOnce(&mut Self),
-    ) -> bool {
-        let damping = Damping::of(noise);
-        if slots == 0 || support.is_empty() || (p2 <= 0.0 && damping.is_none()) {
-            return false;
-        }
-        let pick = IndexDraw::new(support.len());
-        let mut load = Some(load);
-        if damping.is_some() {
-            // Every slot is an event. Loading before a first-slot Pauli
-            // rather than after it reads the same `|a|²`.
-            self.ensure_loaded(&mut load);
-        }
-        for _ in 0..slots {
-            if p2 > 0.0 && rng.gen::<f64>() < p2 {
-                let q = support[pick.sample(rng)];
-                // `apply_gate_noise_sparse` with `p = 1` draws its roll
-                // (always below 1) and applies the sampled Pauli.
-                let _roll: f64 = rng.gen();
-                let pauli = sample_pauli(rng);
-                self.ensure_loaded(&mut load);
-                self.pauli(pauli, 1 << q);
-            }
-            if let Some(d) = &damping {
-                let a = support[pick.sample(rng)];
-                let b = support[pick.sample(rng)];
-                let mb = if b == a { 0 } else { 1 << b };
-                self.damping_slot(1 << a, mb, d, rng);
-            }
-        }
-        load.is_none()
-    }
-
-    /// Runs `load` if it has not run yet.
-    #[inline]
-    fn ensure_loaded(&mut self, load: &mut Option<impl FnOnce(&mut Self)>) {
-        if let Some(load) = load.take() {
-            load(self);
-        }
     }
 
     /// A uniform Pauli on qubit `mask` (matching [`SparseState::apply`]
@@ -1365,6 +1263,32 @@ mod tests {
         s
     }
 
+    /// Loads `state`'s support into `flat` in map order.
+    fn load(flat: &mut TrajectoryState, state: &SparseState) {
+        flat.entries.clear();
+        flat.entries.extend(
+            state
+                .amps
+                .iter()
+                .map(|(&label, &amp)| Entry { label, amp, w: 0.0 }),
+        );
+        flat.sorted = false;
+        flat.scaled = false;
+        flat.scanned = false;
+    }
+
+    /// Runs `step` on a trajectory loaded from `state` in map order, then
+    /// stores the trajectory's support back into `state`.
+    fn on_trajectory(state: &mut SparseState, step: impl FnOnce(&mut TrajectoryState)) {
+        let mut flat = TrajectoryState::new(state.n_qubits());
+        load(&mut flat, state);
+        step(&mut flat);
+        state.amps.clear();
+        state
+            .amps
+            .extend(flat.entries.iter().map(|e| (e.label, e.amp)));
+    }
+
     #[test]
     fn folded_damping_slot_matches_unfused_channels() {
         // The fold must consume the RNG at the same points and leave the
@@ -1381,7 +1305,9 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                apply_gate_noise_sparse_fused(&mut fused, qubits, 0.0, &noise, &mut rng_a);
+                on_trajectory(&mut fused, |t| {
+                    t.gate_noise(qubits.iter().copied(), 0.0, &noise, &mut rng_a)
+                });
                 apply_gate_noise_sparse(&mut unfused, qubits, 0.0, &damping_only, &mut rng_b);
                 assert_eq!(
                     rng_a.gen::<u64>(),
@@ -1409,7 +1335,9 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                apply_gate_noise_sparse_fused(&mut fused, &[0, 1], 0.0, &noise, &mut rng_a);
+                on_trajectory(&mut fused, |t| {
+                    t.gate_noise([0, 1], 0.0, &noise, &mut rng_a)
+                });
                 apply_gate_noise_sparse(&mut unfused, &[0, 1], 0.0, &noise, &mut rng_b);
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
                 for l in 0..8u128 {
@@ -1429,7 +1357,9 @@ mod tests {
             let mut unfused = spread_state();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            apply_gate_noise_sparse_fused(&mut fused, &[0, 1, 2], noise.p1, &noise, &mut rng_a);
+            on_trajectory(&mut fused, |t| {
+                t.gate_noise([0, 1, 2], noise.p1, &noise, &mut rng_a)
+            });
             apply_gate_noise_sparse(&mut unfused, &[0, 1, 2], noise.p1, &noise, &mut rng_b);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
             for l in 0..8u128 {
@@ -1449,12 +1379,12 @@ mod tests {
             let mut probe = StdRng::seed_from_u64(7);
             probe.gen::<u64>()
         };
-        apply_gate_noise_sparse_fused(&mut s, &[0, 1], 0.0, &noise, &mut rng);
+        on_trajectory(&mut s, |t| t.gate_noise([0, 1], 0.0, &noise, &mut rng));
         assert_eq!(rng.gen::<u64>(), before, "rolls consumed on |00⟩");
         assert!((s.probability(0b00) - 1.0).abs() < 1e-12);
     }
 
-    /// The unfused per-slot sequence [`run_noise_slots_sparse`] folds:
+    /// The unfused per-slot sequence [`TrajectoryState::noise_slots`] folds:
     /// a p₂ roll applying a uniform Pauli on a random support qubit,
     /// then every damping channel of a random operand pair, channel by
     /// channel with a renormalization each.
@@ -1588,9 +1518,9 @@ mod tests {
                         let mut unfused = start.clone();
                         let mut rng_a = StdRng::seed_from_u64(seed);
                         let mut rng_b = StdRng::seed_from_u64(seed);
-                        run_noise_slots_sparse(
-                            &mut fused, support, 12, noise.p2, &noise, &mut rng_a,
-                        );
+                        on_trajectory(&mut fused, |t| {
+                            t.noise_slots(support, 12, noise.p2, &noise, &mut rng_a)
+                        });
                         unfused_slot_loop(&mut unfused, support, 12, noise.p2, &noise, &mut rng_b);
                         let case = format!("len {len}, state {si}, {name}, seed {seed}");
                         assert_eq!(rng_a, rng_b, "RNG streams diverged ({case})");
@@ -1629,7 +1559,9 @@ mod tests {
             let mut probe = StdRng::seed_from_u64(3);
             probe.gen::<u64>()
         };
-        run_noise_slots_sparse(&mut s, &[0, 1, 2], 50, noise.p2, &noise, &mut rng);
+        on_trajectory(&mut s, |t| {
+            t.noise_slots(&[0, 1, 2], 50, noise.p2, &noise, &mut rng)
+        });
         assert_eq!(rng.gen::<u64>(), before, "draws consumed with no channels");
         for l in 0..8u128 {
             assert!(s.amplitude(l).approx_eq(reference.amplitude(l), 0.0));
@@ -1645,10 +1577,10 @@ mod tests {
         case: &str,
     ) {
         assert_eq!(rngs.0, rngs.1, "RNG position ({case})");
-        let mut got: Vec<Label> = flat.slots.entries.iter().map(|e| e.label).collect();
+        let mut got: Vec<Label> = flat.entries.iter().map(|e| e.label).collect();
         got.sort_unstable();
         assert_eq!(got, sparse.support(), "support ({case})");
-        for e in &flat.slots.entries {
+        for e in &flat.entries {
             let want = sparse.amplitude(e.label);
             assert_eq!(
                 (e.amp.re.to_bits(), e.amp.im.to_bits()),
@@ -1661,11 +1593,12 @@ mod tests {
 
     #[test]
     fn flat_shot_matches_sparse_state_shot_bit_for_bit() {
-        // The flat trajectory buffer and the `SparseState` entry points
-        // run one slot loop; stepped side by side through a shot (reset,
-        // preparation, a loaded start state, slot loop, transition, slot
-        // loop, draw) they must agree to the bit after every step, with
-        // the RNG at the same position. Heavy damping sends draws below
+        // A trajectory buffer that persists through the shot and a
+        // `SparseState` loaded into a fresh buffer and stored back on
+        // each noise call run one slot loop; stepped side by side
+        // through a shot (reset, preparation, a loaded start state, slot
+        // loop, transition, slot loop, draw) they must agree to the bit
+        // after every step, with the RNG at the same position. Heavy damping sends draws below
         // the rate often, γ = 1 zeroes classes, and a mass at 1e-300
         // sits below the slot loop's floor.
         let models = [
@@ -1725,40 +1658,26 @@ mod tests {
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
                         let prep: Vec<usize> = (0..5).filter(|&q| input >> q & 1 == 1).collect();
                         flat.gate_noise(prep.iter().copied(), noise.p1, &noise, &mut rng_a);
-                        apply_gate_noise_sparse_fused(
-                            &mut sparse,
-                            &prep,
-                            noise.p1,
-                            &noise,
-                            &mut rng_b,
-                        );
+                        on_trajectory(&mut sparse, |t| {
+                            t.gate_noise(prep.iter().copied(), noise.p1, &noise, &mut rng_b)
+                        });
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
-                        flat.slots.load(&start);
+                        load(&mut flat, &start);
                         sparse = start.clone();
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
                         let slots = 12 + seed as usize;
                         flat.noise_slots(support, slots, noise.p2, &noise, &mut rng_a);
-                        run_noise_slots_sparse(
-                            &mut sparse,
-                            support,
-                            slots,
-                            noise.p2,
-                            &noise,
-                            &mut rng_b,
-                        );
+                        on_trajectory(&mut sparse, |t| {
+                            t.noise_slots(support, slots, noise.p2, &noise, &mut rng_b)
+                        });
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
                         flat.apply_transition_with(&tr, cos, misin);
                         sparse.apply_transition_with(&tr, cos, misin);
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
                         flat.noise_slots(support, slots, noise.p2, &noise, &mut rng_a);
-                        run_noise_slots_sparse(
-                            &mut sparse,
-                            support,
-                            slots,
-                            noise.p2,
-                            &noise,
-                            &mut rng_b,
-                        );
+                        on_trajectory(&mut sparse, |t| {
+                            t.noise_slots(support, slots, noise.p2, &noise, &mut rng_b)
+                        });
                         assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
                         let drawn = flat.sample_one(&mut rng_a);
                         assert_eq!(drawn, sparse.sample_one(&mut rng_b), "draw ({case})");
