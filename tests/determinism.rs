@@ -185,11 +185,13 @@ fn golden_sampled_result_digests() {
 }
 
 #[test]
-fn golden_chocoq_noisy_digests() {
-    // Pin the absolute bytes of Choco-Q's noisy trajectories: the
+fn golden_chocoq_digests() {
+    // Pin the absolute bytes of every Choco-Q execution path: the
     // distribution (label and probability bits) and the expectation
-    // bits. Kyiv noise runs Pauli-only mixer slots over the feasible
-    // set; the heavy-damping model also damps the preparation column.
+    // bits. Per instance: the exact distribution, noise-free sampled
+    // shots, then two noisy trajectory regimes. Kyiv noise runs
+    // Pauli-only mixer slots over the feasible set; the heavy-damping
+    // model also damps the preparation column.
     use rasengan::qsim::wire::{fnv64, WireWriter};
 
     let heavy = NoiseModel::ibm_like(4e-4, 1.2e-2, 0.02)
@@ -199,14 +201,16 @@ fn golden_chocoq_noisy_digests() {
         .into_iter()
         .flat_map(|id| {
             let problem = benchmark(BenchmarkId::parse(id).unwrap());
-            let cfg = BaselineConfig::default()
+            let exact = BaselineConfig::default()
                 .with_seed(5)
-                .with_shots(256)
                 .with_max_iterations(12)
                 .with_layers(2);
+            let sampled = exact.clone().with_shots(256);
             [
-                cfg.clone().on_device(Device::ibm_kyiv()),
-                cfg.with_noise(heavy),
+                exact,
+                sampled.clone(),
+                sampled.clone().on_device(Device::ibm_kyiv()),
+                sampled.with_noise(heavy),
             ]
             .map(|cfg| {
                 let out = ChocoQ::new(cfg).solve(&problem).unwrap();
@@ -223,8 +227,12 @@ fn golden_chocoq_noisy_digests() {
     assert_eq!(
         digests,
         [
+            "0x178fb600afc54935",
+            "0x41375e9137daefe3",
             "0x14765c17ab04ec5c",
             "0x66f31dbad1f3c1d3",
+            "0x37dda1c26f66f68a",
+            "0x94cfa153715cc07b",
             "0x5d173228089603db",
             "0xd32114196d07c60b"
         ]
