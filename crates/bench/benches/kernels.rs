@@ -196,14 +196,13 @@ fn bench_sampling(c: &mut Criterion) {
 }
 
 /// One transition operator's per-CX noise-slot loop under IBM Kyiv
-/// noise, on the flat trajectory buffer the noisy solver runs each shot
-/// on: weight-2 and weight-3 operators (68 and 102 slots, 34 per
+/// noise, on a state reused across shots as the noisy solver runs
+/// them: weight-2 and weight-3 operators (68 and 102 slots, 34 per
 /// qubit) on states of one label and of two (the operator's pair at
 /// t = π/4).
 fn bench_noise_slots(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rasengan_qsim::noise::TrajectoryState;
     use rasengan_qsim::{Complex, Device};
 
     let noise = Device::ibm_kyiv().noise;
@@ -227,7 +226,7 @@ fn bench_noise_slots(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("kyiv_w{}", u.len()), format!("{labels}_labels"));
             group.bench_function(id, |b| {
                 let mut rng = StdRng::seed_from_u64(4);
-                let mut state = TrajectoryState::new(n);
+                let mut state = SparseState::basis_state(n, 0);
                 b.iter(|| {
                     state.reset(input);
                     if labels == 2 {

@@ -8,7 +8,7 @@
 //! state.
 
 use crate::hamiltonian::TransitionHamiltonian;
-use rasengan_qsim::{SparseState, Transition};
+use rasengan_qsim::Transition;
 use std::ops::Range;
 
 /// One transition operator compiled for repeated execution: the mask
@@ -55,16 +55,6 @@ impl SegmentProgram {
     /// CX depth of the whole segment: the sum of its operators' costs.
     pub fn cx_depth(&self) -> usize {
         self.ops.iter().map(|op| op.cx_cost).sum()
-    }
-
-    /// Applies the whole segment noise-free with a shared angle `t`,
-    /// precomputing the mixing constants once for all operators.
-    pub fn apply_all(&self, state: &mut SparseState, t: f64) {
-        let cos = rasengan_qsim::Complex::from(t.cos());
-        let misin = rasengan_qsim::Complex::new(0.0, -t.sin());
-        for op in &self.ops {
-            state.apply_transition_with(&op.transition, cos, misin);
-        }
     }
 }
 

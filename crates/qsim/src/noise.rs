@@ -11,10 +11,9 @@
 //! states to basis states, and damping jumps are projections — which is
 //! what lets the noisy Rasengan experiments scale.
 
-use crate::complex::Complex;
 use crate::dense::DenseState;
 use crate::gate::Gate;
-use crate::sparse::{Label, PreparedSampler, SparseState, Transition, PRUNE_EPS};
+use crate::sparse::{Label, SparseState};
 use rand::Rng;
 
 /// A gate-level noise model.
@@ -132,19 +131,12 @@ impl Default for NoiseModel {
     }
 }
 
-/// One of the three non-identity Pauli errors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Pauli {
-    X,
-    Y,
-    Z,
-}
-
-fn sample_pauli(rng: &mut impl Rng) -> Pauli {
+/// A uniformly drawn non-identity Pauli error on qubit `q`.
+fn sample_pauli(q: usize, rng: &mut impl Rng) -> Gate {
     match rng.gen_range(0..3) {
-        0 => Pauli::X,
-        1 => Pauli::Y,
-        _ => Pauli::Z,
+        0 => Gate::X(q),
+        1 => Gate::Y(q),
+        _ => Gate::Z(q),
     }
 }
 
@@ -163,11 +155,7 @@ pub fn apply_gate_noise_dense(
 ) {
     for &q in qubits {
         if p > 0.0 && rng.gen::<f64>() < p {
-            match sample_pauli(rng) {
-                Pauli::X => state.apply(&Gate::X(q)),
-                Pauli::Y => state.apply(&Gate::Y(q)),
-                Pauli::Z => state.apply(&Gate::Z(q)),
-            }
+            state.apply(&sample_pauli(q, rng));
         }
         if noise.amplitude_damping > 0.0 {
             amplitude_damping_dense(state, q, noise.amplitude_damping, rng);
@@ -294,9 +282,9 @@ pub fn run_dense_trajectory(
 /// the support sparse.
 ///
 /// This is the unfused reference oracle: the solve paths run
-/// [`TrajectoryState::gate_noise`] and [`TrajectoryState::noise_slots`],
-/// and the `noise` and `rasengan-core`/`rasengan-baselines` reference
-/// tests check those against this channel-by-channel sequence.
+/// [`SparseState::gate_noise`] and [`SparseState::noise_slots`], and
+/// the `noise` and `rasengan-core`/`rasengan-baselines` reference tests
+/// check those against this channel-by-channel sequence.
 pub fn apply_gate_noise_sparse(
     state: &mut SparseState,
     qubits: &[usize],
@@ -306,19 +294,29 @@ pub fn apply_gate_noise_sparse(
 ) {
     for &q in qubits {
         if p > 0.0 && rng.gen::<f64>() < p {
-            let g = match sample_pauli(rng) {
-                Pauli::X => Gate::X(q),
-                Pauli::Y => Gate::Y(q),
-                Pauli::Z => Gate::Z(q),
-            };
-            state.apply(&g).expect("Pauli gates are always sparse-safe");
+            pauli_error(state, q, rng);
         }
-        if noise.amplitude_damping > 0.0 {
-            amplitude_damping_sparse(state, q, noise.amplitude_damping, rng);
-        }
-        if noise.phase_damping > 0.0 {
-            phase_damping_sparse(state, q, noise.phase_damping, rng);
-        }
+        damp_qubit(state, q, noise.amplitude_damping, noise.phase_damping, rng);
+    }
+}
+
+/// A uniformly drawn non-identity Pauli error on qubit `q` of a sparse
+/// state.
+fn pauli_error(state: &mut SparseState, q: usize, rng: &mut impl Rng) {
+    let pauli = sample_pauli(q, rng);
+    state
+        .apply(&pauli)
+        .expect("Pauli gates are always sparse-safe");
+}
+
+/// The amplitude- then the phase-damping channel on qubit `q`, each
+/// skipped at rate 0.
+fn damp_qubit(state: &mut SparseState, q: usize, gamma: f64, lambda: f64, rng: &mut impl Rng) {
+    if gamma > 0.0 {
+        amplitude_damping_sparse(state, q, gamma, rng);
+    }
+    if lambda > 0.0 {
+        phase_damping_sparse(state, q, lambda, rng);
     }
 }
 
@@ -345,15 +343,13 @@ fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng: &mu
     }
 }
 
-/// One noisy trajectory on a flat buffer that a caller reuses for every
-/// shot: `(label, amplitude, mass)` entries, put in ascending label
-/// order before any sum or draw. It runs the steps of a noisy
-/// [`SparseState`] shot — the gate-noise channels of
-/// [`apply_gate_noise_sparse`], [`SparseState::apply_transition_with`],
-/// [`SparseState::apply_diagonal_phase_with`], per-CX noise slots and
-/// [`SparseState::sample_one`] — with the same RNG draws, but it hashes
-/// nothing and, once its buffers have grown, allocates nothing. Both
-/// Rasengan's noisy segments and Choco-Q's noisy shots run on it.
+/// The fused noise calls of a noisy trajectory: a caller resets one
+/// state per shot and runs the steps of a shot on it — the gate-noise
+/// channels of [`apply_gate_noise_sparse`] ([`SparseState::gate_noise`]),
+/// per-CX noise slots ([`SparseState::noise_slots`]) and a measurement
+/// ([`SparseState::sample_one`]) — with the RNG draws of the unfused
+/// sequence. Once the buffers have grown, a shot allocates nothing.
+/// Both Rasengan's noisy segments and Choco-Q's noisy shots run on it.
 ///
 /// A noise call with damping reloads each label's mass from its
 /// amplitude once at its start; a call without damping reads no masses,
@@ -363,14 +359,12 @@ fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng: &mu
 /// # Example
 ///
 /// ```
-/// use rasengan_qsim::noise::TrajectoryState;
-/// use rasengan_qsim::{Complex, NoiseModel, Transition};
+/// use rasengan_qsim::{Complex, NoiseModel, SparseState, Transition};
 /// use rand::SeedableRng;
 ///
 /// let noise = NoiseModel::ibm_like(1e-3, 1e-2, 0.0).with_amplitude_damping(1e-3);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let mut shot = TrajectoryState::new(3);
-/// shot.reset(0b001);
+/// let mut shot = SparseState::basis_state(3, 0b001);
 /// shot.gate_noise([0], noise.p1, &noise, &mut rng);
 /// let tr = Transition::from_u(&[-1, 1, 0]);
 /// let t = std::f64::consts::FRAC_PI_4;
@@ -378,86 +372,11 @@ fn phase_damping_sparse(state: &mut SparseState, q: usize, lambda: f64, rng: &mu
 /// shot.noise_slots(&[0, 1], 68, noise.p2, &noise, &mut rng);
 /// assert!(shot.sample_one(&mut rng) < 8);
 /// ```
-#[derive(Clone, Debug)]
-pub struct TrajectoryState {
-    n_qubits: usize,
-    entries: Vec<Entry>,
-    /// Whether `entries` is in ascending label order.
-    sorted: bool,
-    /// Whether a no-jump factor has scaled a populated class since the
-    /// last reload or rescale (otherwise the amplitudes are current).
-    scaled: bool,
-    /// Whether [`Self::live`] and [`Self::min_w`] are current. Reloads
-    /// and bit flips leave them to the next damping slot, so a loop
-    /// without damping never scans.
-    scanned: bool,
-    /// The union of the labels with positive mass: operand `q` has a
-    /// populated class iff its bit is set here.
-    live: Label,
-    /// At most the least positive mass (infinite when there is none):
-    /// exact after a scan, a lower bound after fast slots.
-    min_w: f64,
-    /// A transition's `(label, contribution)` pairs, one or two per
-    /// output label, sorted and folded into `entries`.
-    merge: Vec<(Label, Complex)>,
-    sampler: PreparedSampler,
-}
-
-impl TrajectoryState {
-    /// A trajectory on `n_qubits` qubits, in the basis state `|0⟩`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_qubits` exceeds 128.
-    pub fn new(n_qubits: usize) -> Self {
-        assert!(n_qubits <= 128, "sparse backend limited to 128 qubits");
-        let mut state = TrajectoryState {
-            n_qubits,
-            entries: Vec::new(),
-            sorted: true,
-            scaled: false,
-            scanned: false,
-            live: 0,
-            min_w: f64::INFINITY,
-            merge: Vec::new(),
-            sampler: PreparedSampler::default(),
-        };
-        state.reset(0);
-        state
-    }
-
-    /// Number of qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
-    /// Returns to the basis state `|label⟩`, keeping the buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label uses bits at or above `n_qubits`.
-    pub fn reset(&mut self, label: Label) {
-        assert!(
-            self.n_qubits == 128 || label < (1u128 << self.n_qubits),
-            "basis label out of range for {} qubits",
-            self.n_qubits
-        );
-        self.entries.clear();
-        self.entries.push(Entry {
-            label,
-            amp: Complex::ONE,
-            w: 0.0,
-        });
-        self.sorted = true;
-        self.scaled = false;
-        self.scanned = false;
-    }
-
-    /// [`apply_gate_noise_sparse`] on this trajectory: for each qubit a
-    /// `p` roll applying a uniform Pauli, then the qubit's damping
-    /// channels as one single-qubit slot of [`Self::noise_slots`]'s
-    /// mass-space loop, with identical channels at identical RNG draw
-    /// points.
+impl SparseState {
+    /// [`apply_gate_noise_sparse`], fused: for each qubit a `p` roll
+    /// applying a uniform Pauli, then the qubit's damping channels as
+    /// one single-qubit slot of [`Self::noise_slots`]'s mass-space
+    /// loop, with identical channels at identical RNG draw points.
     pub fn gate_noise(
         &mut self,
         qubits: impl IntoIterator<Item = usize>,
@@ -473,57 +392,13 @@ impl TrajectoryState {
         }
         for q in qubits {
             if p > 0.0 && rng.gen::<f64>() < p {
-                let pauli = sample_pauli(rng);
-                self.pauli(pauli, 1 << q);
+                pauli_error(self, q, rng);
             }
             if let Some(d) = &damping {
                 self.damping_slot(1 << q, 0, d, rng);
             }
         }
         self.finish();
-    }
-
-    /// [`SparseState::apply_transition_with`] on this trajectory: each
-    /// label contributes `cos·a` to itself and `misin·a` to its partner
-    /// (or `a` to itself without one). The contributions are sorted by
-    /// label and adjacent pairs folded, so each output label gets
-    /// `ZERO + x (+ y)` as the map merge gives it, in `O(s log s)`.
-    pub fn apply_transition_with(&mut self, tr: &Transition, cos: Complex, misin: Complex) {
-        let entries = &mut self.entries;
-        self.merge.clear();
-        for e in entries.iter() {
-            match tr.partner(e.label) {
-                Some(p) => {
-                    self.merge.push((e.label, cos * e.amp));
-                    self.merge.push((p, misin * e.amp));
-                }
-                None => self.merge.push((e.label, e.amp)),
-            }
-        }
-        self.merge.sort_unstable_by_key(|&(l, _)| l);
-        entries.clear();
-        let mut i = 0;
-        while i < self.merge.len() {
-            let (label, x) = self.merge[i];
-            let mut amp = Complex::ZERO + x;
-            i += 1;
-            if let Some(&(_, y)) = self.merge.get(i).filter(|m| m.0 == label) {
-                amp += y;
-                i += 1;
-            }
-            if amp.norm_sqr() > PRUNE_EPS * PRUNE_EPS {
-                entries.push(Entry { label, amp, w: 0.0 });
-            }
-        }
-        self.sorted = true;
-    }
-
-    /// [`SparseState::apply_diagonal_phase_with`] on this trajectory:
-    /// multiplies each amplitude by `factor(label)`.
-    pub fn apply_diagonal_phase_with(&mut self, mut factor: impl FnMut(Label) -> Complex) {
-        for e in &mut self.entries {
-            e.amp *= factor(e.label);
-        }
     }
 
     /// Runs one transition operator's whole noise-slot loop: `slots`
@@ -569,8 +444,7 @@ impl TrajectoryState {
                 // `apply_gate_noise_sparse` with `p = 1` draws its roll
                 // (always below 1) and applies the sampled Pauli.
                 let _roll: f64 = rng.gen();
-                let pauli = sample_pauli(rng);
-                self.pauli(pauli, 1 << q);
+                pauli_error(self, q, rng);
             }
             if let Some(d) = &damping {
                 let a = support[pick.sample(rng)];
@@ -582,18 +456,16 @@ impl TrajectoryState {
         self.finish();
     }
 
-    /// [`SparseState::sample_one`] on this trajectory, through a sampler
-    /// the trajectory keeps.
+    /// Draws one measurement outcome through the sampler the state
+    /// keeps, sorting the buffer in place first.
     ///
     /// # Panics
     ///
     /// Panics if the state is empty.
     pub fn sample_one(&mut self, rng: &mut impl Rng) -> Label {
         self.sort();
-        let entries = &self.entries;
-        assert!(!entries.is_empty(), "cannot sample an empty state");
-        self.sampler
-            .prepare_sorted(entries.iter().map(|e| (e.label, e.amp)));
+        assert!(!self.entries.is_empty(), "cannot sample an empty state");
+        self.sampler.fill(&self.entries);
         self.sampler.draw(rng)
     }
 }
@@ -743,20 +615,10 @@ impl Damping {
     }
 }
 
-/// One label of a [`TrajectoryState`] buffer.
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    label: Label,
-    /// The amplitude as of the last reload or rescale.
-    amp: Complex,
-    /// `|amp|²` at the last reload, times every no-jump factor since.
-    w: f64,
-}
-
 /// The mass-space machinery of the noise calls: each label keeps its
 /// amplitude and an unnormalized mass `w`. Bit flips leave the labels
 /// out of order; every sum sorts them first, so sums run in ascending
-/// label order and never in a hash map's.
+/// label order.
 ///
 /// A damping channel whose classes hold positive mass rolls one draw
 /// `u`. When `u ≥ rate` it cannot jump: `u·T ≥ rate·T ≥ rate·pop` under
@@ -768,7 +630,7 @@ struct Entry {
 /// time would. Where the populated classes cannot tell whether a channel
 /// rolls (a rate of 1 zeroes a class, or masses near underflow), the
 /// slot takes that exact path from its start.
-impl TrajectoryState {
+impl SparseState {
     /// Brings the amplitudes up to date with the masses, if a no-jump
     /// factor has scaled them.
     fn finish(&mut self) {
@@ -776,15 +638,6 @@ impl TrajectoryState {
             self.sort();
             let t: f64 = self.entries.iter().map(|e| e.w).sum();
             self.rescale(t);
-        }
-    }
-
-    /// Puts the entries in ascending label order, the order every sum
-    /// over them runs in.
-    fn sort(&mut self) {
-        if !self.sorted {
-            self.entries.sort_unstable_by_key(|e| e.label);
-            self.sorted = true;
         }
     }
 
@@ -837,41 +690,6 @@ impl TrajectoryState {
             }
         }
         self.scaled = false;
-    }
-
-    /// A uniform Pauli on qubit `mask` (matching [`SparseState::apply`]
-    /// semantics: `Y` phases by `±i` from the prior bit value). `|a|²`
-    /// is unchanged, so the masses stay valid; a bit flip leaves the
-    /// label order to the next sum.
-    fn pauli(&mut self, pauli: Pauli, mask: Label) {
-        let entries = &mut self.entries;
-        match pauli {
-            Pauli::X => {
-                for e in entries.iter_mut() {
-                    e.label ^= mask;
-                }
-            }
-            Pauli::Y => {
-                for e in entries.iter_mut() {
-                    e.amp *= if e.label & mask == 0 {
-                        Complex::I
-                    } else {
-                        -Complex::I
-                    };
-                    e.label ^= mask;
-                }
-            }
-            Pauli::Z => {
-                for e in entries.iter_mut() {
-                    if e.label & mask != 0 {
-                        e.amp = -e.amp;
-                    }
-                }
-                return;
-            }
-        }
-        self.sorted = false;
-        self.scanned = false;
     }
 
     /// One damping slot on operands `ma` and `mb` (`mb == 0` for a
@@ -933,7 +751,7 @@ impl TrajectoryState {
             m[class_of(e.label, ma, mb)] += e.w;
         }
         let mut factors = [1.0f64; 4];
-        let masks = [ma, mb];
+        let qubits = [ma.trailing_zeros() as usize, mb.trailing_zeros() as usize];
         let n_ch = if mb != 0 { 2 } else { 1 };
         for (k, ch) in d.channels(mb != 0).iter().enumerate() {
             let sel = 1usize << ch.operand;
@@ -955,24 +773,14 @@ impl TrajectoryState {
                         // channels unfolded.
                         self.scale_classes(ma, mb, &factors);
                         self.rescale(t);
-                        let mask = masks[ch.operand];
-                        let entries = &mut self.entries;
-                        project_one(entries, mask);
+                        let q = qubits[ch.operand];
+                        self.project_qubit(q, true);
                         if ch.is_amp {
-                            for e in entries.iter_mut() {
-                                e.label ^= mask;
-                            }
-                            if d.lambda > 0.0 {
-                                damp(entries, mask, d.lambda, false, rng);
-                            }
+                            self.apply(&Gate::X(q)).expect("X is always sparse-safe");
+                            damp_qubit(self, q, 0.0, d.lambda, rng);
                         }
-                        for &m2 in &masks[ch.operand + 1..n_ch] {
-                            if d.gamma > 0.0 {
-                                damp(entries, m2, d.gamma, true, rng);
-                            }
-                            if d.lambda > 0.0 {
-                                damp(entries, m2, d.lambda, false, rng);
-                            }
+                        for &q2 in &qubits[ch.operand + 1..n_ch] {
+                            damp_qubit(self, q2, d.gamma, d.lambda, rng);
                         }
                         self.reload();
                         return;
@@ -989,50 +797,6 @@ impl TrajectoryState {
             }
         }
         self.scale_classes(ma, mb, &factors);
-    }
-}
-
-/// `project_qubit(q, true)` on a flat buffer: retain the `|1⟩` labels
-/// and renormalize. Label order is kept.
-fn project_one(entries: &mut Vec<Entry>, mask: Label) {
-    entries.retain(|e| e.label & mask != 0);
-    normalize(entries);
-}
-
-/// [`amplitude_damping_sparse`] (`is_amp`) or [`phase_damping_sparse`]
-/// on a flat buffer. Label order is kept: a decay flips a bit every
-/// remaining label has set.
-fn damp(entries: &mut Vec<Entry>, mask: Label, rate: f64, is_amp: bool, rng: &mut impl Rng) {
-    let p1: f64 = entries
-        .iter()
-        .filter(|e| e.label & mask != 0)
-        .map(|e| e.amp.norm_sqr())
-        .sum();
-    let p_jump = rate * p1;
-    if p_jump > 0.0 && rng.gen::<f64>() < p_jump {
-        project_one(entries, mask);
-        if is_amp {
-            for e in entries.iter_mut() {
-                e.label ^= mask;
-            }
-        }
-    } else {
-        let factor = (1.0 - rate).sqrt();
-        for e in entries.iter_mut() {
-            if e.label & mask != 0 {
-                e.amp = e.amp.scale(factor);
-            }
-        }
-        normalize(entries);
-    }
-}
-
-/// Renormalizes a flat buffer's amplitudes to unit norm.
-fn normalize(entries: &mut [Entry]) {
-    let n: f64 = entries.iter().map(|e| e.amp.norm_sqr()).sum::<f64>().sqrt();
-    assert!(n > 1e-300, "cannot normalize zero sparse state");
-    for e in entries.iter_mut() {
-        e.amp = e.amp.scale(1.0 / n);
     }
 }
 
@@ -1059,6 +823,8 @@ pub fn apply_readout_error(label: Label, n: usize, rate: f64, rng: &mut impl Rng
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
+    use crate::complex::Complex;
+    use crate::sparse::Transition;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1251,42 +1017,17 @@ mod tests {
 
     /// A 3-qubit superposition with asymmetric per-qubit populations.
     fn spread_state() -> SparseState {
-        let mut s = SparseState::basis_state(3, 0b000);
-        s.amps.clear();
-        s.amps.insert(0b000, crate::complex::Complex::new(0.6, 0.1));
-        s.amps
-            .insert(0b011, crate::complex::Complex::new(-0.3, 0.4));
-        s.amps
-            .insert(0b101, crate::complex::Complex::new(0.2, -0.5));
-        s.amps.insert(0b110, crate::complex::Complex::new(0.1, 0.2));
+        let mut s = SparseState::from_amplitudes(
+            3,
+            [
+                (0b000, Complex::new(0.6, 0.1)),
+                (0b011, Complex::new(-0.3, 0.4)),
+                (0b101, Complex::new(0.2, -0.5)),
+                (0b110, Complex::new(0.1, 0.2)),
+            ],
+        );
         s.normalize();
         s
-    }
-
-    /// Loads `state`'s support into `flat` in map order.
-    fn load(flat: &mut TrajectoryState, state: &SparseState) {
-        flat.entries.clear();
-        flat.entries.extend(
-            state
-                .amps
-                .iter()
-                .map(|(&label, &amp)| Entry { label, amp, w: 0.0 }),
-        );
-        flat.sorted = false;
-        flat.scaled = false;
-        flat.scanned = false;
-    }
-
-    /// Runs `step` on a trajectory loaded from `state` in map order, then
-    /// stores the trajectory's support back into `state`.
-    fn on_trajectory(state: &mut SparseState, step: impl FnOnce(&mut TrajectoryState)) {
-        let mut flat = TrajectoryState::new(state.n_qubits());
-        load(&mut flat, state);
-        step(&mut flat);
-        state.amps.clear();
-        state
-            .amps
-            .extend(flat.entries.iter().map(|e| (e.label, e.amp)));
     }
 
     #[test]
@@ -1305,9 +1046,7 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                on_trajectory(&mut fused, |t| {
-                    t.gate_noise(qubits.iter().copied(), 0.0, &noise, &mut rng_a)
-                });
+                fused.gate_noise(qubits.iter().copied(), 0.0, &noise, &mut rng_a);
                 apply_gate_noise_sparse(&mut unfused, qubits, 0.0, &damping_only, &mut rng_b);
                 assert_eq!(
                     rng_a.gen::<u64>(),
@@ -1335,9 +1074,7 @@ mod tests {
                 let mut unfused = spread_state();
                 let mut rng_a = StdRng::seed_from_u64(seed);
                 let mut rng_b = StdRng::seed_from_u64(seed);
-                on_trajectory(&mut fused, |t| {
-                    t.gate_noise([0, 1], 0.0, &noise, &mut rng_a)
-                });
+                fused.gate_noise([0, 1], 0.0, &noise, &mut rng_a);
                 apply_gate_noise_sparse(&mut unfused, &[0, 1], 0.0, &noise, &mut rng_b);
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
                 for l in 0..8u128 {
@@ -1357,9 +1094,7 @@ mod tests {
             let mut unfused = spread_state();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            on_trajectory(&mut fused, |t| {
-                t.gate_noise([0, 1, 2], noise.p1, &noise, &mut rng_a)
-            });
+            fused.gate_noise([0, 1, 2], noise.p1, &noise, &mut rng_a);
             apply_gate_noise_sparse(&mut unfused, &[0, 1, 2], noise.p1, &noise, &mut rng_b);
             assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
             for l in 0..8u128 {
@@ -1379,12 +1114,12 @@ mod tests {
             let mut probe = StdRng::seed_from_u64(7);
             probe.gen::<u64>()
         };
-        on_trajectory(&mut s, |t| t.gate_noise([0, 1], 0.0, &noise, &mut rng));
+        s.gate_noise([0, 1], 0.0, &noise, &mut rng);
         assert_eq!(rng.gen::<u64>(), before, "rolls consumed on |00⟩");
         assert!((s.probability(0b00) - 1.0).abs() < 1e-12);
     }
 
-    /// The unfused per-slot sequence [`TrajectoryState::noise_slots`] folds:
+    /// The unfused per-slot sequence [`SparseState::noise_slots`] folds:
     /// a p₂ roll applying a uniform Pauli on a random support qubit,
     /// then every damping channel of a random operand pair, channel by
     /// channel with a renormalization each.
@@ -1421,12 +1156,13 @@ mod tests {
     /// (a `0.0` weight pins an explicit zero-mass entry).
     fn state_over(labels: &[(Label, f64)], seed: u64) -> SparseState {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = SparseState::basis_state(5, 0);
-        s.amps.clear();
-        for &(l, weight) in labels {
-            let a = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-            s.amps.insert(l, a.scale(weight));
-        }
+        let mut s = SparseState::from_amplitudes(
+            5,
+            labels.iter().map(|&(l, weight)| {
+                let a = Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                (l, a.scale(weight))
+            }),
+        );
         s.normalize();
         s
     }
@@ -1518,17 +1254,15 @@ mod tests {
                         let mut unfused = start.clone();
                         let mut rng_a = StdRng::seed_from_u64(seed);
                         let mut rng_b = StdRng::seed_from_u64(seed);
-                        on_trajectory(&mut fused, |t| {
-                            t.noise_slots(support, 12, noise.p2, &noise, &mut rng_a)
-                        });
+                        fused.noise_slots(support, 12, noise.p2, &noise, &mut rng_a);
                         unfused_slot_loop(&mut unfused, support, 12, noise.p2, &noise, &mut rng_b);
                         let case = format!("len {len}, state {si}, {name}, seed {seed}");
                         assert_eq!(rng_a, rng_b, "RNG streams diverged ({case})");
-                        let mut got = fused.support();
-                        let mut want = unfused.support();
-                        got.sort_unstable();
-                        want.sort_unstable();
-                        assert_eq!(got, want, "support diverged ({case})");
+                        assert_eq!(
+                            fused.support(),
+                            unfused.support(),
+                            "support diverged ({case})"
+                        );
                         for l in 0..32u128 {
                             assert!(
                                 fused.amplitude(l).approx_eq(unfused.amplitude(l), 1e-9),
@@ -1551,56 +1285,61 @@ mod tests {
         // does nothing and draws nothing; the flat runner must match.
         let noise = NoiseModel::noise_free();
         let mut s = spread_state();
-        // Clone (not a fresh `spread_state()`): `normalize` sums in map
-        // order, so two instances differ at last ulp.
-        let reference = s.clone();
+        let reference = spread_state();
         let mut rng = StdRng::seed_from_u64(3);
         let before = {
             let mut probe = StdRng::seed_from_u64(3);
             probe.gen::<u64>()
         };
-        on_trajectory(&mut s, |t| {
-            t.noise_slots(&[0, 1, 2], 50, noise.p2, &noise, &mut rng)
-        });
+        s.noise_slots(&[0, 1, 2], 50, noise.p2, &noise, &mut rng);
         assert_eq!(rng.gen::<u64>(), before, "draws consumed with no channels");
         for l in 0..8u128 {
             assert!(s.amplitude(l).approx_eq(reference.amplitude(l), 0.0));
         }
     }
 
-    /// Asserts that `flat` holds `sparse`'s support, amplitudes equal to
-    /// the bit, and that both RNGs stand at the same position.
+    /// Asserts that `flat` and `fresh` hold the same support with
+    /// amplitudes equal to the bit, and that both RNGs stand at the same
+    /// position.
     fn assert_same_shot(
-        flat: &TrajectoryState,
-        sparse: &SparseState,
+        flat: &SparseState,
+        fresh: &SparseState,
         rngs: (&StdRng, &StdRng),
         case: &str,
     ) {
         assert_eq!(rngs.0, rngs.1, "RNG position ({case})");
-        let mut got: Vec<Label> = flat.entries.iter().map(|e| e.label).collect();
-        got.sort_unstable();
-        assert_eq!(got, sparse.support(), "support ({case})");
-        for e in &flat.entries {
-            let want = sparse.amplitude(e.label);
+        assert_eq!(flat.support(), fresh.support(), "support ({case})");
+        for l in flat.support() {
+            let (got, want) = (flat.amplitude(l), fresh.amplitude(l));
             assert_eq!(
-                (e.amp.re.to_bits(), e.amp.im.to_bits()),
+                (got.re.to_bits(), got.im.to_bits()),
                 (want.re.to_bits(), want.im.to_bits()),
-                "amplitude {:#b} ({case})",
-                e.label
+                "amplitude {l:#b} ({case})"
             );
         }
     }
 
+    /// `state`'s amplitudes in a new state with no history: fresh
+    /// buffers and noise bookkeeping, and the entries in descending
+    /// label order.
+    fn rebuilt(state: &SparseState) -> SparseState {
+        let support = state.support();
+        SparseState::from_amplitudes(
+            state.n_qubits(),
+            support.iter().rev().map(|&l| (l, state.amplitude(l))),
+        )
+    }
+
     #[test]
     fn flat_shot_matches_sparse_state_shot_bit_for_bit() {
-        // A trajectory buffer that persists through the shot and a
-        // `SparseState` loaded into a fresh buffer and stored back on
-        // each noise call run one slot loop; stepped side by side
-        // through a shot (reset, preparation, a loaded start state, slot
-        // loop, transition, slot loop, draw) they must agree to the bit
-        // after every step, with the RNG at the same position. Heavy damping sends draws below
-        // the rate often, γ = 1 zeroes classes, and a mass at 1e-300
-        // sits below the slot loop's floor.
+        // One state carried through every shot (reset, preparation, a
+        // loaded start state, slot loop, transition, slot loop, draw),
+        // as a worker runs its slab, against the same steps on a state
+        // rebuilt out of label order and without history before each
+        // step: they must agree to the bit after every step, with the
+        // RNG at the same position. Heavy damping sends draws below the
+        // rate often, γ = 1 zeroes classes, and a mass at 1e-300 sits
+        // below the slot loop's floor.
         let models = [
             ("kyiv", crate::device::Device::ibm_kyiv().noise),
             (
@@ -1635,6 +1374,7 @@ mod tests {
         let operands = [3usize, 0, 4, 1, 2];
         let input: Label = 0b10110;
         let (cos, misin) = (Complex::from(0.6), Complex::new(0.0, -0.8));
+        let mut flat = SparseState::basis_state(5, 0);
         for len in 1..=5 {
             let support = &operands[..len];
             // A transition over the support's first one or two qubits.
@@ -1649,39 +1389,35 @@ mod tests {
                 for (name, noise) in models {
                     for seed in 0..40u64 {
                         let case = format!("len {len}, state {si}, {name}, seed {seed}");
-                        let mut flat = TrajectoryState::new(5);
-                        let mut sparse = SparseState::basis_state(5, 0);
                         let mut rng_a = StdRng::seed_from_u64(seed);
                         let mut rng_b = StdRng::seed_from_u64(seed);
                         flat.reset(input);
-                        sparse.reset(input);
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        let mut fresh = SparseState::basis_state(5, input);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                         let prep: Vec<usize> = (0..5).filter(|&q| input >> q & 1 == 1).collect();
                         flat.gate_noise(prep.iter().copied(), noise.p1, &noise, &mut rng_a);
-                        on_trajectory(&mut sparse, |t| {
-                            t.gate_noise(prep.iter().copied(), noise.p1, &noise, &mut rng_b)
-                        });
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
-                        load(&mut flat, &start);
-                        sparse = start.clone();
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        fresh.gate_noise(prep.iter().copied(), noise.p1, &noise, &mut rng_b);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
+                        flat.clone_from(&start);
+                        fresh = rebuilt(&start);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                         let slots = 12 + seed as usize;
                         flat.noise_slots(support, slots, noise.p2, &noise, &mut rng_a);
-                        on_trajectory(&mut sparse, |t| {
-                            t.noise_slots(support, slots, noise.p2, &noise, &mut rng_b)
-                        });
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        fresh = rebuilt(&fresh);
+                        fresh.noise_slots(support, slots, noise.p2, &noise, &mut rng_b);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                         flat.apply_transition_with(&tr, cos, misin);
-                        sparse.apply_transition_with(&tr, cos, misin);
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        fresh = rebuilt(&fresh);
+                        fresh.apply_transition_with(&tr, cos, misin);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                         flat.noise_slots(support, slots, noise.p2, &noise, &mut rng_a);
-                        on_trajectory(&mut sparse, |t| {
-                            t.noise_slots(support, slots, noise.p2, &noise, &mut rng_b)
-                        });
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        fresh = rebuilt(&fresh);
+                        fresh.noise_slots(support, slots, noise.p2, &noise, &mut rng_b);
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                         let drawn = flat.sample_one(&mut rng_a);
-                        assert_eq!(drawn, sparse.sample_one(&mut rng_b), "draw ({case})");
-                        assert_same_shot(&flat, &sparse, (&rng_a, &rng_b), &case);
+                        fresh = rebuilt(&fresh);
+                        assert_eq!(drawn, fresh.sample_one(&mut rng_b), "draw ({case})");
+                        assert_same_shot(&flat, &fresh, (&rng_a, &rng_b), &case);
                     }
                 }
             }
