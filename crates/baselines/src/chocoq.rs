@@ -13,18 +13,15 @@
 //! layer, the 1000+-deep circuits of Table 2), there are only `2L`
 //! parameters, and there is no pruning, segmentation, or purification.
 
-use crate::common::{BaselineConfig, BaselineOutcome};
+use crate::common::{train_and_report, BaselineConfig, BaselineOutcome};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rasengan_core::hamiltonian::{problem_basis, TransitionHamiltonian};
-use rasengan_core::latency::Latency;
-use rasengan_core::metrics::{
-    arg, best_solution, expectation, in_constraints_rate, penalty_lambda,
-};
+use rasengan_core::latency::segment_shot_seconds;
+use rasengan_core::purify::normalized_distribution;
 use rasengan_core::segment::SegmentProgram;
 use rasengan_math::basis::TernaryBasisError;
-use rasengan_optim::{Cobyla, Optimizer};
-use rasengan_problems::{optimum, Problem, Sense};
+use rasengan_problems::Problem;
 use rasengan_qsim::noise::apply_readout_error;
 use rasengan_qsim::sparse::{bits_from_label, label_from_bits};
 use rasengan_qsim::{Complex, Label, NoiseModel, SparseState};
@@ -64,7 +61,8 @@ impl ChocoQ {
         mixer + objective
     }
 
-    /// Solves the problem.
+    /// Solves the problem through the shared training loop, starting
+    /// every parameter at 0.2.
     ///
     /// # Errors
     ///
@@ -72,14 +70,11 @@ impl ChocoQ {
     /// exists.
     pub fn solve(&self, problem: &Problem) -> Result<BaselineOutcome, TernaryBasisError> {
         let cfg = &self.config;
-        let wall = Instant::now();
-        let basis = problem_basis(problem)?;
-        let hams: Vec<TransitionHamiltonian> =
-            basis.into_iter().map(TransitionHamiltonian::new).collect();
-        let lambda = penalty_lambda(problem);
-        let sense = problem.sense();
-        let n_params = 2 * cfg.layers;
-
+        let started = Instant::now();
+        let hams: Vec<TransitionHamiltonian> = problem_basis(problem)?
+            .into_iter()
+            .map(TransitionHamiltonian::new)
+            .collect();
         let seed_bits: Vec<i64> = problem
             .initial_feasible()
             .map(<[i64]>::to_vec)
@@ -88,76 +83,36 @@ impl ChocoQ {
             })
             .expect("benchmark problems carry feasible seeds");
         let seed_label = label_from_bits(&seed_bits);
-
-        let layer_cx = Self::layer_cx_cost(problem, &hams);
-        let total_cx = layer_cx * cfg.layers;
-        // Latency: full-depth circuit, shots repetitions per evaluation.
-        let shot_s = cfg.device.reset_time
-            + total_cx as f64 * cfg.device.gate_time_2q
-            + cfg.device.readout_time;
-        let quantum_per_eval = shot_s * cfg.shots.unwrap_or(1024) as f64;
-        let mut quantum_s = 0.0f64;
-        let mut eval_counter = 0u64;
-
-        let run = |params: &[f64], rng: &mut StdRng| -> BTreeMap<Label, f64> {
-            run_chocoq(problem, &hams, seed_label, params, cfg, rng)
-        };
-
-        let mut objective = |params: &[f64]| -> f64 {
-            eval_counter += 1;
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed ^ eval_counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let dist = run(params, &mut rng);
-            quantum_s += quantum_per_eval;
-            let e = expectation(problem, &dist, lambda);
-            match sense {
-                Sense::Minimize => e,
-                Sense::Maximize => -e,
-            }
-        };
-
-        let x0 = vec![0.2; n_params];
-        let result = Cobyla::new(cfg.max_iterations).minimize(&mut objective, &x0);
-
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF1AA_F1AA);
-        let dist = run(&result.best_params, &mut rng);
-        quantum_s += quantum_per_eval;
-
-        let e_real = expectation(problem, &dist, lambda);
-        let (_, e_opt) = optimum(problem);
-        Ok(BaselineOutcome {
-            best: best_solution(problem, &dist),
-            expectation: e_real,
-            arg: arg(e_opt, e_real),
-            in_constraints_rate: in_constraints_rate(problem, &dist),
-            distribution: dist,
-            circuit_depth: total_cx,
-            n_params,
-            latency: Latency {
-                quantum_s,
-                classical_s: wall.elapsed().as_secs_f64(),
-                ..Latency::default()
-            },
-            history: result.history,
-            evaluations: result.evaluations,
-        })
+        let program = SegmentProgram::compile(&hams);
+        let total_cx = Self::layer_cx_cost(problem, &hams) * cfg.layers;
+        Ok(train_and_report(
+            problem,
+            cfg,
+            started,
+            vec![0.2; 2 * cfg.layers],
+            total_cx,
+            // The full-depth circuit, one reset and readout per shot.
+            segment_shot_seconds(&cfg.device, total_cx, 0),
+            |params, rng| run_chocoq(problem, &program, seed_label, params, cfg, rng),
+        ))
     }
 }
 
-/// One evaluation's compiled execution context: the Trotterized mixer
-/// as a [`SegmentProgram`] (precomputed masks, supports, CX costs),
-/// per-layer mixing constants evaluated once, and memo caches reusing
-/// objective evaluations and `cis` phases across all trajectories of
-/// the evaluation. Every path evolves a [`SparseState`], the state
-/// Rasengan's segments run on; noisy shots run on one that every shot
-/// of the evaluation resets and reuses. Every floating-point value it
+/// One evaluation's compiled execution context: the solve's
+/// Trotterized mixer, compiled once per solve as a [`SegmentProgram`]
+/// (precomputed masks, supports, CX costs), per-layer mixing constants
+/// evaluated once, and memo caches reusing objective evaluations and
+/// `cis` phases across all trajectories of the evaluation. Every path
+/// evolves a [`SparseState`], the state Rasengan's segments run on;
+/// noisy shots run on one that every shot of the evaluation resets and
+/// reuses. Every floating-point value it
 /// feeds the state is identical to what a gate-by-gate replay of the
 /// circuit computes, so the two agree bit for bit per shot (the
 /// `reference_*` tests below).
 struct CompiledEval<'a> {
     problem: &'a Problem,
     n: usize,
-    program: SegmentProgram,
+    program: &'a SegmentProgram,
     /// `(γ, cos β, −i·sin β)` per layer.
     layers: Vec<(f64, Complex, Complex)>,
     /// The feasible seed every shot starts from (prepared by an X column).
@@ -171,7 +126,7 @@ struct CompiledEval<'a> {
 impl<'a> CompiledEval<'a> {
     fn new(
         problem: &'a Problem,
-        hams: &[TransitionHamiltonian],
+        program: &'a SegmentProgram,
         seed_label: Label,
         params: &[f64],
     ) -> Self {
@@ -190,7 +145,7 @@ impl<'a> CompiledEval<'a> {
         CompiledEval {
             problem,
             n,
-            program: SegmentProgram::compile(hams),
+            program,
             phase_cache: vec![HashMap::new(); layers.len()],
             layers,
             seed_label,
@@ -266,63 +221,51 @@ impl<'a> CompiledEval<'a> {
     }
 }
 
-/// Executes the Choco-Q circuit once (exact or trajectory-sampled)
-/// through one evaluation's [`CompiledEval`].
+/// Executes the Choco-Q circuit once through one evaluation's
+/// [`CompiledEval`] of the solve's mixer `program`: exact, or at the
+/// shots [`NoiseModel::sampling_shots`] asks for.
 fn run_chocoq(
     problem: &Problem,
-    hams: &[TransitionHamiltonian],
+    program: &SegmentProgram,
     seed_label: Label,
     params: &[f64],
     cfg: &BaselineConfig,
     rng: &mut StdRng,
 ) -> BTreeMap<Label, f64> {
     let n = problem.n_vars();
-    let noisy = cfg.noise.is_noisy();
-    let shots = match (cfg.shots, noisy) {
-        (Some(s), _) => Some(s),
-        (None, true) => Some(1024),
-        (None, false) => None,
+    let mut eval = CompiledEval::new(problem, program, seed_label, params);
+    let Some(shots) = cfg.noise.sampling_shots(cfg.shots) else {
+        let mut state = SparseState::basis_state(n, seed_label);
+        eval.evolve_exact(&mut state);
+        return state.distribution();
     };
-    let mut eval = CompiledEval::new(problem, hams, seed_label, params);
-
-    match shots {
-        None => {
-            let mut state = SparseState::basis_state(n, seed_label);
-            eval.evolve_exact(&mut state);
-            state.distribution()
+    let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
+    if cfg.noise.is_noisy() {
+        // One state serves every shot.
+        let mut state = SparseState::basis_state(n, 0);
+        for _ in 0..shots {
+            let label = eval.evolve_noisy(&mut state, &cfg.noise, rng);
+            let label = apply_readout_error(label, n, cfg.noise.readout, rng);
+            *counts.entry(label).or_insert(0) += 1;
         }
-        Some(budget) => {
-            let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-            if noisy {
-                // One state serves every shot.
-                let mut state = SparseState::basis_state(n, 0);
-                for _ in 0..budget {
-                    let label = eval.evolve_noisy(&mut state, &cfg.noise, rng);
-                    let label = apply_readout_error(label, n, cfg.noise.readout, rng);
-                    *counts.entry(label).or_insert(0) += 1;
-                }
-            } else {
-                // Noise-free evolution draws nothing, so one state and
-                // one prepared sampler serve every shot.
-                let mut state = SparseState::basis_state(n, seed_label);
-                eval.evolve_exact(&mut state);
-                let sampler = state.prepared_sampler();
-                for _ in 0..budget {
-                    *counts.entry(sampler.draw(rng)).or_insert(0) += 1;
-                }
-            }
-            let total: usize = counts.values().sum();
-            counts
-                .into_iter()
-                .map(|(l, c)| (l, c as f64 / total as f64))
-                .collect()
+    } else {
+        // Noise-free evolution draws nothing, so one state and one
+        // prepared sampler serve every shot.
+        let mut state = SparseState::basis_state(n, seed_label);
+        eval.evolve_exact(&mut state);
+        let sampler = state.prepared_sampler();
+        for _ in 0..shots {
+            *counts.entry(sampler.draw(rng)).or_insert(0) += 1;
         }
     }
+    normalized_distribution(&counts).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BaselineOptimizer;
+    use rand::SeedableRng;
     use rasengan_problems::registry::{benchmark, BenchmarkId};
     use rasengan_qsim::noise::apply_gate_noise_sparse;
 
@@ -474,7 +417,7 @@ mod tests {
             let want = reference_shot(&problem, &hams, seed_label, &params, None, &mut rng);
             let got = run_chocoq(
                 &problem,
-                &hams,
+                &SegmentProgram::compile(&hams),
                 seed_label,
                 &params,
                 &BaselineConfig::default(),
@@ -491,7 +434,8 @@ mod tests {
         for (regime, noise) in regimes {
             for (problem, hams, seed_label, params) in reference_cases() {
                 let n = problem.n_vars();
-                let mut eval = CompiledEval::new(&problem, &hams, seed_label, &params);
+                let program = SegmentProgram::compile(&hams);
+                let mut eval = CompiledEval::new(&problem, &program, seed_label, &params);
                 let mut reused = SparseState::basis_state(n, 0);
                 for shot in 0..48u64 {
                     let mut rng = StdRng::seed_from_u64(0x5407 ^ shot);
@@ -524,7 +468,8 @@ mod tests {
                 let n = problem.n_vars();
                 let cfg = BaselineConfig::default().with_shots(96).with_noise(noise);
                 let mut rng = StdRng::seed_from_u64(0xD1CE);
-                let got = run_chocoq(&problem, &hams, seed_label, &params, &cfg, &mut rng);
+                let program = SegmentProgram::compile(&hams);
+                let got = run_chocoq(&problem, &program, seed_label, &params, &cfg, &mut rng);
                 let mut rng = StdRng::seed_from_u64(0xD1CE);
                 let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
                 for _ in 0..96 {
@@ -542,6 +487,22 @@ mod tests {
                 assert_eq!(got, want, "[{regime}] {}", problem.name());
             }
         }
+    }
+
+    #[test]
+    fn trains_with_the_configured_optimizer() {
+        // SPSA spends one evaluation at x0 and three per iteration;
+        // COBYLA starts from a 3-point simplex on Choco-Q's 2 parameters.
+        let cfg = BaselineConfig::default()
+            .with_max_iterations(4)
+            .with_layers(1);
+        let spsa = ChocoQ::new(cfg.clone().with_optimizer(BaselineOptimizer::Spsa))
+            .solve(&j1())
+            .unwrap();
+        assert_eq!(spsa.evaluations, 1 + 3 * 4);
+        assert_eq!(spsa.history.len(), 4);
+        let cobyla = ChocoQ::new(cfg).solve(&j1()).unwrap();
+        assert_ne!(cobyla.evaluations, spsa.evaluations);
     }
 
     #[test]

@@ -7,10 +7,12 @@ use rasengan_core::latency::Latency;
 use rasengan_core::metrics::{
     arg, best_solution, expectation, in_constraints_rate, penalty_lambda, Solution,
 };
+use rasengan_core::purify::normalized_distribution;
+use rasengan_optim::{Cobyla, Optimizer, Spsa};
 use rasengan_problems::{optimum, Problem, Sense};
 use rasengan_qsim::exec::{DenseTrajectoryRunner, Program};
 use rasengan_qsim::noise::apply_readout_error;
-use rasengan_qsim::{Circuit, DenseState, Device, Label, NoiseModel};
+use rasengan_qsim::{Circuit, DenseState, Device, Label, NoiseModel, NOTIONAL_SHOTS};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -35,13 +37,15 @@ pub struct BaselineConfig {
     /// Optimizer iteration budget (paper: 300 noise-free, 100 on
     /// hardware).
     pub max_iterations: usize,
-    /// Shots per evaluation; `None` = exact probabilities.
+    /// Shots per evaluation; `None` = exact probabilities, or
+    /// [`NOTIONAL_SHOTS`] under noise.
     pub shots: Option<usize>,
     /// Gate-level noise (forces shot-based execution).
     pub noise: NoiseModel,
     /// Device timing model for latency accounting.
     pub device: Device,
-    /// Parameter-training optimizer.
+    /// Parameter-training optimizer; every baseline, Choco-Q included,
+    /// trains with it.
     pub optimizer: BaselineOptimizer,
 }
 
@@ -134,81 +138,62 @@ pub struct BaselineOutcome {
 
 /// Executes a dense circuit and returns the measured distribution.
 ///
-/// Noise-free without shots: exact probabilities. With shots: sampled
-/// counts. With noise: one trajectory per shot plus readout errors,
-/// each through a [`Program`] compiled once per call and a
-/// [`DenseTrajectoryRunner`] that reuses its state buffer.
+/// Exact probabilities unless [`NoiseModel::sampling_shots`] asks for
+/// shots. Noise-free shots sample the final state; noisy shots each run
+/// one trajectory plus readout errors, through a [`Program`] compiled
+/// once per call and a [`DenseTrajectoryRunner`] that reuses its state
+/// buffer.
 pub fn run_dense(
     circuit: &Circuit,
     cfg: &BaselineConfig,
     rng: &mut StdRng,
 ) -> BTreeMap<Label, f64> {
-    let noisy = cfg.noise.is_noisy();
-    let shots = match (cfg.shots, noisy) {
-        (Some(s), _) => Some(s),
-        (None, true) => Some(1024),
-        (None, false) => None,
+    let Some(shots) = cfg.noise.sampling_shots(cfg.shots) else {
+        return DenseState::from_circuit(circuit)
+            .probabilities()
+            .into_iter()
+            .enumerate()
+            .filter(|(_, p)| *p > 1e-12)
+            .map(|(l, p)| (l as Label, p))
+            .collect();
     };
-    match shots {
-        None => {
-            let state = DenseState::from_circuit(circuit);
-            state
-                .probabilities()
-                .into_iter()
-                .enumerate()
-                .filter(|(_, p)| *p > 1e-12)
-                .map(|(l, p)| (l as Label, p))
-                .collect()
+    let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
+    if cfg.noise.is_noisy() {
+        let program = Program::compile(circuit);
+        let mut runner = DenseTrajectoryRunner::new(&program, &cfg.noise);
+        for _ in 0..shots {
+            let label = runner.run(rng).sample_one(rng) as Label;
+            let label = apply_readout_error(label, circuit.n_qubits(), cfg.noise.readout, rng);
+            *counts.entry(label).or_insert(0) += 1;
         }
-        Some(budget) => {
-            let mut counts: BTreeMap<Label, usize> = BTreeMap::new();
-            if noisy {
-                let program = Program::compile(circuit);
-                let mut runner = DenseTrajectoryRunner::new(&program, &cfg.noise);
-                for _ in 0..budget {
-                    let state = runner.run(rng);
-                    let label = state.sample_one(rng);
-                    let label = apply_readout_error(
-                        label as Label,
-                        circuit.n_qubits(),
-                        cfg.noise.readout,
-                        rng,
-                    );
-                    *counts.entry(label).or_insert(0) += 1;
-                }
-            } else {
-                let state = DenseState::from_circuit(circuit);
-                for (label, c) in state.sample(budget, rng) {
-                    *counts.entry(label as Label).or_insert(0) += c;
-                }
-            }
-            let total: usize = counts.values().sum();
-            counts
-                .into_iter()
-                .map(|(l, c)| (l, c as f64 / total as f64))
-                .collect()
+    } else {
+        let state = DenseState::from_circuit(circuit);
+        for (label, c) in state.sample(shots, rng) {
+            *counts.entry(label as Label).or_insert(0) += c;
         }
     }
+    normalized_distribution(&counts).unwrap_or_default()
 }
 
-/// Wraps the common train-evaluate-report loop shared by the baselines:
-/// optimizes `build(params) → distribution` under the problem's
-/// penalty-charged expectation, then assembles a [`BaselineOutcome`].
+/// The train-evaluate-report loop every baseline solves through:
+/// trains `run(params, rng) → distribution` from `initial_params` with
+/// `cfg.optimizer` under the problem's penalty-charged expectation,
+/// runs the best parameters once more, and assembles the
+/// [`BaselineOutcome`]. Each evaluation charges `shot_seconds` per shot
+/// ([`NOTIONAL_SHOTS`] when `cfg.shots` is unset); `classical_s` is the
+/// wall time since `started`, the caller's solve start.
 pub fn train_and_report(
     problem: &Problem,
     cfg: &BaselineConfig,
-    n_params: usize,
+    started: Instant,
     initial_params: Vec<f64>,
     circuit_depth: usize,
-    quantum_seconds_per_eval: f64,
+    shot_seconds: f64,
     mut run: impl FnMut(&[f64], &mut StdRng) -> BTreeMap<Label, f64>,
 ) -> BaselineOutcome {
-    use rasengan_optim::{Cobyla, Optimizer, Spsa};
-    assert_eq!(initial_params.len(), n_params, "parameter shape mismatch");
-
-    let wall = Instant::now();
     let lambda = penalty_lambda(problem);
     let sense = problem.sense();
+    let quantum_per_eval = shot_seconds * cfg.shots.unwrap_or(NOTIONAL_SHOTS) as f64;
     let mut eval_counter = 0u64;
     let mut quantum_s = 0.0f64;
 
@@ -217,7 +202,7 @@ pub fn train_and_report(
         let mut rng =
             StdRng::seed_from_u64(cfg.seed ^ eval_counter.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let dist = run(params, &mut rng);
-        quantum_s += quantum_seconds_per_eval;
+        quantum_s += quantum_per_eval;
         let e = expectation(problem, &dist, lambda);
         match sense {
             Sense::Minimize => e,
@@ -236,7 +221,7 @@ pub fn train_and_report(
 
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xF1AA_F1AA);
     let dist = run(&result.best_params, &mut rng);
-    quantum_s += quantum_seconds_per_eval;
+    quantum_s += quantum_per_eval;
 
     let e_real = expectation(problem, &dist, lambda);
     let (_, e_opt) = optimum(problem);
@@ -247,10 +232,10 @@ pub fn train_and_report(
         in_constraints_rate: in_constraints_rate(problem, &dist),
         distribution: dist,
         circuit_depth,
-        n_params,
+        n_params: initial_params.len(),
         latency: Latency {
             quantum_s,
-            classical_s: wall.elapsed().as_secs_f64(),
+            classical_s: started.elapsed().as_secs_f64(),
             ..Latency::default()
         },
         history: result.history,

@@ -8,6 +8,7 @@
 use crate::common::{run_dense, train_and_report, BaselineConfig, BaselineOutcome};
 use rasengan_problems::Problem;
 use rasengan_qsim::Circuit;
+use std::time::Instant;
 
 /// The HEA solver.
 ///
@@ -69,25 +70,18 @@ impl Hea {
     /// Solves the problem; see [`BaselineOutcome`].
     pub fn solve(&self, problem: &Problem) -> BaselineOutcome {
         let cfg = &self.config;
+        let started = Instant::now();
         let n = problem.n_vars();
-        let n_params = Self::n_params(n, cfg.layers);
-
-        let probe = Self::circuit(n, cfg.layers, &vec![0.1; n_params]);
-        let depth = probe.two_qubit_depth();
-        let quantum_per_eval = cfg.device.shot_duration(&probe) * cfg.shots.unwrap_or(1024) as f64;
-
-        let layers = cfg.layers;
+        let x0 = vec![0.1; Self::n_params(n, cfg.layers)];
+        let probe = Self::circuit(n, cfg.layers, &x0);
         train_and_report(
             problem,
             cfg,
-            n_params,
-            vec![0.1; n_params],
-            depth,
-            quantum_per_eval,
-            move |params, rng| {
-                let c = Self::circuit(n, layers, params);
-                run_dense(&c, cfg, rng)
-            },
+            started,
+            x0,
+            probe.two_qubit_depth(),
+            cfg.device.shot_duration(&probe),
+            |params, rng| run_dense(&Self::circuit(n, cfg.layers, params), cfg, rng),
         )
     }
 }

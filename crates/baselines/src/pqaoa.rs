@@ -12,6 +12,7 @@ use rasengan_core::metrics::penalty_lambda;
 use rasengan_problems::Problem;
 use rasengan_qsim::decompose::decompose_circuit;
 use rasengan_qsim::Circuit;
+use std::time::Instant;
 
 /// The P-QAOA solver.
 ///
@@ -147,37 +148,27 @@ impl PQaoa {
     /// Solves the problem; see [`BaselineOutcome`].
     pub fn solve(&self, problem: &Problem) -> BaselineOutcome {
         let cfg = &self.config;
+        let started = Instant::now();
         let n = problem.n_vars();
         let lambda = penalty_lambda(problem);
         let ising = qubo_to_ising(&penalized_qubo(problem, lambda));
         let frozen = self.frozen_assignment(problem, &ising);
-        let n_params = 2 * cfg.layers;
 
         // Reference circuit for depth/latency accounting.
-        let probe = Self::circuit(&ising, n, &vec![0.3; n_params], &frozen);
-        let depth = decompose_circuit(&probe).two_qubit_depth();
-        let shot_s = cfg.device.shot_duration(&probe);
-        let quantum_per_eval = shot_s * cfg.shots.unwrap_or(1024) as f64;
-
+        let probe = Self::circuit(&ising, n, &vec![0.3; 2 * cfg.layers], &frozen);
         let initial = if self.red_init {
             red_seed(&ising, n, cfg, &frozen, cfg.layers)
         } else {
-            vec![0.3; n_params]
+            vec![0.3; 2 * cfg.layers]
         };
-
-        let ising_for_run = ising.clone();
-        let frozen_for_run = frozen.clone();
         train_and_report(
             problem,
             cfg,
-            n_params,
+            started,
             initial,
-            depth,
-            quantum_per_eval,
-            move |params, rng| {
-                let c = Self::circuit(&ising_for_run, n, params, &frozen_for_run);
-                run_dense(&c, cfg, rng)
-            },
+            decompose_circuit(&probe).two_qubit_depth(),
+            cfg.device.shot_duration(&probe),
+            |params, rng| run_dense(&Self::circuit(&ising, n, params, &frozen), cfg, rng),
         )
     }
 }

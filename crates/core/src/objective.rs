@@ -28,7 +28,7 @@ use rasengan_problems::{optimum, Problem, Sense};
 use rasengan_qsim::fault::{FaultKind, FaultPlan};
 use rasengan_qsim::noise::apply_readout_error;
 use rasengan_qsim::parallel::{derive_seed, par_map, resolve_threads, split_ranges};
-use rasengan_qsim::{Complex, Label, NoiseModel, PreparedSampler, SparseState};
+use rasengan_qsim::{Complex, Label, NoiseModel, PreparedSampler, SparseState, NOTIONAL_SHOTS};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -234,11 +234,7 @@ impl<'a> Objective<'a> {
             &sanitized
         };
 
-        let shots = match (cfg.shots, cfg.noise.is_noisy()) {
-            (Some(s), _) => Some(s),
-            (None, true) => Some(1024), // noise forces sampling
-            (None, false) => None,
-        };
+        let shots = cfg.noise.sampling_shots(cfg.shots);
 
         // Segments hand off `(label, probability)` in ascending label order.
         let mut dist: Vec<(Label, f64)> = vec![(prepared.seed_label, 1.0)];
@@ -271,14 +267,12 @@ impl<'a> Objective<'a> {
                 None => {
                     // Exact mixture propagation (noise-free analysis
                     // mode). Quantum latency is still charged at the
-                    // notional 1024 shots a hardware run would use, so
-                    // latency reports stay comparable with the shot-based
-                    // baselines.
+                    // notional shots a hardware run would use.
                     spent.quantum_s += segment_execution_seconds(
                         &cfg.device,
                         cx_depth,
                         4 * program.ops.len(),
-                        1024,
+                        NOTIONAL_SHOTS,
                     );
                     let threads = resolve_threads(cfg.threads);
                     dist = propagate_exact(problem.n_vars(), program, times, &dist, threads);

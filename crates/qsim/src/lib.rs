@@ -89,5 +89,5 @@ pub use device::Device;
 pub use exec::{DenseTrajectoryRunner, Program};
 pub use fault::{FaultKind, FaultPlan};
 pub use gate::Gate;
-pub use noise::NoiseModel;
+pub use noise::{NoiseModel, NOTIONAL_SHOTS};
 pub use sparse::{Label, PreparedSampler, SparseState, Transition};

@@ -45,6 +45,11 @@ pub struct NoiseModel {
     pub phase_damping: f64,
 }
 
+/// The shots a noisy run takes when none are set, and the shots an
+/// exact run's modeled latency charges, so exact and sampled latency
+/// reports stay comparable.
+pub const NOTIONAL_SHOTS: usize = 1024;
+
 /// Clamps a probability into `[0, 1]`, mapping NaN to 0. Every
 /// [`NoiseModel`] constructor routes its rates through this, so a model
 /// built from drifted calibration data or a bad config file can never
@@ -113,6 +118,13 @@ impl NoiseModel {
             || self.readout > 0.0
             || self.amplitude_damping > 0.0
             || self.phase_damping > 0.0
+    }
+
+    /// The shots a run under this model executes: `shots` when set,
+    /// else [`NOTIONAL_SHOTS`] when noisy (noise forces sampling), else
+    /// `None` (exact probabilities).
+    pub fn sampling_shots(&self, shots: Option<usize>) -> Option<usize> {
+        shots.or_else(|| self.is_noisy().then_some(NOTIONAL_SHOTS))
     }
 
     /// The depolarizing probability matching a gate's arity.
