@@ -31,27 +31,18 @@ use rasengan_problems::Problem;
 use rasengan_qsim::Label;
 use std::collections::BTreeMap;
 
-/// Result of purifying a measured distribution.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PurifyResult {
-    /// The surviving (feasible) outcomes with their raw counts.
-    pub feasible: BTreeMap<Label, usize>,
-    /// Counts removed as constraint-violating.
-    pub removed: usize,
-    /// Fraction of the raw counts that was feasible — the
-    /// in-constraints rate of this segment's raw output.
-    pub in_constraints_rate: f64,
-}
-
-/// Validates measured counts against the problem constraints (Fig. 8).
+/// Validates a measured distribution against the problem constraints
+/// (Fig. 8), given as `(label, probability)` pairs in ascending label
+/// order: drops infeasible mass, returning the renormalized feasible
+/// distribution and the feasible fraction (the in-constraints rate of
+/// the raw output), or `None` if nothing survives.
 ///
 /// # Example
 ///
 /// ```
-/// use rasengan_core::purify::purify_counts;
+/// use rasengan_core::purify::purify_distribution;
 /// use rasengan_problems::{Objective, Problem, Sense};
 /// use rasengan_math::IntMatrix;
-/// use std::collections::BTreeMap;
 ///
 /// let p = Problem::new(
 ///     "one-hot",
@@ -60,40 +51,11 @@ pub struct PurifyResult {
 ///     Objective::linear(vec![0.0, 0.0]),
 ///     Sense::Minimize,
 /// ).unwrap();
-/// let counts = BTreeMap::from([(0b01u128, 60), (0b10, 20), (0b11, 20)]);
-/// let purified = purify_counts(&p, &counts);
-/// assert_eq!(purified.removed, 20);
-/// assert!((purified.in_constraints_rate - 0.8).abs() < 1e-12);
+/// let raw = vec![(0b01u128, 0.5), (0b10, 0.25), (0b11, 0.25)];
+/// let (feasible, rate) = purify_distribution(&p, raw).unwrap();
+/// assert_eq!(feasible, vec![(0b01, 0.5 / 0.75), (0b10, 0.25 / 0.75)]);
+/// assert_eq!(rate, 0.75);
 /// ```
-pub fn purify_counts(problem: &Problem, counts: &BTreeMap<Label, usize>) -> PurifyResult {
-    let mut feasible = BTreeMap::new();
-    let mut kept = 0usize;
-    let mut removed = 0usize;
-    for (&label, &count) in counts {
-        if problem.is_feasible_label(label) {
-            feasible.insert(label, count);
-            kept += count;
-        } else {
-            removed += count;
-        }
-    }
-    let total = kept + removed;
-    PurifyResult {
-        feasible,
-        removed,
-        in_constraints_rate: if total == 0 {
-            0.0
-        } else {
-            kept as f64 / total as f64
-        },
-    }
-}
-
-/// Purifies a probability distribution (rather than integer counts),
-/// given as `(label, probability)` pairs in ascending label order:
-/// drops infeasible mass, returning the renormalized feasible
-/// distribution and the feasible fraction, or `None` if nothing
-/// survives.
 pub fn purify_distribution(
     problem: &Problem,
     mut dist: Vec<(Label, f64)>,
@@ -164,40 +126,16 @@ mod tests {
         // segment.
         let p = one_hot(2);
         let counts = BTreeMap::from([(0b01u128, 60), (0b10, 20), (0b11, 15), (0b00, 5)]);
-        let purified = purify_counts(&p, &counts);
-        assert_eq!(purified.removed, 20);
-        let dist = normalized_distribution(&purified.feasible).unwrap();
-        let probs: Vec<f64> = dist.values().copied().collect();
+        let raw = normalized_distribution(&counts)
+            .unwrap()
+            .into_iter()
+            .collect();
+        let (feasible, rate) = purify_distribution(&p, raw).unwrap();
+        assert!((rate - 0.8).abs() < 1e-12, "20 of 100 shots removed");
+        let probs: Vec<f64> = feasible.iter().map(|&(_, p)| p).collect();
         let shares = crate::segment::apportion_shots(&probs, 200);
         // Order: label 0b01 (count 60) then 0b10 (count 20).
         assert_eq!(shares, vec![150, 50]);
-    }
-
-    #[test]
-    fn fully_feasible_input_passes_through() {
-        let p = one_hot(3);
-        let counts = BTreeMap::from([(0b001u128, 10), (0b010, 20), (0b100, 30)]);
-        let purified = purify_counts(&p, &counts);
-        assert_eq!(purified.removed, 0);
-        assert_eq!(purified.in_constraints_rate, 1.0);
-        assert_eq!(purified.feasible, counts);
-    }
-
-    #[test]
-    fn fully_infeasible_input_yields_none() {
-        let p = one_hot(2);
-        let counts = BTreeMap::from([(0b00u128, 50), (0b11, 50)]);
-        let purified = purify_counts(&p, &counts);
-        assert_eq!(purified.in_constraints_rate, 0.0);
-        assert!(normalized_distribution(&purified.feasible).is_none());
-    }
-
-    #[test]
-    fn empty_counts_rate_is_zero() {
-        let p = one_hot(2);
-        let purified = purify_counts(&p, &BTreeMap::new());
-        assert_eq!(purified.in_constraints_rate, 0.0);
-        assert_eq!(purified.removed, 0);
     }
 
     #[test]
@@ -210,6 +148,7 @@ mod tests {
         assert_eq!(feasible, vec![(0b01, 0.6 / kept), (0b10, 0.2 / kept)]);
         assert_eq!(rate, kept / (0.1 + 0.6 + 0.2 + 0.1));
         assert!(purify_distribution(&p, vec![(0b11u128, 1.0)]).is_none());
+        assert!(purify_distribution(&p, Vec::new()).is_none());
     }
 
     #[test]
@@ -234,5 +173,6 @@ mod tests {
         let total: f64 = dist.values().sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert!((dist[&2u128] - 0.7).abs() < 1e-12);
+        assert!(normalized_distribution(&BTreeMap::new()).is_none());
     }
 }
