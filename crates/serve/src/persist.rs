@@ -65,9 +65,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rasengan_core::latency::{Latency, StageTimes};
 use rasengan_core::solver::Outcome;
+use rasengan_obs::fnv64;
 use rasengan_obs::metrics::Registry;
 use rasengan_qsim::parallel::derive_seed;
-use rasengan_qsim::wire::{fnv64, WireError, WireReader, WireWriter};
+use rasengan_qsim::wire::{WireError, WireReader, WireWriter};
 
 use crate::json;
 use crate::protocol::{render_outcome, SolveRequest};
@@ -163,7 +164,7 @@ impl ResultKey {
     fn file_stem(&self) -> String {
         let mut w = WireWriter::new();
         self.encode(&mut w);
-        format!("{:016x}", fnv64(&w.into_bytes()))
+        format!("{:016x}", fnv64(w.into_bytes()))
     }
 }
 
