@@ -82,28 +82,38 @@ fn spawn_cluster(
     servers
 }
 
-/// Polls each node's wire STATS until its fabric member list is
-/// exactly `expected` ids, all alive. Converged membership means every
-/// node owns the same ring, so ownership computed in the test matches
-/// what the servers route on.
+/// Polls each node's wire STATS until its ring members (every member
+/// not dead) are exactly `expected` ids, all alive. Converged membership
+/// means every node owns the same ring, so ownership computed in the
+/// test matches what the servers route on. A suspect member is still on
+/// the ring, so it keeps the wait going: a false suspicion under load
+/// must heal, and a dead node's last rows must reach dead.
 fn wait_for_membership(servers: &[ServerHandle], mut expected: Vec<String>) {
     expected.sort();
     let deadline = Instant::now() + Duration::from_secs(10);
     for server in servers {
         loop {
             let fabric = wire_fabric(server);
-            let members = fabric
+            let rows: Vec<(String, String)> = fabric
                 .get("members")
                 .and_then(|m| m.as_arr())
-                .map(|m| m.to_vec());
-            let mut ids: Vec<String> = members
                 .unwrap_or_default()
                 .iter()
-                .filter(|m| m.get("state").and_then(|s| s.as_str()) == Some("alive"))
-                .filter_map(|m| m.get("id").and_then(|s| s.as_str()).map(str::to_string))
+                .filter_map(|m| {
+                    let field = |key: &str| m.get(key)?.as_str().map(str::to_string);
+                    Some((field("id")?, field("state")?))
+                })
+                .collect();
+            let mut ids: Vec<String> = rows
+                .iter()
+                .filter(|(_, state)| state != "dead")
+                .map(|(id, _)| id.clone())
                 .collect();
             ids.sort();
-            if ids == expected {
+            let all_alive = rows
+                .iter()
+                .all(|(_, state)| state == "alive" || state == "dead");
+            if ids == expected && all_alive {
                 break;
             }
             assert!(
@@ -348,6 +358,12 @@ fn owner_death_rebuilds_the_ring_and_results_stay_identical() {
             "death must pass through the suspect state"
         );
     }
+
+    // The counters above also move when load delays gossip past the
+    // 40 ms heartbeat's timers and one survivor suspects, or declares
+    // dead, the other. Route nothing until both rings hold exactly the
+    // survivors again, alive.
+    wait_for_membership(&servers, ids.clone());
 
     // Post-rebuild: the ring over the survivors names a new owner, and
     // every entry's solve runs there. So far only the fallback node
