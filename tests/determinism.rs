@@ -184,6 +184,45 @@ fn golden_sampled_result_digests() {
     );
 }
 
+#[test]
+fn golden_exact_result_digests() {
+    // Pin the absolute `result` bytes of exact mixture propagation on
+    // wide mixtures: M4, S4 and M3 carry hundreds of labels between
+    // segments, so many input labels feed each output label and the
+    // order of every floating-point fold shows in the bytes. F4 adds
+    // the largest FLP instance of the registry (20 variables).
+    use rasengan::obs::fnv64;
+    use rasengan::serve::render_outcome;
+
+    let digests: Vec<String> = ["M4", "S4", "M3", "F4"]
+        .into_iter()
+        .flat_map(|id| {
+            let problem = benchmark(BenchmarkId::parse(id).unwrap());
+            [1usize, 4].map(|threads| {
+                let cfg = RasenganConfig::default()
+                    .with_seed(26)
+                    .with_max_iterations(20)
+                    .with_threads(threads);
+                let outcome = Rasengan::new(cfg).solve(&problem).unwrap();
+                format!("{:#018x}", fnv64(render_outcome(&outcome).as_bytes()))
+            })
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            "0xef8d97f48e2577ca",
+            "0xef8d97f48e2577ca",
+            "0xd2b5faff9a913eac",
+            "0xd2b5faff9a913eac",
+            "0x406c088219cc9810",
+            "0x406c088219cc9810",
+            "0x028db222d36399e6",
+            "0x028db222d36399e6"
+        ]
+    );
+}
+
 /// The four execution regimes the baseline digests pin, from `base`:
 /// exact, noise-free sampled at `shots`, IBM Kyiv noise, and a
 /// heavy-damping model.
