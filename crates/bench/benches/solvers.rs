@@ -31,6 +31,25 @@ fn bench_rasengan_solve(c: &mut Criterion) {
     });
 }
 
+/// A short exact-mode Rasengan solve of M4, whose 924 feasible labels
+/// make the widest mixtures of the registry: each evaluation's exact
+/// segment step and expectation run over hundreds of labels.
+fn bench_rasengan_exact_m4(c: &mut Criterion) {
+    let p = benchmark(BenchmarkId::parse("M4").unwrap());
+    c.bench_function("rasengan_exact_M4", |b| {
+        b.iter(|| {
+            let out = Rasengan::new(
+                RasenganConfig::default()
+                    .with_seed(1)
+                    .with_max_iterations(10),
+            )
+            .solve(black_box(&p))
+            .unwrap();
+            black_box(out.expectation)
+        })
+    });
+}
+
 /// One shot-based Rasengan execution (the quantum part of an iteration).
 fn bench_rasengan_execution(c: &mut Criterion) {
     let p = benchmark(BenchmarkId::parse("F2").unwrap());
@@ -139,6 +158,7 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets =
         bench_rasengan_solve,
+        bench_rasengan_exact_m4,
         bench_rasengan_execution,
         bench_noisy_thread_scaling,
         bench_chocoq_noisy,

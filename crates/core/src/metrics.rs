@@ -43,18 +43,20 @@ pub fn penalty_lambda(problem: &Problem) -> f64 {
 /// up in the hundreds for penalty methods whose output is mostly
 /// infeasible).
 pub fn expectation(problem: &Problem, dist: &BTreeMap<Label, f64>, lambda: f64) -> f64 {
-    let n = problem.n_vars();
     dist.iter()
-        .map(|(&label, &p)| {
-            let bits = bits_from_label(label, n);
-            let v = if problem.is_feasible_label(label) {
-                problem.evaluate(&bits)
-            } else {
-                problem.evaluate_penalized(&bits, lambda)
-            };
-            p * v
-        })
+        .map(|(&label, &p)| p * label_value(problem, label, lambda))
         .sum()
+}
+
+/// The value [`expectation`] charges one measured `label`: its objective
+/// when it is feasible, its objective penalized at `lambda` otherwise.
+pub fn label_value(problem: &Problem, label: Label, lambda: f64) -> f64 {
+    let bits = bits_from_label(label, problem.n_vars());
+    if problem.is_feasible_label(label) {
+        problem.evaluate(&bits)
+    } else {
+        problem.evaluate_penalized(&bits, lambda)
+    }
 }
 
 /// Fraction of probability mass on feasible outcomes.

@@ -8,7 +8,7 @@
 //! state.
 
 use crate::hamiltonian::TransitionHamiltonian;
-use rasengan_qsim::Transition;
+use rasengan_qsim::{Label, Transition};
 use std::ops::Range;
 
 /// One transition operator compiled for repeated execution: the mask
@@ -55,6 +55,16 @@ impl SegmentProgram {
     /// CX depth of the whole segment: the sum of its operators' costs.
     pub fn cx_depth(&self) -> usize {
         self.ops.iter().map(|op| op.cx_cost).sum()
+    }
+
+    /// Whether any operator has a partner for `label`. If none has, each
+    /// operator passes `|label⟩` through unchanged (Eq. 6), so the
+    /// segment leaves it at amplitude exactly one and evolving it can
+    /// be skipped.
+    pub fn moves(&self, label: Label) -> bool {
+        self.ops
+            .iter()
+            .any(|op| op.transition.partner(label).is_some())
     }
 }
 
@@ -161,11 +171,22 @@ pub fn apportion_shots(probs: &[f64], total: usize) -> Vec<usize> {
         .enumerate()
         .map(|(i, q)| (i, q - q.floor()))
         .collect();
-    remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    for (i, _) in remainder.into_iter().take(total - assigned) {
+    for &(i, _) in largest_remainders(&mut remainder, total - assigned) {
         shares[i] += 1;
     }
     shares
+}
+
+/// The (at most) `k` entries of `remainder` that rank first by
+/// remainder descending, then index ascending, in no particular order.
+/// The order is total, so a selection picks the same set a full sort
+/// would, in `O(n)` instead of `O(n log n)`.
+fn largest_remainders(remainder: &mut [(usize, f64)], k: usize) -> &[(usize, f64)] {
+    let k = k.min(remainder.len());
+    if k > 0 && k < remainder.len() {
+        remainder.select_nth_unstable_by(k - 1, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    }
+    &remainder[..k]
 }
 
 #[cfg(test)]
@@ -237,6 +258,75 @@ mod tests {
     fn apportionment_unnormalized_input() {
         // Raw counts work as weights too.
         assert_eq!(apportion_shots(&[60.0, 20.0], 200), vec![150, 50]);
+    }
+
+    /// [`apportion_shots`] as it was before the selection: a full sort
+    /// of the remainders.
+    fn apportion_by_sort(probs: &[f64], total: usize) -> Vec<usize> {
+        let sum: f64 = probs.iter().sum();
+        if total == 0 {
+            return vec![0; probs.len()];
+        }
+        let quotas: Vec<f64> = probs.iter().map(|p| p / sum * total as f64).collect();
+        let mut shares: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+        let assigned: usize = shares.iter().sum();
+        let mut remainder: Vec<(usize, f64)> = quotas
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (i, q - q.floor()))
+            .collect();
+        remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for (i, _) in remainder.into_iter().take(total - assigned) {
+            shares[i] += 1;
+        }
+        shares
+    }
+
+    #[test]
+    fn selected_remainders_match_a_full_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA990);
+        // Weights drawn from a small set tie often, so equal remainders
+        // must fall back to index order.
+        let weights = [0.1, 0.2, 0.2, 1.0 / 3.0, 0.5, 1.0, 3.0];
+        for case in 0..2000 {
+            let len = rng.gen_range(1..40usize);
+            let probs: Vec<f64> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        weights[rng.gen_range(0..weights.len())]
+                    } else {
+                        rng.gen_range(1e-6..1.0)
+                    }
+                })
+                .collect();
+            for total in [0, 1, len, rng.gen_range(0..5000usize)] {
+                assert_eq!(
+                    apportion_shots(&probs, total),
+                    apportion_by_sort(&probs, total),
+                    "case {case}: {len} states, {total} shots"
+                );
+            }
+            // The selection alone, at every k from none to all.
+            let mut remainder: Vec<(usize, f64)> = probs
+                .iter()
+                .map(|p| (p * 7.0).fract())
+                .enumerate()
+                .collect();
+            let mut sorted = remainder.clone();
+            sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for k in 0..=len {
+                let mut picked: Vec<usize> = largest_remainders(&mut remainder, k)
+                    .iter()
+                    .map(|&(i, _)| i)
+                    .collect();
+                picked.sort_unstable();
+                let mut want: Vec<usize> = sorted[..k].iter().map(|&(i, _)| i).collect();
+                want.sort_unstable();
+                assert_eq!(picked, want, "case {case}: k = {k} of {len}");
+            }
+        }
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod span;
 
 pub use json::Json;
 pub use metrics::{Histogram, Registry};
-pub use span::{fnv64, span_id, splitmix64, Span, SpanToken, TraceTree, Tracer};
+pub use span::{fnv64, span_id, splitmix64, Fnv64, Span, SpanToken, TraceTree, Tracer};

@@ -24,6 +24,7 @@
 //! replaced — and no tree is built.
 
 use crate::json::Json;
+use std::hash::Hasher;
 use std::time::Instant;
 
 /// SplitMix64 finalizer — the canonical copy for the workspace.
@@ -45,12 +46,34 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// access to the state directory.
 #[must_use]
 pub fn fnv64(bytes: impl AsRef<[u8]>) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes.as_ref() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv64::default();
+    h.write(bytes.as_ref());
+    h.finish()
+}
+
+/// [`fnv64`] as a streaming [`Hasher`], for keys that hash through
+/// [`std::hash::Hash`] (the serve cache's shard pick). Stable across
+/// processes and releases, unlike `RandomState`.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xCBF2_9CE4_8422_2325)
     }
-    h
+}
+
+impl Hasher for Fnv64 {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
 }
 
 /// Derives a child span ID from its parent's ID, its label, and its
@@ -342,6 +365,17 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert_ne!(fnv64(&flipped), clean, "flip at bit {bit} undetected");
+        }
+    }
+
+    #[test]
+    fn streamed_fnv64_equals_one_shot() {
+        let bytes: Vec<u8> = (0u8..41).map(|i| i.wrapping_mul(91) ^ 0x3C).collect();
+        for split in [0, 1, 17, bytes.len()] {
+            let mut h = Fnv64::default();
+            h.write(&bytes[..split]);
+            h.write(&bytes[split..]);
+            assert_eq!(h.finish(), fnv64(&bytes), "split at {split}");
         }
     }
 

@@ -184,6 +184,11 @@ impl Entry {
     fn new(label: Label, amp: Complex) -> Self {
         Entry { label, amp, w: 0.0 }
     }
+
+    /// The entry's label and measurement probability `|amp|²`.
+    fn measured(&self) -> (Label, f64) {
+        (self.label, self.amp.norm_sqr())
+    }
 }
 
 /// Amplitudes below this magnitude are dropped during compaction.
@@ -316,10 +321,15 @@ impl SparseState {
 
     /// Label → probability for the whole support (sorted by label).
     pub fn distribution(&self) -> BTreeMap<Label, f64> {
-        self.entries
-            .iter()
-            .map(|e| (e.label, e.amp.norm_sqr()))
-            .collect()
+        self.entries.iter().map(Entry::measured).collect()
+    }
+
+    /// `(label, probability)` for the whole support in ascending label
+    /// order: [`Self::distribution`] without building a map. Sorts the
+    /// buffer in place if a bit flip left it out of order.
+    pub fn probabilities(&mut self) -> impl ExactSizeIterator<Item = (Label, f64)> + '_ {
+        self.sort();
+        self.entries.iter().map(Entry::measured)
     }
 
     /// Applies every gate of `circuit` in order.
@@ -1024,9 +1034,13 @@ mod tests {
             flipped.sample(500, &mut rng_a),
             ordered.sample(500, &mut rng_b)
         );
-        // The `&self` readers left the buffer as it was; a transition
-        // folds it back into label order.
+        // The `&self` readers left the buffer as it was; the flat reader
+        // sorts it, and a transition keeps it in label order.
         assert!(!flipped.sorted);
+        let flat: Vec<(Label, f64)> = flipped.probabilities().collect();
+        assert!(flipped.sorted);
+        let flat_bits: Vec<(Label, u64)> = flat.iter().map(|&(l, p)| (l, p.to_bits())).collect();
+        assert_eq!(flat_bits, dist(&ordered));
         let tr = Transition::from_u(&[1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         let mut ordered = ordered;
         flipped.apply_transition(&tr, 0.4);
