@@ -6,7 +6,7 @@
 //! Ownership of a problem is a pure function of its
 //! [`fingerprint`](mod@rasengan_problems::fingerprint) and the live member
 //! set: each member contributes [`DEFAULT_VNODES`] points on a 64-bit
-//! FNV-1a ring (the same FNV constants as the cache shard selector),
+//! FNV-1a ring (the hash the cache shard selector streams),
 //! and a fingerprint belongs to the first point clockwise from its own
 //! hash. Every node that agrees on the member set agrees on every
 //! owner — no coordinator, no handoff protocol.
@@ -57,7 +57,7 @@ use crate::protocol::{GossipMember, GossipMessage, GossipState, Reply, ReplyStat
 pub const DEFAULT_VNODES: usize = 64;
 
 /// The ring position of a member's virtual node. Ring points are FNV-1a
-/// 64 ([`fnv64`]), the same constants as the cache shard selector, so
+/// 64 ([`fnv64`]), the hash the cache shard selector streams, so
 /// ring placement is stable across builds and platforms.
 fn ring_point(id: &str, vnode: u32) -> u64 {
     let mut bytes = Vec::with_capacity(id.len() + 5);
