@@ -1,7 +1,7 @@
 //! Report tables: aligned console output plus CSV and JSON files under
 //! `target/rasengan-reports/`.
 
-use rasengan_serve::Json;
+use rasengan_obs::json::Json;
 use std::fs;
 use std::path::PathBuf;
 

@@ -236,16 +236,6 @@ impl RasenganConfig {
         self.trace = trace;
         self
     }
-
-    /// Disables all three optimizations (baseline ablation point).
-    pub fn without_optimizations(mut self) -> Self {
-        self.simplify = false;
-        self.prune = false;
-        self.early_stop = false;
-        self.segmented = false;
-        self.purify = false;
-        self
-    }
 }
 
 /// Error from [`Rasengan::solve`].

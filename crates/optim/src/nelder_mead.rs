@@ -30,18 +30,6 @@ impl NelderMead {
             tolerance: 1e-10,
         }
     }
-
-    /// Sets the initial simplex edge length (default 0.5).
-    pub fn with_initial_step(mut self, step: f64) -> Self {
-        self.initial_step = step;
-        self
-    }
-
-    /// Sets the convergence tolerance on the simplex value spread.
-    pub fn with_tolerance(mut self, tol: f64) -> Self {
-        self.tolerance = tol;
-        self
-    }
 }
 
 impl Optimizer for NelderMead {

@@ -45,18 +45,6 @@ impl Spsa {
             stability: 10.0,
         }
     }
-
-    /// Sets the step-size numerator `a` (default 0.2).
-    pub fn with_a(mut self, a: f64) -> Self {
-        self.a = a;
-        self
-    }
-
-    /// Sets the perturbation size `c` (default 0.1).
-    pub fn with_c(mut self, c: f64) -> Self {
-        self.c = c;
-        self
-    }
 }
 
 impl Optimizer for Spsa {

@@ -31,8 +31,6 @@
 //!   routing ("compiled via Quebec").
 //! * [`Device`] — IBM Kyiv/Brisbane/Quebec calibration, timing, and
 //!   latency models.
-//! * [`wire`] — canonical little-endian codec primitives and the
-//!   FNV-1a checksum of persisted records.
 //!
 //! # Example: cross-validating the two backends
 //!
@@ -76,7 +74,6 @@ pub mod route;
 pub mod sparse;
 pub mod synth;
 pub mod verify;
-pub mod wire;
 
 // Exact Kraus evolution: the oracle the trajectory channels are tested against.
 #[cfg(test)]

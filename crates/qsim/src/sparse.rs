@@ -261,15 +261,6 @@ impl SparseState {
         self.entries.len()
     }
 
-    /// The only basis label in superposition, if the support is one
-    /// label.
-    pub fn sole_label(&self) -> Option<Label> {
-        match self.entries[..] {
-            [e] => Some(e.label),
-            _ => None,
-        }
-    }
-
     /// Amplitude of `|label⟩` (zero if absent).
     pub fn amplitude(&self, label: Label) -> Complex {
         let found = if self.sorted {

@@ -34,7 +34,8 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 
-use crate::json::Json;
+use rasengan_obs::json::Json;
+
 use crate::protocol::{
     IncrementalParser, ParseProgress, Reply, ReplyStatus, RequestError, SolveRequest, Verb,
 };

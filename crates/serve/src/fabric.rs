@@ -20,12 +20,15 @@
 //! two nodes briefly disagree about the ring. The owner serves from
 //! its caches or computes and populates them; the forwarder returns
 //! the owner's `result`/`timing`/`trace` sections byte-for-byte
-//! (identity is the contract: any entry node yields the same bytes)
-//! and keeps a local read-through copy, except for a request carrying
-//! `deadline-ms`, whose result the wall clock may have cut short. If
-//! the owner is unreachable the forwarder falls back to computing
-//! locally — the solve is deterministic, so the bytes are identical
-//! either way, only the cache warmth differs.
+//! (identity is the contract: any entry node yields the same bytes).
+//! It reads the reply back into a `persist::Solved`, the form every
+//! cache tier holds, and keeps that as a local read-through copy,
+//! except for a request carrying `deadline-ms`, whose result the wall
+//! clock may have cut short. A repeat served from the copy renders its
+//! own `timing`, as every cache hit does. If the owner is unreachable
+//! the forwarder falls back to computing locally — the solve is
+//! deterministic, so the bytes are identical either way, only the
+//! cache warmth differs.
 //!
 //! # Membership
 //!
@@ -45,10 +48,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use rasengan_obs::json::Json;
 use rasengan_obs::{fnv64, splitmix64};
 
 use crate::client::exchange;
-use crate::json::Json;
 use crate::protocol::{GossipMember, GossipMessage, GossipState, Reply, ReplyStatus};
 
 /// Virtual nodes per member. More points smooth the key distribution;

@@ -12,7 +12,6 @@
 //! | [`persist`] | crash-safe on-disk warm-state tier: versioned records, quarantine, recovery |
 //! | [`client`] | blocking submit/stats/ping helpers |
 //! | [`fabric`] | multi-node fabric: consistent-hash ring, single-hop forwarding, gossip membership |
-//! | [`json`] | canonical JSON writer + small parser |
 //!
 //! The design contract, inherited from the repo's determinism
 //! discipline: a served solve is **bit-identical** to an in-process
@@ -45,7 +44,6 @@ pub mod cache;
 pub mod client;
 pub(crate) mod conn;
 pub mod fabric;
-pub mod json;
 pub mod persist;
 pub mod protocol;
 #[cfg(all(
@@ -61,7 +59,6 @@ pub use client::{
     ping, stats, submit, submit_trickled, submit_with_retry, HeldConnection, RetryPolicy,
 };
 pub use fabric::{key_point, Fabric, FabricConfig, FabricStats, Ring, DEFAULT_VNODES};
-pub use json::Json;
 pub use persist::{Persist, PersistStats, StorageFault, StorageFaultPlan};
 pub use protocol::{
     render_outcome, IncrementalParser, ParseProgress, Reply, ReplyStatus, RequestError,

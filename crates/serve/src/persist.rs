@@ -7,6 +7,11 @@
 //! every training knob; thread counts excluded). Only untraced solves
 //! are stored.
 //!
+//! `Solved` is the one form of a finished solve: the result cache holds
+//! it, the fabric's read-through copy of a forwarded reply holds it, and
+//! a record is its reply text. One decoder, `Solved::from_reply`, reads
+//! both a record and an owner's reply.
+//!
 //! Compiles are not persisted: `Rasengan::prepare` costs less than
 //! writing and fsyncing a record, so the service keeps them in its
 //! in-memory compile cache only. A `prepared/` directory left by an
@@ -17,17 +22,31 @@
 //! ```text
 //! magic  "RSGN"        4 bytes
 //! kind   u8            1 = solved
-//! format u16 LE        codec version gate
+//! format u16 LE        version gate, 3
 //! length u64 LE        payload byte count
 //! check  u64 LE        FNV-1a 64 over the payload
-//! payload               the key, then the body
+//! payload               a rendered reply
 //! ```
 //!
-//! A solved payload is the encoded key, the `result` text (length
-//! prefixed, UTF-8, parsed as JSON on every read), and six latency
-//! `f64`s by bit pattern. The embedded key means a filename-hash
-//! collision is detected by comparison — never served as another key's
-//! data.
+//! The payload is written in the service's own reply grammar: an `OK`
+//! status line and exactly three sections, in this order.
+//!
+//! ```text
+//! RASENGAN/1 OK
+//! key {"fingerprint":"0x…","seed":5,"shots":128,"iterations":6,…}
+//! result {"best":{…},…}
+//! timing {"quantum_s":…,"retry_s":0,"queue_s":0,"cache_hit":false}
+//! ```
+//!
+//! `key` is the full key as canonical JSON, `result` the stored text
+//! verbatim, and `timing` the solve's latency as [`timing_json`] writes
+//! it. The file stem is FNV-1a 64 of the key text, and a filename-hash
+//! collision is a byte comparison of key texts — never served as
+//! another key's data. A read requires UTF-8, a reply
+//! [`Reply::parse`] accepts with those three sections, a `result`
+//! `json::parse` accepts, six finite latencies in `timing`, and a
+//! reply that renders back to the payload byte for byte. The writer's
+//! floats are shortest round-trip, so latencies read back bit-exact.
 //!
 //! # Crash safety
 //!
@@ -47,8 +66,8 @@
 //! corrupted after startup degrade to a miss-plus-quarantine and the
 //! caller recomputes. Version-skewed records take the same path: there
 //! is no migration, because every record is a cache of deterministic
-//! computation. (Solved records written before they held rendered text
-//! carry format 1 and are quarantined once, by the first scan.)
+//! computation. (Records of the binary formats 1 and 2 that older
+//! builds wrote are quarantined once, by the first scan.)
 //!
 //! # Fault injection
 //!
@@ -63,15 +82,16 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rasengan_core::latency::{Latency, StageTimes};
+use rasengan_core::latency::Latency;
 use rasengan_core::solver::Outcome;
 use rasengan_obs::fnv64;
+use rasengan_obs::json::{self, Json};
 use rasengan_obs::metrics::Registry;
 use rasengan_qsim::parallel::derive_seed;
-use rasengan_qsim::wire::{WireError, WireReader, WireWriter};
 
-use crate::json;
-use crate::protocol::{render_outcome, SolveRequest};
+use crate::protocol::{
+    render_outcome, timing_json, timing_latency, Reply, ReplyStatus, SolveRequest,
+};
 
 const MAGIC: [u8; 4] = *b"RSGN";
 /// magic + kind + format + length + checksum.
@@ -83,9 +103,9 @@ const DIR_TMP: &str = "tmp";
 
 /// Header kind byte of a solved record.
 const SOLVED_KIND: u8 = 1;
-/// Solved records hold rendered text since format 2 (see the module
-/// docs on format-1 records).
-const SOLVED_FORMAT: u16 = 2;
+/// Solved records are rendered replies since format 3 (see the module
+/// docs on the binary formats 1 and 2).
+const SOLVED_FORMAT: u16 = 3;
 
 /// Everything a request sets that changes its reply — the key of the
 /// result cache and of the solved records. Worker and engine thread
@@ -122,49 +142,29 @@ impl ResultKey {
         }
     }
 
-    fn encode(&self, w: &mut WireWriter) {
-        w.u128(self.fingerprint);
-        w.u64(self.seed);
-        w.bool(self.shots.is_some());
-        w.usize(self.shots.unwrap_or(0));
-        w.bool(self.iterations.is_some());
-        w.usize(self.iterations.unwrap_or(0));
-        w.usize(self.retries);
-        w.bool(self.degrade);
-        w.bool(self.deadline_ms.is_some());
-        w.u64(self.deadline_ms.unwrap_or(0));
-        w.bool(self.trace);
+    /// The key as canonical JSON, the `key` section of its record: the
+    /// fingerprint as a hex string, an unset knob as `null`.
+    fn text(&self) -> String {
+        let int = |v: u64| Json::Int(v.into());
+        let opt = |v: Option<u64>| v.map_or(Json::Null, int);
+        let fingerprint = format!("{:#034x}", self.fingerprint);
+        Json::obj(vec![
+            ("fingerprint", Json::Str(fingerprint)),
+            ("seed", int(self.seed)),
+            ("shots", opt(self.shots.map(|n| n as u64))),
+            ("iterations", opt(self.iterations.map(|n| n as u64))),
+            ("retries", int(self.retries as u64)),
+            ("degrade", Json::Bool(self.degrade)),
+            ("deadline_ms", opt(self.deadline_ms)),
+            ("trace", Json::Bool(self.trace)),
+        ])
+        .render()
     }
 
-    fn decode(r: &mut WireReader) -> Result<ResultKey, WireError> {
-        let fingerprint = r.u128()?;
-        let seed = r.u64()?;
-        let has_shots = r.bool()?;
-        let shots = r.usize()?;
-        let has_iterations = r.bool()?;
-        let iterations = r.usize()?;
-        let retries = r.usize()?;
-        let degrade = r.bool()?;
-        let has_deadline = r.bool()?;
-        let deadline_ms = r.u64()?;
-        Ok(ResultKey {
-            fingerprint,
-            seed,
-            shots: has_shots.then_some(shots),
-            iterations: has_iterations.then_some(iterations),
-            retries,
-            degrade,
-            deadline_ms: has_deadline.then_some(deadline_ms),
-            trace: r.bool()?,
-        })
-    }
-
-    /// The record file stem: hex of FNV-1a 64 over the encoded key.
-    /// Collisions are resolved by the key embedded in the payload.
+    /// The record file stem: hex of FNV-1a 64 over the key text.
+    /// Collisions are resolved by the key text stored in the record.
     fn file_stem(&self) -> String {
-        let mut w = WireWriter::new();
-        self.encode(&mut w);
-        format!("{:016x}", fnv64(w.into_bytes()))
+        format!("{:016x}", fnv64(self.text()))
     }
 }
 
@@ -191,35 +191,79 @@ impl Solved {
         }
     }
 
-    fn encode(&self, w: &mut WireWriter) {
-        w.bytes(self.result.as_bytes());
-        w.f64(self.latency.quantum_s);
-        w.f64(self.latency.classical_s);
-        w.f64(self.latency.stages.prepare_s);
-        w.f64(self.latency.stages.train_s);
-        w.f64(self.latency.stages.execute_s);
-        w.f64(self.latency.stages.retry_s);
+    /// The reply sections after `service`: the stored `result` text,
+    /// `timing` for this request, and the `trace` text when there is
+    /// one. The span tree rides in its own section so `result` stays
+    /// byte-identical with and without tracing; it is the deterministic
+    /// render (IDs and structure, no wall-clock), with no reactor or
+    /// worker span added, so a served trace byte-matches an in-process
+    /// solve's tree.
+    pub(crate) fn sections(
+        &self,
+        latency: &Latency,
+        queue_s: f64,
+        cache_hit: bool,
+    ) -> Vec<(String, String)> {
+        let mut sections = vec![
+            ("result".to_string(), self.result.clone()),
+            (
+                "timing".to_string(),
+                timing_json(latency, queue_s, cache_hit).render(),
+            ),
+        ];
+        if let Some(trace) = &self.trace {
+            sections.push(("trace".to_string(), trace.clone()));
+        }
+        sections
     }
 
-    fn decode(r: &mut WireReader) -> Result<Solved, WireError> {
-        let result = std::str::from_utf8(r.bytes()?)
-            .map_err(|_| WireError::Invalid("result text is not UTF-8"))?;
-        json::parse(result).map_err(|_| WireError::Invalid("result text is not JSON"))?;
-        Ok(Solved {
+    /// Reads a finished solve back out of an `OK` reply — a record's
+    /// payload or an owner's reply to a forward: `result` must parse as
+    /// JSON and `timing` must carry the solve's latency. A `trace`
+    /// section is kept as it is.
+    pub(crate) fn from_reply(reply: &Reply) -> Option<Solved> {
+        if reply.status != ReplyStatus::Ok {
+            return None;
+        }
+        let result = reply.section("result")?;
+        json::parse(result).ok()?;
+        Some(Solved {
             result: result.to_string(),
-            latency: Latency {
-                quantum_s: r.f64()?,
-                classical_s: r.f64()?,
-                stages: StageTimes {
-                    prepare_s: r.f64()?,
-                    train_s: r.f64()?,
-                    execute_s: r.f64()?,
-                    retry_s: r.f64()?,
-                },
-            },
-            trace: None,
+            latency: timing_latency(&reply.json("timing").ok()?)?,
+            trace: reply.section("trace").map(str::to_string),
         })
     }
+
+    /// The record payload of this solve under `key`: an `OK` reply
+    /// with the `key`, `result` and `timing` sections. The span tree
+    /// is never stored.
+    fn record(&self, key: &ResultKey) -> String {
+        let timing = timing_json(&self.latency, 0.0, false).render();
+        Reply {
+            status: ReplyStatus::Ok,
+            sections: vec![
+                ("key".to_string(), key.text()),
+                ("result".to_string(), self.result.clone()),
+                ("timing".to_string(), timing),
+            ],
+        }
+        .render()
+    }
+}
+
+/// Decodes a record payload into its key text and solve. The payload
+/// must be UTF-8 and a reply with exactly the `key`, `result` and
+/// `timing` sections, in that order, that [`Solved::from_reply`] reads
+/// and that renders back to the payload byte for byte.
+fn decode_record(payload: &[u8]) -> Option<(String, Solved)> {
+    let text = std::str::from_utf8(payload).ok()?;
+    let mut reply = Reply::parse(text).ok()?;
+    let names = reply.sections.iter().map(|(name, _)| name.as_str());
+    if !names.eq(["key", "result", "timing"]) || reply.render() != text {
+        return None;
+    }
+    let solved = Solved::from_reply(&reply)?;
+    Some((reply.sections.swap_remove(0).1, solved))
 }
 
 /// The storage fault classes, mirroring the corruption modes real
@@ -387,12 +431,11 @@ fn open_record(bytes: &[u8]) -> Result<&[u8], RecordGate> {
 }
 
 /// How one record read ended.
-enum Read<T> {
-    /// No such file, or a sound record stored under another key whose
-    /// file name collides with this one.
+enum Read {
+    /// No such file.
     Miss,
-    /// Passed every gate.
-    Valid(T),
+    /// Passed every gate: the stored key text and solve.
+    Valid(String, Solved),
     /// Failed a gate and was renamed into `quarantine/`.
     Quarantined,
 }
@@ -510,30 +553,23 @@ impl Persist {
     /// Propagates filesystem errors; the store is unchanged (the old
     /// record, if any, is intact).
     pub(crate) fn store_solved(&self, key: &ResultKey, solved: &Solved) -> io::Result<()> {
-        let mut w = WireWriter::new();
-        key.encode(&mut w);
-        solved.encode(&mut w);
-        self.write_record(&key.file_stem(), &w.into_bytes())
+        self.write_record(&key.file_stem(), solved.record(key).as_bytes())
     }
 
     /// Loads the solve stored under `key`, or `None` on miss — where
     /// "miss" includes a missing file, a key-hash collision, and any
     /// record failing a validation gate (which is also quarantined).
     pub(crate) fn load_solved(&self, key: &ResultKey) -> Option<Solved> {
-        let read = self.read_record(&key.file_stem(), |r| {
-            if ResultKey::decode(r)? != *key {
-                return Ok(None);
-            }
-            Solved::decode(r).map(Some)
-        });
         // A quarantine was already counted when the file was renamed
         // aside.
-        match read {
-            Read::Valid(value) => {
+        match self.read_record(&key.file_stem()) {
+            Read::Valid(text, solved) if text == key.text() => {
                 self.bump(&self.disk_hits, "persist.disk_hit");
-                Some(value)
+                Some(solved)
             }
-            Read::Miss => {
+            // A sound record under another key whose file name
+            // collides with this one is a miss too.
+            Read::Valid(..) | Read::Miss => {
                 self.bump(&self.disk_misses, "persist.disk_miss");
                 None
             }
@@ -542,27 +578,18 @@ impl Persist {
     }
 
     /// Reads one record and runs every gate on it: header, version and
-    /// checksum, then `decode` over the payload, which must consume it
-    /// exactly. `decode` answers `Ok(None)` for a sound record stored
-    /// under another key (a miss); any failed gate quarantines the file.
-    fn read_record<T>(
-        &self,
-        stem: &str,
-        decode: impl FnOnce(&mut WireReader) -> Result<Option<T>, WireError>,
-    ) -> Read<T> {
+    /// checksum, then [`decode_record`] over the payload. Any failed
+    /// gate quarantines the file.
+    fn read_record(&self, stem: &str) -> Read {
         let path = self.root.join(DIR_SOLVED).join(format!("{stem}.rec"));
         let Ok(bytes) = fs::read(&path) else {
             return Read::Miss;
         };
         let gate = match open_record(&bytes) {
-            Ok(payload) => {
-                let mut r = WireReader::new(payload);
-                match decode(&mut r).and_then(|value| r.finish().map(|()| value)) {
-                    Ok(Some(value)) => return Read::Valid(value),
-                    Ok(None) => return Read::Miss,
-                    Err(_) => RecordGate::Decode,
-                }
-            }
+            Ok(payload) => match decode_record(payload) {
+                Some((text, solved)) => return Read::Valid(text, solved),
+                None => RecordGate::Decode,
+            },
             Err(gate) => gate,
         };
         self.quarantine(stem, gate);
@@ -651,11 +678,7 @@ impl Persist {
         // names replay identically under fault injection.
         stems.sort();
         for stem in stems {
-            let read = self.read_record(&stem, |r| {
-                ResultKey::decode(r)?;
-                Solved::decode(r).map(|_| Some(()))
-            });
-            if let Read::Valid(()) = read {
+            if let Read::Valid(..) = self.read_record(&stem) {
                 self.bump(&self.recovered, "persist.recovered");
             }
         }
@@ -720,6 +743,32 @@ mod tests {
     }
 
     #[test]
+    fn ok_reply_sections_read_back_as_the_stored_solve() {
+        let (_, solved) = solved();
+        let traced = Solved {
+            trace: Some(r#"{"label":"solve"}"#.to_string()),
+            ..solved.clone()
+        };
+        for stored in [solved, traced] {
+            // An `OK` reply as the service sends a hit: its `service`
+            // section, then the stored solve's sections.
+            let mut sections = vec![("service".to_string(), r#"{"cache":"hit"}"#.to_string())];
+            sections.extend(stored.sections(&stored.latency, 0.125, true));
+            let ok = Reply {
+                status: ReplyStatus::Ok,
+                sections,
+            };
+            let reply = Reply::parse(&ok.render()).unwrap();
+            assert_eq!(Solved::from_reply(&reply).as_ref(), Some(&stored));
+            let error = Reply {
+                status: ReplyStatus::Error,
+                ..reply
+            };
+            assert_eq!(Solved::from_reply(&error), None, "only an OK is a solve");
+        }
+    }
+
+    #[test]
     fn missing_records_are_misses_not_errors() {
         let dir = scratch("miss");
         let (key, _) = solved();
@@ -742,6 +791,17 @@ mod tests {
         };
         assert!(store.load_solved(&other).is_none());
         assert!(store.load_solved(&key).is_some());
+        // A sound record under a colliding file name is a miss, not a
+        // hit and not a quarantine.
+        let records = dir.join(DIR_SOLVED);
+        fs::copy(
+            records.join(format!("{}.rec", key.file_stem())),
+            records.join(format!("{}.rec", other.file_stem())),
+        )
+        .unwrap();
+        assert!(store.load_solved(&other).is_none());
+        assert_eq!(store.stats().disk_misses, 2);
+        assert_eq!(store.stats().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -810,21 +870,65 @@ mod tests {
             check(&flipped, &format!("bit flip {bit}"));
         }
         // A payload whose checksum matches but whose body does not
-        // decode fails the decode gate: trailing bytes, text that is
-        // not UTF-8, and text that is not JSON.
-        let mut w = WireWriter::new();
-        key.encode(&mut w);
-        solved.encode(&mut w);
-        w.u8(0);
-        check(&encode_record(&w.into_bytes()), "trailing byte");
-        for text in [&b"\xff\xfe"[..], b"{\"best\":"] {
-            let mut w = WireWriter::new();
-            key.encode(&mut w);
-            w.bytes(text);
-            for _ in 0..6 {
-                w.f64(0.0);
+        // decode fails the decode gate.
+        let reply = |sections: &[(&str, &[u8])]| {
+            let mut bytes = b"RASENGAN/1 OK\n".to_vec();
+            for (name, body) in sections {
+                bytes.extend_from_slice(name.as_bytes());
+                bytes.push(b' ');
+                bytes.extend_from_slice(body);
+                bytes.push(b'\n');
             }
-            check(&encode_record(&w.into_bytes()), "bad text");
+            bytes
+        };
+        let timing = timing_json(&solved.latency, 0.0, false);
+        let Json::Obj(mut fields) = timing.clone() else {
+            unreachable!("timing is an object")
+        };
+        fields.retain(|(name, _)| name != "retry_s");
+        let (timing, short_timing) = (timing.render(), Json::Obj(fields).render());
+        let (k, r, t) = (key.text(), solved.result.as_bytes(), timing.as_bytes());
+        let k = k.as_bytes();
+        let payload = solved.record(&key);
+        assert_eq!(
+            reply(&[("key", k), ("result", r), ("timing", t)]),
+            payload.as_bytes()
+        );
+        for (bytes, what) in [
+            (
+                reply(&[("key", k), ("result", b"\xff\xfe"), ("timing", t)]),
+                "non-UTF-8 result",
+            ),
+            (
+                reply(&[("key", k), ("result", b"{\"best\":"), ("timing", t)]),
+                "non-JSON result",
+            ),
+            (
+                reply(&[
+                    ("key", k),
+                    ("result", r),
+                    ("timing", short_timing.as_bytes()),
+                ]),
+                "timing without retry_s",
+            ),
+            (
+                payload.replacen("\nresult ", "\n\nresult ", 1).into_bytes(),
+                "extra blank line",
+            ),
+            (
+                reply(&[("key", k), ("timing", t), ("result", r)]),
+                "sections out of order",
+            ),
+            (
+                reply(&[("key", k), ("result", r), ("timing", t), ("trace", b"{}")]),
+                "a fourth section",
+            ),
+            (
+                payload.replacen(" OK\n", " ERROR\n", 1).into_bytes(),
+                "ERROR status",
+            ),
+        ] {
+            check(&encode_record(&bytes), what);
         }
         // The untouched record still loads.
         fs::write(&path, &record).unwrap();
@@ -938,10 +1042,12 @@ mod tests {
             StorageFaultPlan::every_write(1, StorageFault::VersionSkew).apply("r", record.clone());
         assert!(fired);
         assert_eq!(open_record(&skewed), Err(RecordGate::Version));
-        // So does a solved record in the retired binary format 1.
-        let mut retired = record.clone();
-        retired[5..7].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(open_record(&retired), Err(RecordGate::Version));
+        // So do solved records in the retired binary formats 1 and 2.
+        for format in [1u16, 2] {
+            let mut retired = record.clone();
+            retired[5..7].copy_from_slice(&format.to_le_bytes());
+            assert_eq!(open_record(&retired), Err(RecordGate::Version));
+        }
         // The untouched record passes every gate.
         assert_eq!(open_record(&record).unwrap(), &payload[..]);
         // And a flipped payload bit fails the checksum gate.

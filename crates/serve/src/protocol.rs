@@ -41,12 +41,11 @@
 //! [`Outcome`] serialized with [`render_outcome`]. Wall-clock and
 //! service-side metadata live in `timing` and `service`.
 
-use rasengan_core::latency::Latency;
+use rasengan_core::latency::{Latency, StageTimes};
 use rasengan_core::resilience::ResilienceConfig;
 use rasengan_core::solver::{Outcome, RasenganConfig, RasenganError};
+use rasengan_obs::json::{self, Json};
 use rasengan_problems::ingest::Format;
-
-use crate::json::{self, Json};
 
 /// Protocol tag opening every request and response.
 pub const PROTOCOL: &str = "RASENGAN/1";
@@ -994,6 +993,23 @@ pub fn timing_json(latency: &Latency, queue_s: f64, cache_hit: bool) -> Json {
         ("queue_s", Json::Num(queue_s)),
         ("cache_hit", Json::Bool(cache_hit)),
     ])
+}
+
+/// Reads a solve's latency back out of a `timing` section: the six
+/// stage fields [`timing_json`] writes, each a finite number, or `None`.
+/// The writer's shortest round-trip floats parse back to the same bits.
+pub(crate) fn timing_latency(timing: &Json) -> Option<Latency> {
+    let field = |name| timing.get(name)?.as_f64().filter(|x| x.is_finite());
+    Some(Latency {
+        quantum_s: field("quantum_s")?,
+        classical_s: field("classical_s")?,
+        stages: StageTimes {
+            prepare_s: field("prepare_s")?,
+            train_s: field("train_s")?,
+            execute_s: field("execute_s")?,
+            retry_s: field("retry_s")?,
+        },
+    })
 }
 
 /// Maps a solver error to response sections: an `error` section with a

@@ -70,8 +70,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rasengan_core::latency::Latency;
 use rasengan_core::solver::{Prepared, Rasengan};
+use rasengan_obs::json::Json;
 use rasengan_obs::metrics::{install_global, Registry};
 use rasengan_problems::ingest::parse_as;
 use rasengan_qsim::parallel::BoundedQueue;
@@ -79,11 +79,8 @@ use rasengan_qsim::parallel::BoundedQueue;
 use crate::cache::ShardedLru;
 use crate::conn::{resolve, Conn, ReadOutcome, Step, WriteOutcome};
 use crate::fabric::{Fabric, FabricConfig, FabricStats};
-use crate::json::Json;
 use crate::persist::{Persist, PersistStats, ResultKey, Solved, StorageFaultPlan};
-use crate::protocol::{
-    error_sections, timing_json, GossipMessage, Reply, ReplyStatus, SolveRequest, Verb,
-};
+use crate::protocol::{error_sections, GossipMessage, Reply, ReplyStatus, SolveRequest, Verb};
 
 /// Service tuning knobs.
 #[derive(Clone, Debug)]
@@ -273,10 +270,10 @@ pub(crate) struct Shared {
     pub(crate) loop_iterations: AtomicU64,
     results: ShardedLru<ResultKey, Arc<Solved>>,
     compiles: ShardedLru<u128, Arc<Prepared>>,
-    /// Read-through copies of forwarded replies: the owner's sections
-    /// (minus `service`), cached verbatim so a repeat request on this
-    /// non-owner node answers locally with byte-identical `result`.
-    remote: ShardedLru<ResultKey, Arc<Vec<(String, String)>>>,
+    /// Read-through copies of forwarded replies, read back into a
+    /// [`Solved`] so a repeat request on this non-owner node answers
+    /// locally with byte-identical `result` and its own `timing`.
+    remote: ShardedLru<ResultKey, Arc<Solved>>,
     /// The multi-node fabric state, when the config joins one.
     pub(crate) fabric: Option<Arc<Fabric>>,
     /// The on-disk warm-state tier, when `--state-dir` is set.
@@ -812,12 +809,16 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
     }
 
     // Fabric tiers: the local read-through copy of a previously
-    // forwarded reply answers without any network (the sections are
-    // the owner's bytes, cached verbatim).
+    // forwarded reply answers without any network, like every other
+    // hit.
     if let Some(fabric) = &shared.fabric {
-        if let Some(sections) = shared.remote.get(&key) {
+        if let Some(solved) = shared.remote.get(&key) {
             fabric.count_remote_hit();
-            return ok((*sections).clone(), "remote-hit", None);
+            return ok(
+                solved.sections(&solved.latency, queue_s, true),
+                "remote-hit",
+                None,
+            );
         }
     }
 
@@ -851,40 +852,42 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
                     forwarded.trace = trace;
                     forwarded.via = Some(fabric.node_id().to_string());
                     match fabric.forward(&owner.addr, &forwarded.render()) {
-                        Ok(reply)
-                            if reply.status == ReplyStatus::Ok
-                                && reply.section("result").is_some() =>
-                        {
-                            let owner_note = reply
-                                .json("service")
-                                .ok()
-                                .and_then(|s| {
-                                    s.get("cache").and_then(|c| c.as_str()).map(str::to_string)
-                                })
-                                .unwrap_or_else(|| "miss".to_string());
-                            let sections: Vec<(String, String)> = reply
-                                .sections
-                                .iter()
-                                .filter(|(name, _)| name.as_str() != "service")
-                                .cloned()
-                                .collect();
-                            // A deadline can cut the owner's solve short,
-                            // so its reply is not kept for a repeat.
-                            if request.deadline_ms.is_none() {
-                                shared.remote.insert(key, Arc::new(sections.clone()));
+                        Ok(reply) => {
+                            if let Some(solved) = Solved::from_reply(&reply) {
+                                let owner_note = reply
+                                    .json("service")
+                                    .ok()
+                                    .and_then(|s| {
+                                        s.get("cache").and_then(|c| c.as_str()).map(str::to_string)
+                                    })
+                                    .unwrap_or_else(|| "miss".to_string());
+                                // A deadline can cut the owner's solve
+                                // short, so its reply is not kept for a
+                                // repeat.
+                                if request.deadline_ms.is_none() {
+                                    shared.remote.insert(key, Arc::new(solved));
+                                }
+                                let sections = reply
+                                    .sections
+                                    .into_iter()
+                                    .filter(|(name, _)| name.as_str() != "service")
+                                    .collect();
+                                return ok(
+                                    sections,
+                                    &format!("forward-{owner_note}"),
+                                    Some(&owner.id),
+                                );
                             }
-                            return ok(sections, &format!("forward-{owner_note}"), Some(&owner.id));
+                            if reply.status == ReplyStatus::Error {
+                                // Solver errors are as deterministic as
+                                // results; the owner's sections are what
+                                // a local compute would produce.
+                                shared.served_error.fetch_add(1, Ordering::Relaxed);
+                                return reply;
+                            }
+                            // BUSY (the owner is shedding) or a malformed
+                            // OK: compute locally.
                         }
-                        Ok(reply) if reply.status == ReplyStatus::Error => {
-                            // Solver errors are as deterministic as
-                            // results; the owner's sections are what a
-                            // local compute would produce.
-                            shared.served_error.fetch_add(1, Ordering::Relaxed);
-                            return reply;
-                        }
-                        // BUSY (the owner is shedding) or a malformed
-                        // OK: compute locally.
-                        Ok(_) => {}
                         Err(_) => fabric.note_unreachable(&owner.id),
                     }
                 }
@@ -945,29 +948,6 @@ fn solve_reply(shared: &Shared, request: &SolveRequest, queue_s: f64, enqueued: 
             shared.served_error.fetch_add(1, Ordering::Relaxed);
             Reply::new(ReplyStatus::Error, error_sections(&err))
         }
-    }
-}
-
-impl Solved {
-    /// The reply sections after `service`: the stored `result` text,
-    /// `timing` for this request, and the `trace` text when there is
-    /// one. The span tree rides in its own section so `result` stays
-    /// byte-identical with and without tracing; it is the deterministic
-    /// render (IDs and structure, no wall-clock), with no reactor or
-    /// worker span added, so a served trace byte-matches an in-process
-    /// solve's tree.
-    fn sections(&self, latency: &Latency, queue_s: f64, cache_hit: bool) -> Vec<(String, String)> {
-        let mut sections = vec![
-            ("result".to_string(), self.result.clone()),
-            (
-                "timing".to_string(),
-                timing_json(latency, queue_s, cache_hit).render(),
-            ),
-        ];
-        if let Some(trace) = &self.trace {
-            sections.push(("trace".to_string(), trace.clone()));
-        }
-        sections
     }
 }
 

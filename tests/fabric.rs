@@ -127,7 +127,7 @@ fn wait_for_membership(servers: &[ServerHandle], mut expected: Vec<String>) {
 }
 
 /// The `fabric` object from a node's wire STATS reply.
-fn wire_fabric(server: &ServerHandle) -> rasengan::serve::Json {
+fn wire_fabric(server: &ServerHandle) -> rasengan::obs::json::Json {
     let reply = stats(server.addr()).expect("stats");
     assert_eq!(reply.status, ReplyStatus::Ok);
     reply
@@ -267,6 +267,50 @@ fn cross_node_resubmission_hits_remote_and_local_caches() {
         .collect();
     assert_eq!(bytes[0], bytes[1]);
     assert_eq!(bytes[1], bytes[2]);
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// (b') A forwarded miss leaves the forwarder a read-through copy, and
+/// a repeat it answers renders its own `timing` like any other hit:
+/// `cache_hit` is true, not the owner's `false` from the solve that
+/// filled the copy.
+#[test]
+fn a_remote_hit_reports_its_own_timing() {
+    let servers = spawn_cluster(2, 2, |f| f);
+    let (_, text) = instance_texts().into_iter().next().unwrap();
+    let request = request_for(&text);
+    let other = 1 - owner_index(&servers, &text);
+    let cache_hit = |reply: &rasengan::serve::Reply| {
+        reply
+            .json("timing")
+            .expect("timing section")
+            .get("cache_hit")
+            .and_then(|hit| hit.as_bool())
+    };
+    let cache_note = |reply: &rasengan::serve::Reply| {
+        reply
+            .json("service")
+            .expect("service section")
+            .get("cache")
+            .and_then(|c| c.as_str().map(str::to_string))
+    };
+
+    let forwarded = submit(servers[other].addr(), &request).expect("forward submit");
+    assert_eq!(forwarded.status, ReplyStatus::Ok);
+    assert_eq!(cache_note(&forwarded).as_deref(), Some("forward-miss"));
+    assert_eq!(cache_hit(&forwarded), Some(false), "the owner solved it");
+
+    let repeat = submit(servers[other].addr(), &request).expect("remote-hit submit");
+    assert_eq!(repeat.status, ReplyStatus::Ok);
+    assert_eq!(cache_note(&repeat).as_deref(), Some("remote-hit"));
+    assert_eq!(
+        cache_hit(&repeat),
+        Some(true),
+        "a remote hit is a cache hit"
+    );
+    assert_eq!(repeat.section("result"), forwarded.section("result"));
     for server in servers {
         server.shutdown();
     }
