@@ -143,11 +143,7 @@ fn run_replay(settings: &RunSettings) {
         // A fresh server per pass: pass 2 re-solves everything from
         // scratch, so identical bytes prove solver determinism, not
         // cache retention.
-        let mut config = ServeConfig::default();
-        if let Some(threads) = settings.threads {
-            config = config.with_solver_threads(threads);
-        }
-        let server = serve(config).expect("bind ephemeral port");
+        let server = serve(ServeConfig::default()).expect("bind ephemeral port");
         let addr = server.addr();
         let started = Instant::now();
         let mut ms = Vec::new();
@@ -275,10 +271,7 @@ fn run_evloop(settings: &RunSettings, max_conns: usize) {
         .with_seed(7)
         .with_shots(128)
         .with_iterations(8);
-    let mut config = request.config();
-    if let Some(threads) = settings.threads {
-        config = config.with_threads(threads);
-    }
+    let config = request.config();
     let baseline = render_outcome(&Rasengan::new(config).solve(&problem).expect("baseline"));
     let rendered = request.render();
     let verb_end = rendered.find('\n').expect("verb line") + 1;
@@ -534,11 +527,7 @@ fn run_fabric(settings: &RunSettings, nodes: usize) {
     );
 
     // --- single-node baseline: the byte-identity oracle.
-    let mut config = ServeConfig::default();
-    if let Some(threads) = settings.threads {
-        config = config.with_solver_threads(threads);
-    }
-    let baseline_server = serve(config).expect("bind ephemeral port");
+    let baseline_server = serve(ServeConfig::default()).expect("bind ephemeral port");
     let (mut baseline, baseline_wall) = fabric_sweep(&[baseline_server.addr()], &requests, clients);
     baseline.sort_by_key(|(idx, _)| *idx);
     let baseline_tps = requests.len() as f64 / baseline_wall;
@@ -565,11 +554,8 @@ fn run_fabric(settings: &RunSettings, nodes: usize) {
             .with_seed(settings.seed + i as u64)
             .with_peers(addrs.iter().map(|a| a.to_string()).collect())
             .with_heartbeat(Duration::from_millis(50));
-        let mut config = ServeConfig::default().with_fabric(fabric);
-        if let Some(threads) = settings.threads {
-            config = config.with_solver_threads(threads);
-        }
-        let server = serve(config).expect("bind ephemeral port");
+        let server =
+            serve(ServeConfig::default().with_fabric(fabric)).expect("bind ephemeral port");
         addrs.push(server.addr());
         servers.push(server);
     }

@@ -9,10 +9,7 @@
 //! 3. Purification before vs after shot redistribution (purifying
 //!    first redirects wasted shots to feasible inputs).
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{apportion_shots, problem_basis, Rasengan, RasenganConfig};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 use rasengan_qsim::sparse::label_from_bits;
@@ -20,9 +17,7 @@ use rasengan_qsim::synth::tau_circuit;
 use rasengan_qsim::{DenseState, SparseState, Transition};
 use std::time::Instant;
 
-fn main() {
-    let settings = RunSettings::from_args();
-
+pub fn run(settings: &RunSettings) -> Report {
     // --- 1. backend timing ------------------------------------------------
     let mut backend = Table::new(
         "Ablation 1: sparse vs dense transition-chain execution (µs/run)",
@@ -61,8 +56,7 @@ fn main() {
             fmt(dense_us / sparse_us),
         ]);
     }
-    backend.print();
-    let _ = backend.save_csv("ablation_backend");
+    let report = Report::default().table("ablation_backend", backend);
 
     // --- 2. apportionment rounding ----------------------------------------
     let mut rounding = Table::new(
@@ -84,8 +78,7 @@ fn main() {
             (budget - lr_total).to_string(),
         ]);
     }
-    rounding.print();
-    let _ = rounding.save_csv("ablation_rounding");
+    let report = report.table("ablation_rounding", rounding);
 
     // --- 3. purification placement ----------------------------------------
     // Compare the default (purify between segments, i.e. before
@@ -140,8 +133,5 @@ fn main() {
             cell(&final_only, |o| o.raw_in_constraints_rate),
         ]);
     }
-    placement.print();
-    if let Ok(p) = placement.save_csv("ablation_purify_placement") {
-        println!("saved: {}", p.display());
-    }
+    report.table("ablation_purify_placement", placement)
 }

@@ -6,21 +6,17 @@
 //! depth, while Rasengan stays at 3 shallow segments; P-QAOA barely
 //! improves with depth.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::runners::RunEnv;
-use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
+use crate::{
+    experiments::Report, report::fmt, run_algorithm, runners::RunEnv, Algorithm, RunSettings, Table,
+};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let problem = benchmark(BenchmarkId::parse("F2").unwrap());
 
     let ras_env = RunEnv {
         seed: settings.seed,
         iterations: settings.rasengan_iterations(),
-        threads: settings.threads,
         ..Default::default()
     };
     let ras = run_algorithm(Algorithm::Rasengan, &problem, &ras_env);
@@ -43,7 +39,6 @@ fn main() {
             seed: settings.seed,
             iterations: settings.baseline_iterations(problem.n_vars()),
             layers,
-            threads: settings.threads,
             ..Default::default()
         };
         let pq = run_algorithm(Algorithm::PQaoa, &problem, &env);
@@ -57,20 +52,10 @@ fn main() {
             fmt(ras.arg),
             ras.depth.to_string(),
         ]);
-        eprintln!(
-            "layers={layers}: pqaoa={} chocoq={} ras={}",
-            fmt(pq.arg),
-            fmt(cq.arg),
-            fmt(ras.arg)
-        );
     }
-    table.print();
-    println!(
+    Report::default().table("fig09_layers", table).note(format!(
         "Rasengan reference: {} segments × depth {}",
         ras.n_params.min(99),
         ras.depth
-    );
-    if let Ok(p) = table.save_csv("fig09_layers") {
-        println!("saved: {}", p.display());
-    }
+    ))
 }

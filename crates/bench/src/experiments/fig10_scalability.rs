@@ -7,17 +7,13 @@
 //! (c) noise-free ARG (Rasengan stays < 0.5 up to 78 qubits),
 //! (d) ARG under device noise (segments start failing past ~28 qubits).
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig, ResilienceConfig};
 use rasengan_problems::flp::FacilityLocation;
 use rasengan_qsim::route::{route_circuit, CouplingMap};
-use rasengan_qsim::{Device, NoiseModel};
+use rasengan_qsim::Device;
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     // (facilities, demands) ladders: n = f + 2fd.
     let shapes: &[(usize, usize)] = if settings.full {
         &[
@@ -127,7 +123,6 @@ fn main() {
                 ),
                 Err(_) => (f64::INFINITY, 0),
             };
-        let _ = NoiseModel::noise_free();
 
         let fmt_or_fail = |a: f64| {
             if a.is_finite() {
@@ -146,22 +141,7 @@ fn main() {
             fmt_or_fail(arg_resilient),
             recoveries.to_string(),
         ]);
-        eprintln!(
-            "n={n}: segs {} -> {}, arg {} / noisy {} / resilient {} ({} recoveries)",
-            unpruned_prep.stats.n_segments,
-            pruned_prep.stats.n_segments,
-            fmt(arg_clean),
-            fmt(arg_noisy),
-            fmt(arg_resilient),
-            recoveries
-        );
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig10_scalability") {
-        println!("saved: {}", p.display());
-    }
-    if let Ok(p) = table.save_json("BENCH_fig10_scalability") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table_with_json("fig10_scalability", table)
 }

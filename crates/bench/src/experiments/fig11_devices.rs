@@ -9,18 +9,15 @@
 //! in-constraints rate at 100% vs single-digit percent for Choco-Q on
 //! the noisier device.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::runners::RunEnv;
-use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
+use crate::{
+    experiments::Report, report::fmt, run_algorithm, runners::RunEnv, Algorithm, RunSettings, Table,
+};
 use rasengan_core::metrics::arg;
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 use rasengan_problems::{mean_feasible_objective, optimum};
 use rasengan_qsim::Device;
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let benches = ["F1", "K1", "J1"];
     let devices = [Device::ibm_kyiv(), Device::ibm_brisbane()];
 
@@ -57,19 +54,10 @@ fn main() {
                     shots: Some(settings.shots()),
                     noise: device.noise,
                     device: device.clone(),
-                    threads: settings.threads,
                 };
                 let r = run_algorithm(alg, &p, &env);
                 sum_arg += if r.arg.is_finite() { r.arg } else { 1e4 };
                 sum_rate += r.in_constraints_rate;
-                eprintln!(
-                    "[{}] {} on {}: arg={} rate={}",
-                    b,
-                    alg.name(),
-                    device.name,
-                    fmt(r.arg),
-                    fmt(r.in_constraints_rate)
-                );
             }
             table.row(vec![
                 device.name.to_string(),
@@ -80,8 +68,5 @@ fn main() {
         }
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig11_devices") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("fig11_devices", table)
 }

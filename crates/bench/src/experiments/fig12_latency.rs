@@ -7,16 +7,13 @@
 //! higher classical time (segmented execution bookkeeping) but much
 //! lower quantum time thanks to shallow segments.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::runners::RunEnv;
-use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
+use crate::{
+    experiments::Report, report::fmt, run_algorithm, runners::RunEnv, Algorithm, RunSettings, Table,
+};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 use rasengan_qsim::Device;
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let benches = ["F1", "K1", "J1"];
     let iterations = if settings.full { 100 } else { 8 };
 
@@ -37,7 +34,6 @@ fn main() {
                 shots: Some(settings.shots()),
                 noise: Device::ibm_kyiv().noise,
                 device: Device::ibm_kyiv(),
-                threads: settings.threads,
             };
             let r = run_algorithm(alg, &p, &env);
             classical += r.classical_s / iterations as f64 * 1e3 / benches.len() as f64;
@@ -49,16 +45,7 @@ fn main() {
             fmt(quantum),
             fmt(classical + quantum),
         ]);
-        eprintln!(
-            "{}: classical {:.2}ms quantum {:.2}ms",
-            alg.name(),
-            classical,
-            quantum
-        );
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig12_latency") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("fig12_latency", table)
 }

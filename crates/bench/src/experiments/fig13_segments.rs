@@ -5,15 +5,11 @@
 //! shots/segment) and total latency (expected: sub-linear, since
 //! per-segment circuits shrink as segments multiply).
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let problem = benchmark(BenchmarkId::parse("F3").unwrap());
 
     // Budgets spanning "everything in one segment" → "one op per
@@ -51,15 +47,7 @@ fn main() {
             fmt(outcome.latency.classical_s * 1e3),
             fmt(outcome.arg),
         ]);
-        eprintln!(
-            "segments={n_segments}: shots={} q={:.2}ms",
-            outcome.total_shots,
-            outcome.latency.quantum_s * 1e3
-        );
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig13_segments") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("fig13_segments", table)
 }

@@ -7,16 +7,12 @@
 //!     (1Q 0.035%, 2Q 0.875%): mild degradation to ~1.5%, then
 //!     segment-failure collapse near 2%.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig, ResilienceConfig};
 use rasengan_problems::registry::{all_ids, benchmark, cases};
 use rasengan_qsim::NoiseModel;
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let iterations = if settings.full { 60 } else { 15 };
     let case_count = if settings.full { 5 } else { 1 };
 
@@ -56,11 +52,8 @@ fn main() {
             fmt(below),
             fmt(fails as f64 / problems.len() as f64),
         ]);
-        eprintln!("rate {rate:.0e}: mean ARG {}", fmt(mean));
     }
-    pauli.print();
-    let _ = pauli.save_csv("fig14a_pauli");
-    let _ = pauli.save_json("BENCH_fig14a_pauli");
+    let report = Report::default().table_with_json("fig14a_pauli", pauli);
 
     // (b) amplitude-damping sweep over fixed background noise. Each
     // configuration runs twice: the plain solver (a dead segment aborts
@@ -123,22 +116,6 @@ fn main() {
             retries.to_string(),
             degraded.to_string(),
         ]);
-        eprintln!(
-            "damping {:.1}%: mean ARG {} fails {} (resilient: {} fails {}, {} retries, {} degraded)",
-            gamma * 100.0,
-            fmt(mean(&args)),
-            fails,
-            fmt(mean(&resil_args)),
-            resil_fails,
-            retries,
-            degraded
-        );
     }
-    damping.print();
-    if let Ok(p) = damping.save_csv("fig14b_damping") {
-        println!("saved: {}", p.display());
-    }
-    if let Ok(p) = damping.save_json("BENCH_fig14b_damping") {
-        println!("saved: {}", p.display());
-    }
+    report.table_with_json("fig14b_damping", damping)
 }

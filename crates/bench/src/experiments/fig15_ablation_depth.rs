@@ -7,15 +7,11 @@
 //! reduction (ineffective on already-sparse F1/K1/G1), opt 2 (pruning)
 //! ~67%, opt 3 (segmentation) a further ~82%.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{all_ids, benchmark};
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let mut table = Table::new(
         "Figure 15: circuit depth (CX) under incremental optimizations",
         vec![
@@ -58,17 +54,14 @@ fn main() {
             opt2.to_string(),
             opt3.to_string(),
         ]);
-        eprintln!("{id}: {none} -> {opt1} -> {opt2} -> {opt3}");
     }
 
-    table.print();
-    println!(
-        "average reductions: opt1 {}%, opt2 {}%, opt3 {}%",
-        fmt(100.0 * reductions[0] / count as f64),
-        fmt(100.0 * reductions[1] / count as f64),
-        fmt(100.0 * reductions[2] / count as f64),
-    );
-    if let Ok(p) = table.save_csv("fig15_ablation_depth") {
-        println!("saved: {}", p.display());
-    }
+    Report::default()
+        .table("fig15_ablation_depth", table)
+        .note(format!(
+            "average reductions: opt1 {}%, opt2 {}%, opt3 {}%",
+            fmt(100.0 * reductions[0] / count as f64),
+            fmt(100.0 * reductions[1] / count as f64),
+            fmt(100.0 * reductions[2] / count as f64),
+        ))
 }

@@ -7,16 +7,12 @@
 //! the big win (2.43× ARG, 303× on hardware; in-constraints rate jumps
 //! from single digits to 100%).
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{benchmark, BenchmarkId};
 use rasengan_qsim::{Device, NoiseModel};
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let benches = ["F1", "K1", "J1"];
     let iterations = if settings.full { 100 } else { 20 };
 
@@ -77,12 +73,8 @@ fn main() {
                 fmt(sum_arg / n),
                 fmt(sum_rate / n),
             ]);
-            eprintln!("{env_name} {vname}: arg {}", fmt(sum_arg / n));
         }
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig16_ablation_quality") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("fig16_ablation_quality", table)
 }

@@ -6,18 +6,13 @@
 //! at a smaller fraction of the chain (e.g. 40.7% vs 73.6% on the
 //! fourth scale, a 1.8× expansion speedup).
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_core::prune::{coverage_curve, ChainConfig};
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::enumerate_feasible;
 use rasengan_problems::registry::{benchmark, BenchmarkId, Domain};
 
-fn main() {
-    let settings = RunSettings::from_args();
-    let _ = settings;
+pub fn run(_settings: &RunSettings) -> Report {
     let domains = [Domain::Flp, Domain::Kpp, Domain::Scp, Domain::Gcp];
 
     let mut table = Table::new(
@@ -80,16 +75,8 @@ fn main() {
                 fmt(frac_p),
                 fmt(ops_u / ops_p),
             ]);
-            eprintln!(
-                "{id}: unpruned {len_u} ops ({:.0}%), pruned {len_p} ops ({:.0}%)",
-                frac_u * 100.0,
-                frac_p * 100.0
-            );
         }
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("fig17_pruning") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("fig17_pruning", table)
 }

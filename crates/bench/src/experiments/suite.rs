@@ -1,22 +1,17 @@
 //! Statistical suite: case-averaged ARG per benchmark.
 //!
 //! The paper's Table 2 averages 100 literature cases per benchmark; the
-//! canonical-instance `table2` binary shows one instance each. This
-//! binary sweeps seeded random cases per benchmark and reports
+//! canonical-instance `table2` experiment shows one instance each. This
+//! one sweeps seeded random cases per benchmark and reports
 //! mean/min/max ARG for Rasengan and Choco-Q (the two sparse-backend
-//! algorithms, so the sweep stays fast; pass `--full` to add more
-//! cases).
+//! algorithms, so the sweep stays fast; `--full` adds more cases).
 
-#![forbid(unsafe_code)]
-
+use crate::{experiments::Report, report::fmt, RunSettings, Table};
 use rasengan_baselines::{BaselineConfig, ChocoQ};
-use rasengan_bench::report::fmt;
-use rasengan_bench::{RunSettings, Table};
 use rasengan_core::{Rasengan, RasenganConfig};
 use rasengan_problems::registry::{all_ids, cases};
 
-fn main() {
-    let settings = RunSettings::from_args();
+pub fn run(settings: &RunSettings) -> Report {
     let n_cases = if settings.full { 10 } else { 3 };
     let iters = if settings.full { 200 } else { 40 };
 
@@ -53,11 +48,6 @@ fn main() {
             }
             ras_args.push(ras);
             cq_args.push(cq);
-            eprintln!(
-                "[{id} case {i}] rasengan {} vs chocoq {}",
-                fmt(ras),
-                fmt(cq)
-            );
         }
         let stats = |v: &[f64]| {
             let mean = v.iter().sum::<f64>() / v.len() as f64;
@@ -79,8 +69,5 @@ fn main() {
         ]);
     }
 
-    table.print();
-    if let Ok(p) = table.save_csv("suite") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("suite", table)
 }

@@ -8,23 +8,18 @@
 //! Paper reference points: ARG ~1100 (HEA), ~1000 (P-QAOA), 7.27
 //! (Choco-Q), 0.70 (Rasengan); latency 702/300/445/144 ms.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
+use crate::{experiments::Report, report::fmt, run_algorithm, Algorithm, RunSettings, Table};
 use rasengan_problems::enumerate_feasible;
 use rasengan_problems::scp::SetCover;
 
-fn main() {
-    let settings = RunSettings::from_args();
-
+pub fn run(settings: &RunSettings) -> Report {
     // A 12-variable set-covering instance (Table 1 uses a 12-qubit SCP
     // whose feasible space is a small fraction of the 4096-state space).
     let scp = pick_12_qubit_scp(settings.seed);
     let problem = scp.into_problem();
     let feasible = enumerate_feasible(&problem).len();
-    println!(
-        "benchmark: {} ({} vars, {} constraints, {} / {} feasible)\n",
+    let benchmark = format!(
+        "benchmark: {} ({} vars, {} constraints, {} / {} feasible)",
         problem.name(),
         problem.n_vars(),
         problem.n_constraints(),
@@ -32,11 +27,10 @@ fn main() {
         1u64 << problem.n_vars(),
     );
 
-    let env = rasengan_bench::runners::RunEnv {
+    let env = crate::runners::RunEnv {
         seed: settings.seed,
         iterations: settings.baseline_iterations(problem.n_vars()),
         layers: 5,
-        threads: settings.threads,
         ..Default::default()
     };
 
@@ -64,10 +58,7 @@ fn main() {
             fmt(latency_ms),
         ]);
     }
-    table.print();
-    if let Ok(p) = table.save_csv("table1") {
-        println!("saved: {}", p.display());
-    }
+    Report::default().table("table1", table).note(benchmark)
 }
 
 /// Finds a seed whose SCP instance has exactly 12 variables.

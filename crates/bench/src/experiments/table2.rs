@@ -8,17 +8,13 @@
 //! than Choco-Q on average, ~1900× better than HEA/P-QAOA), smallest
 //! depth (1.96×–49×), and #params comparable to QAOA's 10.
 
-#![forbid(unsafe_code)]
-
-use rasengan_bench::report::fmt;
-use rasengan_bench::runners::RunEnv;
-use rasengan_bench::{run_algorithm, Algorithm, RunSettings, Table};
+use crate::{
+    experiments::Report, report::fmt, run_algorithm, runners::RunEnv, Algorithm, RunSettings, Table,
+};
 use rasengan_problems::registry::{all_ids, benchmark};
 use rasengan_problems::{constraint_topology, enumerate_feasible};
 
-fn main() {
-    let settings = RunSettings::from_args();
-
+pub fn run(settings: &RunSettings) -> Report {
     let mut info = Table::new(
         "Table 2a: benchmark statistics",
         vec!["bench", "#vars", "#cons", "avg_degree", "#feasible"],
@@ -58,7 +54,6 @@ fn main() {
                     settings.baseline_iterations(problem.n_vars())
                 },
                 layers: 5,
-                threads: settings.threads,
                 ..Default::default()
             };
             let r = run_algorithm(alg, &problem, &env);
@@ -72,14 +67,6 @@ fn main() {
             args.push(fmt(r.arg));
             depths.push(r.depth.to_string());
             params.push(r.n_params.to_string());
-            eprintln!(
-                "[{}] {:<9} arg={:<10} depth={:<6} params={}",
-                id,
-                alg.name(),
-                fmt(r.arg),
-                r.depth,
-                r.n_params
-            );
         }
         let mut row = vec![id.to_string()];
         row.extend(args);
@@ -88,18 +75,20 @@ fn main() {
         quality.row(row);
     }
 
-    info.print();
-    quality.print();
-    println!("## Geometric-mean ARG");
+    let mut report = Report::default()
+        .table("table2_info", info)
+        .table("table2_quality", quality)
+        .note("## Geometric-mean ARG");
     for alg in Algorithm::all() {
         if let Some(&(sum, n)) = geo.get(&alg) {
             if n > 0 {
-                println!("  {:<9} {}", alg.name(), fmt((sum / n as f64).exp()));
+                report = report.note(format!(
+                    "  {:<9} {}",
+                    alg.name(),
+                    fmt((sum / n as f64).exp())
+                ));
             }
         }
     }
-    let _ = info.save_csv("table2_info");
-    if let Ok(p) = quality.save_csv("table2_quality") {
-        println!("saved: {}", p.display());
-    }
+    report
 }

@@ -1,8 +1,11 @@
 //! Benchmark harness for the Rasengan reproduction.
 //!
-//! One binary per table/figure of the paper's evaluation (see
-//! `DESIGN.md`'s per-experiment index). Shared machinery lives here:
+//! One library function per table/figure of the paper's evaluation
+//! (see `DESIGN.md`'s per-experiment index), run in-process by the
+//! `all_experiments` binary. Modules:
 //!
+//! * [`experiments`] — the experiments, their registry, the driver's
+//!   argument parser and the panic-isolating runner.
 //! * [`report`] — fixed-width table printing + CSV output under
 //!   `target/rasengan-reports/`.
 //! * [`runners`] — uniform "run algorithm X on problem P" adapters
@@ -15,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod replay;
 pub mod report;
 pub mod runners;

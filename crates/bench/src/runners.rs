@@ -79,9 +79,6 @@ pub struct RunEnv {
     pub noise: NoiseModel,
     /// Device timing model.
     pub device: Device,
-    /// Worker threads for Rasengan's execution engine (`None` = all
-    /// available; results are thread-count independent).
-    pub threads: Option<usize>,
 }
 
 impl Default for RunEnv {
@@ -93,7 +90,6 @@ impl Default for RunEnv {
             shots: None,
             noise: NoiseModel::noise_free(),
             device: Device::ibm_quebec(),
-            threads: None,
         }
     }
 }
@@ -108,7 +104,6 @@ pub fn run_algorithm(alg: Algorithm, problem: &Problem, env: &RunEnv) -> AlgoRes
                 .with_max_iterations(env.iterations);
             cfg.device = env.device.clone();
             cfg.shots = env.shots;
-            cfg.threads = env.threads;
             match Rasengan::new(cfg).solve(problem) {
                 Ok(out) => AlgoResult {
                     algorithm: alg,

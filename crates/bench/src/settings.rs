@@ -5,23 +5,23 @@
 //! does the same. The default is *fast* mode; pass `--full` for the
 //! paper's iteration budgets.
 
-/// Runtime knobs shared by all experiment binaries.
+/// Runtime knobs shared by the experiments and the perf tools. The
+/// engine's thread count is not one of them: it comes from
+/// `RASENGAN_THREADS`, and never changes a result.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunSettings {
     /// Whether `--full` was requested.
     pub full: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Worker threads for the execution engine (`--threads N`, falling
-    /// back to the `RASENGAN_THREADS` environment variable; `None` lets
-    /// the engine use the machine's available parallelism). Thread count
-    /// never changes results, only wall-clock.
-    pub threads: Option<usize>,
 }
 
 impl RunSettings {
-    /// Parses the process arguments (`--full`, `--seed N`,
-    /// `--threads N`) and the `RASENGAN_THREADS` environment variable.
+    /// Reads `--full` and `--seed N` from the process arguments for the
+    /// perf tools (`fusion`, `loadgen`), which take flags of their own
+    /// beside them. An unreadable seed falls back to 2025. The
+    /// experiment driver parses strictly instead, through
+    /// [`crate::experiments::parse_args`].
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         let full = args.iter().any(|a| a == "--full");
@@ -31,31 +31,14 @@ impl RunSettings {
             .and_then(|i| args.get(i + 1))
             .and_then(|s| s.parse().ok())
             .unwrap_or(2025);
-        let threads = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .filter(|&t: &usize| t > 0)
-            .or_else(|| {
-                std::env::var("RASENGAN_THREADS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t: &usize| t > 0)
-            });
-        RunSettings {
-            full,
-            seed,
-            threads,
-        }
+        RunSettings { full, seed }
     }
 
-    /// Fast-mode settings for tests.
+    /// Fast mode at seed 2025: the driver's defaults.
     pub fn fast() -> Self {
         RunSettings {
             full: false,
             seed: 2025,
-            threads: None,
         }
     }
 
@@ -116,7 +99,6 @@ mod tests {
         let s = RunSettings {
             full: true,
             seed: 1,
-            threads: None,
         };
         assert_eq!(s.rasengan_iterations(), 300);
         assert_eq!(s.baseline_iterations(20), 300);

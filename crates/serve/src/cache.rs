@@ -235,14 +235,24 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
+        // Four threads share the counters, but each writes 64 keys into
+        // a 16-entry shard only it uses, so no other thread can evict a
+        // key between its insert and its get.
         let cache: Arc<ShardedLru<u64, u64>> = Arc::new(ShardedLru::new(64, 4));
+        let start = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let cache = Arc::clone(&cache);
+                let start = Arc::clone(&start);
+                let keys: Vec<u64> = (0..)
+                    .filter(|k| cache.shard_index(k) == t)
+                    .take(64)
+                    .collect();
                 std::thread::spawn(move || {
-                    for i in 0..64 {
-                        cache.insert(t * 64 + i, i);
-                        assert_eq!(cache.get(&(t * 64 + i)), Some(i));
+                    start.wait();
+                    for (i, key) in (0..).zip(keys) {
+                        cache.insert(key, i);
+                        assert_eq!(cache.get(&key), Some(i));
                     }
                 })
             })
@@ -252,5 +262,6 @@ mod tests {
         }
         assert_eq!(cache.hits(), 4 * 64);
         assert!(cache.len() <= 64);
+        assert_eq!(cache.evictions(), 4 * (64 - 16));
     }
 }
