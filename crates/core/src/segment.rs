@@ -156,25 +156,43 @@ pub fn single_segment(ops: &[TransitionHamiltonian]) -> SegmentPlan {
 /// assert_eq!(apportion_shots(&[0.6, 0.25, 0.15], 200), vec![120, 50, 30]);
 /// ```
 pub fn apportion_shots(probs: &[f64], total: usize) -> Vec<usize> {
+    let mut shares = Vec::new();
+    apportion_shots_into(probs, total, &mut shares, &mut Vec::new());
+    shares
+}
+
+/// [`apportion_shots`] into `shares`, with `remainder` as scratch: both
+/// are cleared and refilled, so a caller that keeps them across calls
+/// allocates nothing once they have grown.
+///
+/// # Panics
+///
+/// Panics if `probs` is empty or sums to zero while `total > 0`.
+pub fn apportion_shots_into(
+    probs: &[f64],
+    total: usize,
+    shares: &mut Vec<usize>,
+    remainder: &mut Vec<(usize, f64)>,
+) {
     assert!(!probs.is_empty(), "cannot apportion to zero states");
     let sum: f64 = probs.iter().sum();
+    shares.clear();
     if total == 0 {
-        return vec![0; probs.len()];
+        shares.resize(probs.len(), 0);
+        return;
     }
     assert!(sum > 0.0, "probabilities sum to zero");
 
-    let quotas: Vec<f64> = probs.iter().map(|p| p / sum * total as f64).collect();
-    let mut shares: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+    remainder.clear();
+    for (i, p) in probs.iter().enumerate() {
+        let quota = p / sum * total as f64;
+        shares.push(quota.floor() as usize);
+        remainder.push((i, quota - quota.floor()));
+    }
     let assigned: usize = shares.iter().sum();
-    let mut remainder: Vec<(usize, f64)> = quotas
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (i, q - q.floor()))
-        .collect();
-    for &(i, _) in largest_remainders(&mut remainder, total - assigned) {
+    for &(i, _) in largest_remainders(remainder, total - assigned) {
         shares[i] += 1;
     }
-    shares
 }
 
 /// The (at most) `k` entries of `remainder` that rank first by
@@ -290,6 +308,8 @@ mod tests {
         // Weights drawn from a small set tie often, so equal remainders
         // must fall back to index order.
         let weights = [0.1, 0.2, 0.2, 1.0 / 3.0, 0.5, 1.0, 3.0];
+        // Buffers kept across every case, as an execution keeps them.
+        let (mut shares, mut scratch) = (Vec::new(), Vec::new());
         for case in 0..2000 {
             let len = rng.gen_range(1..40usize);
             let probs: Vec<f64> = (0..len)
@@ -306,6 +326,12 @@ mod tests {
                     apportion_shots(&probs, total),
                     apportion_by_sort(&probs, total),
                     "case {case}: {len} states, {total} shots"
+                );
+                apportion_shots_into(&probs, total, &mut shares, &mut scratch);
+                assert_eq!(
+                    shares,
+                    apportion_by_sort(&probs, total),
+                    "case {case}, reused"
                 );
             }
             // The selection alone, at every k from none to all.
