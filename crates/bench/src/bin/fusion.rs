@@ -103,8 +103,15 @@ fn dense_fused(
     counts
 }
 
+/// The tool's usage line.
+const USAGE: &str = "usage: fusion [--full] [--seed N]";
+
 fn main() {
-    let settings = RunSettings::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let settings = RunSettings::parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("fusion: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let reps = 5;
     let mut table = Table::new(
         "fusion: compiled programs vs gate-by-gate (median of 5)",

@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 use rasengan_bench::replay::{manifest, wire_body, ReplayConfig};
+use rasengan_bench::settings::{unknown_argument, unsigned_value};
 use rasengan_bench::{report::fmt, RunSettings, Table};
 use rasengan_obs::metrics::{try_global, Histogram};
 use rasengan_problems::io::write_problem;
@@ -494,10 +495,6 @@ fn fabric_sweep(
 /// a ≥1.6× throughput floor over the baseline (fast mode records the
 /// ratio without gating, since CI containers may have a single CPU).
 fn run_fabric(settings: &RunSettings, nodes: usize) {
-    assert!(
-        (2..=8).contains(&nodes),
-        "--nodes wants 2..=8 (got {nodes})"
-    );
     let ids = ["F2", "J2", "S2", "K2", "G2"];
     let seeds_per_id: u64 = if settings.full { 6 } else { 2 };
     let clients = 4usize;
@@ -641,32 +638,70 @@ fn run_fabric(settings: &RunSettings, nodes: usize) {
     }
 }
 
-fn main() {
-    let settings = RunSettings::from_args();
-    if std::env::args().any(|a| a == "--replay") {
-        run_replay(&settings);
-        return;
-    }
-    {
-        let args: Vec<String> = std::env::args().collect();
-        if let Some(i) = args.iter().position(|a| a == "--nodes") {
-            let nodes = args
-                .get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--nodes N");
-            run_fabric(&settings, nodes);
-            return;
+/// The tool's usage line.
+const USAGE: &str = "usage: loadgen [--full] [--seed N] [--replay | --nodes N | --connections N]";
+
+/// Which arms a run drives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// The cold, warm, saturation and warm-restart arms.
+    Arms,
+    /// The deterministic workload replay (`--replay`).
+    Replay,
+    /// The multi-node fabric arm over 2 to 8 nodes (`--nodes N`).
+    Fabric(usize),
+    /// The event-loop arm up to `N` parked connections
+    /// (`--connections N`).
+    Evloop(usize),
+}
+
+/// Parses the arguments, without the program name: the shared flags
+/// plus at most one mode flag. Any other token, a malformed value, a
+/// node count outside 2..=8 or a second mode flag is an error.
+fn parse_args(args: &[String]) -> Result<(RunSettings, Mode), String> {
+    let mut settings = RunSettings::fast();
+    let mut mode = Mode::Arms;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if settings.apply_flag(arg, &mut rest)? {
+            continue;
         }
+        let chosen = match arg.as_str() {
+            "--replay" => Mode::Replay,
+            "--nodes" => match unsigned_value(arg, &mut rest)? {
+                nodes @ 2..=8 => Mode::Fabric(nodes),
+                nodes => return Err(format!("--nodes: {nodes} is not in 2..=8")),
+            },
+            "--connections" => match unsigned_value(arg, &mut rest)? {
+                0 => return Err("--connections: 0 is not positive".to_string()),
+                conns => Mode::Evloop(conns),
+            },
+            _ => return Err(unknown_argument(arg)),
+        };
+        if mode != Mode::Arms {
+            return Err(format!("`{arg}` after another mode flag"));
+        }
+        mode = chosen;
     }
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--connections") {
-        let max_conns = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .expect("--connections N");
-        run_evloop(&settings, max_conns);
-        return;
+    Ok((settings, mode))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (settings, mode) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("loadgen: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    match mode {
+        Mode::Arms => run_arms(&settings),
+        Mode::Replay => run_replay(&settings),
+        Mode::Fabric(nodes) => run_fabric(&settings, nodes),
+        Mode::Evloop(conns) => run_evloop(&settings, conns),
     }
+}
+
+/// The cold, warm, saturation and warm-restart arms against one server.
+fn run_arms(settings: &RunSettings) {
     let repeats = if settings.full { 60 } else { 20 };
     let ids = ["F2", "J2", "S2", "K2", "G2"];
     let seeds_per_id: u64 = if settings.full { 6 } else { 2 };
@@ -706,7 +741,7 @@ fn main() {
     let cold_started = Instant::now();
     for id in ids {
         for seed in 0..seeds_per_id {
-            let request = request_for(id, seed, &settings);
+            let request = request_for(id, seed, settings);
             let started = Instant::now();
             let reply = submit(addr, &request).expect("cold submit");
             client_hist.record(started.elapsed().as_micros() as u64);
@@ -736,7 +771,7 @@ fn main() {
     ]);
 
     // --- warm arm: one request repeated; all but the first round hit.
-    let warm_request = request_for("F2", 0, &settings);
+    let warm_request = request_for("F2", 0, settings);
     let baseline = cold_results
         .iter()
         .find(|(id, seed, _)| *id == "F2" && *seed == 0)
@@ -812,7 +847,7 @@ fn main() {
     .expect("bind ephemeral port");
     let tiny_addr = tiny.addr();
     let flood = if settings.full { 32 } else { 16 };
-    let flood_request = request_for("J2", 9, &settings);
+    let flood_request = request_for("J2", 9, settings);
     let flood_started = Instant::now();
     let outcomes: Vec<(ReplyStatus, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..flood)
@@ -889,7 +924,7 @@ fn main() {
     let mut restart_to_warm_ms = f64::NAN;
     for i in 0..first_n {
         let (id, seed, baseline) = &cold_results[i % cold_results.len()];
-        let request = request_for(id, *seed, &settings);
+        let request = request_for(id, *seed, settings);
         let started = Instant::now();
         let reply = submit(restarted_addr, &request).expect("warm-restart submit");
         client_hist.record(started.elapsed().as_micros() as u64);
@@ -1022,7 +1057,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::*;
 
     #[test]
     fn percentile_handles_empty_and_nearest_rank() {
@@ -1034,5 +1069,64 @@ mod tests {
         assert_eq!(percentile(&mut samples, 0.5), 2.0);
         assert_eq!(percentile(&mut samples, 1.0), 4.0);
         assert_eq!(percentile(&mut samples, 0.0), 1.0);
+    }
+
+    fn parse(tokens: &[&str]) -> Result<(RunSettings, Mode), String> {
+        let args: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn every_mode_parses() {
+        let fast = RunSettings::fast();
+        assert_eq!(parse(&[]), Ok((fast, Mode::Arms)));
+        assert_eq!(parse(&["--replay"]), Ok((fast, Mode::Replay)));
+        for nodes in [2, 4, 8] {
+            let arg = nodes.to_string();
+            assert_eq!(parse(&["--nodes", &arg]), Ok((fast, Mode::Fabric(nodes))));
+        }
+        let (settings, mode) = parse(&["--connections", "1024", "--seed", "3", "--full"]).unwrap();
+        assert_eq!(mode, Mode::Evloop(1024));
+        assert_eq!((settings.seed, settings.full), (3, true));
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        for (tokens, want) in [
+            (&["--nodes"][..], "--nodes needs a value"),
+            (
+                &["--nodes", "two"],
+                "--nodes: `two` is not an unsigned integer",
+            ),
+            (&["--nodes", "1"], "--nodes: 1 is not in 2..=8"),
+            (&["--nodes", "9"], "--nodes: 9 is not in 2..=8"),
+            (&["--connections"], "--connections needs a value"),
+            (
+                &["--connections", "-5"],
+                "--connections: `-5` is not an unsigned integer",
+            ),
+            (&["--connections", "0"], "--connections: 0 is not positive"),
+            (&["--seed", "7x"], "--seed: `7x` is not an unsigned integer"),
+        ] {
+            assert_eq!(parse(tokens), Err(want.to_string()), "{tokens:?}");
+        }
+    }
+
+    #[test]
+    fn unknown_and_conflicting_flags_are_rejected() {
+        for (tokens, want) in [
+            (&["--node", "2"][..], "unknown flag `--node`"),
+            (&["replay"], "unexpected argument `replay`"),
+            (
+                &["--replay", "--nodes", "2"],
+                "`--nodes` after another mode flag",
+            ),
+            (
+                &["--nodes", "2", "--connections", "64"],
+                "`--connections` after another mode flag",
+            ),
+        ] {
+            assert_eq!(parse(tokens), Err(want.to_string()), "{tokens:?}");
+        }
     }
 }

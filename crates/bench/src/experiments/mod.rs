@@ -7,6 +7,7 @@
 //! file. The `all_experiments` binary does both, running the
 //! experiments in-process through [`run_all`].
 
+use crate::settings::unknown_argument;
 use crate::{RunSettings, Table};
 use std::panic::catch_unwind;
 
@@ -110,15 +111,11 @@ pub fn parse_args(args: &[String]) -> Result<(RunSettings, Vec<Experiment>), Str
     let mut names = Vec::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
+        if settings.apply_flag(arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
-            "--full" => settings.full = true,
-            "--seed" => {
-                let value = args.next().ok_or("--seed needs a value")?;
-                settings.seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed: `{value}` is not an unsigned integer"))?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            flag if flag.starts_with('-') => return Err(unknown_argument(flag)),
             name if ALL.iter().any(|e| e.name == name) => names.push(name),
             name => {
                 let valid: Vec<&str> = ALL.iter().map(|e| e.name).collect();

@@ -88,50 +88,54 @@ impl Table {
         println!("{}", self.render());
     }
 
-    /// Writes the table as CSV under `target/rasengan-reports/<name>.csv`
-    /// and returns the path.
-    pub fn save_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("target/rasengan-reports");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
+    /// The table as CSV: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
         let mut csv = self.headers.join(",");
         csv.push('\n');
         for row in &self.rows {
             csv.push_str(&row.join(","));
             csv.push('\n');
         }
-        fs::write(&path, csv)?;
-        Ok(path)
+        csv
     }
 
-    /// Writes the table as machine-readable JSON
-    /// (`{"title", "headers", "rows"}`) under
-    /// `target/rasengan-reports/<name>.json` and returns the path.
-    /// Cells stay strings — the JSON mirrors the CSV, it does not
-    /// guess column types.
-    pub fn save_json(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("target/rasengan-reports");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.json"));
-        let json = Json::obj(vec![
+    /// The table as machine-readable JSON (`{"title", "headers",
+    /// "rows"}`). Cells stay strings — the JSON mirrors the CSV, it does
+    /// not guess column types.
+    pub fn to_json(&self) -> String {
+        let strings = |cells: &[String]| Json::Arr(cells.iter().cloned().map(Json::Str).collect());
+        Json::obj(vec![
             ("title", Json::Str(self.title.clone())),
-            (
-                "headers",
-                Json::Arr(self.headers.iter().map(|h| Json::Str(h.clone())).collect()),
-            ),
+            ("headers", strings(&self.headers)),
             (
                 "rows",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(|c| Json::Str(c.clone())).collect()))
-                        .collect(),
-                ),
+                Json::Arr(self.rows.iter().map(|row| strings(row)).collect()),
             ),
-        ]);
-        fs::write(&path, json.render())?;
-        Ok(path)
+        ])
+        .render()
     }
+
+    /// Writes [`Table::to_csv`] to `target/rasengan-reports/<name>.csv`
+    /// and returns the path.
+    pub fn save_csv(&self, name: &str) -> std::io::Result<PathBuf> {
+        save(&format!("{name}.csv"), &self.to_csv())
+    }
+
+    /// Writes [`Table::to_json`] to `target/rasengan-reports/<name>.json`
+    /// and returns the path.
+    pub fn save_json(&self, name: &str) -> std::io::Result<PathBuf> {
+        save(&format!("{name}.json"), &self.to_json())
+    }
+}
+
+/// Writes `text` to `target/rasengan-reports/<file>` and returns the
+/// path.
+fn save(file: &str, text: &str) -> std::io::Result<PathBuf> {
+    let dir = PathBuf::from("target/rasengan-reports");
+    fs::create_dir_all(&dir)?;
+    let path = dir.join(file);
+    fs::write(&path, text)?;
+    Ok(path)
 }
 
 /// Formats a float compactly for report cells.
@@ -178,22 +182,18 @@ mod tests {
     }
 
     #[test]
-    fn csv_written() {
+    fn csv_text() {
         let mut t = Table::new("t", vec!["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        let p = t.save_csv("unit-test-table").unwrap();
-        let content = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
+        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]
-    fn json_written() {
+    fn json_text() {
         let mut t = Table::new("t", vec!["a", "b"]);
         t.row(vec!["1".into(), "2.5".into()]);
-        let p = t.save_json("unit-test-table").unwrap();
-        let content = std::fs::read_to_string(&p).unwrap();
         assert_eq!(
-            content,
+            t.to_json(),
             "{\"title\":\"t\",\"headers\":[\"a\",\"b\"],\"rows\":[[\"1\",\"2.5\"]]}"
         );
     }

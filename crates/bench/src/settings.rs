@@ -3,7 +3,11 @@
 //! The paper's artifact scales its reproduce scripts down (≈10 cases per
 //! benchmark instead of 100) to finish in reasonable time; this harness
 //! does the same. The default is *fast* mode; pass `--full` for the
-//! paper's iteration budgets.
+//! paper's iteration budgets. Every tool parses its arguments strictly:
+//! an unknown flag or a malformed value is an error, which the binaries
+//! report with their usage line and exit status 2.
+
+use std::str::FromStr;
 
 /// Runtime knobs shared by the experiments and the perf tools. The
 /// engine's thread count is not one of them: it comes from
@@ -17,21 +21,39 @@ pub struct RunSettings {
 }
 
 impl RunSettings {
-    /// Reads `--full` and `--seed N` from the process arguments for the
-    /// perf tools (`fusion`, `loadgen`), which take flags of their own
-    /// beside them. An unreadable seed falls back to 2025. The
-    /// experiment driver parses strictly instead, through
-    /// [`crate::experiments::parse_args`].
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let full = args.iter().any(|a| a == "--full");
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2025);
-        RunSettings { full, seed }
+    /// Parses the arguments, without the program name, of a tool that
+    /// takes only `--full` and `--seed N` (`fusion`). Any other token is
+    /// an error.
+    pub fn parse_args(args: &[String]) -> Result<Self, String> {
+        let mut settings = RunSettings::fast();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !settings.apply_flag(arg, &mut rest)? {
+                return Err(unknown_argument(arg));
+            }
+        }
+        Ok(settings)
+    }
+
+    /// Applies `arg` if it is one of the flags every tool takes:
+    /// `--full`, or `--seed N` with `N` the next token of `rest`.
+    /// Returns whether it was one.
+    ///
+    /// # Errors
+    ///
+    /// `--seed` without a value, or with one that is not an unsigned
+    /// integer.
+    pub fn apply_flag<'a>(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--full" => self.full = true,
+            "--seed" => self.seed = unsigned_value(arg, rest)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Fast mode at seed 2025: the driver's defaults.
@@ -82,9 +104,72 @@ impl RunSettings {
     }
 }
 
+/// The unsigned integer after `flag`: the next token of `rest`.
+///
+/// # Errors
+///
+/// No next token, or one that does not parse as `T`.
+pub fn unsigned_value<'a, T: FromStr>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = &'a String>,
+) -> Result<T, String> {
+    let value = rest.next().ok_or(format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: `{value}` is not an unsigned integer"))
+}
+
+/// The error for a token no parser accepts.
+pub fn unknown_argument(arg: &str) -> String {
+    if arg.starts_with('-') {
+        format!("unknown flag `{arg}`")
+    } else {
+        format!("unexpected argument `{arg}`")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(tokens: &[&str]) -> Result<RunSettings, String> {
+        let args: Vec<String> = tokens.iter().map(|t| t.to_string()).collect();
+        RunSettings::parse_args(&args)
+    }
+
+    #[test]
+    fn shared_flags_parse() {
+        assert_eq!(parse(&[]), Ok(RunSettings::fast()));
+        let s = parse(&["--seed", "7", "--full"]).unwrap();
+        assert!(s.full);
+        assert_eq!(s.seed, 7);
+    }
+
+    #[test]
+    fn a_bad_seed_is_rejected() {
+        assert_eq!(parse(&["--seed"]), Err("--seed needs a value".to_string()));
+        for bad in ["7x", "-1", "", "1.5"] {
+            let err = parse(&["--seed", bad]).unwrap_err();
+            assert_eq!(err, format!("--seed: `{bad}` is not an unsigned integer"));
+        }
+    }
+
+    #[test]
+    fn unknown_tokens_are_rejected() {
+        assert_eq!(
+            parse(&["--node", "2"]),
+            Err("unknown flag `--node`".to_string())
+        );
+        assert_eq!(
+            parse(&["full"]),
+            Err("unexpected argument `full`".to_string())
+        );
+        // A flag of another tool is unknown here.
+        assert_eq!(
+            parse(&["--replay"]),
+            Err("unknown flag `--replay`".to_string())
+        );
+    }
 
     #[test]
     fn fast_mode_derates_large_problems() {
