@@ -20,6 +20,7 @@ use crate::metrics::{
     arg, best_solution, expectation, in_constraints_rate, label_value, pairs_in_constraints_rate,
     penalty_lambda,
 };
+use crate::prune::LabelMap;
 use crate::purify::{purify_distribution, renormalize};
 use crate::resilience::{
     escalated_shots, BudgetKind, DegradeFallback, ResilienceConfig, ResilienceEvent,
@@ -36,8 +37,9 @@ use rasengan_qsim::fault::{FaultKind, FaultPlan};
 use rasengan_qsim::noise::apply_readout_error;
 use rasengan_qsim::parallel::{derive_seed, par_slabs, resolve_threads};
 use rasengan_qsim::{Complex, Label, NoiseModel, PreparedSampler, SparseState, NOTIONAL_SHOTS};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
-use std::ops::AddAssign;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Objective value charged when an evaluation fails under noise; large
@@ -401,20 +403,23 @@ impl<'a> Objective<'a> {
                             raw.extend(
                                 ws.counts.iter().map(|&(l, c)| (l, c as f64 / total as f64)),
                             );
-                            match (self.closed, cfg.purify) {
+                            let purified = match (self.closed, cfg.purify) {
                                 // Every label is feasible by
                                 // construction: purification keeps all
                                 // of the mass (rate `kept / kept`) and
                                 // renormalizes by it.
                                 (true, true) => renormalize(raw).map(|(next, _)| (next, 1.0)),
-                                (true, false) => Some((raw, 1.0)),
+                                (true, false) => Ok((raw, 1.0)),
                                 (false, true) => purify_distribution(problem, raw),
                                 (false, false) => {
                                     let rate =
                                         pairs_in_constraints_rate(problem, raw.iter().copied());
-                                    Some((raw, rate))
+                                    Ok((raw, rate))
                                 }
-                            }
+                            };
+                            // When no mass survives, the buffer goes
+                            // back to being the spare.
+                            purified.map_err(|raw| ws.next = raw).ok()
                         };
 
                         if attempt > 0 {
@@ -716,6 +721,8 @@ struct Workspace {
     consts: Vec<(Complex, Complex)>,
     /// A sampled attempt's counts per label, in ascending label order.
     counts: Vec<(Label, usize)>,
+    /// The workers' displaced counts, joined for [`fold_counts`].
+    side: Vec<(Label, usize)>,
     /// `(label, label_value)` of every label the latest expectation
     /// measured, in ascending label order: the next one evaluates only
     /// labels it does not hold, and builds its own in `next_values`.
@@ -723,15 +730,71 @@ struct Workspace {
     next_values: Vec<(Label, f64)>,
 }
 
-/// One engine thread's scratch: the state its slab runs through, the
-/// sampler that state is drawn with, and the slab's output.
+/// One engine thread's scratch: the state its slab evolves support
+/// patterns through, the slab's pattern table, and the slab's output.
+///
+/// A segment reads and writes only the bits of its `support_mask`, so
+/// an input `x` evolves as its pattern `x & support_mask` does, with
+/// its rest `x & !support_mask` on every output label. The table holds
+/// each pattern's evolution once per slab, and every input with that
+/// pattern reads it.
 struct Worker {
     state: SparseState,
-    sampler: PreparedSampler,
+    /// The slab's patterns, each to its slot in `spans` (exact mode) or
+    /// `samplers` (sampled mode).
+    patterns: LabelMap<usize>,
+    /// Exact mode: every pattern's `(label, q)` outcomes, one span each.
+    outcomes: Vec<(Label, f64)>,
+    spans: Vec<Range<usize>>,
+    /// Sampled mode: one sampler per pattern slot. The samplers outlive
+    /// the slab, so a slot reuses its buffers.
+    samplers: Vec<PreparedSampler>,
     /// Exact mode: `(label, p·q)` terms, in input order.
     terms: Vec<(Label, f64)>,
-    /// Sampled mode: `(label, count)` pairs, in input order.
+    /// Sampled mode: each count whose label is its batch's input, in
+    /// input order, so in ascending label order.
     counts: Vec<(Label, usize)>,
+    /// Sampled mode: every other count.
+    side: Vec<(Label, usize)>,
+}
+
+impl Worker {
+    /// The slot of `pattern` in the slab's table, and whether it is new.
+    /// A new pattern's basis state has just been evolved through
+    /// `program` into `self.state`.
+    fn pattern_slot(
+        &mut self,
+        pattern: Label,
+        program: &SegmentProgram,
+        consts: &[(Complex, Complex)],
+    ) -> (usize, bool) {
+        let next = self.patterns.len();
+        match self.patterns.entry(pattern) {
+            Entry::Occupied(slot) => (*slot.get(), false),
+            Entry::Vacant(slot) => {
+                slot.insert(next);
+                self.state.reset(pattern);
+                evolve(&mut self.state, program, consts);
+                (next, true)
+            }
+        }
+    }
+}
+
+/// Pushes `(label, count)` to `counts` when `label` is `input`, and to
+/// `side` otherwise.
+fn tally(
+    counts: &mut Vec<(Label, usize)>,
+    side: &mut Vec<(Label, usize)>,
+    input: Label,
+    label: Label,
+    count: usize,
+) {
+    if label == input {
+        counts.push((label, count));
+    } else {
+        side.push((label, count));
+    }
 }
 
 impl Workspace {
@@ -740,9 +803,13 @@ impl Workspace {
     fn new(n_vars: usize, threads: usize) -> Self {
         let worker = || Worker {
             state: SparseState::basis_state(n_vars, 0),
-            sampler: PreparedSampler::default(),
+            patterns: LabelMap::default(),
+            outcomes: Vec::new(),
+            spans: Vec::new(),
+            samplers: Vec::new(),
             terms: Vec::new(),
             counts: Vec::new(),
+            side: Vec::new(),
         };
         Workspace {
             workers: (0..threads.max(1)).map(|_| worker()).collect(),
@@ -753,28 +820,37 @@ impl Workspace {
     /// Exact mixture propagation of `dist` through one segment; `dist`
     /// then holds the output, in ascending label order too.
     ///
-    /// Each worker runs a contiguous slab of input labels through its
-    /// state and pushes `(label, p·q)` for every outcome `label` of
-    /// probability `q`, in input order; a label no operator moves is
-    /// pushed as `(label, p)` without evolving (`q` would be exactly
-    /// one). The workers' terms are joined in worker order and
-    /// [`fold_terms`] sums each output label's terms in input order, so
-    /// every output label gets the same additions in the same order at
-    /// any thread count.
+    /// Each worker runs a contiguous slab of input labels and pushes
+    /// `(label | rest, p·q)` for every outcome `label` of probability
+    /// `q` of the input's support pattern, in input order, evolving each
+    /// pattern once per slab; a label no operator moves is pushed as
+    /// `(label, p)` without evolving (`q` would be exactly one). The
+    /// workers' terms are joined in worker order and [`fold_terms`] sums
+    /// each output label's terms in input order, so every output label
+    /// gets the same additions in the same order at any thread count.
     fn propagate_exact(&mut self, program: &SegmentProgram, times: &[f64]) {
         mixing_constants_into(program, times, &mut self.consts);
         let (dist, consts) = (&self.dist, &self.consts);
         let used = par_slabs(dist.len(), &mut self.workers, |slab, w| {
             w.terms.clear();
+            w.patterns.clear();
+            w.outcomes.clear();
+            w.spans.clear();
             for &(input, p) in &dist[slab] {
                 if !program.moves(input) {
                     w.terms.push((input, p));
                     continue;
                 }
-                w.state.reset(input);
-                evolve(&mut w.state, program, consts);
+                let rest = input & !program.support_mask;
+                let (slot, new) = w.pattern_slot(input & program.support_mask, program, consts);
+                if new {
+                    let start = w.outcomes.len();
+                    w.outcomes.extend(w.state.probabilities());
+                    w.spans.push(start..w.outcomes.len());
+                }
+                let outcomes = &w.outcomes[w.spans[slot].clone()];
                 w.terms
-                    .extend(w.state.probabilities().map(|(label, q)| (label, p * q)));
+                    .extend(outcomes.iter().map(|&(label, q)| (label | rest, p * q)));
             }
         });
         self.next.clear();
@@ -789,7 +865,8 @@ impl Workspace {
     /// at `shares` shots each, leaving its counts in `counts`: charges shots and
     /// latency per input batch, applies the fault plan (calibration
     /// drift, batch loss, readout bursts), and folds the workers' counts
-    /// in input order so results are thread-count invariant.
+    /// with [`fold_counts`], whose integer sums do not depend on the
+    /// thread count.
     fn run_segment_shots(
         &mut self,
         problem: &Problem,
@@ -882,6 +959,7 @@ impl Workspace {
             let jobs = &self.jobs;
             par_slabs(jobs.len(), &mut self.workers, |slab, w| {
                 w.counts.clear();
+                w.side.clear();
                 for &(input, stream) in &jobs[slab] {
                     let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
                     let label = run_compiled_trajectory(
@@ -896,16 +974,21 @@ impl Workspace {
                         Some(rate) => apply_readout_error(label, n_vars, rate, &mut rng),
                         None => label,
                     };
-                    w.counts.push((label, 1));
+                    tally(&mut w.counts, &mut w.side, input, label, 1);
                 }
             })
         } else {
-            // Each worker runs a contiguous slab of batches through its
-            // state and its sampler, so a batch allocates nothing once the
-            // buffers have grown.
+            // Each worker runs a contiguous slab of batches, drawing each
+            // batch on its own stream from its support pattern's sampler,
+            // which the slab prepares once per pattern. A pattern's labels
+            // are in the order of its inputs' labels, since those share
+            // the bits off the support, so a draw picks the same label
+            // that a sampler of the input's own evolution would.
             let batches = &self.batches;
             par_slabs(batches.len(), &mut self.workers, |slab, w| {
                 w.counts.clear();
+                w.side.clear();
+                w.patterns.clear();
                 for &(input, share, stream) in &batches[slab] {
                     // A label no operator moves takes every shot: the
                     // sampler would clamp each draw to its only entry.
@@ -916,31 +999,45 @@ impl Workspace {
                         w.counts.push((input, share));
                         continue;
                     }
-                    w.state.reset(input);
-                    evolve(&mut w.state, program, consts);
+                    let rest = input & !program.support_mask;
+                    let (slot, new) = w.pattern_slot(input & program.support_mask, program, consts);
+                    if new {
+                        if slot == w.samplers.len() {
+                            w.samplers.push(PreparedSampler::default());
+                        }
+                        w.samplers[slot].prepare(&w.state);
+                    }
                     let mut rng = StdRng::seed_from_u64(derive_seed(seed, stream));
-                    w.sampler.prepare(&w.state);
-                    match burst {
-                        Some(rate) => {
+                    let Worker {
+                        samplers,
+                        counts,
+                        side,
+                        ..
+                    } = w;
+                    for (label, c) in samplers[slot].count(share, &mut rng) {
+                        let label = label | rest;
+                        match burst {
                             // Re-measure every sampled shot through the
                             // burst channel on the batch's own stream.
-                            for (label, c) in w.sampler.count(share, &mut rng) {
+                            Some(rate) => {
                                 for _ in 0..c {
                                     let label = apply_readout_error(label, n_vars, rate, &mut rng);
-                                    w.counts.push((label, 1));
+                                    tally(counts, side, input, label, 1);
                                 }
                             }
+                            None => tally(counts, side, input, label, c),
                         }
-                        None => w.counts.extend(w.sampler.count(share, &mut rng)),
                     }
                 }
             })
         };
-        self.counts.clear();
-        for w in &self.workers[..used] {
-            self.counts.extend_from_slice(&w.counts);
+        let workers = &self.workers[..used];
+        self.side.clear();
+        for w in workers {
+            self.side.extend_from_slice(&w.side);
         }
-        fold_counts(&mut self.counts);
+        let in_order = workers.iter().flat_map(|w| w.counts.iter().copied());
+        fold_counts(in_order, &mut self.side, &mut self.counts);
         run
     }
 }
@@ -949,31 +1046,44 @@ impl Workspace {
 /// in ascending label order. The sort is stable, so each label's terms
 /// are added left to right in the order they were pushed: a float total
 /// has the same bits whenever the terms arrive in the same order.
+/// Starting from the first term equals a fold from zero for the terms
+/// summed here (products of probabilities, never `-0.0`).
 fn fold_terms(terms: &mut Vec<(Label, f64)>) {
     terms.sort_by_key(|&(label, _)| label);
-    sum_runs(terms);
-}
-
-/// Sums `(label, count)` pairs into one total per label, in place and in
-/// ascending label order. An integer sum does not depend on the order of
-/// its terms, so the sort need not be stable.
-fn fold_counts(counts: &mut Vec<(Label, usize)>) {
-    counts.sort_unstable_by_key(|&(label, _)| label);
-    sum_runs(counts);
-}
-
-/// Sums each run of equal labels of `pairs`, sorted by label, into its
-/// first entry. Starting from the first term equals a fold from zero for
-/// the terms summed here (counts, and products of probabilities, never
-/// `-0.0`).
-fn sum_runs<T: Copy + AddAssign>(pairs: &mut Vec<(Label, T)>) {
-    pairs.dedup_by(|next, kept| {
+    terms.dedup_by(|next, kept| {
         let same = next.0 == kept.0;
         if same {
             kept.1 += next.1;
         }
         same
     });
+}
+
+/// Sums `(label, count)` pairs into one total per label, in ascending
+/// label order, into `out`: the labels of `in_order` ascend, and those
+/// of `side` come in any order. `side` is sorted, then one merge sums
+/// equal labels from both. An integer sum does not depend on the order
+/// of its terms, so the sort need not be stable, nor the merge take
+/// either side first on a tie.
+fn fold_counts(
+    in_order: impl IntoIterator<Item = (Label, usize)>,
+    side: &mut [(Label, usize)],
+    out: &mut Vec<(Label, usize)>,
+) {
+    side.sort_unstable_by_key(|&(label, _)| label);
+    out.clear();
+    let mut push = |(label, c): (Label, usize)| match out.last_mut() {
+        Some(last) if last.0 == label => last.1 += c,
+        _ => out.push((label, c)),
+    };
+    let mut side = side.iter().copied().peekable();
+    for pair in in_order {
+        while let Some(s) = side.next_if(|s| s.0 < pair.0) {
+            push(s);
+        }
+        push(pair);
+    }
+    side.for_each(push);
 }
 
 /// Evaluates each operator's Eq. 6 mixing constants `(cos t, −i·sin t)`
@@ -1476,6 +1586,218 @@ mod tests {
             one_label_batches > 0,
             "no noise-free batch had a one-label support"
         );
+    }
+
+    /// [`fold_counts`] as a full sort of every pair: the oracle of the
+    /// merge.
+    fn sort_fold(mut counts: Vec<(Label, usize)>) -> Vec<(Label, usize)> {
+        counts.sort_unstable_by_key(|&(label, _)| label);
+        counts.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        counts
+    }
+
+    /// Exact propagation with every moved input evolved from its own
+    /// basis state: the oracle of the pattern table.
+    fn propagate_each_input(
+        n: usize,
+        program: &SegmentProgram,
+        times: &[f64],
+        dist: &[(Label, f64)],
+    ) -> Vec<(Label, f64)> {
+        let consts = mixing_constants(program, times);
+        let mut state = SparseState::basis_state(n, 0);
+        let mut terms = Vec::new();
+        for &(input, p) in dist {
+            if !program.moves(input) {
+                terms.push((input, p));
+                continue;
+            }
+            state.reset(input);
+            evolve(&mut state, program, &consts);
+            terms.extend(state.probabilities().map(|(label, q)| (label, p * q)));
+        }
+        fold_terms(&mut terms);
+        terms
+    }
+
+    /// A noise-free sampled attempt with every batch drawn from a
+    /// sampler of its own input's evolution, re-measured through a
+    /// readout `burst` when one is given: the oracle of the pattern
+    /// table, one stream per batch with a nonzero share.
+    fn sample_each_input(
+        n: usize,
+        program: &SegmentProgram,
+        times: &[f64],
+        burst: Option<f64>,
+        batches: &[(Label, usize)],
+        key: AttemptKey,
+    ) -> Vec<(Label, usize)> {
+        let consts = mixing_constants(program, times);
+        let mut state = SparseState::basis_state(n, 0);
+        let mut sampler = PreparedSampler::default();
+        let mut counts = Vec::new();
+        let batches = batches.iter().filter(|&&(_, share)| share > 0);
+        for (&(input, share), stream) in batches.zip(key.first_stream..) {
+            if burst.is_none() && !program.moves(input) {
+                counts.push((input, share));
+                continue;
+            }
+            state.reset(input);
+            evolve(&mut state, program, &consts);
+            sampler.prepare(&state);
+            let mut rng = StdRng::seed_from_u64(derive_seed(key.seed, stream));
+            let drawn: Vec<(Label, usize)> = sampler.count(share, &mut rng).collect();
+            for (label, c) in drawn {
+                match burst {
+                    Some(rate) => counts
+                        .extend((0..c).map(|_| (apply_readout_error(label, n, rate, &mut rng), 1))),
+                    None => counts.push((label, c)),
+                }
+            }
+        }
+        sort_fold(counts)
+    }
+
+    #[test]
+    fn pattern_table_changes_no_bit() {
+        use rasengan_math::IntMatrix;
+        use rasengan_problems::{Objective, Sense};
+        use std::f64::consts::PI;
+        const N: usize = 12;
+        let problem = Problem::new(
+            "free",
+            IntMatrix::from_rows(&[vec![1; N]]),
+            vec![1],
+            Objective::linear(vec![0.0; N]),
+            Sense::Minimize,
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0x9A77);
+        let (mut shared, mut moved) = (0usize, 0usize);
+        for case in 0..24 {
+            // 1-4 operators of weight 2-4 inside one window of 6 qubits,
+            // so their supports overlap and the bits outside stay free.
+            let window = rng.gen_range(0..=N - 6);
+            let ops: Vec<TransitionHamiltonian> = (0..rng.gen_range(1..=4))
+                .map(|_| {
+                    let mut u = vec![0i64; N];
+                    let mut qubits: Vec<usize> = (window..window + 6).collect();
+                    for k in 0..rng.gen_range(2..=4) {
+                        let q = qubits.swap_remove(rng.gen_range(0..qubits.len()));
+                        u[q] = if k == 0 || rng.gen::<bool>() { 1 } else { -1 };
+                    }
+                    TransitionHamiltonian::new(u)
+                })
+                .collect();
+            let program = SegmentProgram::compile(&ops);
+            let mask = program.support_mask;
+            let times: Vec<f64> = ops.iter().map(|_| rng.gen_range(-PI..PI)).collect();
+            // A few patterns, each under several rests; the last case
+            // gives every input a pattern of its own.
+            let own_patterns = case == 23;
+            let patterns: Vec<Label> = (0..rng.gen_range(2..=5))
+                .map(|_| rng.gen::<u64>() as Label & mask)
+                .collect();
+            let mut inputs: Vec<Label> = (0..rng.gen_range(8..=40))
+                .map(|_| {
+                    let rest = rng.gen::<u64>() as Label & !mask & ((1 << N) - 1);
+                    let pattern = if own_patterns {
+                        rng.gen::<u64>() as Label & mask
+                    } else {
+                        patterns[rng.gen_range(0..patterns.len())]
+                    };
+                    pattern | rest
+                })
+                .collect();
+            if own_patterns {
+                let mut seen = std::collections::HashSet::new();
+                inputs.retain(|&l| seen.insert(l & mask));
+            }
+            inputs.sort_unstable();
+            inputs.dedup();
+            let mut distinct: Vec<Label> = inputs.iter().map(|&l| l & mask).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if own_patterns {
+                assert_eq!(distinct.len(), inputs.len());
+            } else {
+                shared += inputs.len() - distinct.len();
+            }
+            moved += inputs.iter().filter(|&&l| program.moves(l)).count();
+            let probs: Vec<f64> = inputs.iter().map(|_| rng.gen_range(0.01..1.0)).collect();
+            let total: f64 = probs.iter().sum();
+            let dist: Vec<(Label, f64)> = inputs
+                .iter()
+                .zip(&probs)
+                .map(|(&l, &p)| (l, p / total))
+                .collect();
+            let shares = apportion_shots(&probs, 300);
+            let batches: Vec<(Label, usize)> =
+                inputs.iter().copied().zip(shares.iter().copied()).collect();
+            let key = AttemptKey {
+                seed: 0x7AB1 + case,
+                first_stream: 5,
+                segment: 0,
+                attempt: 0,
+            };
+            let burst_plan = FaultPlan::new(case).with_readout_burst(1.0, 0.05);
+            let want_exact = propagate_each_input(N, &program, &times, &dist);
+            let want_free = sample_each_input(N, &program, &times, None, &batches, key);
+            let want_burst = sample_each_input(N, &program, &times, Some(0.05), &batches, key);
+            let bits = |d: &[(Label, f64)]| -> Vec<(Label, u64)> {
+                d.iter().map(|&(l, p)| (l, p.to_bits())).collect()
+            };
+            for threads in 1..=4 {
+                let at = format!("case {case}, {threads} threads");
+                let got = propagate_exact(N, &program, &times, &dist, threads);
+                assert_eq!(bits(&got), bits(&want_exact), "{at}, exact");
+                let free = RasenganConfig::default().with_threads(threads);
+                let burst = free.clone().with_fault_plan(burst_plan.clone());
+                for (mode, cfg, want) in [("free", free, &want_free), ("burst", burst, &want_burst)]
+                {
+                    let run =
+                        run_segment_shots(&problem, &program, &times, &cfg, &inputs, &shares, key);
+                    assert_eq!(&run.counts, want, "{at}, {mode}");
+                }
+            }
+        }
+        assert!(shared > 100, "only {shared} inputs repeated a pattern");
+        assert!(moved > 100, "only {moved} inputs moved");
+    }
+
+    #[test]
+    fn merge_fold_equals_sort_fold() {
+        let in_order: Vec<(Label, usize)> = vec![(1, 2), (3, 1), (3, 4), (7, 1), (12, 3)];
+        let side: Vec<(Label, usize)> = vec![(7, 2), (0, 1), (3, 5), (15, 1), (0, 2), (12, 1)];
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        let mut random_in_order: Vec<(Label, usize)> = (0..60)
+            .map(|_| (rng.gen_range(0..40u64) as Label, rng.gen_range(1..9)))
+            .collect();
+        random_in_order.sort_unstable_by_key(|&(l, _)| l);
+        let random_side: Vec<(Label, usize)> = (0..80)
+            .map(|_| (rng.gen_range(0..40u64) as Label, rng.gen_range(1..9)))
+            .collect();
+        let cases = [
+            ("duplicates on both sides", in_order.clone(), side.clone()),
+            ("empty side buffer", in_order.clone(), Vec::new()),
+            ("all counts displaced", Vec::new(), side),
+            ("nothing", Vec::new(), Vec::new()),
+            ("random", random_in_order, random_side),
+        ];
+        // `out` keeps a stale pair from the previous case: the fold must
+        // clear it.
+        let mut out = vec![(99, 99)];
+        for (case, in_order, mut side) in cases {
+            let want = sort_fold([in_order.clone(), side.clone()].concat());
+            fold_counts(in_order, &mut side, &mut out);
+            assert_eq!(out, want, "{case}");
+        }
     }
 
     /// Every registry instance and the Fig. 10 FLP shapes the

@@ -18,7 +18,7 @@
 
 use crate::hamiltonian::TransitionHamiltonian;
 use rasengan_qsim::{Label, Transition};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of the chain builder.
@@ -81,11 +81,12 @@ impl Chain {
 }
 
 /// Multiply-fold hasher for the `u128` labels of the reachable-set
-/// trackers. The labels are compiler-internal, so SipHash's resistance
-/// to chosen keys buys nothing here; no set built with it is ever
-/// iterated, so its order cannot reach a result.
+/// trackers and the executor's pattern tables. The labels are
+/// compiler-internal, so SipHash's resistance to chosen keys buys
+/// nothing here; no set or map built with it is ever iterated, so its
+/// order cannot reach a result.
 #[derive(Default)]
-struct LabelHasher(u64);
+pub(crate) struct LabelHasher(u64);
 
 const FOLD_LO: u64 = 0x243F_6A88_85A3_08D3;
 const FOLD_HI: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -113,6 +114,9 @@ impl Hasher for LabelHasher {
 }
 
 type LabelSet = HashSet<Label, BuildHasherDefault<LabelHasher>>;
+
+/// A map keyed by labels, hashed with [`LabelHasher`].
+pub(crate) type LabelMap<V> = HashMap<Label, V, BuildHasherDefault<LabelHasher>>;
 
 /// The reachable feasible set, held in insertion order plus a
 /// membership set.

@@ -31,11 +31,15 @@ use rasengan_problems::Problem;
 use rasengan_qsim::Label;
 use std::collections::BTreeMap;
 
+/// `(label, probability)` pairs in ascending label order.
+type Pairs = Vec<(Label, f64)>;
+
 /// Validates a measured distribution against the problem constraints
 /// (Fig. 8), given as `(label, probability)` pairs in ascending label
 /// order: drops infeasible mass, returning the renormalized feasible
 /// distribution and the feasible fraction (the in-constraints rate of
-/// the raw output), or `None` if nothing survives.
+/// the raw output). If nothing survives, the buffer comes back as the
+/// error, so a caller that keeps it allocates nothing on failure.
 ///
 /// # Example
 ///
@@ -56,32 +60,29 @@ use std::collections::BTreeMap;
 /// assert_eq!(feasible, vec![(0b01, 0.5 / 0.75), (0b10, 0.25 / 0.75)]);
 /// assert_eq!(rate, 0.75);
 /// ```
-pub fn purify_distribution(
-    problem: &Problem,
-    mut dist: Vec<(Label, f64)>,
-) -> Option<(Vec<(Label, f64)>, f64)> {
+pub fn purify_distribution(problem: &Problem, mut dist: Pairs) -> Result<(Pairs, f64), Pairs> {
     let total: f64 = dist.iter().map(|&(_, p)| p).sum();
     if total <= 0.0 {
-        return None;
+        return Err(dist);
     }
     dist.retain(|&(l, _)| problem.is_feasible_label(l));
     let (feasible, kept) = renormalize(dist)?;
-    Some((feasible, kept / total))
+    Ok((feasible, kept / total))
 }
 
 /// Divides every probability by their sum `kept`, returning the
-/// renormalized pairs and `kept`, or `None` when no mass is left. The
-/// last step of [`purify_distribution`], and all of it for a
-/// distribution whose labels are feasible by construction.
-pub fn renormalize(mut dist: Vec<(Label, f64)>) -> Option<(Vec<(Label, f64)>, f64)> {
+/// renormalized pairs and `kept`, or the buffer as the error when no
+/// mass is left. The last step of [`purify_distribution`], and all of
+/// it for a distribution whose labels are feasible by construction.
+pub fn renormalize(mut dist: Pairs) -> Result<(Pairs, f64), Pairs> {
     let kept: f64 = dist.iter().map(|&(_, p)| p).sum();
     if kept <= 0.0 {
-        return None;
+        return Err(dist);
     }
     for (_, p) in &mut dist {
         *p /= kept;
     }
-    Some((dist, kept))
+    Ok((dist, kept))
 }
 
 /// Normalizes surviving counts into a probability distribution.
@@ -147,8 +148,8 @@ mod tests {
         let kept = 0.6 + 0.2;
         assert_eq!(feasible, vec![(0b01, 0.6 / kept), (0b10, 0.2 / kept)]);
         assert_eq!(rate, kept / (0.1 + 0.6 + 0.2 + 0.1));
-        assert!(purify_distribution(&p, vec![(0b11u128, 1.0)]).is_none());
-        assert!(purify_distribution(&p, Vec::new()).is_none());
+        assert!(purify_distribution(&p, vec![(0b11u128, 1.0)]).is_err());
+        assert!(purify_distribution(&p, Vec::new()).is_err());
     }
 
     #[test]
@@ -160,10 +161,37 @@ mod tests {
         let (renormalized, kept) = renormalize(dist.clone()).unwrap();
         assert_eq!(
             purify_distribution(&p, dist),
-            Some((renormalized, kept / kept))
+            Ok((renormalized, kept / kept))
         );
         assert_eq!(kept / kept, 1.0);
-        assert!(renormalize(Vec::new()).is_none());
+        assert!(renormalize(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn failed_purification_hands_the_buffer_back() {
+        // The executor builds each raw distribution in a spare buffer
+        // that it keeps across attempts: a failure must return that
+        // buffer, not free it.
+        let p = one_hot(2);
+        let buffer = |pairs: &[(Label, f64)]| {
+            let mut buf = Vec::with_capacity(64);
+            buf.extend_from_slice(pairs);
+            let ptr = buf.as_ptr();
+            (buf, ptr)
+        };
+        let infeasible = [(0b11u128, 0.5), (0b00, 0.5)];
+        let massless = [(0b01u128, 0.0), (0b10, 0.0)];
+        for pairs in [&infeasible[..], &massless, &[]] {
+            let (buf, ptr) = buffer(pairs);
+            let back = purify_distribution(&p, buf).unwrap_err();
+            assert_eq!((back.as_ptr(), back.capacity()), (ptr, 64), "{pairs:?}");
+        }
+        for pairs in [&massless[..], &[]] {
+            let (buf, ptr) = buffer(pairs);
+            let back = renormalize(buf).unwrap_err();
+            assert_eq!((back.as_ptr(), back.capacity()), (ptr, 64), "{pairs:?}");
+            assert_eq!(back, pairs, "renormalize leaves a failed buffer as it was");
+        }
     }
 
     #[test]

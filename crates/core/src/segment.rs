@@ -35,21 +35,28 @@ pub struct CompiledTransition {
 pub struct SegmentProgram {
     /// Compiled operators, in chain order.
     pub ops: Vec<CompiledTransition>,
+    /// The qubits any operator reads or writes: the OR of every
+    /// operator's `plus_mask | minus_mask`. Eq. 6 couples `|x⟩` only
+    /// with `|x ± u⟩`, so the segment never reads or flips a bit outside
+    /// this mask.
+    pub support_mask: Label,
 }
 
 impl SegmentProgram {
     /// Compiles the operators of one segment.
     pub fn compile(ops: &[TransitionHamiltonian]) -> Self {
-        SegmentProgram {
-            ops: ops
-                .iter()
-                .map(|h| CompiledTransition {
-                    transition: h.transition().clone(),
-                    support: h.support(),
-                    cx_cost: h.cx_cost(),
-                })
-                .collect(),
-        }
+        let ops: Vec<CompiledTransition> = ops
+            .iter()
+            .map(|h| CompiledTransition {
+                transition: h.transition().clone(),
+                support: h.support(),
+                cx_cost: h.cx_cost(),
+            })
+            .collect();
+        let support_mask = ops.iter().fold(0, |mask, op| {
+            mask | op.transition.plus_mask | op.transition.minus_mask
+        });
+        SegmentProgram { ops, support_mask }
     }
 
     /// CX depth of the whole segment: the sum of its operators' costs.
