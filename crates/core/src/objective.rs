@@ -980,10 +980,10 @@ impl Workspace {
         } else {
             // Each worker runs a contiguous slab of batches, drawing each
             // batch on its own stream from its support pattern's sampler,
-            // which the slab prepares once per pattern. A pattern's labels
-            // are in the order of its inputs' labels, since those share
-            // the bits off the support, so a draw picks the same label
-            // that a sampler of the input's own evolution would.
+            // which the slab prepares once per pattern. ORing the input's
+            // rest onto the pattern's labels keeps their order, so each
+            // draw lands on the label a sampler of the input's own
+            // evolution would pick.
             let batches = &self.batches;
             par_slabs(batches.len(), &mut self.workers, |slab, w| {
                 w.counts.clear();

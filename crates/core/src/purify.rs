@@ -24,7 +24,7 @@
 //!   purification off the raw distribution passes through at rate 1.
 //!
 //! Either way the result bytes are the same. Separately, a noise-free
-//! input batch whose evolved support is one label takes all its shots
+//! input batch of a label no operator moves takes all its shots
 //! without drawing any.
 
 use rasengan_problems::Problem;
